@@ -9,8 +9,8 @@ namespace {
 /**
  * Ceiling on the slot table: below this the budget alone sizes the
  * table; above it extra budget buys nothing (a sweep's distinct
- * prefixes number in the hundreds, and header memory is eager even
- * though payloads are allocated on demand).
+ * prefixes number in the hundreds; header pages, like payloads, cost
+ * memory only once used).
  */
 constexpr std::size_t kMaxSlots = 65536;
 
@@ -46,12 +46,12 @@ void
 PrefixCache::releaseTable()
 {
     for (Slot& slot : slots_) {
-        double* buf = slot.payload.load(std::memory_order_relaxed);
+        double* buf = slot.payload().load(std::memory_order_relaxed);
         if (buf != nullptr)
             ::operator delete(buf, std::align_val_t{64});
     }
-    slots_.clear();
-    keyWords_.clear();
+    slots_ = {};
+    keyWords_ = {};
     numSlots_ = 0;
     ampCount_ = 0;
     keyStride_ = 0;
@@ -82,8 +82,8 @@ PrefixCache::configure(std::size_t amp_count, std::size_t max_key_words)
     keyStride_ = key_stride;
     payloadDoubles_ = 2 * amp_count;
     numSlots_ = slots < kMaxSlots ? slots : kMaxSlots;
-    slots_ = std::vector<Slot>(numSlots_);
-    keyWords_.assign(numSlots_ * keyStride_, 0);
+    slots_ = PageArray<Slot>(numSlots_);
+    keyWords_ = PageArray<std::uint64_t>(numSlots_ * keyStride_);
 }
 
 void
@@ -144,16 +144,16 @@ PrefixCache::find(const PrefixKey& key, AlignedVector<cplx>& out)
     for (std::size_t i = 0; i < probes; ++i) {
         const std::size_t s = (home + i) % numSlots_;
         Slot& slot = slots_[s];
-        if (slot.tag.load(std::memory_order_relaxed) != tag)
+        if (slot.tag().load(std::memory_order_relaxed) != tag)
             continue;
         // Seqlock read: snapshot an even sequence, copy everything
         // out, and accept the copy only if the sequence is unchanged.
-        const std::uint32_t seq1 = slot.seq.load(std::memory_order_acquire);
+        const std::uint32_t seq1 = slot.seq().load(std::memory_order_acquire);
         if (seq1 & 1u)
             continue;
         if (!keyMatches(s, key))
             continue;
-        const double* src = slot.payload.load(std::memory_order_relaxed);
+        const double* src = slot.payload().load(std::memory_order_relaxed);
         if (src == nullptr)
             continue;
         out.resize(ampCount_);
@@ -162,7 +162,7 @@ PrefixCache::find(const PrefixKey& key, AlignedVector<cplx>& out)
             dst[j] = std::atomic_ref<const double>(src[j]).load(
                 std::memory_order_relaxed);
         std::atomic_thread_fence(std::memory_order_acquire);
-        if (slot.seq.load(std::memory_order_relaxed) == seq1) {
+        if (slot.seq().load(std::memory_order_relaxed) == seq1) {
             hits_.fetch_add(1, std::memory_order_relaxed);
             return true;
         }
@@ -177,13 +177,13 @@ PrefixCache::publishLocked(std::size_t s, std::uint32_t locked_seq,
                            const AlignedVector<cplx>& amps)
 {
     Slot& slot = slots_[s];
-    double* buf = slot.payload.load(std::memory_order_relaxed);
+    double* buf = slot.payload().load(std::memory_order_relaxed);
     if (buf == nullptr) {
         buf = static_cast<double*>(::operator new(
             payloadDoubles_ * sizeof(double), std::align_val_t{64}));
-        slot.payload.store(buf, std::memory_order_relaxed);
+        slot.payload().store(buf, std::memory_order_relaxed);
     }
-    slot.tag.store(tag, std::memory_order_relaxed);
+    slot.tag().store(tag, std::memory_order_relaxed);
     std::uint64_t* kw = keyWordsAt(s);
     storeWord(kw[0], static_cast<std::uint64_t>(key.depth));
     storeWord(kw[1], static_cast<std::uint64_t>(key.paramBits.size()));
@@ -193,7 +193,7 @@ PrefixCache::publishLocked(std::size_t s, std::uint32_t locked_seq,
     for (std::size_t j = 0; j < payloadDoubles_; ++j)
         std::atomic_ref<double>(buf[j]).store(src[j],
                                               std::memory_order_relaxed);
-    slot.seq.store(locked_seq + 1, std::memory_order_release);
+    slot.seq().store(locked_seq + 1, std::memory_order_release);
 }
 
 PrefixInsertResult
@@ -213,28 +213,28 @@ PrefixCache::insert(const PrefixKey& key, const AlignedVector<cplx>& amps)
     for (std::size_t i = 0; i < probes; ++i) {
         const std::size_t s = (home + i) % numSlots_;
         Slot& slot = slots_[s];
-        const std::uint64_t seen = slot.tag.load(std::memory_order_relaxed);
+        const std::uint64_t seen = slot.tag().load(std::memory_order_relaxed);
         if (seen == tag) {
             const std::uint32_t seq1 =
-                slot.seq.load(std::memory_order_acquire);
+                slot.seq().load(std::memory_order_acquire);
             if (!(seq1 & 1u) && keyMatches(s, key) &&
-                slot.seq.load(std::memory_order_relaxed) == seq1)
+                slot.seq().load(std::memory_order_relaxed) == seq1)
                 return result; // already published (racy-OK: dup is benign)
         }
         if (seen != 0)
             continue;
-        std::uint32_t seq = slot.seq.load(std::memory_order_relaxed);
+        std::uint32_t seq = slot.seq().load(std::memory_order_relaxed);
         if (seq & 1u)
             continue; // writer inside
-        if (!slot.seq.compare_exchange_strong(seq, seq + 1,
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_relaxed))
+        if (!slot.seq().compare_exchange_strong(seq, seq + 1,
+                                                std::memory_order_acq_rel,
+                                                std::memory_order_relaxed))
             continue; // lost the race for this slot
         // We own the slot; re-read the tag now that no writer can be
         // inside. Another insert may have filled it before our CAS.
-        const std::uint64_t now = slot.tag.load(std::memory_order_relaxed);
+        const std::uint64_t now = slot.tag().load(std::memory_order_relaxed);
         if (now != 0) {
-            slot.seq.store(seq + 2, std::memory_order_release);
+            slot.seq().store(seq + 2, std::memory_order_release);
             if (now == tag && keyMatches(s, key))
                 return result; // our key won the race elsewhere
             continue;          // someone else's entry landed here
@@ -256,17 +256,17 @@ PrefixCache::insert(const PrefixKey& key, const AlignedVector<cplx>& amps)
              clockHand_.fetch_add(1, std::memory_order_relaxed) % probes) %
             numSlots_;
         Slot& slot = slots_[v];
-        std::uint32_t seq = slot.seq.load(std::memory_order_relaxed);
+        std::uint32_t seq = slot.seq().load(std::memory_order_relaxed);
         if (seq & 1u)
             continue;
-        if (!slot.seq.compare_exchange_strong(seq, seq + 1,
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_relaxed))
+        if (!slot.seq().compare_exchange_strong(seq, seq + 1,
+                                                std::memory_order_acq_rel,
+                                                std::memory_order_relaxed))
             continue;
-        const std::uint64_t old = slot.tag.load(std::memory_order_relaxed);
+        const std::uint64_t old = slot.tag().load(std::memory_order_relaxed);
         if (old == tag && keyMatches(v, key)) {
             // The hand landed on our own key: nothing to do.
-            slot.seq.store(seq + 2, std::memory_order_release);
+            slot.seq().store(seq + 2, std::memory_order_release);
             return result;
         }
         publishLocked(v, seq + 1, tag, key, amps);
@@ -286,11 +286,16 @@ void
 PrefixCache::clear()
 {
     // Non-concurrent by contract: plain sequential resets, payload
-    // buffers retained for reuse.
-    for (Slot& slot : slots_)
-        slot.tag.store(0, std::memory_order_relaxed);
-    for (std::uint64_t& word : keyWords_)
-        word = 0;
+    // buffers retained for reuse. Only nonzero words are written, so
+    // table pages never used stay out of the resident set.
+    for (Slot& slot : slots_) {
+        if (slot.tag().load(std::memory_order_relaxed) != 0)
+            slot.tag().store(0, std::memory_order_relaxed);
+    }
+    for (std::uint64_t& word : keyWords_) {
+        if (word != 0)
+            word = 0;
+    }
     occupied_.store(0, std::memory_order_relaxed);
     clockHand_.store(0, std::memory_order_relaxed);
 }

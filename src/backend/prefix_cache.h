@@ -162,13 +162,24 @@ class PrefixCache
     /** Slots probed around the hash before falling back to the hand. */
     static constexpr std::size_t kProbeWindow = 8;
 
-    /** Per-slot header; key words live in the flat keyWords_ array. */
+    /**
+     * Per-slot header; key words live in the flat keyWords_ array.
+     * Plain words, all shared accesses through std::atomic_ref, so
+     * that an all-zero slot (an untouched page of the table) is an
+     * empty one.
+     */
     struct Slot
     {
         /** Seqlock word: even = stable, odd = writer inside. */
-        std::atomic<std::uint32_t> seq{0};
+        std::atomic_ref<std::uint32_t> seq()
+        {
+            return std::atomic_ref(seqWord);
+        }
         /** Key fingerprint; 0 = empty (fingerprints are forced != 0). */
-        std::atomic<std::uint64_t> tag{0};
+        std::atomic_ref<std::uint64_t> tag()
+        {
+            return std::atomic_ref(tagWord);
+        }
         /**
          * Checkpoint amplitudes (2*ampCount_ doubles, 64-byte
          * aligned), allocated the first time the slot is claimed and
@@ -176,7 +187,14 @@ class PrefixCache
          * *used* rather than the full budget. Install-once: set under
          * the slot's seq lock, freed only by non-concurrent ops.
          */
-        std::atomic<double*> payload{nullptr};
+        std::atomic_ref<double*> payload()
+        {
+            return std::atomic_ref(payloadWord);
+        }
+
+        std::uint32_t seqWord;
+        std::uint64_t tagWord;
+        double* payloadWord;
     };
 
     static std::uint64_t fingerprint(const PrefixKey& key);
@@ -210,8 +228,10 @@ class PrefixCache
     std::size_t payloadDoubles_ = 0; ///< doubles per slot payload
     std::size_t numSlots_ = 0;
 
-    std::vector<Slot> slots_;
-    std::vector<std::uint64_t> keyWords_; ///< [depth, len, bits...]/slot
+    // Both tables sit in page mappings: a table sized for the budget
+    // is mostly never probed, and its untouched pages cost nothing.
+    PageArray<Slot> slots_;
+    PageArray<std::uint64_t> keyWords_; ///< [depth, len, bits...]/slot
 
     std::atomic<std::size_t> clockHand_{0};
     std::atomic<std::size_t> occupied_{0};

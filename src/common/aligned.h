@@ -13,6 +13,10 @@
  * operator new); AlignedVector<T> behaves exactly like std::vector<T>
  * except for the stronger base-pointer alignment, and vectors of the
  * same element type and alignment are assignable / swappable as usual.
+ *
+ * PageArray is the storage for large, sparsely used tables: an array
+ * in its own anonymous page mapping whose pages become resident only
+ * when first written.
  */
 
 #ifndef OSCAR_COMMON_ALIGNED_H
@@ -20,7 +24,11 @@
 
 #include <cstddef>
 #include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
+
+#include <sys/mman.h>
 
 namespace oscar {
 
@@ -79,6 +87,77 @@ struct AlignedAllocator
 /** std::vector whose data() is 64-byte (cache-line) aligned. */
 template <typename T>
 using AlignedVector = std::vector<T, AlignedAllocator<T>>;
+
+/**
+ * Fixed-size array in its own anonymous page mapping. Every element
+ * starts as all-zero bytes and is never constructed, so T must be a
+ * trivial type whose zero bytes are its empty state. Pages become
+ * resident only when first written and go back to the OS when the
+ * array is destroyed. A std::vector would zero-fill every page up
+ * front, and freeing a block that large raises glibc's mmap
+ * threshold, after which later large blocks stay resident in malloc's
+ * arenas once freed.
+ */
+template <typename T>
+class PageArray
+{
+    static_assert(std::is_trivially_default_constructible_v<T> &&
+                      std::is_trivially_destructible_v<T>,
+                  "PageArray elements start as zero bytes, unconstructed");
+
+  public:
+    PageArray() = default;
+
+    explicit PageArray(std::size_t n)
+    {
+        if (n == 0)
+            return;
+        void* p = ::mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (p == MAP_FAILED)
+            throw std::bad_alloc();
+        data_ = static_cast<T*>(p);
+        size_ = n;
+    }
+
+    PageArray(PageArray&& other) noexcept
+        : data_(std::exchange(other.data_, nullptr)),
+          size_(std::exchange(other.size_, 0))
+    {
+    }
+
+    PageArray&
+    operator=(PageArray&& other) noexcept
+    {
+        if (this != &other) {
+            release();
+            data_ = std::exchange(other.data_, nullptr);
+            size_ = std::exchange(other.size_, 0);
+        }
+        return *this;
+    }
+
+    ~PageArray() { release(); }
+
+    T* data() { return data_; }
+    std::size_t size() const { return size_; }
+    T& operator[](std::size_t i) { return data_[i]; }
+    T* begin() { return data_; }
+    T* end() { return data_ + size_; }
+
+  private:
+    void
+    release() noexcept
+    {
+        if (data_ != nullptr)
+            ::munmap(data_, size_ * sizeof(T));
+        data_ = nullptr;
+        size_ = 0;
+    }
+
+    T* data_ = nullptr;
+    std::size_t size_ = 0;
+};
 
 } // namespace oscar
 

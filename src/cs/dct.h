@@ -1,6 +1,7 @@
 /**
  * @file
- * Orthonormal DCT-II transforms (1-D and separable 2-D).
+ * Orthonormal DCT-II transforms (1-D and separable 2-D) and the
+ * sampled measurement operator of the CS solve.
  *
  * The DCT is the sparsifying basis Psi of the paper's compressed
  * sensing formulation (Appendix A): VQA landscapes are periodic and
@@ -10,10 +11,30 @@
  * gradient step exactly the adjoint transform and gives the
  * measurement operator unit spectral norm.
  *
- * Grid extents in this library are small (tens to hundreds per axis),
- * so the direct O(n^2) matrix transform with a precomputed cosine
- * table is both simple and fast enough; the 2-D transform is applied
- * separably (rows then columns).
+ * Transforms are direct O(n^2) products with a precomputed cosine
+ * table. The 2-D transform runs as two passes over the whole (rows x
+ * cols) array: a column-axis pass (every row times the cols x cols
+ * basis) and then a row-axis pass (the rows x rows basis times the
+ * whole array), each one matrix product accumulated in register tiles
+ * of 3 output rows by 8 output columns.
+ *
+ * SampledDct2d is the CS operator A = Sample_Omega o IDCT2 and its
+ * adjoint A^T = DCT2 o Scatter_Omega, evaluated only where samples
+ * exist: apply() gathers the inverse at the samples instead of
+ * finishing the row-axis pass over the whole grid, and adjoint()
+ * scatters each sample straight into the column-axis result instead
+ * of transforming a mostly-zero grid.
+ *
+ * Bit-identity invariant (a later change must keep it, or knowingly
+ * break it behind the solver accuracy gate): every output element is
+ * the sum of the same products, basis entry times input, added in
+ * ascending index order onto an accumulator that starts at +0.0 --
+ * exactly what Dct1d::forward/inverse applied row by row and then
+ * column by column compute. Terms may be skipped only when they are
+ * exact zeros: under round-to-nearest an accumulator that starts at
+ * +0.0 never becomes -0.0, so adding +-0 never changes it. No
+ * reassociation, no FMA contraction (this code must not be routed
+ * through the -mfma kernel TU), no fast transform.
  */
 
 #ifndef OSCAR_CS_DCT_H
@@ -41,9 +62,12 @@ class Dct1d
      * coefficients. */
     std::vector<double> inverse(const std::vector<double>& c) const;
 
+    /** Row-major basis: basis()[k*n + j] = a_k cos(pi(2j+1)k/2n). */
+    const std::vector<double>& basis() const { return basis_; }
+
   private:
     std::size_t n_;
-    std::vector<double> basis_; // basis_[k*n + j] = a_k cos(pi(2j+1)k/2n)
+    std::vector<double> basis_;
 };
 
 /** Separable 2-D orthonormal DCT over a (rows x cols) array. */
@@ -62,10 +86,46 @@ class Dct2d
     NdArray inverse(const NdArray& c) const;
 
   private:
-    NdArray applySeparable(const NdArray& x, bool forward) const;
+    friend class SampledDct2d;
 
     Dct1d rowT_;
     Dct1d colT_;
+    std::vector<double> colBasisT_; // colBasisT_[j*cols + k] = Bc[k, j]
+};
+
+/**
+ * A = Sample_Omega o IDCT2 and A^T for one sample set, built once per
+ * solve. Sample values are exchanged in the caller's sample order;
+ * internally the samples are visited in row-major grid order. Owns
+ * one rows x cols workspace, so apply/adjoint allocate nothing. The
+ * Dct2d must outlive the operator.
+ */
+class SampledDct2d
+{
+  public:
+    /** Throws std::invalid_argument on an out-of-range or duplicate
+     * flat row-major index. */
+    SampledDct2d(const Dct2d& dct,
+                 const std::vector<std::size_t>& sample_index);
+
+    std::size_t samples() const { return order_.size(); }
+
+    /** values[m] = IDCT2(z)[sample_index[m]]. */
+    void apply(const NdArray& z, std::vector<double>& values);
+
+    /** coefficients = DCT2 of the grid that is values[m] at
+     * sample_index[m] and zero elsewhere. */
+    void adjoint(const std::vector<double>& values, NdArray& coefficients);
+
+    /** Column `coefficient` of A: IDCT2 of that unit coefficient at
+     * the samples, values[m] = Br[kr, r_m] * Bc[kc, c_m]. */
+    void atom(std::size_t coefficient, std::vector<double>& values) const;
+
+  private:
+    const Dct2d& dct_;
+    std::vector<std::size_t> order_; // caller positions, grid order
+    std::vector<std::size_t> index_; // grid index of order_[j]
+    std::vector<double> work_;       // column-axis pass result
 };
 
 } // namespace oscar

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace oscar {
 
@@ -35,12 +36,15 @@ fistaSolve(const Dct2d& dct, const std::vector<std::size_t>& sample_index,
         if (idx >= n)
             throw std::out_of_range("fistaSolve: sample index out of grid");
     }
+    for (double v : sample_value) {
+        if (!std::isfinite(v))
+            throw std::invalid_argument("fistaSolve: non-finite sample value");
+    }
+    SampledDct2d op(dct, sample_index);
+    const std::size_t m = sample_value.size();
 
-    // A^T y: scatter measurements onto the grid, then forward DCT.
-    NdArray scatter({nr, nc});
-    for (std::size_t m = 0; m < sample_index.size(); ++m)
-        scatter[sample_index[m]] = sample_value[m];
-    NdArray aty = dct.forward(scatter);
+    NdArray aty({nr, nc});
+    op.adjoint(sample_value, aty);
     double max_aty = 0.0;
     for (std::size_t i = 0; i < n; ++i)
         max_aty = std::max(max_aty, std::abs(aty[i]));
@@ -70,23 +74,24 @@ fistaSolve(const Dct2d& dct, const std::vector<std::size_t>& sample_index,
     }
     NdArray s_prev({nr, nc});  // previous iterate
     NdArray z = s;             // momentum point
+    NdArray grad({nr, nc});
+    std::vector<double> residual(m);
     double t = 1.0;
 
     FistaResult result;
     for (std::size_t iter = 0; iter < options.maxIters; ++iter) {
         // Gradient of 1/2||A z - y||^2 at z: A^T (A z - y).
-        NdArray x = dct.inverse(z);
-        NdArray residual({nr, nc});
+        op.apply(z, residual);
         double res_norm2 = 0.0;
-        for (std::size_t m = 0; m < sample_index.size(); ++m) {
-            const double r = x[sample_index[m]] - sample_value[m];
-            residual[sample_index[m]] = r;
+        for (std::size_t k = 0; k < m; ++k) {
+            const double r = residual[k] - sample_value[k];
+            residual[k] = r;
             res_norm2 += r * r;
         }
-        NdArray grad = dct.forward(residual);
+        op.adjoint(residual, grad);
 
         // Proximal step (unit step size, ||A|| <= 1).
-        s_prev = s;
+        std::swap(s, s_prev);
         for (std::size_t i = 0; i < n; ++i)
             s[i] = softThreshold(z[i] - grad[i], lambda);
 

@@ -7,9 +7,12 @@
  * which we solve in its Lagrangian (LASSO) form
  *     min_s  lambda ||s||_1 + 1/2 ||A s - y||_2^2,
  * with A = Sample_Omega o IDCT2 applied implicitly (never
- * materialized). Because Psi is orthonormal and sampling selects rows,
- * ||A|| <= 1, so a unit gradient step is valid and FISTA needs no line
- * search. A geometric continuation schedule on lambda (standard for
+ * materialized) through SampledDct2d: each iteration evaluates A z
+ * only at the samples and A^T r from the samples alone, in workspaces
+ * allocated once per solve, bit-identical to transforming the full
+ * grid (see dct.h). Because Psi is orthonormal and sampling selects
+ * rows, ||A|| <= 1, so a unit gradient step is valid and FISTA needs
+ * no line search. A geometric continuation schedule on lambda (standard for
  * basis pursuit) drives the solution toward the constrained problem.
  */
 
@@ -69,8 +72,12 @@ struct FistaResult
  * Solve the 2-D compressed-sensing problem.
  *
  * @param dct          transform pair for the target grid shape
- * @param sample_index flat row-major indices of the measured grid points
- * @param sample_value measured landscape values (same length)
+ * @param sample_index flat row-major indices of the measured grid
+ *                     points, distinct, in any order (std::out_of_range
+ *                     if one is off the grid, std::invalid_argument on a
+ *                     repeat)
+ * @param sample_value measured landscape values (same length, finite:
+ *                     std::invalid_argument on NaN or +-inf)
  * @param options      solver configuration
  * @param warm_start   optional initial coefficient iterate (rows x
  *                     cols). Used by the streaming reconstruction

@@ -22,6 +22,11 @@ ompSolve(const Dct2d& dct, const std::vector<std::size_t>& sample_index,
     const std::size_t nc = dct.cols();
     const std::size_t n = nr * nc;
     const std::size_t m = sample_index.size();
+    for (double v : sample_value) {
+        if (!std::isfinite(v))
+            throw std::invalid_argument("ompSolve: non-finite sample value");
+    }
+    SampledDct2d op(dct, sample_index);
 
     std::size_t max_atoms = options.maxAtoms;
     if (max_atoms == 0)
@@ -40,16 +45,19 @@ ompSolve(const Dct2d& dct, const std::vector<std::size_t>& sample_index,
     std::vector<std::vector<double>> columns;   // dictionary atoms at Omega
     std::vector<char> is_selected(n, 0);
     std::vector<double> coeffs;                 // current LS solution
+    // Normal equations of the selected set, grown by one row and
+    // column per step: entry (i, j) of the Gram matrix never changes
+    // once its atoms are selected.
+    std::vector<double> gram_lower;             // packed lower triangle
+    std::vector<double> rhs;
+    NdArray corr({nr, nc});
 
     OmpResult result;
     result.coefficients = NdArray({nr, nc});
 
     for (std::size_t iter = 0; iter < max_atoms; ++iter) {
-        // Correlations A^T r: scatter residual, forward DCT.
-        NdArray scatter({nr, nc});
-        for (std::size_t k = 0; k < m; ++k)
-            scatter[sample_index[k]] = residual[k];
-        const NdArray corr = dct.forward(scatter);
+        // Correlations A^T r.
+        op.adjoint(residual, corr);
 
         std::size_t best = n;
         double best_abs = 0.0;
@@ -65,14 +73,9 @@ ompSolve(const Dct2d& dct, const std::vector<std::size_t>& sample_index,
         if (best == n || best_abs < 1e-14)
             break;
 
-        // Materialize the new atom: IDCT2 of a unit coefficient,
-        // gathered at the sample locations.
-        NdArray unit({nr, nc});
-        unit[best] = 1.0;
-        const NdArray atom_full = dct.inverse(unit);
-        std::vector<double> atom(m);
-        for (std::size_t k = 0; k < m; ++k)
-            atom[k] = atom_full[sample_index[k]];
+        // The new atom: IDCT2 of a unit coefficient at the samples.
+        std::vector<double> atom;
+        op.atom(best, atom);
 
         is_selected[best] = 1;
         selected.push_back(best);
@@ -80,22 +83,26 @@ ompSolve(const Dct2d& dct, const std::vector<std::size_t>& sample_index,
 
         // Least squares on the selected set via normal equations.
         const std::size_t s = selected.size();
-        std::vector<double> gram(s * s, 0.0);
-        std::vector<double> rhs(s, 0.0);
+        const std::vector<double>& added = columns.back();
         for (std::size_t i = 0; i < s; ++i) {
-            for (std::size_t j = i; j < s; ++j) {
-                double dot = 0.0;
-                for (std::size_t k = 0; k < m; ++k)
-                    dot += columns[i][k] * columns[j][k];
-                gram[i * s + j] = dot;
-                gram[j * s + i] = dot;
-            }
             double dot = 0.0;
             for (std::size_t k = 0; k < m; ++k)
-                dot += columns[i][k] * sample_value[k];
-            rhs[i] = dot;
+                dot += columns[i][k] * added[k];
+            gram_lower.push_back(dot);
         }
-        coeffs = solveDense(std::move(gram), std::move(rhs), s);
+        double dot = 0.0;
+        for (std::size_t k = 0; k < m; ++k)
+            dot += added[k] * sample_value[k];
+        rhs.push_back(dot);
+
+        std::vector<double> gram(s * s);
+        for (std::size_t i = 0; i < s; ++i) {
+            for (std::size_t j = 0; j <= i; ++j) {
+                gram[i * s + j] = gram_lower[i * (i + 1) / 2 + j];
+                gram[j * s + i] = gram_lower[i * (i + 1) / 2 + j];
+            }
+        }
+        coeffs = solveDense(std::move(gram), rhs, s);
 
         // Update residual r = y - A_S c.
         double res_norm = 0.0;

@@ -46,7 +46,10 @@ struct OmpResult
 
 /**
  * Solve the 2-D compressed-sensing problem greedily. Parameters match
- * fistaSolve().
+ * fistaSolve(), except that an off-grid index throws
+ * std::invalid_argument. Atoms are gathered at the samples as outer
+ * products of two basis rows, and the normal equations grow by one
+ * row per selected atom.
  */
 OmpResult ompSolve(const Dct2d& dct,
                    const std::vector<std::size_t>& sample_index,

@@ -8,11 +8,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
+#include "src/ansatz/qaoa.h"
+#include "src/backend/statevector_backend.h"
 #include "src/common/rng.h"
+#include "src/core/oscar.h"
 #include "src/cs/fista.h"
 #include "src/cs/omp.h"
 #include "src/cs/reconstructor.h"
+#include "src/graph/generators.h"
+#include "src/hamiltonian/maxcut.h"
+#include "src/landscape/metrics.h"
 
 namespace oscar {
 namespace {
@@ -211,6 +219,108 @@ TEST(Reconstructor, OmpSolverOption)
         norm += signal[i] * signal[i];
     }
     EXPECT_LT(std::sqrt(err / norm), 1e-4);
+}
+
+TEST(Omp, RejectsBadInputs)
+{
+    Dct2d dct(4, 4);
+    EXPECT_THROW(ompSolve(dct, {0, 1}, {1.0}), std::invalid_argument);
+    EXPECT_THROW(ompSolve(dct, {}, {}), std::invalid_argument);
+    EXPECT_THROW(ompSolve(dct, {16}, {1.0}), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------
+// Bad input fails loudly instead of reconstructing a wrong landscape.
+
+/** 58 samples of a smooth 20 x 20 landscape. */
+void
+smoothSamples(std::vector<std::size_t>& indices, std::vector<double>& values)
+{
+    Rng rng(58);
+    indices = rng.sampleWithoutReplacement(400, 58);
+    values.clear();
+    for (std::size_t i : indices)
+        values.push_back(std::cos(0.3 * (i / 20)) * std::sin(0.2 * (i % 20)));
+}
+
+TEST(BadInput, NonFiniteSampleIsRejected)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double bad : {nan, inf, -inf}) {
+        std::vector<std::size_t> indices;
+        std::vector<double> values;
+        smoothSamples(indices, values);
+        values[17] = bad;
+        EXPECT_THROW(reconstructLandscape({20, 20}, indices, values),
+                     std::invalid_argument)
+            << bad;
+        CsOptions omp;
+        omp.solver = CsSolver::Omp;
+        EXPECT_THROW(reconstructLandscape({20, 20}, indices, values, omp),
+                     std::invalid_argument)
+            << bad;
+    }
+}
+
+TEST(BadInput, DuplicateSampleIndexIsRejected)
+{
+    std::vector<std::size_t> indices;
+    std::vector<double> values;
+    smoothSamples(indices, values);
+    indices[40] = indices[3];
+    EXPECT_THROW(reconstructLandscape({20, 20}, indices, values),
+                 std::invalid_argument);
+    CsOptions omp;
+    omp.solver = CsSolver::Omp;
+    EXPECT_THROW(reconstructLandscape({20, 20}, indices, values, omp),
+                 std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------
+// Accuracy gate: reconstruction quality on a real depth-2 QAOA
+// landscape must not drift. A solver change that reorders floating
+// point may move these within the tolerance; a change that gives up
+// quality fails here.
+
+struct GoldenNrmse
+{
+    CsSolver solver;
+    std::uint64_t seed;
+    double nrmse;
+};
+
+TEST(AccuracyGate, QaoaP2LandscapeNrmseMatchesGolden)
+{
+    // 8-node 3-regular MaxCut, p = 2, grid (8, 8, 10, 10) folded to
+    // 64 x 100, 10% sampled. Goldens recorded with the row-by-row
+    // Dct1d solver these transforms replaced.
+    const GoldenNrmse goldens[] = {
+        {CsSolver::Fista, 1, 0.22689992313647633},
+        {CsSolver::Fista, 2, 0.21158258527827836},
+        {CsSolver::Fista, 3, 0.20302002379635192},
+        {CsSolver::Omp, 1, 0.23759007048575848},
+        {CsSolver::Omp, 2, 0.24630153801724478},
+        {CsSolver::Omp, 3, 0.2617007530321791},
+    };
+    Rng rng(8);
+    const Graph g = random3RegularGraph(8, rng);
+    StatevectorCost cost(qaoaCircuit(g, 2), maxcutHamiltonian(g));
+    const Landscape truth =
+        Landscape::gridSearch(GridSpec::qaoaP2(8, 10), cost);
+
+    for (const GoldenNrmse& golden : goldens) {
+        OscarOptions options;
+        options.samplingFraction = 0.1;
+        options.seed = golden.seed;
+        options.cs.solver = golden.solver;
+        options.cs.omp.maxAtoms = 160;
+        const auto result = Oscar::reconstructFromLandscape(truth, options);
+        EXPECT_NEAR(nrmse(truth.values(), result.reconstructed.values()),
+                    golden.nrmse, 0.02 * golden.nrmse)
+            << (golden.solver == CsSolver::Fista ? "FISTA" : "OMP-160")
+            << " seed " << golden.seed;
+    }
 }
 
 } // namespace

@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "src/common/rng.h"
 #include "src/cs/dct.h"
@@ -132,6 +138,180 @@ TEST(Dct2d, LinearityProperty)
     const NdArray csum = dct.forward(sum);
     for (std::size_t i = 0; i < 64; ++i)
         EXPECT_NEAR(csum[i], ca[i] + cb[i], 1e-10);
+}
+
+// ---------------------------------------------------------------------
+// Bit-identity of the blocked and sampled transforms against the
+// row-by-row, then column-by-column Dct1d composition they replace.
+
+/** Separable 2-D transform built from Dct1d, rows first. */
+NdArray
+reference2d(const NdArray& x, std::size_t nr, std::size_t nc, bool forward)
+{
+    const Dct1d row_t(nr), col_t(nc);
+    NdArray out({nr, nc});
+    std::vector<double> buf(nc);
+    for (std::size_t r = 0; r < nr; ++r) {
+        for (std::size_t c = 0; c < nc; ++c)
+            buf[c] = x[r * nc + c];
+        const auto t = forward ? col_t.forward(buf) : col_t.inverse(buf);
+        for (std::size_t c = 0; c < nc; ++c)
+            out[r * nc + c] = t[c];
+    }
+    std::vector<double> col(nr);
+    for (std::size_t c = 0; c < nc; ++c) {
+        for (std::size_t r = 0; r < nr; ++r)
+            col[r] = out[r * nc + c];
+        const auto t = forward ? row_t.forward(col) : row_t.inverse(col);
+        for (std::size_t r = 0; r < nr; ++r)
+            out[r * nc + c] = t[r];
+    }
+    return out;
+}
+
+/** Index of the first bitwise difference, or npos. */
+std::size_t
+firstBitDiff(const std::vector<double>& a, const std::vector<double>& b)
+{
+    if (a.size() != b.size())
+        return 0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (std::bit_cast<std::uint64_t>(a[i]) !=
+            std::bit_cast<std::uint64_t>(b[i]))
+            return i;
+    }
+    return std::string::npos;
+}
+
+using Shape = std::pair<std::size_t, std::size_t>;
+
+class DctBitIdentity : public ::testing::TestWithParam<Shape>
+{
+  protected:
+    /** Normal entries, about a third of them exact zeros (some -0.0). */
+    static NdArray randomArray(std::size_t nr, std::size_t nc, Rng& rng)
+    {
+        NdArray x({nr, nc});
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            const double u = rng.uniform();
+            x[i] = u < 0.3 ? 0.0 : u < 0.35 ? -0.0 : rng.normal();
+        }
+        return x;
+    }
+
+    /** About a fifth of the grid, shuffled, with row nr / 2 left
+     * unsampled when there is more than one row. */
+    static std::vector<std::size_t> samplesFor(std::size_t nr,
+                                               std::size_t nc, Rng& rng)
+    {
+        const std::size_t n = nr * nc;
+        std::vector<std::size_t> idx;
+        for (std::size_t i : rng.sampleWithoutReplacement(
+                 n, std::max<std::size_t>(1, n / 5))) {
+            if (nr == 1 || i / nc != nr / 2)
+                idx.push_back(i);
+        }
+        if (idx.empty())
+            idx.push_back(0);
+        rng.shuffle(idx);
+        return idx;
+    }
+};
+
+TEST_P(DctBitIdentity, DenseTransformsMatchRowColumnReference)
+{
+    const auto [nr, nc] = GetParam();
+    const Dct2d dct(nr, nc);
+    Rng rng(nr * 1000 + nc);
+    for (int trial = 0; trial < 2; ++trial) {
+        const NdArray x = randomArray(nr, nc, rng);
+        EXPECT_EQ(firstBitDiff(dct.forward(x).flat(),
+                               reference2d(x, nr, nc, true).flat()),
+                  std::string::npos);
+        EXPECT_EQ(firstBitDiff(dct.inverse(x).flat(),
+                               reference2d(x, nr, nc, false).flat()),
+                  std::string::npos);
+    }
+}
+
+TEST_P(DctBitIdentity, SampledOperatorMatchesGatherAndScatter)
+{
+    const auto [nr, nc] = GetParam();
+    const Dct2d dct(nr, nc);
+    Rng rng(nr * 7 + nc);
+    const auto idx = samplesFor(nr, nc, rng);
+    SampledDct2d op(dct, idx);
+    ASSERT_EQ(op.samples(), idx.size());
+
+    std::vector<double> values;
+    NdArray coefficients;
+    for (int trial = 0; trial < 2; ++trial) {
+        // apply: the inverse, gathered at the samples in caller order.
+        const NdArray z = randomArray(nr, nc, rng);
+        op.apply(z, values);
+        const NdArray x = reference2d(z, nr, nc, false);
+        std::vector<double> gathered;
+        for (std::size_t i : idx)
+            gathered.push_back(x[i]);
+        EXPECT_EQ(firstBitDiff(values, gathered), std::string::npos);
+
+        // adjoint: the forward transform of the scattered values.
+        std::vector<double> v(idx.size());
+        for (double& e : v)
+            e = rng.uniform() < 0.3 ? 0.0 : rng.normal();
+        NdArray scatter({nr, nc});
+        for (std::size_t k = 0; k < idx.size(); ++k)
+            scatter[idx[k]] = v[k];
+        op.adjoint(v, coefficients);
+        EXPECT_EQ(firstBitDiff(coefficients.flat(),
+                               reference2d(scatter, nr, nc, true).flat()),
+                  std::string::npos);
+    }
+
+    // All-zero coefficients and values.
+    op.apply(NdArray({nr, nc}), values);
+    EXPECT_EQ(firstBitDiff(values, std::vector<double>(idx.size(), 0.0)),
+              std::string::npos);
+    op.adjoint(std::vector<double>(idx.size(), 0.0), coefficients);
+    EXPECT_EQ(firstBitDiff(coefficients.flat(),
+                           std::vector<double>(nr * nc, 0.0)),
+              std::string::npos);
+}
+
+TEST_P(DctBitIdentity, OmpAtomMatchesInverseOfUnitVector)
+{
+    const auto [nr, nc] = GetParam();
+    const Dct2d dct(nr, nc);
+    Rng rng(nr + 31 * nc);
+    const auto idx = samplesFor(nr, nc, rng);
+    const SampledDct2d op(dct, idx);
+    const std::size_t n = nr * nc;
+    std::vector<double> atom;
+    for (std::size_t coef : {std::size_t{0}, n / 2, n - 1, nc - 1}) {
+        NdArray unit({nr, nc});
+        unit[coef] = 1.0;
+        const NdArray x = reference2d(unit, nr, nc, false);
+        std::vector<double> gathered;
+        for (std::size_t i : idx)
+            gathered.push_back(x[i]);
+        op.atom(coef, atom);
+        EXPECT_EQ(firstBitDiff(atom, gathered), std::string::npos)
+            << "coefficient " << coef;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, DctBitIdentity,
+                         ::testing::Values(Shape{1, 1}, Shape{1, 9},
+                                           Shape{9, 1}, Shape{13, 17},
+                                           Shape{64, 100},
+                                           Shape{144, 225}));
+
+TEST(SampledDct2d, RejectsOutOfRangeAndDuplicateIndices)
+{
+    const Dct2d dct(4, 5);
+    EXPECT_THROW(SampledDct2d(dct, {3, 20}), std::invalid_argument);
+    EXPECT_THROW(SampledDct2d(dct, {7, 2, 7}), std::invalid_argument);
+    EXPECT_NO_THROW(SampledDct2d(dct, {19, 0, 7}));
 }
 
 } // namespace
