@@ -16,75 +16,374 @@ namespace {
  * multiply and add round exactly like their scalar forms. */
 typedef double Pair __attribute__((vector_size(16)));
 
-/**
- * One R x 2Q tile of the matrix product in matmulRows: rows i..i+R-1,
- * columns j..j+2Q-1 of c, accumulated in registers over every k.
- */
-template <int R, int Q>
-void
-matmulTile(const double* a, std::size_t si, std::size_t sk, const double* b,
-           double* c, std::size_t inner, std::size_t w, std::size_t i,
-           std::size_t j)
+Pair
+load(const double* p)
 {
-    Pair acc[R][Q] = {};
-    const double* ai = a + i * si;
-    for (std::size_t k = 0; k < inner; ++k) {
-        Pair bk[Q];
-        std::memcpy(bk, b + k * w + j, sizeof(bk));
-        for (int r = 0; r < R; ++r) {
-            const double ark = ai[r * si + k * sk];
-            const Pair ar = {ark, ark};
-            for (int q = 0; q < Q; ++q)
-                acc[r][q] += ar * bk[q];
-        }
-    }
-    for (int r = 0; r < R; ++r)
-        std::memcpy(c + (i + r) * w + j, acc[r], sizeof(acc[r]));
+    Pair v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
 }
 
-/** Rows i..i+R-1 of the product in matmulRows, all columns. */
-template <int R>
 void
-matmulRowBlock(const double* a, std::size_t si, std::size_t sk,
-               const double* b, double* c, std::size_t inner, std::size_t w,
-               std::size_t i)
+store(double* p, Pair v)
 {
-    std::size_t j = 0;
-    for (; j + 8 <= w; j += 8)
-        matmulTile<R, 4>(a, si, sk, b, c, inner, w, i, j);
-    for (; j + 2 <= w; j += 2)
-        matmulTile<R, 1>(a, si, sk, b, c, inner, w, i, j);
-    for (; j < w; ++j) {
-        for (int r = 0; r < R; ++r) {
-            double acc = 0.0;
-            for (std::size_t k = 0; k < inner; ++k)
-                acc += a[(i + r) * si + k * sk] * b[k * w + j];
-            c[(i + r) * w + j] = acc;
-        }
-    }
+    std::memcpy(p, &v, sizeof(v));
+}
+
+Pair
+splat(double x)
+{
+    return Pair{x, x};
+}
+
+/** e^{-2 pi i k / n} as (re, im), appended to `table`. */
+void
+pushRoot(std::vector<double>& table, std::size_t k, std::size_t n)
+{
+    const double angle = -2.0 * std::numbers::pi * static_cast<double>(k) /
+                         static_cast<double>(n);
+    table.push_back(std::cos(angle));
+    table.push_back(std::sin(angle));
 }
 
 /**
- * c[i*w + j] = sum over k of a(i, k) * b[k*w + j], with a(i, k) =
- * a[i*si + k*sk], for i < n: a matrix product whose every output
- * element is accumulated over ascending k from +0.0 (the bit-identity
- * invariant in dct.h). Register tiles of 3 rows x 8 columns load each
- * b element once per 3 output rows and each a element once per 8
- * output columns.
+ * The radix-P butterflies of one Stockham row: inputs x + r*xs for
+ * r < P, outputs y + t*ys for t < P, each `span` lanes long (even).
+ * Output t > 0 is multiplied by the twiddle (tw[2t-2], tw[2t-1])
+ * unless Tw is false (row 0, whose twiddles are all 1).
+ */
+template <int P, bool Tw>
+void
+butterflies(const double* xr, const double* xi, std::size_t xs, double* yr,
+            double* yi, std::size_t ys, const double* tw, std::size_t span)
+{
+    Pair wr[P - 1], wi[P - 1];
+    for (int t = 0; t < P - 1; ++t) {
+        wr[t] = splat(Tw ? tw[2 * t] : 1.0);
+        wi[t] = splat(Tw ? tw[2 * t + 1] : 0.0);
+    }
+    for (std::size_t q = 0; q < span; q += 2) {
+        Pair ar[P], ai[P], br[P], bi[P];
+        for (int r = 0; r < P; ++r) {
+            ar[r] = load(xr + r * xs + q);
+            ai[r] = load(xi + r * xs + q);
+        }
+        if constexpr (P == 2) {
+            br[0] = ar[0] + ar[1];
+            bi[0] = ai[0] + ai[1];
+            br[1] = ar[0] - ar[1];
+            bi[1] = ai[0] - ai[1];
+        } else if constexpr (P == 3) {
+            // y1,2 = a0 - (a1 + a2)/2 -+ i (sqrt3/2)(a1 - a2)
+            const Pair c = splat(0.86602540378443864676);
+            const Pair sr = ar[1] + ar[2], si = ai[1] + ai[2];
+            const Pair dr = c * (ar[1] - ar[2]), di = c * (ai[1] - ai[2]);
+            const Pair mr = ar[0] - splat(0.5) * sr;
+            const Pair mi = ai[0] - splat(0.5) * si;
+            br[0] = ar[0] + sr;
+            bi[0] = ai[0] + si;
+            br[1] = mr + di;
+            bi[1] = mi - dr;
+            br[2] = mr - di;
+            bi[2] = mi + dr;
+        } else if constexpr (P == 4) {
+            const Pair t0r = ar[0] + ar[2], t0i = ai[0] + ai[2];
+            const Pair t1r = ar[0] - ar[2], t1i = ai[0] - ai[2];
+            const Pair t2r = ar[1] + ar[3], t2i = ai[1] + ai[3];
+            const Pair t3r = ar[1] - ar[3], t3i = ai[1] - ai[3];
+            br[0] = t0r + t2r;
+            bi[0] = t0i + t2i;
+            br[1] = t1r + t3i; // t1 - i t3
+            bi[1] = t1i - t3r;
+            br[2] = t0r - t2r;
+            bi[2] = t0i - t2i;
+            br[3] = t1r - t3i; // t1 + i t3
+            bi[3] = t1i + t3r;
+        } else {
+            static_assert(P == 5);
+            // cos and sin of 2 pi / 5 and 4 pi / 5.
+            const Pair c1 = splat(0.30901699437494742410);
+            const Pair c2 = splat(-0.80901699437494742410);
+            const Pair s1 = splat(0.95105651629515357212);
+            const Pair s2 = splat(0.58778525229247312917);
+            const Pair s1r = ar[1] + ar[4], s1i = ai[1] + ai[4];
+            const Pair d1r = ar[1] - ar[4], d1i = ai[1] - ai[4];
+            const Pair s2r = ar[2] + ar[3], s2i = ai[2] + ai[3];
+            const Pair d2r = ar[2] - ar[3], d2i = ai[2] - ai[3];
+            const Pair b1r = ar[0] + c1 * s1r + c2 * s2r;
+            const Pair b1i = ai[0] + c1 * s1i + c2 * s2i;
+            const Pair b2r = ar[0] + c2 * s1r + c1 * s2r;
+            const Pair b2i = ai[0] + c2 * s1i + c1 * s2i;
+            const Pair e1r = s1 * d1r + s2 * d2r, e1i = s1 * d1i + s2 * d2i;
+            const Pair e2r = s2 * d1r - s1 * d2r, e2i = s2 * d1i - s1 * d2i;
+            br[0] = ar[0] + s1r + s2r;
+            bi[0] = ai[0] + s1i + s2i;
+            br[1] = b1r + e1i; // b1 - i e1
+            bi[1] = b1i - e1r;
+            br[4] = b1r - e1i; // b1 + i e1
+            bi[4] = b1i + e1r;
+            br[2] = b2r + e2i; // b2 - i e2
+            bi[2] = b2i - e2r;
+            br[3] = b2r - e2i; // b2 + i e2
+            bi[3] = b2i + e2r;
+        }
+        store(yr + q, br[0]);
+        store(yi + q, bi[0]);
+        for (int t = 1; t < P; ++t) {
+            Pair re = br[t], im = bi[t];
+            if constexpr (Tw) {
+                const Pair r = re * wr[t - 1] - im * wi[t - 1];
+                im = re * wi[t - 1] + im * wr[t - 1];
+                re = r;
+            }
+            store(yr + t * ys + q, re);
+            store(yi + t * ys + q, im);
+        }
+    }
+}
+
+/** butterflies() for any radix p, as a direct p-point DFT with the
+ * roots W_p^k at roots[2k], roots[2k+1]. */
+template <bool Tw>
+void
+butterfliesGeneric(std::size_t p, const double* roots, const double* xr,
+                   const double* xi, std::size_t xs, double* yr, double* yi,
+                   std::size_t ys, const double* tw, std::size_t span)
+{
+    for (std::size_t t = 0; t < p; ++t) {
+        double* __restrict otr = yr + t * ys;
+        double* __restrict oti = yi + t * ys;
+        std::memcpy(otr, xr, span * sizeof(double));
+        std::memcpy(oti, xi, span * sizeof(double));
+        for (std::size_t r = 1; r < p; ++r) {
+            const double* w = roots + 2 * (r * t % p);
+            const Pair wr = splat(w[0]), wi = splat(w[1]);
+            const double* ir = xr + r * xs;
+            const double* ii = xi + r * xs;
+            for (std::size_t q = 0; q < span; q += 2) {
+                const Pair a = load(ir + q), b = load(ii + q);
+                store(otr + q, load(otr + q) + (a * wr - b * wi));
+                store(oti + q, load(oti + q) + (a * wi + b * wr));
+            }
+        }
+        if (Tw && t > 0) {
+            const Pair wr = splat(tw[2 * t - 2]), wi = splat(tw[2 * t - 1]);
+            for (std::size_t q = 0; q < span; q += 2) {
+                const Pair re = load(otr + q), im = load(oti + q);
+                store(otr + q, re * wr - im * wi);
+                store(oti + q, re * wi + im * wr);
+            }
+        }
+    }
+}
+
+template <bool Tw>
+void
+stageRow(std::size_t p, const double* roots, const double* xr,
+         const double* xi, std::size_t xs, double* yr, double* yi,
+         std::size_t ys, const double* tw, std::size_t span)
+{
+    switch (p) {
+    case 2:
+        return butterflies<2, Tw>(xr, xi, xs, yr, yi, ys, tw, span);
+    case 3:
+        return butterflies<3, Tw>(xr, xi, xs, yr, yi, ys, tw, span);
+    case 4:
+        return butterflies<4, Tw>(xr, xi, xs, yr, yi, ys, tw, span);
+    case 5:
+        return butterflies<5, Tw>(xr, xi, xs, yr, yi, ys, tw, span);
+    default:
+        return butterfliesGeneric<Tw>(p, roots, xr, xi, xs, yr, yi, ys, tw,
+                                      span);
+    }
+}
+
+/**
+ * Lane row of the packed complex batch from one element row: vector
+ * b < half goes to re[b], vector b >= half to im[b - half]; lanes
+ * beyond the batch are zero.
  */
 void
-matmulRows(const double* a, std::size_t si, std::size_t sk,
-           const double* b, double* c, std::size_t n, std::size_t inner,
-           std::size_t w)
+packRow(const double* x, std::size_t bs, std::size_t batch, std::size_t half,
+        std::size_t lanes, double* re, double* im)
 {
-    std::size_t i = 0;
-    for (; i + 3 <= n; i += 3)
-        matmulRowBlock<3>(a, si, sk, b, c, inner, w, i);
-    for (; i < n; ++i)
-        matmulRowBlock<1>(a, si, sk, b, c, inner, w, i);
+    for (std::size_t b = 0; b < half; ++b)
+        re[b] = x[b * bs];
+    std::fill(re + half, re + lanes, 0.0);
+    for (std::size_t b = half; b < batch; ++b)
+        im[b - half] = x[b * bs];
+    std::fill(im + (batch - half), im + lanes, 0.0);
 }
 
 } // namespace
+
+DctPlan::DctPlan(std::size_t length)
+    : n_(length)
+{
+    if (length == 0)
+        throw std::invalid_argument("DctPlan: zero length");
+    // Radix 4 first, then every prime factor in ascending order.
+    std::vector<std::size_t> radices;
+    std::size_t rest = n_;
+    for (; rest % 4 == 0; rest /= 4)
+        radices.push_back(4);
+    for (std::size_t p = 2; rest > 1; ++p) {
+        for (; rest % p == 0; rest /= p)
+            radices.push_back(p);
+    }
+    // Stage twiddles W_n^{jt} for row j < n/p, output t in 1..p-1.
+    std::size_t n = n_;
+    for (std::size_t p : radices) {
+        stages_.push_back({p, twiddle_.size(), roots_.size()});
+        for (std::size_t j = 0; j < n / p; ++j) {
+            for (std::size_t t = 1; t < p; ++t)
+                pushRoot(twiddle_, j * t % n, n);
+        }
+        if (p > 5) {
+            for (std::size_t k = 0; k < p; ++k)
+                pushRoot(roots_, k, p);
+        }
+        n /= p;
+    }
+    // Forward post-twiddle: X_k = a_k Re(e^{-i pi k / 2n} V_k), with
+    // the 1/2 that separates two real vectors sharing a lane. Inverse
+    // pre-twiddle: V_k = e^{i pi k / 2n} (h_k C_k - i h'_k C_{n-k})
+    // with the DCT-III's 1/n folded in.
+    const double nd = static_cast<double>(n_);
+    for (std::size_t k = 0; k < n_; ++k) {
+        const double theta = std::numbers::pi * static_cast<double>(k) /
+                             (2.0 * nd);
+        const double c = std::cos(theta), s = std::sin(theta);
+        const double a = k == 0 ? std::sqrt(1.0 / nd) : std::sqrt(2.0 / nd);
+        post_.push_back(0.5 * a * c);
+        post_.push_back(-0.5 * a * s);
+        const double h = k == 0 ? 1.0 / std::sqrt(nd)
+                                : 1.0 / std::sqrt(2.0 * nd);
+        const double h2 = k == 0 ? 0.0 : 1.0 / std::sqrt(2.0 * nd);
+        pre_.insert(pre_.end(), {c * h, s * h, c * h2, s * h2});
+    }
+}
+
+std::pair<double*, double*>
+DctPlan::fft(double* re, double* im, double* re2, double* im2,
+             std::size_t lanes) const
+{
+    // Stockham autosort, decimation in frequency: a stage of radix p
+    // over sub-transforms of length n with stride s maps row j + r m
+    // (m = n / p) to row p j + t, so the output lands in natural order
+    // without a bit-reversal pass.
+    std::size_t n = n_;
+    std::size_t span = lanes;
+    for (const Stage& st : stages_) {
+        const std::size_t p = st.radix;
+        const std::size_t m = n / p;
+        const double* roots = roots_.data() + st.roots;
+        for (std::size_t j = 0; j < m; ++j) {
+            const double* tw = twiddle_.data() + st.twiddle + 2 * j * (p - 1);
+            const double* xr = re + j * span;
+            const double* xi = im + j * span;
+            double* yr = re2 + p * j * span;
+            double* yi = im2 + p * j * span;
+            if (j == 0)
+                stageRow<false>(p, roots, xr, xi, m * span, yr, yi, span, tw,
+                                span);
+            else
+                stageRow<true>(p, roots, xr, xi, m * span, yr, yi, span, tw,
+                               span);
+        }
+        std::swap(re, re2);
+        std::swap(im, im2);
+        n = m;
+        span *= p;
+    }
+    return {re, im};
+}
+
+void
+DctPlan::forward(const double* in, double* out, std::size_t batch,
+                 std::size_t js, std::size_t bs,
+                 std::vector<double>& work) const
+{
+    const std::size_t n = n_;
+    const std::size_t half = (batch + 1) / 2;
+    const std::size_t lanes = (half + 1) / 2 * 2;
+    work.resize(4 * n * lanes);
+    double* re = work.data();
+    double* im = re + n * lanes;
+    // Makhoul's order: v[e / 2] = x[e] for even e, v[n - 1 - e / 2]
+    // for odd e.
+    for (std::size_t e = 0; e < n; ++e) {
+        const std::size_t row = e % 2 == 0 ? e / 2 : n - 1 - e / 2;
+        packRow(in + e * js, bs, batch, half, lanes, re + row * lanes,
+                im + row * lanes);
+    }
+    const auto [fr, fi] = fft(re, im, im + n * lanes, im + 2 * n * lanes,
+                              lanes);
+    // Split the shared lane Z = V_a + i V_b with V_{n-k} = conj(V_k):
+    // V_a = (Z_k + conj Z_{n-k}) / 2, V_b = (Z_k - conj Z_{n-k}) / 2i.
+    for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t kk = k == 0 ? 0 : n - k;
+        const double p = post_[2 * k], q = post_[2 * k + 1];
+        const double* rk = fr + k * lanes;
+        const double* rkk = fr + kk * lanes;
+        const double* ik = fi + k * lanes;
+        const double* ikk = fi + kk * lanes;
+        double* o = out + k * js;
+        for (std::size_t b = 0; b < half; ++b)
+            o[b * bs] = p * (rk[b] + rkk[b]) - q * (ik[b] - ikk[b]);
+        for (std::size_t b = half; b < batch; ++b) {
+            const std::size_t l = b - half;
+            o[b * bs] = p * (ik[l] + ikk[l]) + q * (rk[l] - rkk[l]);
+        }
+    }
+}
+
+void
+DctPlan::inverse(const double* in, double* out, std::size_t batch,
+                 std::size_t js, std::size_t bs,
+                 std::vector<double>& work) const
+{
+    const std::size_t n = n_;
+    const std::size_t half = (batch + 1) / 2;
+    const std::size_t lanes = (half + 1) / 2 * 2;
+    work.resize(4 * n * lanes);
+    double* re = work.data();
+    double* im = re + n * lanes;
+    double* ca = im + n * lanes; // coefficients of the real-part vectors
+    double* cb = ca + n * lanes; // and of the imaginary-part vectors
+    for (std::size_t k = 0; k < n; ++k)
+        packRow(in + k * js, bs, batch, half, lanes, ca + k * lanes,
+                cb + k * lanes);
+    // Z_k = V_a,k + i V_b,k, stored swapped (re <- Im Z, im <- Re Z):
+    // the forward FFT of swap(Z) is swap(n IFFT(Z)).
+    for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t kk = k == 0 ? 0 : n - k;
+        const double c = pre_[4 * k], s = pre_[4 * k + 1];
+        const double c2 = pre_[4 * k + 2], s2 = pre_[4 * k + 3];
+        const double* ak = ca + k * lanes;
+        const double* akk = ca + kk * lanes;
+        const double* bk = cb + k * lanes;
+        const double* bkk = cb + kk * lanes;
+        double* zi = re + k * lanes;
+        double* zr = im + k * lanes;
+        for (std::size_t l = 0; l < lanes; ++l) {
+            zr[l] = c * ak[l] + s2 * akk[l] - s * bk[l] + c2 * bkk[l];
+            zi[l] = s * ak[l] - c2 * akk[l] + c * bk[l] + s2 * bkk[l];
+        }
+    }
+    const auto [fr, fi] = fft(re, im, ca, cb, lanes);
+    // v_a = Im, v_b = Re of the swapped result, back in natural order.
+    for (std::size_t e = 0; e < n; ++e) {
+        const std::size_t row = e % 2 == 0 ? e / 2 : n - 1 - e / 2;
+        const double* va = fi + row * lanes;
+        const double* vb = fr + row * lanes;
+        double* o = out + e * js;
+        for (std::size_t b = 0; b < half; ++b)
+            o[b * bs] = va[b];
+        for (std::size_t b = half; b < batch; ++b)
+            o[b * bs] = vb[b - half];
+    }
+}
 
 Dct1d::Dct1d(std::size_t length)
     : n_(length)
@@ -136,7 +435,8 @@ Dct1d::inverse(const std::vector<double>& c) const
 }
 
 Dct2d::Dct2d(std::size_t rows, std::size_t cols)
-    : rowT_(rows), colT_(cols), colBasisT_(cols * cols)
+    : rowT_(rows), colT_(cols), colBasisT_(cols * cols), rowPlan_(rows),
+      colPlan_(cols)
 {
     const auto& bc = colT_.basis();
     for (std::size_t k = 0; k < cols; ++k) {
@@ -151,12 +451,11 @@ Dct2d::forward(const NdArray& x) const
     const std::size_t nr = rows();
     const std::size_t nc = cols();
     assert(x.rank() == 2 && x.dim(0) == nr && x.dim(1) == nc);
-    // Column axis T = X Bc^T, then row axis out = Br T.
-    NdArray t({nr, nc});
-    matmulRows(x.data(), nc, 1, colBasisT_.data(), t.data(), nr, nc, nc);
+    // Column axis (a strided batch of the rows), then row axis.
     NdArray out({nr, nc});
-    matmulRows(rowT_.basis().data(), nr, 1, t.data(), out.data(), nr, nr,
-               nc);
+    std::vector<double> work;
+    colPlan_.forward(x.data(), out.data(), nr, 1, nc, work);
+    rowPlan_.forward(out.data(), out.data(), nc, nc, 1, work);
     return out;
 }
 
@@ -166,13 +465,10 @@ Dct2d::inverse(const NdArray& c) const
     const std::size_t nr = rows();
     const std::size_t nc = cols();
     assert(c.rank() == 2 && c.dim(0) == nr && c.dim(1) == nc);
-    // Column axis U = C Bc, then row axis out = Br^T U.
-    NdArray u({nr, nc});
-    matmulRows(c.data(), nc, 1, colT_.basis().data(), u.data(), nr, nc,
-               nc);
     NdArray out({nr, nc});
-    matmulRows(rowT_.basis().data(), 1, nr, u.data(), out.data(), nr, nr,
-               nc);
+    std::vector<double> work;
+    colPlan_.inverse(c.data(), out.data(), nr, 1, nc, work);
+    rowPlan_.inverse(out.data(), out.data(), nc, nc, 1, work);
     return out;
 }
 
@@ -288,8 +584,7 @@ SampledDct2d::adjoint(const std::vector<double>& values,
 
     if (coefficients.shape() != std::vector<std::size_t>{nr, nc})
         coefficients = NdArray({nr, nc});
-    matmulRows(dct_.rowT_.basis().data(), nr, 1, t, coefficients.data(),
-               nr, nr, nc);
+    dct_.rowPlan_.forward(t, coefficients.data(), nc, nc, 1, fftWork_);
 }
 
 void

@@ -11,12 +11,17 @@
  * gradient step exactly the adjoint transform and gives the
  * measurement operator unit spectral norm.
  *
- * Transforms are direct O(n^2) products with a precomputed cosine
- * table. The 2-D transform runs as two passes over the whole (rows x
- * cols) array: a column-axis pass (every row times the cols x cols
- * basis) and then a row-axis pass (the rows x rows basis times the
- * whole array), each one matrix product accumulated in register tiles
- * of 3 output rows by 8 output columns.
+ * The dense 2-D transforms and the adjoint's row-axis pass run through
+ * DctPlan, an O(n log n) orthonormal DCT-II/III after Makhoul ("A Fast
+ * Cosine Transform in One and Two Dimensions", IEEE TASSP 1980): the
+ * input is reordered (even samples ascending, odd samples descending),
+ * transformed by an n-point complex FFT and rotated by a quarter-sample
+ * twiddle. The FFT is a mixed-radix Stockham autosort over a batch of
+ * vectors, with butterflies specialised for radix 2, 3, 4 and 5 and a
+ * generic stage for any other prime factor, so every paper grid axis
+ * (8 ... 225) is fast. Dct1d keeps the direct O(n^2) product with a
+ * precomputed cosine table; the sampled operator's column pass, sample
+ * gather and OMP atoms read its basis.
  *
  * SampledDct2d is the CS operator A = Sample_Omega o IDCT2 and its
  * adjoint A^T = DCT2 o Scatter_Omega, evaluated only where samples
@@ -25,22 +30,27 @@
  * scatters each sample straight into the column-axis result instead
  * of transforming a mostly-zero grid.
  *
- * Bit-identity invariant (a later change must keep it, or knowingly
- * break it behind the solver accuracy gate): every output element is
- * the sum of the same products, basis entry times input, added in
- * ascending index order onto an accumulator that starts at +0.0 --
- * exactly what Dct1d::forward/inverse applied row by row and then
- * column by column compute. Terms may be skipped only when they are
- * exact zeros: under round-to-nearest an accumulator that starts at
- * +0.0 never becomes -0.0, so adding +-0 never changes it. No
- * reassociation, no FMA contraction (this code must not be routed
- * through the -mfma kernel TU), no fast transform.
+ * Determinism contract: every value is bit-identical per (build, ISA,
+ * kCsTransformRevision) -- across calls, threads and processes, since
+ * a plan is immutable after construction and each caller owns its
+ * workspace. The fast transforms round differently from the direct
+ * products, so they agree with the Dct1d composition only to a
+ * rounding bound (tests/test_dct.cpp), and the solvers' reconstruction
+ * quality is held by the NRMSE accuracy gate in
+ * tests/test_cs_solvers.cpp. apply() and atom() still sum the same
+ * products as Dct1d in ascending index order from +0.0 and stay
+ * bitwise equal to it. This code stays in the baseline-ISA TU, with no
+ * -mfma and no runtime ISA dispatch, so on x86-64 no multiply-add is
+ * contracted into an FMA. A change to the floating-point order of any
+ * transform bumps kCsTransformRevision.
  */
 
 #ifndef OSCAR_CS_DCT_H
 #define OSCAR_CS_DCT_H
 
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/common/ndarray.h"
@@ -70,6 +80,63 @@ class Dct1d
     std::vector<double> basis_;
 };
 
+/**
+ * Revision of the CS transforms' floating-point evaluation order. The
+ * landscape store folds it into its key, so a landscape persisted by
+ * an older revision is a miss instead of being served against a fresh
+ * reconstruct that differs in the last bits. Revision 1 was the direct
+ * O(n^2) products; 2 is DctPlan.
+ */
+inline constexpr std::uint64_t kCsTransformRevision = 2;
+
+/**
+ * Fast orthonormal DCT-II of one length and its transpose, the DCT-III,
+ * over a batch of vectors (see the file comment). Element j of vector b
+ * lives at data[j * js + b * bs]; contiguous vectors (js = 1) are the
+ * strided batch, contiguous batches (bs = 1) the fast case. Two real
+ * vectors share one complex FFT lane. Immutable after construction, so
+ * one plan may serve many threads, each with its own workspace.
+ */
+class DctPlan
+{
+  public:
+    explicit DctPlan(std::size_t length);
+
+    /** out = DCT-II of every vector of in; out may alias in. `work` is
+     * resized as needed and may be reused across calls. */
+    void forward(const double* in, double* out, std::size_t batch,
+                 std::size_t js, std::size_t bs,
+                 std::vector<double>& work) const;
+
+    /** out = DCT-III (the inverse) of every vector of in, with the
+     * same layout, aliasing and workspace rules as forward(). */
+    void inverse(const double* in, double* out, std::size_t batch,
+                 std::size_t js, std::size_t bs,
+                 std::vector<double>& work) const;
+
+  private:
+    /** One FFT stage: its radix and its offsets into twiddle_ and (for
+     * a generic radix) roots_. */
+    struct Stage
+    {
+        std::size_t radix;
+        std::size_t twiddle;
+        std::size_t roots;
+    };
+
+    /** FFT of the complex batch (re, im), lanes wide, ping-ponging
+     * with (re2, im2); returns the buffer pair holding the result. */
+    std::pair<double*, double*> fft(double* re, double* im, double* re2,
+                                    double* im2, std::size_t lanes) const;
+
+    std::size_t n_;
+    std::vector<Stage> stages_;
+    std::vector<double> twiddle_; // (re, im) of W_n^{jt}, per stage
+    std::vector<double> roots_;   // (re, im) of W_p^k, generic stages
+    std::vector<double> post_;    // forward: a_k/2 (cos, -sin)(pi k/2n)
+    std::vector<double> pre_;     // inverse: h_k, h'_k times (cos, sin)
+};
+
 /** Separable 2-D orthonormal DCT over a (rows x cols) array. */
 class Dct2d
 {
@@ -91,13 +158,16 @@ class Dct2d
     Dct1d rowT_;
     Dct1d colT_;
     std::vector<double> colBasisT_; // colBasisT_[j*cols + k] = Bc[k, j]
+    DctPlan rowPlan_;
+    DctPlan colPlan_;
 };
 
 /**
  * A = Sample_Omega o IDCT2 and A^T for one sample set, built once per
  * solve. Sample values are exchanged in the caller's sample order;
  * internally the samples are visited in row-major grid order. Owns
- * one rows x cols workspace, so apply/adjoint allocate nothing. The
+ * its workspaces, so apply/adjoint allocate nothing after the first
+ * adjoint. The
  * Dct2d must outlive the operator.
  */
 class SampledDct2d
@@ -126,6 +196,7 @@ class SampledDct2d
     std::vector<std::size_t> order_; // caller positions, grid order
     std::vector<std::size_t> index_; // grid index of order_[j]
     std::vector<double> work_;       // column-axis pass result
+    std::vector<double> fftWork_;    // DctPlan workspace
 };
 
 } // namespace oscar

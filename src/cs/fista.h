@@ -8,12 +8,14 @@
  *     min_s  lambda ||s||_1 + 1/2 ||A s - y||_2^2,
  * with A = Sample_Omega o IDCT2 applied implicitly (never
  * materialized) through SampledDct2d: each iteration evaluates A z
- * only at the samples and A^T r from the samples alone, in workspaces
- * allocated once per solve, bit-identical to transforming the full
- * grid (see dct.h). Because Psi is orthonormal and sampling selects
- * rows, ||A|| <= 1, so a unit gradient step is valid and FISTA needs
- * no line search. A geometric continuation schedule on lambda (standard for
- * basis pursuit) drives the solution toward the constrained problem.
+ * only at the samples and A^T r from the samples alone (its row axis
+ * through the fast DctPlan), in workspaces allocated once per solve.
+ * Results are bit-identical per (build, ISA, kCsTransformRevision) and
+ * held to the NRMSE accuracy gate (see dct.h). Because Psi is
+ * orthonormal and sampling selects rows, ||A|| <= 1, so a unit
+ * gradient step is valid and FISTA needs no line search. A geometric
+ * continuation schedule on lambda (standard for basis pursuit) drives
+ * the solution toward the constrained problem.
  */
 
 #ifndef OSCAR_CS_FISTA_H

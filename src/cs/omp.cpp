@@ -5,8 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "src/common/linear_regression.h"
-
 namespace oscar {
 
 OmpResult
@@ -45,11 +43,11 @@ ompSolve(const Dct2d& dct, const std::vector<std::size_t>& sample_index,
     std::vector<std::vector<double>> columns;   // dictionary atoms at Omega
     std::vector<char> is_selected(n, 0);
     std::vector<double> coeffs;                 // current LS solution
-    // Normal equations of the selected set, grown by one row and
-    // column per step: entry (i, j) of the Gram matrix never changes
-    // once its atoms are selected.
-    std::vector<double> gram_lower;             // packed lower triangle
-    std::vector<double> rhs;
+    // Cholesky factor L L^T of the selected atoms' Gram matrix, grown
+    // by one row per step: the Gram matrix only gains a row and column,
+    // so the leading rows of L never change. Packed lower triangle.
+    std::vector<double> chol;
+    std::vector<double> forward_rhs;            // L^{-1} A_S^T y
     NdArray corr({nr, nc});
 
     OmpResult result;
@@ -81,28 +79,48 @@ ompSolve(const Dct2d& dct, const std::vector<std::size_t>& sample_index,
         selected.push_back(best);
         columns.push_back(std::move(atom));
 
-        // Least squares on the selected set via normal equations.
+        // Least squares on the selected set via the normal equations
+        // G c = A_S^T y. The new row of L solves L w = g (g the new
+        // atom's Gram row against the earlier atoms), then its pivot
+        // is sqrt(<a, a> - w.w).
         const std::size_t s = selected.size();
         const std::vector<double>& added = columns.back();
+        const std::size_t row = chol.size();
         for (std::size_t i = 0; i < s; ++i) {
             double dot = 0.0;
             for (std::size_t k = 0; k < m; ++k)
                 dot += columns[i][k] * added[k];
-            gram_lower.push_back(dot);
+            chol.push_back(dot);
         }
+        double* l_new = chol.data() + row;
+        for (std::size_t i = 0; i + 1 < s; ++i) {
+            const double* l_i = chol.data() + i * (i + 1) / 2;
+            double acc = l_new[i];
+            for (std::size_t k = 0; k < i; ++k)
+                acc -= l_i[k] * l_new[k];
+            l_new[i] = acc / l_i[i];
+        }
+        double pivot = l_new[s - 1];
+        for (std::size_t k = 0; k + 1 < s; ++k)
+            pivot -= l_new[k] * l_new[k];
+        if (!(pivot > 0.0))
+            throw std::runtime_error("ompSolve: singular system");
+        l_new[s - 1] = std::sqrt(pivot);
         double dot = 0.0;
         for (std::size_t k = 0; k < m; ++k)
             dot += added[k] * sample_value[k];
-        rhs.push_back(dot);
+        for (std::size_t k = 0; k + 1 < s; ++k)
+            dot -= l_new[k] * forward_rhs[k];
+        forward_rhs.push_back(dot / l_new[s - 1]);
 
-        std::vector<double> gram(s * s);
-        for (std::size_t i = 0; i < s; ++i) {
-            for (std::size_t j = 0; j <= i; ++j) {
-                gram[i * s + j] = gram_lower[i * (i + 1) / 2 + j];
-                gram[j * s + i] = gram_lower[i * (i + 1) / 2 + j];
-            }
+        // Back substitution L^T c = L^{-1} A_S^T y.
+        coeffs.assign(s, 0.0);
+        for (std::size_t i = s; i-- > 0;) {
+            double acc = forward_rhs[i];
+            for (std::size_t j = i + 1; j < s; ++j)
+                acc -= chol[j * (j + 1) / 2 + i] * coeffs[j];
+            coeffs[i] = acc / chol[i * (i + 1) / 2 + i];
         }
-        coeffs = solveDense(std::move(gram), rhs, s);
 
         // Update residual r = y - A_S c.
         double res_norm = 0.0;

@@ -48,8 +48,11 @@ struct OmpResult
  * Solve the 2-D compressed-sensing problem greedily. Parameters match
  * fistaSolve(), except that an off-grid index throws
  * std::invalid_argument. Atoms are gathered at the samples as outer
- * products of two basis rows, and the normal equations grow by one
- * row per selected atom.
+ * products of two basis rows, bitwise equal to the inverse DCT of a
+ * unit coefficient. The least-squares step keeps a Cholesky factor of
+ * the selected atoms' Gram matrix, grown by one row per atom, and
+ * solves it with two triangular solves; a pivot that is not positive
+ * (linearly dependent atoms) throws std::runtime_error.
  */
 OmpResult ompSolve(const Dct2d& dct,
                    const std::vector<std::size_t>& sample_index,

@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "src/common/fnv1a.h"
+#include "src/cs/dct.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/store/archive.h"
@@ -102,6 +103,7 @@ configHash(double sampling_fraction, std::uint64_t seed)
     std::uint64_t h = kFnv1aOffsetBasis;
     h = fnv1aAppendU64(h, std::bit_cast<std::uint64_t>(sampling_fraction));
     h = fnv1aAppendU64(h, seed);
+    h = fnv1aAppendU64(h, kCsTransformRevision);
     return h;
 }
 

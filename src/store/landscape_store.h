@@ -3,14 +3,16 @@
  * Persistent, content-addressed landscape store.
  *
  * Every OSCAR reconstruction is a pure function of (cost spec, grid
- * spec, sampling config) per fixed kernel ISA and fusion plan -- so a
- * finished reconstruction can be memoized on disk and served again
- * bit-identically, without touching the execution pool. The store
- * keeps one archive container (src/store/archive.h) per key:
+ * spec, sampling config) per fixed kernel ISA, fusion plan and CS
+ * transform revision -- so a finished reconstruction can be memoized
+ * on disk and served again bit-identically, without touching the
+ * execution pool. The store keeps one archive container
+ * (src/store/archive.h) per key:
  *
  *   key = (CostSpec FNV-1a content hash      -- src/dist/wire.h,
  *          canonical GridSpec FNV-1a hash,
- *          sampling-config FNV-1a hash        -- fraction + seed)
+ *          sampling-config FNV-1a hash        -- fraction + seed +
+ *                                                kCsTransformRevision)
  *
  * holding the sampled points, the reconstructed values, the kernel
  * stats, and the grid spec as named streams. All doubles are stored as
@@ -50,7 +52,8 @@ struct StoreKey
 {
     std::uint64_t costId = 0;   ///< CostSpec content hash (dist wire)
     std::uint64_t gridHash = 0; ///< canonical GridSpec hash
-    std::uint64_t cfgHash = 0;  ///< sampling config (fraction, seed)
+    std::uint64_t cfgHash = 0;  ///< configHash(): sampling config
+                                ///< and CS transform revision
 };
 
 /** One memoized reconstruction (the container's stream contents). */
@@ -144,7 +147,11 @@ class LandscapeStore
 /** Canonical FNV-1a hash of a grid spec (axis bounds bits + counts). */
 std::uint64_t gridHash(const GridSpec& grid);
 
-/** FNV-1a hash of the sampling config (StoreKey::cfgHash). */
+/**
+ * FNV-1a hash of the sampling config and kCsTransformRevision
+ * (src/cs/dct.h), StoreKey::cfgHash: a landscape reconstructed by an
+ * older transform revision differs in the last bits, so it must miss.
+ */
 std::uint64_t configHash(double sampling_fraction, std::uint64_t seed);
 
 /** Canonical GridSpec encoding (shared with the serve protocol). */

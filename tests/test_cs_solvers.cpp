@@ -10,6 +10,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "src/ansatz/qaoa.h"
 #include "src/backend/statevector_backend.h"
@@ -290,28 +291,23 @@ struct GoldenNrmse
     double nrmse;
 };
 
-TEST(AccuracyGate, QaoaP2LandscapeNrmseMatchesGolden)
+/**
+ * Reconstruct the p = 2 QAOA landscape of an 8-node 3-regular MaxCut
+ * graph on `grid` at `fraction` and hold each solve's NRMSE within 2%
+ * of its golden.
+ */
+void
+expectGoldenNrmse(const GridSpec& grid, double fraction,
+                  const std::vector<GoldenNrmse>& goldens)
 {
-    // 8-node 3-regular MaxCut, p = 2, grid (8, 8, 10, 10) folded to
-    // 64 x 100, 10% sampled. Goldens recorded with the row-by-row
-    // Dct1d solver these transforms replaced.
-    const GoldenNrmse goldens[] = {
-        {CsSolver::Fista, 1, 0.22689992313647633},
-        {CsSolver::Fista, 2, 0.21158258527827836},
-        {CsSolver::Fista, 3, 0.20302002379635192},
-        {CsSolver::Omp, 1, 0.23759007048575848},
-        {CsSolver::Omp, 2, 0.24630153801724478},
-        {CsSolver::Omp, 3, 0.2617007530321791},
-    };
     Rng rng(8);
     const Graph g = random3RegularGraph(8, rng);
     StatevectorCost cost(qaoaCircuit(g, 2), maxcutHamiltonian(g));
-    const Landscape truth =
-        Landscape::gridSearch(GridSpec::qaoaP2(8, 10), cost);
+    const Landscape truth = Landscape::gridSearch(grid, cost);
 
     for (const GoldenNrmse& golden : goldens) {
         OscarOptions options;
-        options.samplingFraction = 0.1;
+        options.samplingFraction = fraction;
         options.seed = golden.seed;
         options.cs.solver = golden.solver;
         options.cs.omp.maxAtoms = 160;
@@ -321,6 +317,36 @@ TEST(AccuracyGate, QaoaP2LandscapeNrmseMatchesGolden)
             << (golden.solver == CsSolver::Fista ? "FISTA" : "OMP-160")
             << " seed " << golden.seed;
     }
+}
+
+TEST(AccuracyGate, QaoaP2LandscapeNrmseMatchesGolden)
+{
+    // Grid (8, 8, 10, 10) folded to 64 x 100, 10% sampled. Goldens
+    // recorded with the row-by-row Dct1d solver these transforms
+    // replaced.
+    expectGoldenNrmse(GridSpec::qaoaP2(8, 10), 0.1,
+                      {
+                          {CsSolver::Fista, 1, 0.22689992313647633},
+                          {CsSolver::Fista, 2, 0.21158258527827836},
+                          {CsSolver::Fista, 3, 0.20302002379635192},
+                          {CsSolver::Omp, 1, 0.23759007048575848},
+                          {CsSolver::Omp, 2, 0.24630153801724478},
+                          {CsSolver::Omp, 3, 0.2617007530321791},
+                      });
+}
+
+TEST(AccuracyGate, QaoaP2PaperFoldNrmseMatchesGolden)
+{
+    // The fold of the paper's p = 2 grid, (12, 12, 15, 15) -> 144 x 225,
+    // 5% sampled, where the fast transform's row axis is longest.
+    // Goldens recorded with the direct-product transforms DctPlan
+    // replaced.
+    expectGoldenNrmse(GridSpec::qaoaP2(12, 15), 0.05,
+                      {
+                          {CsSolver::Fista, 1, 0.18672328982966704},
+                          {CsSolver::Fista, 2, 0.19286597147710938},
+                          {CsSolver::Fista, 3, 0.17367105451494017},
+                      });
 }
 
 } // namespace

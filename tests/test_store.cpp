@@ -31,6 +31,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "src/common/fnv1a.h"
 #include "src/common/packbits.h"
 #include "src/common/rng.h"
 #include "src/store/archive.h"
@@ -495,6 +496,29 @@ TEST(LandscapeStoreTest, RenamedContainerFailsKeyValidation)
     EXPECT_FALSE(store.load(wrong).has_value());
     EXPECT_EQ(store.stats().corruptMisses, 1u);
     EXPECT_FALSE(fs::exists(store.containerPath(wrong)));
+}
+
+TEST(LandscapeStoreTest, EntryKeyedBeforeTransformRevisionIsAMiss)
+{
+    // The sampling-config hash before the CS transform revision joined
+    // it: FNV-1a over the fraction's bits and the seed only. Such an
+    // entry was reconstructed by an older transform whose last bits
+    // differ from a fresh reconstruct, so it must never be served.
+    TempDir dir;
+    LandscapeStore store({dir.path + "/store", std::size_t{64} << 20});
+    const StoredLandscape entry = sampleEntry();
+    StoreKey old_key = keyFor(entry);
+    old_key.cfgHash = fnv1aAppendU64(
+        fnv1aAppendU64(kFnv1aOffsetBasis,
+                       std::bit_cast<std::uint64_t>(entry.samplingFraction)),
+        entry.sampleSeed);
+    ASSERT_NE(old_key.cfgHash, keyFor(entry).cfgHash);
+    store.put(old_key, entry);
+
+    EXPECT_FALSE(store.load(keyFor(entry)).has_value());
+    // Nor under its own stale key: the content no longer hashes to it.
+    EXPECT_FALSE(store.load(old_key).has_value());
+    EXPECT_EQ(store.stats().hits, 0u);
 }
 
 TEST(LandscapeStoreTest, GcEvictsLeastRecentlyUsed)
