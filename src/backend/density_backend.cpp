@@ -17,13 +17,15 @@ DensityCost::DensityCost(Circuit circuit, PauliSum hamiltonian,
         throw std::invalid_argument(
             "DensityCost: circuit/Hamiltonian qubit mismatch");
     if (hamiltonian_.isDiagonal()) {
-        diagonal_ = hamiltonian_.diagonalTable();
+        std::vector<double> diagonal = hamiltonian_.diagonalTable();
         if (noise_.readout01 > 0.0 || noise_.readout10 > 0.0) {
-            diagonal_ = applyReadoutToDiagonal(std::move(diagonal_),
-                                               circuit_.numQubits(),
-                                               noise_.readout01,
-                                               noise_.readout10);
+            diagonal = applyReadoutToDiagonal(std::move(diagonal),
+                                              circuit_.numQubits(),
+                                              noise_.readout01,
+                                              noise_.readout10);
         }
+        diagonal_ = std::make_shared<const std::vector<double>>(
+            std::move(diagonal));
     } else if (noise_.readout01 > 0.0 || noise_.readout10 > 0.0) {
         throw std::invalid_argument(
             "DensityCost: readout noise requires a diagonal Hamiltonian");
@@ -42,11 +44,11 @@ DensityCost::evaluateImpl(const std::vector<double>& params,
 {
     rho_.reset();
     rho_.run(compiled_, params, noise_);
-    if (!diagonal_.empty()) {
+    if (diagonal_) {
         const auto probs = rho_.probabilities();
         double acc = 0.0;
         for (std::size_t z = 0; z < probs.size(); ++z)
-            acc += probs[z] * diagonal_[z];
+            acc += probs[z] * (*diagonal_)[z];
         return acc;
     }
     return hamiltonian_.expectation(rho_);

@@ -11,6 +11,9 @@
 #ifndef OSCAR_BACKEND_DENSITY_BACKEND_H
 #define OSCAR_BACKEND_DENSITY_BACKEND_H
 
+#include <memory>
+#include <vector>
+
 #include "src/backend/executor.h"
 #include "src/hamiltonian/pauli_sum.h"
 #include "src/quantum/circuit.h"
@@ -54,7 +57,11 @@ class DensityCost : public CostFunction
     CompiledCircuit compiled_;
     PauliSum hamiltonian_;
     NoiseModel noise_;
-    std::vector<double> diagonal_; // readout-smeared when applicable
+    /**
+     * Readout-smeared energy table, shared by clones; null iff the
+     * Hamiltonian is not diagonal.
+     */
+    std::shared_ptr<const std::vector<double>> diagonal_;
     DensityMatrix rho_;
 };
 

@@ -18,7 +18,8 @@ SampledCost::SampledCost(Circuit circuit, PauliSum hamiltonian,
             "SampledCost: requires a diagonal Hamiltonian");
     if (shots_ == 0)
         throw std::invalid_argument("SampledCost: shots must be > 0");
-    diagonal_ = hamiltonian.diagonalTable();
+    diagonal_ = std::make_shared<const std::vector<double>>(
+        hamiltonian.diagonalTable());
 }
 
 std::unique_ptr<CostFunction>
@@ -49,7 +50,7 @@ SampledCost::evaluateImpl(const std::vector<double>& params,
                     z ^= std::uint64_t{1} << q;
             }
         }
-        acc += diagonal_[z];
+        acc += (*diagonal_)[z];
     }
     return acc / static_cast<double>(shots_);
 }

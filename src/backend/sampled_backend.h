@@ -16,6 +16,9 @@
 #ifndef OSCAR_BACKEND_SAMPLED_BACKEND_H
 #define OSCAR_BACKEND_SAMPLED_BACKEND_H
 
+#include <memory>
+#include <vector>
+
 #include "src/backend/executor.h"
 #include "src/hamiltonian/pauli_sum.h"
 #include "src/quantum/circuit.h"
@@ -58,7 +61,8 @@ class SampledCost : public CostFunction
   private:
     Circuit circuit_;
     CompiledCircuit compiled_; ///< circuit lowered once, bound per point
-    std::vector<double> diagonal_;
+    /** Energy table shared by clones; never null. */
+    std::shared_ptr<const std::vector<double>> diagonal_;
     std::size_t shots_;
     NoiseModel noise_;
     Statevector state_;

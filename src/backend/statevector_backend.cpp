@@ -40,7 +40,8 @@ StatevectorCost::StatevectorCost(Circuit circuit, PauliSum hamiltonian)
         throw std::invalid_argument(
             "StatevectorCost: circuit/Hamiltonian qubit mismatch");
     if (hamiltonian_.isDiagonal())
-        diagonal_ = hamiltonian_.diagonalTable();
+        diagonal_ = std::make_shared<const std::vector<double>>(
+            hamiltonian_.diagonalTable());
     for (std::size_t level : compiled_.frontierLevels())
         levelParams_.push_back(compiled_.paramsUsedBefore(level));
     shapeCache();
@@ -234,9 +235,9 @@ double
 StatevectorCost::evaluatePoint(const std::vector<double>& params)
 {
     simulate(params, state_.amps());
-    if (!diagonal_.empty())
+    if (diagonal_)
         return table_->expectationDiagonal(
-            state_.amps().data(), diagonal_.data(), state_.dim());
+            state_.amps().data(), diagonal_->data(), state_.dim());
     // Non-diagonal Hamiltonians contract term by term through the
     // same pinned kernel table as the simulation itself.
     return hamiltonian_.expectation(state_, *table_);
@@ -304,9 +305,9 @@ StatevectorCost::evaluateBatchImpl(
             simulate(points[m], groupScratch_[m - i]);
             group[m - i] = groupScratch_[m - i].data();
         }
-        if (!diagonal_.empty()) {
+        if (diagonal_) {
             table_->expectationDiagonalBatch(
-                group, j - i, diagonal_.data(), state_.dim(), out + i);
+                group, j - i, diagonal_->data(), state_.dim(), out + i);
             batchedPoints_ += j - i;
         } else {
             hamiltonian_.expectationBatch(group, j - i, state_.dim(),

@@ -96,6 +96,13 @@ class StatevectorCost : public CostFunction
      */
     const PrefixCache& prefixCache() const { return *cache_; }
 
+    /**
+     * The Hamiltonian's per-basis-state energy table, or null when it
+     * is not diagonal. Built once at construction; copies and clones
+     * read the same immutable table.
+     */
+    const std::vector<double>* diagonal() const { return diagonal_.get(); }
+
     /** The kernel table this evaluator dispatches through. */
     const kernels::KernelTable& kernelTable() const { return *table_; }
 
@@ -154,7 +161,8 @@ class StatevectorCost : public CostFunction
     /** Params used before each frontier level (precomputed). */
     std::vector<std::vector<int>> levelParams_;
     PauliSum hamiltonian_;
-    std::vector<double> diagonal_; // non-empty iff hamiltonian diagonal
+    /** Energy table shared by copies; null iff H is not diagonal. */
+    std::shared_ptr<const std::vector<double>> diagonal_;
     Statevector state_;
     KernelOptions kernel_;
     const kernels::KernelTable* table_;

@@ -20,13 +20,15 @@ TrajectoryCost::TrajectoryCost(Circuit circuit, PauliSum hamiltonian,
         throw std::invalid_argument(
             "TrajectoryCost: circuit/Hamiltonian qubit mismatch");
     if (hamiltonian_.isDiagonal()) {
-        diagonal_ = hamiltonian_.diagonalTable();
+        std::vector<double> diagonal = hamiltonian_.diagonalTable();
         if (noise_.readout01 > 0.0 || noise_.readout10 > 0.0) {
-            diagonal_ = applyReadoutToDiagonal(std::move(diagonal_),
-                                               circuit_.numQubits(),
-                                               noise_.readout01,
-                                               noise_.readout10);
+            diagonal = applyReadoutToDiagonal(std::move(diagonal),
+                                              circuit_.numQubits(),
+                                              noise_.readout01,
+                                              noise_.readout10);
         }
+        diagonal_ = std::make_shared<const std::vector<double>>(
+            std::move(diagonal));
     } else if (noise_.readout01 > 0.0 || noise_.readout10 > 0.0) {
         throw std::invalid_argument(
             "TrajectoryCost: readout noise requires diagonal Hamiltonian");
@@ -80,8 +82,8 @@ TrajectoryCost::runTrajectory(const std::vector<double>& params, Rng& rng)
             state_.applyGate(e);
         }
     }
-    if (!diagonal_.empty())
-        return state_.expectationDiagonal(diagonal_);
+    if (diagonal_)
+        return state_.expectationDiagonal(*diagonal_);
     return hamiltonian_.expectation(state_);
 }
 

@@ -16,6 +16,9 @@
 #ifndef OSCAR_BACKEND_TRAJECTORY_BACKEND_H
 #define OSCAR_BACKEND_TRAJECTORY_BACKEND_H
 
+#include <memory>
+#include <vector>
+
 #include "src/backend/executor.h"
 #include "src/hamiltonian/pauli_sum.h"
 #include "src/quantum/circuit.h"
@@ -51,7 +54,11 @@ class TrajectoryCost : public CostFunction
     PauliSum hamiltonian_;
     NoiseModel noise_;
     std::size_t numTrajectories_;
-    std::vector<double> diagonal_;
+    /**
+     * Readout-smeared energy table, shared by clones; null iff the
+     * Hamiltonian is not diagonal.
+     */
+    std::shared_ptr<const std::vector<double>> diagonal_;
     Statevector state_;
     std::uint64_t seed_;
 };

@@ -49,7 +49,8 @@ PecCost::PecCost(Circuit circuit, PauliSum hamiltonian, NoiseModel noise,
     if (options_.numSamples == 0)
         throw std::invalid_argument("PecCost: need >= 1 sample");
     if (hamiltonian_.isDiagonal())
-        diagonal_ = hamiltonian_.diagonalTable();
+        diagonal_ = std::make_shared<const std::vector<double>>(
+            hamiltonian_.diagonalTable());
 
     totalGamma_ = 1.0;
     for (const Gate& g : circuit_.gates())
@@ -133,8 +134,8 @@ PecCost::runTrajectory(const std::vector<double>& params, double& sign,
             }
         }
     }
-    if (!diagonal_.empty())
-        return state_.expectationDiagonal(diagonal_);
+    if (diagonal_)
+        return state_.expectationDiagonal(*diagonal_);
     return hamiltonian_.expectation(state_);
 }
 

@@ -25,6 +25,9 @@
 #ifndef OSCAR_MITIGATION_PEC_H
 #define OSCAR_MITIGATION_PEC_H
 
+#include <memory>
+#include <vector>
+
 #include "src/backend/executor.h"
 #include "src/hamiltonian/pauli_sum.h"
 #include "src/quantum/circuit.h"
@@ -86,7 +89,8 @@ class PecCost : public CostFunction
     PecChannelInverse inv1_;
     PecChannelInverse inv2_;
     double totalGamma_;
-    std::vector<double> diagonal_;
+    /** Energy table shared by clones; null iff H is not diagonal. */
+    std::shared_ptr<const std::vector<double>> diagonal_;
     Statevector state_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -75,6 +76,17 @@ decodeU64s(const std::vector<std::uint8_t>& bytes)
     for (std::uint64_t& v : out)
         v = r.u64();
     return out;
+}
+
+/** True when no sample or reconstructed value is NaN or +-inf. */
+bool
+allFinite(const StoredLandscape& entry)
+{
+    const auto finite = [](double v) { return std::isfinite(v); };
+    return std::all_of(entry.sampleValues.begin(), entry.sampleValues.end(),
+                       finite) &&
+           std::all_of(entry.reconstructed.begin(),
+                       entry.reconstructed.end(), finite);
 }
 
 /** The named stream, or throw (caught by load() as a corrupt miss). */
@@ -221,6 +233,10 @@ LandscapeStore::load(const StoreKey& key)
             entry.reconstructed.size() != entry.grid.numPoints() ||
             entry.sampleValues.size() != entry.sampleIndices.size())
             throw ArchiveError("container does not match its key");
+        // put() never writes a non-finite value, so one here means the
+        // container was not written by put().
+        if (!allFinite(entry))
+            throw ArchiveError("container holds a non-finite value");
 
         // LRU recency: a hit makes this container the newest.
         fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
@@ -249,6 +265,9 @@ LandscapeStore::load(const StoreKey& key)
 void
 LandscapeStore::put(const StoreKey& key, const StoredLandscape& entry)
 {
+    if (!allFinite(entry))
+        throw std::invalid_argument(
+            "LandscapeStore::put: non-finite sample or reconstructed value");
     obs::ScopedSpan span(obs::SpanCategory::Store, "put", key.costId,
                          entry.reconstructed.size());
     if (obs::metricsEnabled()) {

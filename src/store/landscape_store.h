@@ -23,7 +23,9 @@
  * version-stale, or mid-write (temp file) NEVER crashes the caller or
  * yields a wrong value -- load() reports a miss (corrupt containers
  * are additionally unlinked so the rewrite is clean), and the caller
- * recomputes and rewrites.
+ * recomputes and rewrites. Non-finite landscapes are never stored or
+ * served: put() refuses a NaN or +-inf value, and load() treats a
+ * container holding one as corrupt.
  *
  * The store is bounded by an LRU byte budget: load() touches the
  * container's mtime, and gc() (run after every put) deletes
@@ -108,14 +110,17 @@ class LandscapeStore
 
     /**
      * Load the entry for `key`, or nullopt on a miss -- where "miss"
-     * includes every form of container damage (see file comment). A
-     * hit bumps the container's LRU recency.
+     * includes every form of container damage (see file comment), and
+     * a container holding a non-finite sample or reconstructed value.
+     * A hit bumps the container's LRU recency.
      */
     std::optional<StoredLandscape> load(const StoreKey& key);
 
     /**
      * Publish an entry atomically (write-then-rename), then enforce
      * the byte budget via gc().
+     * @throws std::invalid_argument when a sample or reconstructed
+     *         value is NaN or +-inf (nothing is written)
      * @throws ArchiveError when the container cannot be written
      */
     void put(const StoreKey& key, const StoredLandscape& entry);

@@ -279,6 +279,62 @@ TEST(BadInput, DuplicateSampleIndexIsRejected)
 }
 
 // ---------------------------------------------------------------------
+// Degenerate grids: a shape the fold or the transform cannot take
+// throws, and the smallest valid grids reconstruct a constant.
+
+TEST(DegenerateGrid, ZeroExtentThrows)
+{
+    for (const std::vector<std::size_t>& shape :
+         {std::vector<std::size_t>{0, 4}, std::vector<std::size_t>{4, 0}}) {
+        try {
+            reconstructLandscape(shape, {}, {});
+            ADD_FAILURE() << "no throw for " << shape[0] << " x "
+                          << shape[1];
+        } catch (const std::invalid_argument& e) {
+            EXPECT_STREQ(e.what(), "Dct1d: zero length");
+        }
+    }
+}
+
+TEST(DegenerateGrid, OddOrZeroRankThrows)
+{
+    EXPECT_THROW(csFoldedShape({}), std::invalid_argument);
+    EXPECT_THROW(csFoldedShape({7}), std::invalid_argument);
+    EXPECT_THROW(csFoldedShape({2, 3, 4}), std::invalid_argument);
+    EXPECT_THROW(reconstructLandscape({5}, {0}, {1.0}),
+                 std::invalid_argument);
+    EXPECT_THROW(reconstructLandscape({}, {0}, {1.0}),
+                 std::invalid_argument);
+}
+
+TEST(DegenerateGrid, TinyGridsReconstructAConstant)
+{
+    const double c = -1.375;
+    struct Case
+    {
+        std::vector<std::size_t> shape;
+        std::vector<std::size_t> indices;
+    };
+    const Case cases[] = {{{1, 1}, {0}}, {{1, 4}, {0, 2}}};
+    for (const Case& k : cases) {
+        const std::vector<double> values(k.indices.size(), c);
+        CsOptions omp;
+        omp.solver = CsSolver::Omp;
+        const NdArray exact =
+            reconstructLandscape(k.shape, k.indices, values, omp);
+        const NdArray fista = reconstructLandscape(k.shape, k.indices, values);
+        ASSERT_EQ(exact.shape(), k.shape);
+        ASSERT_EQ(fista.shape(), k.shape);
+        for (std::size_t i = 0; i < exact.size(); ++i) {
+            // OMP picks the DC atom and solves for it exactly; the
+            // 1 x 4 inverse DCT rounds in the last bit.
+            EXPECT_DOUBLE_EQ(exact[i], c) << "OMP, point " << i;
+            EXPECT_NEAR(fista[i], c, 1e-3) << "FISTA, point " << i;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Accuracy gate: reconstruction quality on a real depth-2 QAOA
 // landscape must not drift. A solver change that reorders floating
 // point may move these within the tolerance; a change that gives up

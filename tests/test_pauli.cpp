@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/hamiltonian/pauli_sum.h"
 #include "src/quantum/pauli.h"
 #include "src/quantum/statevector.h"
@@ -68,6 +72,51 @@ TEST(PauliSum, DiagonalTableMatchesEigenvalues)
     EXPECT_DOUBLE_EQ(table[0], -0.25);
     // |q1=1, q0=0> = index 2: ZZ -> -1, IZ (Z on qubit 1) -> -1.
     EXPECT_DOUBLE_EQ(table[2], -0.5 + 1.0 + 0.25);
+}
+
+/** Reference table: sum_k c_k * P_k.diagonalEigenvalue(z), term order. */
+std::vector<double>
+perTermDiagonal(const PauliSum& h)
+{
+    std::vector<double> table(std::size_t{1} << h.numQubits(), 0.0);
+    for (const PauliTerm& t : h.terms()) {
+        for (std::size_t z = 0; z < table.size(); ++z)
+            table[z] += t.coeff * t.pauli.diagonalEigenvalue(z);
+    }
+    return table;
+}
+
+TEST(PauliSum, DiagonalTableIsBitwiseThePerTermSum)
+{
+    // The table is built in 2^12-entry low blocks; these qubit counts
+    // sit below, at, just above and well above that split.
+    Rng rng(16);
+    for (int n : {1, 11, 12, 13, 20}) {
+        PauliSum h(n);
+        h.add(-0.375, PauliString(n)); // identity term
+        h.add(1.3, PauliString::zString(n, {0}));
+        h.add(-2.71828, PauliString::zString(n, {n - 1}));
+        if (n > 12) {
+            // Sign bits on both sides of the split.
+            h.add(0.1, PauliString::zString(n, {0, n - 1}));
+            h.add(-1.7, PauliString::zString(n, {5, 11, 12}));
+        }
+        for (int k = 0; k < 5; ++k) {
+            std::vector<int> qubits;
+            for (int q = 0; q < n; ++q) {
+                if (rng.bernoulli(0.4))
+                    qubits.push_back(q);
+            }
+            h.add(rng.uniform(-3.0, 3.0), PauliString::zString(n, qubits));
+        }
+        const std::vector<double> got = h.diagonalTable();
+        const std::vector<double> want = perTermDiagonal(h);
+        ASSERT_EQ(got.size(), want.size()) << n << " qubits";
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << n << " qubits";
+    }
 }
 
 TEST(PauliSum, DiagonalMinimum)

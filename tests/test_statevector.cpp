@@ -7,9 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <numbers>
+#include <thread>
+#include <vector>
 
+#include "src/ansatz/qaoa.h"
+#include "src/backend/statevector_backend.h"
 #include "src/common/rng.h"
+#include "src/graph/generators.h"
+#include "src/hamiltonian/maxcut.h"
 #include "src/quantum/statevector.h"
 
 namespace oscar {
@@ -246,6 +254,50 @@ TEST_P(CircuitInverseProperty, InverseUndoesCircuit)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CircuitInverseProperty,
                          ::testing::Range(0, 8));
+
+TEST(StatevectorCost, ConcurrentClonesShareOneEnergyTable)
+{
+    // The engine gives each worker its own clone; the clones must read
+    // one immutable energy table and agree bitwise with serial
+    // evaluation of the original.
+    Rng rng(21);
+    const Graph g = random3RegularGraph(10, rng);
+    StatevectorCost cost(qaoaCircuit(g, 1), maxcutHamiltonian(g));
+    ASSERT_NE(cost.diagonal(), nullptr);
+    std::vector<std::vector<double>> points;
+    for (int i = 0; i < 24; ++i)
+        points.push_back({rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)});
+    std::vector<double> serial;
+    for (const auto& p : points)
+        serial.push_back(cost.evaluate(p));
+
+    constexpr int kThreads = 4;
+    std::vector<std::unique_ptr<CostFunction>> clones;
+    for (int t = 0; t < kThreads; ++t)
+        clones.push_back(cost.clone());
+    std::vector<std::vector<double>> got(kThreads,
+                                         std::vector<double>(points.size()));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (std::size_t i = 0; i < points.size(); ++i)
+                got[t][i] = clones[t]->evaluate(points[i]);
+        });
+    }
+    for (std::thread& th : threads)
+        th.join();
+
+    for (int t = 0; t < kThreads; ++t) {
+        const auto* clone = dynamic_cast<const StatevectorCost*>(
+            clones[t].get());
+        ASSERT_NE(clone, nullptr);
+        EXPECT_EQ(clone->diagonal(), cost.diagonal()) << "clone " << t;
+        EXPECT_EQ(std::memcmp(got[t].data(), serial.data(),
+                              serial.size() * sizeof(double)),
+                  0)
+            << "clone " << t;
+    }
+}
 
 } // namespace
 } // namespace oscar

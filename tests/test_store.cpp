@@ -22,10 +22,12 @@
 
 #include <stdlib.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -143,10 +145,10 @@ sampleEntry(std::uint64_t seed = 11)
     entry.reconstructed.resize(entry.grid.numPoints());
     for (double& v : entry.reconstructed)
         v = rng.uniform(-4.0, 4.0);
-    // The bit-identity contract covers the values doubles don't
-    // round-trip through operator==: NaN and negative zero.
-    entry.reconstructed[0] = std::bit_cast<double>(
-        std::uint64_t{0x7FF8DEADBEEF0001ull}); // a payload-carrying NaN
+    // The bit-identity contract covers the finite values that
+    // operator== or a decimal round trip could blur: the smallest
+    // subnormal and negative zero.
+    entry.reconstructed[0] = std::numeric_limits<double>::denorm_min();
     entry.reconstructed[1] = -0.0;
     entry.kernel.cacheHits = 3;
     entry.kernel.cacheLookups = 5;
@@ -496,6 +498,65 @@ TEST(LandscapeStoreTest, RenamedContainerFailsKeyValidation)
     EXPECT_FALSE(store.load(wrong).has_value());
     EXPECT_EQ(store.stats().corruptMisses, 1u);
     EXPECT_FALSE(fs::exists(store.containerPath(wrong)));
+}
+
+TEST(LandscapeStoreTest, PutRefusesNonFiniteValues)
+{
+    TempDir dir;
+    LandscapeStore store({dir.path + "/store", std::size_t{64} << 20});
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double bad : {nan, inf, -inf}) {
+        for (bool in_samples : {true, false}) {
+            StoredLandscape entry = sampleEntry();
+            (in_samples ? entry.sampleValues : entry.reconstructed)[3] = bad;
+            EXPECT_THROW(store.put(keyFor(entry), entry),
+                         std::invalid_argument)
+                << bad << (in_samples ? " in samples" : " in landscape");
+        }
+    }
+    // Nothing was written, not even a temp file.
+    EXPECT_TRUE(fs::is_empty(store.dir()));
+    EXPECT_EQ(store.stats().puts, 0u);
+}
+
+TEST(LandscapeStoreTest, NonFiniteContainerLoadsAsCorruptMiss)
+{
+    // A well-formed container (valid CRCs, matching key) that holds a
+    // NaN or +-inf was not written by put(); load() must drop it like
+    // a damaged one instead of serving it.
+    TempDir dir;
+    LandscapeStore store({dir.path + "/store", std::size_t{64} << 20});
+    const StoredLandscape entry = sampleEntry();
+    const StoreKey key = keyFor(entry);
+    const std::string path = store.containerPath(key);
+    std::uint64_t corrupt = 0;
+    for (const char* stream : {"samples.val", "recon"}) {
+        for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::infinity()}) {
+            store.put(key, entry);
+            const Archive good = readArchive(path);
+            ArchiveWriter writer;
+            for (const ArchiveStream& s : good.streams) {
+                std::vector<std::uint8_t> bytes = s.bytes;
+                if (s.name == stream) {
+                    dist::WireWriter w;
+                    w.f64(bad);
+                    std::copy(w.bytes().begin(), w.bytes().end(),
+                              bytes.begin());
+                }
+                writer.add(s.name, std::move(bytes));
+            }
+            writer.write(path);
+
+            std::optional<StoredLandscape> loaded;
+            ASSERT_NO_THROW(loaded = store.load(key)) << stream;
+            EXPECT_FALSE(loaded.has_value()) << stream << " " << bad;
+            EXPECT_FALSE(fs::exists(path)) << stream << " " << bad;
+            EXPECT_EQ(store.stats().corruptMisses, ++corrupt);
+        }
+    }
+    EXPECT_EQ(store.stats().hits, 0u);
 }
 
 TEST(LandscapeStoreTest, EntryKeyedBeforeTransformRevisionIsAMiss)
