@@ -1,8 +1,8 @@
 /**
  * @file
  * Execution-engine throughput: scalar vs batched vs prefix-cached vs
- * threaded, multi-process sharding, and asynchronous pipeline overlap
- * vs the synchronous barrier.
+ * threaded, and asynchronous pipeline overlap vs the synchronous
+ * barrier.
  *
  * Studies on the system's hottest path (turning a list of grid
  * points into cost values on the statevector backend):
@@ -16,20 +16,12 @@
  *  2. Kernel layers (BENCH_kernels.json): cache blocking, AVX2
  *     dispatch, batched diagonal expectation.
  *
- *  3. Distributed sharding (BENCH_dist.json): one serial process vs
- *     the sweep sharded over 2/4 oscar-worker processes -- over
- *     socketpairs and over loopback TCP with compressed framing
- *     (on-wire raw vs stored bytes reported per row) -- plus a
- *     deliberate-straggler case with per-point work stealing on/off
- *     (steal counts and tail-latency improvement) and a sharded
- *     reconstruction; bit-identity asserted on every row.
- *
- *  4. Observability (BENCH_obs.json): the same sweep untraced vs with
+ *  3. Observability (BENCH_obs.json): the same sweep untraced vs with
  *     tracing + metrics on -- the traced row reports its overhead
  *     ratio and p50/p95/p99 per-batch latency read back from the live
  *     engine.batch.latency.ns histogram (src/obs/).
  *
- *  5. Overlap: Oscar::reconstruct with the synchronous barrier
+ *  4. Overlap: Oscar::reconstruct with the synchronous barrier
  *     (execute everything, then run FISTA) vs the streaming pipeline
  *     (sharded async submission, FISTA warm-ups on finished shards
  *     while later shards execute). Samples are asserted identical;
@@ -37,16 +29,13 @@
  *     than the barrier.
  *
  * OSCAR_BENCH_ONLY=<substring> selects a subset of studies (the CI
- * distributed leg runs only "dist").
+ * observability leg runs only "obs").
  *
  * Built against Google Benchmark when available (OSCAR_HAVE_GBENCH);
  * otherwise falls back to the repeated-run-median wall-clock tables
  * of bench_common.h. Thread speedups require cores: on a 1-core host
  * the engine can only match the serial path.
  */
-
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -61,12 +50,9 @@
 #include "src/ansatz/qaoa.h"
 #include "src/backend/engine.h"
 #include "src/backend/statevector_backend.h"
-#include "src/dist/process_pool.h"
 #include "src/hamiltonian/maxcut.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-
-extern char** environ;
 
 #ifdef OSCAR_HAVE_GBENCH
 #include <benchmark/benchmark.h>
@@ -256,390 +242,6 @@ runKernelStudy()
     std::printf("  (default ISA: %s)\n",
                 kernels::isaName(kernels::defaultKernelTable().isa));
     json.write("BENCH_kernels.json");
-}
-
-/**
- * fork/exec an `oscar-worker --connect 127.0.0.1:port` joiner whose
- * evaluation is throttled by the OSCAR_WORKER_SLOW_US hook -- the
- * deliberate straggler of the steal study. The fleet secret travels in
- * the child environment, never argv. Returns the child pid (reaped by
- * the caller after the pool shuts the worker down), or -1 on failure.
- */
-int
-spawnStragglerWorker(std::uint16_t port, const std::string& secret,
-                     long slow_us)
-{
-    std::string worker;
-    try {
-        worker = dist::ProcessPool::resolveWorkerPath("");
-    } catch (const std::exception&) {
-        return -1;
-    }
-    const std::string connect = "127.0.0.1:" + std::to_string(port);
-
-    std::vector<std::string> env_store;
-    for (char** e = environ; e && *e; ++e) {
-        const std::string entry(*e);
-        if (entry.rfind("OSCAR_DIST_SECRET=", 0) == 0 ||
-            entry.rfind("OSCAR_DIST_CONNECT=", 0) == 0 ||
-            entry.rfind("OSCAR_WORKER_SLOW_US=", 0) == 0)
-            continue;
-        env_store.push_back(entry);
-    }
-    env_store.push_back("OSCAR_DIST_SECRET=" + secret);
-    env_store.push_back("OSCAR_WORKER_SLOW_US=" +
-                        std::to_string(slow_us));
-    std::vector<std::string> arg_store = {"oscar-worker", "--connect",
-                                          connect, "--heartbeat-ms",
-                                          "50", "--threads", "1"};
-    std::vector<char*> argv;
-    std::vector<char*> envp;
-    for (std::string& s : arg_store)
-        argv.push_back(s.data());
-    argv.push_back(nullptr);
-    for (std::string& s : env_store)
-        envp.push_back(s.data());
-    envp.push_back(nullptr);
-
-    const int pid = ::fork();
-    if (pid == 0) {
-        ::execve(worker.c_str(), argv.data(), envp.data());
-        ::_exit(127);
-    }
-    return pid;
-}
-
-/**
- * Distributed execution study on the acceptance sweep (axis-major 12q
- * p=2 QAOA): one serial process vs the same sweep sharded across a
- * hybrid process x thread grid (workers x threadsPerWorker cells:
- * 1x1, 1x2, 2x1, 2x2, 4x1) through the distributed task queue, plus a
- * sharded Oscar reconstruction for context. Every distributed run is
- * verified bit-identical to the in-process values (the distributed
- * determinism contract). Writes BENCH_dist.json. Caches run cold per
- * repetition on both sides: the kernel-option fingerprint is varied
- * per rep so workers rebuild their evaluators instead of reusing warm
- * prefix caches.
- */
-void
-runDistStudy()
-{
-    constexpr int kStudyReps = 3;
-    const SweepCase sweep(12, 2, GridSpec::qaoaP2(5, 7));
-    const std::size_t num_points = sweep.points.size();
-
-    bench::header("distributed sharding: p=2 QAOA, 12 qubits, "
-                  "axis-major " +
-                  std::to_string(num_points) +
-                  "-point sweep (median of " +
-                  std::to_string(kStudyReps) + ")");
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw < 4) {
-        std::printf("  note: %u-core host; worker processes need "
-                    "cores, expect <= %ux here\n",
-                    hw, std::max(1u, hw));
-    }
-    bench::columns("mode", {"pts/s", "median_s", "min_s", "speedup",
-                            "match"});
-    bench::JsonReport json("bench_engine/dist");
-
-    /** Cold-cache kernel options, fingerprinted per repetition. */
-    const auto coldOptions = [](int rep) {
-        KernelOptions options;
-        options.prefixCacheBudgetBytes += static_cast<std::size_t>(rep);
-        return options;
-    };
-
-    // In-process serial reference (also the bit-identity oracle).
-    // Distribution is pinned off (numWorkers = -1) so an exported
-    // OSCAR_DIST_WORKERS cannot turn the baseline itself into a
-    // multi-worker run and corrupt every speedup_vs_single.
-    EngineOptions serial_opts;
-    serial_opts.numThreads = 1;
-    serial_opts.dist.numWorkers = -1;
-    std::vector<double> reference;
-    double base_median = 0.0;
-    {
-        ExecutionEngine engine(serial_opts);
-        StatevectorCost cost = sweep.make();
-        int rep = 0;
-        const auto timing = bench::timeRepeated(kStudyReps, [&] {
-            cost.configureKernel(coldOptions(rep++));
-            reference = engine.submit(cost, sweep.points).get();
-        });
-        base_median = timing.median;
-        bench::row("single process",
-                   {static_cast<double>(num_points) / timing.median,
-                    timing.median, timing.min, 1.0, 1.0},
-                   " %10.4g");
-        json.add("single process", timing, num_points,
-                 {{"workers", 1.0},
-                  {"speedup_vs_single", 1.0},
-                  {"match", 1.0},
-                  {"hardware_concurrency", static_cast<double>(hw)}});
-    }
-
-    // Hybrid process x thread grid: each (workers, threads) cell runs
-    // the same sweep through T-threaded workers and is verified
-    // bit-identical to the serial reference -- the hybrid determinism
-    // contract is asserted, not assumed, on every row.
-    bool spawn_failed = false;
-    const std::pair<int, int> grid[] = {
-        {1, 1}, {1, 2}, {2, 1}, {2, 2}, {4, 1}};
-    for (const auto& [workers, threads] : grid) {
-        EngineOptions options;
-        options.numThreads = 1;
-        options.dist.numWorkers = workers;
-        options.dist.threadsPerWorker = threads;
-        options.dist.minPointsToDistribute = 1;
-        // These rows measure the socketpair transport; pin it so an
-        // exported OSCAR_DIST_LISTEN cannot silently turn them TCP.
-        options.dist.listen = "none";
-        ExecutionEngine engine(options);
-        StatevectorCost cost = sweep.make();
-        std::vector<double> values;
-        std::size_t remote = 0, requeued = 0, pipelined = 0;
-        int rep = 0;
-        const auto timing = bench::timeRepeated(kStudyReps, [&] {
-            cost.configureKernel(coldOptions(rep++));
-            BatchHandle handle = engine.submit(cost, sweep.points);
-            values = handle.get();
-            remote = handle.stats().pointsRemote;
-            requeued = handle.stats().shardsRequeued;
-            pipelined = handle.stats().shardsPipelined;
-        });
-        const bool distributed = remote == num_points;
-        if (!distributed)
-            spawn_failed = true;
-        const bool match = identical(values, reference);
-        const double speedup = base_median / timing.median;
-        const std::string name = "dist " + std::to_string(workers) +
-                                 "p x " + std::to_string(threads) + "t";
-        bench::row(name,
-                   {static_cast<double>(num_points) / timing.median,
-                    timing.median, timing.min, speedup,
-                    match && distributed ? 1.0 : 0.0},
-                   " %10.4g");
-        json.add(name, timing, num_points,
-                 {{"workers", static_cast<double>(workers)},
-                  {"threads_per_worker", static_cast<double>(threads)},
-                  {"speedup_vs_single", speedup},
-                  {"match", match ? 1.0 : 0.0},
-                  {"points_remote", static_cast<double>(remote)},
-                  {"shards_requeued", static_cast<double>(requeued)},
-                  {"shards_pipelined",
-                   static_cast<double>(pipelined)}});
-    }
-    if (spawn_failed)
-        std::printf("  (warning: distributed runs fell back "
-                    "in-process; is oscar-worker built?)\n");
-
-    // Loopback-TCP rows: the same sweep through an elastic TCP fleet
-    // coordinator (workers dial 127.0.0.1 and pass the authenticated
-    // Hello handshake) with compressed framing. Reported per row: the
-    // bytes the frames would have cost raw vs what the wire actually
-    // carried.
-    for (const auto& [workers, threads] :
-         {std::pair<int, int>{2, 1}, std::pair<int, int>{2, 2}}) {
-        EngineOptions options;
-        options.numThreads = 1;
-        options.dist.numWorkers = workers;
-        options.dist.threadsPerWorker = threads;
-        options.dist.minPointsToDistribute = 1;
-        options.dist.listen = "127.0.0.1:0";
-        options.dist.secret = "bench-fleet";
-        ExecutionEngine engine(options);
-        StatevectorCost cost = sweep.make();
-        std::vector<double> values;
-        std::size_t remote = 0, raw_bytes = 0, wire_bytes = 0;
-        int rep = 0;
-        const auto timing = bench::timeRepeated(kStudyReps, [&] {
-            cost.configureKernel(coldOptions(rep++));
-            BatchHandle handle = engine.submit(cost, sweep.points);
-            values = handle.get();
-            remote = handle.stats().pointsRemote;
-            raw_bytes = handle.stats().bytesOnWireRaw;
-            wire_bytes = handle.stats().bytesOnWireCompressed;
-        });
-        const bool distributed = remote == num_points;
-        const bool match = identical(values, reference);
-        const double speedup = base_median / timing.median;
-        const std::string name = "tcp " + std::to_string(workers) +
-                                 "p x " + std::to_string(threads) + "t";
-        bench::row(name,
-                   {static_cast<double>(num_points) / timing.median,
-                    timing.median, timing.min, speedup,
-                    match && distributed ? 1.0 : 0.0},
-                   " %10.4g");
-        if (raw_bytes > 0)
-            std::printf("    %s: %.1f%% of raw bytes on the wire "
-                        "(%zu -> %zu)\n",
-                        name.c_str(),
-                        100.0 * static_cast<double>(wire_bytes) /
-                            static_cast<double>(raw_bytes),
-                        raw_bytes, wire_bytes);
-        json.add(name, timing, num_points,
-                 {{"workers", static_cast<double>(workers)},
-                  {"threads_per_worker", static_cast<double>(threads)},
-                  {"transport_tcp", 1.0},
-                  {"speedup_vs_single", speedup},
-                  {"match", match ? 1.0 : 0.0},
-                  {"points_remote", static_cast<double>(remote)},
-                  {"bytes_on_wire_raw", static_cast<double>(raw_bytes)},
-                  {"bytes_on_wire_compressed",
-                   static_cast<double>(wire_bytes)},
-                  {"wire_bytes_fraction",
-                   raw_bytes > 0 ? static_cast<double>(wire_bytes) /
-                                       static_cast<double>(raw_bytes)
-                                 : 1.0}});
-    }
-
-    // Deliberate-straggler case: one fast local member plus a joiner
-    // throttled by the OSCAR_WORKER_SLOW_US hook, each initially
-    // holding half the batch. With stealing off the batch ends when
-    // the straggler crawls through its shard; with stealing on the
-    // idle member takes the straggler's unrun tail. The steal-on row's
-    // speedup column is its tail-latency improvement over steal-off.
-    {
-        const std::size_t count =
-            std::min<std::size_t>(96, num_points);
-        const std::vector<std::vector<double>> pts(
-            sweep.points.begin(),
-            sweep.points.begin() + static_cast<std::ptrdiff_t>(count));
-        const std::vector<double> want(
-            reference.begin(),
-            reference.begin() + static_cast<std::ptrdiff_t>(count));
-        double off_median = 0.0;
-        for (const bool steal : {false, true}) {
-            int pid = -1;
-            bool joined = false;
-            {
-                dist::DistOptions options;
-                options.numWorkers = 1;
-                options.listen = "127.0.0.1:0";
-                options.secret = "bench-fleet";
-                options.shardSize = count / 2;
-                options.steal = steal;
-                dist::ProcessPool pool(options);
-                pid = spawnStragglerWorker(pool.listenPort(),
-                                           "bench-fleet",
-                                           /*slow_us=*/5000);
-                for (int i = 0; pid > 0 && i < 50000 && !joined; ++i) {
-                    joined = pool.stats().workersJoined >= 2;
-                    std::this_thread::sleep_for(
-                        std::chrono::microseconds(200));
-                }
-                if (joined) {
-                    StatevectorCost cost = sweep.make();
-                    std::vector<double> values;
-                    std::size_t stolen = 0, requeued = 0;
-                    int rep = 0;
-                    const auto timing =
-                        bench::timeRepeated(kStudyReps, [&] {
-                            cost.configureKernel(coldOptions(rep++));
-                            auto batch = pts;
-                            BatchHandle handle =
-                                pool.submit(cost, std::move(batch));
-                            values = handle.get();
-                            stolen = handle.stats().shardsStolen;
-                            requeued = handle.stats().shardsRequeued;
-                        });
-                    const bool match = identical(values, want);
-                    if (!steal)
-                        off_median = timing.median;
-                    const double vs_off =
-                        steal && timing.median > 0.0
-                            ? off_median / timing.median
-                            : 1.0;
-                    const std::string name =
-                        steal ? "straggler steal on"
-                              : "straggler steal off";
-                    bench::row(
-                        name,
-                        {static_cast<double>(count) / timing.median,
-                         timing.median, timing.min, vs_off,
-                         match ? 1.0 : 0.0},
-                        " %10.4g");
-                    json.add(
-                        name, timing, count,
-                        {{"steal", steal ? 1.0 : 0.0},
-                         {"shards_stolen",
-                          static_cast<double>(stolen)},
-                         {"shards_requeued",
-                          static_cast<double>(requeued)},
-                         {"tail_speedup_vs_no_steal", vs_off},
-                         {"match", match ? 1.0 : 0.0},
-                         {"straggler_slow_us_per_point", 5000.0}});
-                    if (steal && stolen > 0)
-                        std::printf("    steal on: %zu tail(s) "
-                                    "relocated, %.2fx faster than "
-                                    "steal off\n",
-                                    stolen, vs_off);
-                }
-            }
-            // The pool's shutdown told the straggler to exit.
-            if (pid > 0)
-                ::waitpid(pid, nullptr, 0);
-            if (!joined) {
-                std::printf("  (straggler worker failed to join; "
-                            "skipping steal study)\n");
-                break;
-            }
-        }
-    }
-
-    // Sharded reconstruction for context: the full pipeline (sampling
-    // + distributed execution + FISTA solve) on the same circuit.
-    {
-        OscarOptions plain;
-        plain.samplingFraction = 0.25;
-        plain.numThreads = 1;
-        plain.distributed.numWorkers = -1; // pin the baseline local
-        const GridSpec grid = GridSpec::qaoaP2(5, 7);
-
-        OscarResult plain_result;
-        const auto plain_timing = bench::timeRepeated(kStudyReps, [&] {
-            StatevectorCost cost = sweep.make();
-            plain_result = Oscar::reconstruct(grid, cost, plain);
-        });
-        bench::row("reconstruct 1 proc",
-                   {static_cast<double>(plain_result.queriesUsed) /
-                        plain_timing.median,
-                    plain_timing.median, plain_timing.min, 1.0, 1.0},
-                   " %10.4g");
-        json.add("reconstruct single process", plain_timing,
-                 plain_result.queriesUsed,
-                 {{"workers", 1.0}, {"speedup_vs_single", 1.0}});
-
-        OscarOptions distributed = plain;
-        distributed.distributed.numWorkers = 4;
-        distributed.distributed.minPointsToDistribute = 1;
-        OscarResult dist_result;
-        const auto dist_timing = bench::timeRepeated(kStudyReps, [&] {
-            StatevectorCost cost = sweep.make();
-            dist_result = Oscar::reconstruct(grid, cost, distributed);
-        });
-        const bool match = identical(dist_result.samples.values,
-                                     plain_result.samples.values);
-        bench::row("reconstruct 4 workers",
-                   {static_cast<double>(dist_result.queriesUsed) /
-                        dist_timing.median,
-                    dist_timing.median, dist_timing.min,
-                    plain_timing.median / dist_timing.median,
-                    match ? 1.0 : 0.0},
-                   " %10.4g");
-        json.add("reconstruct 4 workers", dist_timing,
-                 dist_result.queriesUsed,
-                 {{"workers", 4.0},
-                  {"speedup_vs_single",
-                   plain_timing.median / dist_timing.median},
-                  {"match", match ? 1.0 : 0.0},
-                  {"points_remote",
-                   static_cast<double>(
-                       dist_result.execution.pointsRemote)}});
-    }
-
-    json.write("BENCH_dist.json");
 }
 
 /**
@@ -1049,16 +651,13 @@ main(int argc, char** argv)
     ::benchmark::Initialize(&argc, argv);
     if (::benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
-    // The kernel-layer and distributed acceptance studies run in both
-    // modes and write BENCH_kernels.json / BENCH_dist.json for the
-    // cross-PR perf trajectory; they run first so the reports exist
-    // regardless of --benchmark_filter. OSCAR_BENCH_ONLY=<substring>
-    // narrows to matching studies (the distributed CI leg runs only
-    // "dist").
+    // The kernel-layer and observability studies run in both modes and
+    // write BENCH_kernels.json / BENCH_obs.json for the cross-PR perf
+    // trajectory; they run first so the reports exist regardless of
+    // --benchmark_filter. OSCAR_BENCH_ONLY=<substring> narrows to
+    // matching studies (the observability CI leg runs only "obs").
     if (oscar::benchEnabled("kernels"))
         oscar::runKernelStudy();
-    if (oscar::benchEnabled("dist"))
-        oscar::runDistStudy();
     if (oscar::benchEnabled("obs"))
         oscar::runObsStudy();
     if (std::getenv("OSCAR_BENCH_ONLY"))
@@ -1081,7 +680,7 @@ main()
     }
 
     // OSCAR_BENCH_ONLY=<substring> narrows to matching studies (the
-    // distributed CI leg runs only "dist").
+    // observability CI leg runs only "obs").
     if (oscar::benchEnabled("sweeps")) {
         // The paper's p=1 landscape shape (beta x gamma), scalar-heavy.
         oscar::runSweep(12, 1, oscar::GridSpec::qaoaP1(30, 60));
@@ -1094,10 +693,6 @@ main()
     // BENCH_kernels.json.
     if (oscar::benchEnabled("kernels"))
         oscar::runKernelStudy();
-
-    // Multi-process sharding; writes BENCH_dist.json.
-    if (oscar::benchEnabled("dist"))
-        oscar::runDistStudy();
 
     // Instrumentation overhead + live latency percentiles; writes
     // BENCH_obs.json.

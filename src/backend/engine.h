@@ -35,7 +35,6 @@
 #ifndef OSCAR_BACKEND_ENGINE_H
 #define OSCAR_BACKEND_ENGINE_H
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -43,20 +42,14 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
 #include "src/backend/executor.h"
-#include "src/dist/options.h"
 
 namespace oscar {
 
-namespace dist {
-class ProcessPool;
-}
-
-struct EngineBatch; // the engine's thread-pooled Control (engine.cpp)
+struct EngineBatch; // shared state of one submitted batch (engine.cpp)
 
 /**
  * ExecutionEngine configuration.
@@ -79,16 +72,6 @@ struct EngineOptions
      * it saves).
      */
     std::size_t minPointsPerThread = 4;
-
-    /**
-     * Multi-process sharding (src/dist). With numWorkers > 0 (or the
-     * OSCAR_DIST_WORKERS environment variable set), large batches of
-     * distributable cost functions are sharded across forked
-     * oscar-worker processes behind a fault-tolerant task queue;
-     * everything else keeps using the in-process thread pool. Values
-     * are bit-identical either way for a fixed kernel ISA.
-     */
-    dist::DistOptions dist;
 };
 
 /** Progress / effectiveness counters of one submitted batch. */
@@ -103,72 +86,8 @@ struct BatchStats
     /** Points skipped by cancel() (queries refunded). */
     std::size_t pointsCancelled = 0;
 
-    /** Points evaluated by remote worker processes (src/dist). */
-    std::size_t pointsRemote = 0;
-
-    /**
-     * Distributed shards requeued onto surviving workers after their
-     * assigned worker died mid-flight. Nonzero requeues never change
-     * values (ordinals were reserved at submission); the counter makes
-     * fault recovery observable.
-     */
-    std::size_t shardsRequeued = 0;
-
-    /**
-     * Distributed shards dispatched to a worker that already had one
-     * in flight (depth-2 pipelining: the next shard rides the wire
-     * while the current one computes, hiding the dispatch round-trip).
-     */
-    std::size_t shardsPipelined = 0;
-
-    /**
-     * Kernel-layer (prefix cache) traffic attributed to this batch,
-     * local and remote combined: remote shards fold the per-shard
-     * KernelStats delta from each worker's Result frame in here too.
-     */
+    /** Kernel-layer (prefix cache) traffic attributed to this batch. */
     KernelStats kernel;
-
-    /**
-     * The remote-only portion of `kernel`: counters aggregated from
-     * worker Result frames alone, so per-worker PrefixCache behavior
-     * is observable even when local and remote execution mix.
-     */
-    KernelStats remoteKernel;
-
-    /**
-     * Distributed shards whose unrun tail was stolen from a busy
-     * worker and re-dispatched to an idle one (StealRequest /
-     * StealGrant). Ordinals are reserved at submission, so stealing
-     * never changes values; the counter makes straggler recovery
-     * observable.
-     */
-    std::size_t shardsStolen = 0;
-
-    /**
-     * Bytes this batch's frames would have occupied on the wire
-     * uncompressed (frame header + raw payload + CRC), coordinator
-     * side: LoadCost/Task sends plus Result receipts.
-     */
-    std::size_t bytesOnWireRaw = 0;
-
-    /**
-     * Bytes those same frames actually occupied after the per-frame
-     * smallest-of codec selection. Never exceeds bytesOnWireRaw; the
-     * gap is the framing layer's compression saving.
-     */
-    std::size_t bytesOnWireCompressed = 0;
-
-    /**
-     * Pool-lifetime membership/routing counters, snapshotted from
-     * PoolStats as this batch's shards complete (so callers holding
-     * only a BatchHandle can observe fleet behavior): TCP members that
-     * had passed the authenticated handshake, and dispatches that went
-     * to members this pool did not spawn. Both are cumulative pool
-     * counters, not per-batch deltas -- aggregation takes the max,
-     * like KernelStats::isa, never the sum.
-     */
-    std::size_t workersJoined = 0;
-    std::size_t tasksToRemote = 0;
 
     BatchStats&
     operator+=(const BatchStats& other)
@@ -176,16 +95,7 @@ struct BatchStats
         pointsTotal += other.pointsTotal;
         pointsCompleted += other.pointsCompleted;
         pointsCancelled += other.pointsCancelled;
-        pointsRemote += other.pointsRemote;
-        shardsRequeued += other.shardsRequeued;
-        shardsPipelined += other.shardsPipelined;
-        shardsStolen += other.shardsStolen;
-        bytesOnWireRaw += other.bytesOnWireRaw;
-        bytesOnWireCompressed += other.bytesOnWireCompressed;
-        workersJoined = std::max(workersJoined, other.workersJoined);
-        tasksToRemote = std::max(tasksToRemote, other.tasksToRemote);
         kernel += other.kernel;
-        remoteKernel += other.remoteKernel;
         return *this;
     }
 };
@@ -226,34 +136,13 @@ class ExecutionEngine;
  * is destroyed (destruction cancels still-queued work first). The cost
  * function, by contrast, must outlive the batch: it is evaluated from
  * worker threads until wait()/get() returns or the engine dies.
- *
- * The handle itself is execution-substrate-agnostic: it forwards to a
- * Control implemented by the engine's thread-pooled batch or by the
- * distributed process pool's remote batch (src/dist/process_pool.h),
- * so every submission surface in the system -- samplers, gridSearch,
- * Oscar pipelines, the multi-QPU scheduler -- consumes one handle
- * type regardless of where the work runs.
+ * Every method is safe to call from any thread, get() may be called
+ * repeatedly, and after wait() returns all streaming callbacks have
+ * completed.
  */
 class BatchHandle
 {
   public:
-    /**
-     * Execution-substrate interface behind a handle. Implementations
-     * must keep every method safe to call from any thread, allow
-     * repeated get(), and guarantee that after wait() returns all
-     * streaming callbacks have completed.
-     */
-    class Control
-    {
-      public:
-        virtual ~Control() = default;
-        virtual bool done() const = 0;
-        virtual void wait() = 0;
-        virtual std::vector<double> get() = 0;
-        virtual bool cancel() = 0;
-        virtual BatchStats stats() const = 0;
-    };
-
     /** Invalid handle; every accessor below requires valid(). */
     BatchHandle() = default;
 
@@ -292,14 +181,13 @@ class BatchHandle
 
   private:
     friend class ExecutionEngine;
-    friend class dist::ProcessPool;
 
-    explicit BatchHandle(std::shared_ptr<Control> state)
+    explicit BatchHandle(std::shared_ptr<EngineBatch> state)
         : state_(std::move(state))
     {
     }
 
-    std::shared_ptr<Control> state_;
+    std::shared_ptr<EngineBatch> state_;
 };
 
 /** Thread-pooled asynchronous batch evaluator for CostFunctions. */
@@ -341,21 +229,6 @@ class ExecutionEngine
     BatchHandle submit(CostFunction& cost,
                        std::vector<std::vector<double>> points,
                        SubmitOptions options = {});
-
-    /**
-     * Submit a batch whose ordinals are pinned externally: evaluation
-     * i runs with ordinal base_ordinal + i exactly, no queries are
-     * reserved or refunded, and the batch is never routed to the
-     * process pool. This is how a distributed worker replays a shard
-     * across its own thread pool: the coordinator reserved the
-     * ordinals at submission, so the shard must execute under them
-     * verbatim for distributed results to stay bit-identical to
-     * in-process execution.
-     */
-    BatchHandle submitAt(CostFunction& cost,
-                         std::vector<std::vector<double>> points,
-                         std::uint64_t base_ordinal,
-                         SubmitOptions options = {});
 
     /** Produces the i-th parameter point of a generated batch. */
     using PointFn = std::function<std::vector<double>(std::size_t)>;
@@ -400,14 +273,6 @@ class ExecutionEngine
         return engine ? *engine : serial();
     }
 
-    /**
-     * The distributed process pool behind this engine, or nullptr
-     * when distribution is off, not yet started (the pool spawns
-     * lazily on the first distributable submission), or failed to
-     * start. Exposed for tests and fault-injection (worker pids).
-     */
-    dist::ProcessPool* processPool() const { return pool_.get(); }
-
   private:
     friend class BatchHandle;
     friend struct EngineBatch; ///< chunk layout + worker bridges
@@ -421,25 +286,11 @@ class ExecutionEngine
     /** Split [0, count) into per-worker chunks; empty = run inline. */
     std::vector<Chunk> planChunks(std::size_t count) const;
 
-    /**
-     * Build the shared batch state; enqueue unless inline-only. A
-     * non-null `pinned_base` pins ordinals (submitAt): no query
-     * reservation, no refunds, no distribution.
-     */
+    /** Build the shared batch state; enqueue unless inline-only. */
     BatchHandle submitBatch(CostFunction* cost,
                             std::vector<std::vector<double>> points,
                             std::function<double(std::size_t)> map_fn,
-                            std::size_t count, SubmitOptions options,
-                            const std::uint64_t* pinned_base = nullptr);
-
-    /**
-     * Route a batch to the process pool when distribution is enabled,
-     * the cost is distributable, and the batch is worth a process
-     * round-trip. Returns an invalid handle to mean "run in-process".
-     */
-    BatchHandle tryDistribute(CostFunction& cost,
-                              std::vector<std::vector<double>>& points,
-                              const SubmitOptions& options);
+                            std::size_t count, SubmitOptions options);
 
     // -- worker pool -------------------------------------------------
     void workerLoop();
@@ -451,12 +302,6 @@ class ExecutionEngine
     std::condition_variable wake_;
     std::deque<std::shared_ptr<EngineBatch>> queue_;
     bool stop_ = false;
-
-    // -- distributed routing -----------------------------------------
-    dist::DistOptions dist_;
-    bool distEnabled_ = false;    ///< resolved from options + env
-    std::once_flag poolOnce_;     ///< lazy pool spawn
-    std::unique_ptr<dist::ProcessPool> pool_;
 };
 
 } // namespace oscar

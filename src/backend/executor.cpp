@@ -35,15 +35,6 @@ CostFunction::evaluateBatch(const std::vector<std::vector<double>>& points)
 }
 
 void
-CostFunction::evaluateBatchAt(std::span<const std::vector<double>> points,
-                              std::uint64_t base_ordinal, double* out)
-{
-    for (const auto& p : points)
-        checkParams(p);
-    evaluateBatchImpl(points, base_ordinal, out);
-}
-
-void
 CostFunction::evaluateBatchImpl(std::span<const std::vector<double>> points,
                                 std::uint64_t base_ordinal, double* out)
 {

@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -42,13 +41,6 @@ namespace oscar {
 
 class ExecutionEngine;
 struct EngineBatch;
-class Circuit;
-class PauliSum;
-
-namespace dist {
-class ProcessPool;
-struct RemoteBatch;
-}
 
 /**
  * Tuning knobs for the compiled-circuit kernel layer of the batched
@@ -128,8 +120,8 @@ struct KernelStats
 
     /**
      * Widest kernel ISA that executed (Scalar for backends without a
-     * kernel layer). Aggregation keeps the maximum, so a mixed fleet
-     * reports the widest ISA that participated.
+     * kernel layer). Aggregation keeps the maximum, so a mix of
+     * evaluators reports the widest ISA that participated.
      */
     kernels::KernelIsa isa = kernels::KernelIsa::Scalar;
 
@@ -182,21 +174,6 @@ struct KernelStats
         a.batchedPauliPoints -= b.batchedPauliPoints;
         return a;
     }
-};
-
-/**
- * Everything a worker process needs to rebuild a cost evaluator:
- * ansatz circuit, Hamiltonian, and kernel tuning. Deterministic
- * evaluators whose state is exactly (circuit, Hamiltonian) can expose
- * this through CostFunction::distPayload to become eligible for
- * multi-process sharding (src/dist); the pointers borrow from the cost
- * function and stay valid while it lives.
- */
-struct DistPayload
-{
-    const Circuit* circuit = nullptr;
-    const PauliSum* hamiltonian = nullptr;
-    KernelOptions kernel;
 };
 
 /** Abstract VQA cost evaluator: circuit parameters -> expected cost. */
@@ -255,30 +232,6 @@ class CostFunction
     {
         return {};
     }
-
-    /**
-     * Distributed-execution payload, or nullopt when this evaluator
-     * cannot be shipped to a worker process (stochastic wrappers,
-     * lambdas, dataset replays). Exposing a payload asserts that
-     * evaluating (points, ordinals) from the payload-built replica in
-     * another process of the same build yields bit-identical values
-     * per kernel ISA -- the distributed determinism contract.
-     */
-    virtual std::optional<DistPayload>
-    distPayload() const
-    {
-        return std::nullopt;
-    }
-
-    /**
-     * Evaluate points[i] with ordinal base_ordinal + i into out[i],
-     * WITHOUT counting queries: the coordinating process reserved
-     * queries and ordinals at submission. This is the execution entry
-     * point of distributed workers (src/dist/worker.cpp); regular
-     * callers use evaluate()/evaluateBatch().
-     */
-    void evaluateBatchAt(std::span<const std::vector<double>> points,
-                         std::uint64_t base_ordinal, double* out);
 
     /**
      * Preferred batch ordering: parameter indices from slowest- to
@@ -367,8 +320,6 @@ class CostFunction
   private:
     friend class ExecutionEngine;
     friend struct EngineBatch;
-    friend class dist::ProcessPool;
-    friend struct dist::RemoteBatch;
 
     /** Count n queries and reserve n consecutive ordinals. */
     std::uint64_t

@@ -126,16 +126,6 @@ StatevectorCost::batchOrderHint() const
     return compiled_.parameterOrder();
 }
 
-std::optional<DistPayload>
-StatevectorCost::distPayload() const
-{
-    DistPayload payload;
-    payload.circuit = &circuit_;
-    payload.hamiltonian = &hamiltonian_;
-    payload.kernel = kernel_;
-    return payload;
-}
-
 KernelStats
 StatevectorCost::kernelStats() const
 {

@@ -83,14 +83,6 @@ class StatevectorCost : public CostFunction
     std::vector<int> batchOrderHint() const override;
 
     /**
-     * Distributable: the evaluator is exactly (circuit, Hamiltonian,
-     * kernel options), and evaluation is deterministic per kernel ISA,
-     * so a worker-process replica built from this payload produces
-     * bit-identical values.
-     */
-    std::optional<DistPayload> distPayload() const override;
-
-    /**
      * Checkpoint cache counters (benchmark instrumentation),
      * cumulative over every evaluator sharing this cache.
      */

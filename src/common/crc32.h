@@ -1,7 +1,7 @@
 /**
  * @file
- * CRC-32 (IEEE 802.3 polynomial, reflected), shared by the distributed
- * wire framing (src/dist/wire.cpp) and the on-disk landscape archive
+ * CRC-32 (IEEE 802.3 polynomial, reflected), shared by the OSCW wire
+ * framing (src/serve/wire.cpp) and the on-disk landscape archive
  * (src/store/archive.cpp).
  *
  * One implementation on purpose: a frame CRC computed here and an

@@ -2,8 +2,8 @@
  * @file
  * FNV-1a 64-bit hashing, the system's content address.
  *
- * The distributed wire format stamps every CostSpec with the FNV-1a
- * hash of its canonical encoding (src/dist/wire.cpp), the landscape
+ * The OSCW wire format stamps every CostSpec with the FNV-1a hash of
+ * its canonical encoding (src/serve/wire.cpp), the landscape
  * store keys containers by that same hash plus a canonical GridSpec
  * hash (src/store/landscape_store.cpp), and the serve daemon folds
  * both into its request-dedupe key (src/serve/server.cpp). One

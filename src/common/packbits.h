@@ -3,7 +3,7 @@
  * Shared PackBits / byte-plane compression codec.
  *
  * Hoisted from the landscape store's archive container (src/store)
- * so the distributed wire layer (src/dist) can reuse the exact same
+ * so the OSCW wire layer (src/serve/wire.h) can reuse the exact same
  * bit-exact, size-bounded compression for frame payloads — one codec,
  * two containers, like the CRC-32 hoist in src/common/crc32.h.
  *

@@ -17,17 +17,7 @@ PipelineEngine::PipelineEngine(ExecutionEngine* caller,
         engine_ = caller;
         return;
     }
-    if (options.distributed.numWorkers != 0) {
-        // Any explicit setting — enabled (> 0) or force-disabled
-        // (< 0, overriding OSCAR_DIST_WORKERS) — needs a dedicated
-        // engine so the distributed options' lifetime is the pipeline
-        // run; the shared serial engine must not inherit them.
-        EngineOptions opts;
-        opts.numThreads = options.numThreads;
-        opts.dist = options.distributed;
-        owned_ = std::make_unique<ExecutionEngine>(opts);
-        engine_ = owned_.get();
-    } else if (options.numThreads == 1) {
+    if (options.numThreads == 1) {
         engine_ = &ExecutionEngine::serial();
     } else {
         owned_ = std::make_unique<ExecutionEngine>(options.numThreads);

@@ -108,19 +108,6 @@ struct OscarOptions
     StreamingOptions streaming;
 
     /**
-     * Multi-process landscape sharding (src/dist). With
-     * numWorkers > 0 the pipeline's engine forks that many
-     * oscar-worker processes and routes execution shards of
-     * distributable cost functions to them through the fault-tolerant
-     * distributed task queue; OSCAR_DIST_WORKERS enables it
-     * process-wide. Bit-identical to in-process execution for a fixed
-     * kernel ISA -- worker count, completion order, and crash-driven
-     * requeues never change values. Ignored when the caller passes
-     * its own engine (that engine's own dist options govern).
-     */
-    dist::DistOptions distributed;
-
-    /**
      * Execution-phase progress callback: (points completed, total
      * points to sample), invoked as sampled points finish. Purely
      * observational -- it never affects values or scheduling. Calls

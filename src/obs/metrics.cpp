@@ -41,16 +41,6 @@ HistogramSnapshot::quantile(double q) const
     return static_cast<double>(histogramBucketBound(kHistogramBuckets - 1));
 }
 
-HistogramSnapshot&
-HistogramSnapshot::operator+=(const HistogramSnapshot& other)
-{
-    for (std::size_t i = 0; i < kHistogramBuckets; ++i)
-        buckets[i] += other.buckets[i];
-    count += other.count;
-    sum += other.sum;
-    return *this;
-}
-
 HistogramSnapshot
 HistogramSnapshot::operator-(const HistogramSnapshot& other) const
 {
@@ -73,20 +63,6 @@ Histogram::snapshot() const
     snap.count = count_.load(std::memory_order_relaxed);
     snap.sum = sum_.load(std::memory_order_relaxed);
     return snap;
-}
-
-MetricsSnapshot&
-MetricsSnapshot::operator+=(const MetricsSnapshot& other)
-{
-    for (const auto& [name, value] : other.counters)
-        counters[name] += value;
-    for (const auto& [name, value] : other.gauges) {
-        std::uint64_t& mine = gauges[name];
-        mine = std::max(mine, value);
-    }
-    for (const auto& [name, value] : other.histograms)
-        histograms[name] += value;
-    return *this;
 }
 
 Registry&
@@ -139,42 +115,6 @@ Registry::snapshot() const
     for (const auto& [name, histogram] : histograms_)
         snap.histograms[name] = histogram->snapshot();
     return snap;
-}
-
-void
-Registry::setWorkerSnapshot(std::int32_t pid,
-                            const MetricsSnapshot& snapshot)
-{
-    std::lock_guard<std::mutex> lock(remoteMutex_);
-    workerSnapshots_[pid] = snapshot;
-}
-
-void
-Registry::dropWorkerSnapshot(std::int32_t pid)
-{
-    std::lock_guard<std::mutex> lock(remoteMutex_);
-    workerSnapshots_.erase(pid);
-}
-
-MetricsSnapshot
-Registry::merged() const
-{
-    MetricsSnapshot merged = snapshot();
-    std::lock_guard<std::mutex> lock(remoteMutex_);
-    for (const auto& [pid, snap] : workerSnapshots_)
-        merged += snap;
-    return merged;
-}
-
-std::vector<std::int32_t>
-Registry::workerPids() const
-{
-    std::lock_guard<std::mutex> lock(remoteMutex_);
-    std::vector<std::int32_t> pids;
-    pids.reserve(workerSnapshots_.size());
-    for (const auto& [pid, snap] : workerSnapshots_)
-        pids.push_back(pid);
-    return pids;
 }
 
 // ---------------------------------------------------------------------

@@ -23,12 +23,7 @@
  *
  * snapshot() reads every metric without stopping writers (each value
  * is independently atomic; a snapshot is a consistent *per-metric*
- * view, the standard contract for monitoring counters). Worker
- * processes ship cumulative snapshots to the coordinator in wire v6
- * Telemetry frames; the coordinator keeps the latest snapshot per
- * worker pid and merges `local + sum(latest per worker)` -- a
- * deterministic, order-independent fold (no double counting, because
- * each worker's contribution is replaced, never accumulated).
+ * view, the standard contract for monitoring counters).
  *
  * renderPrometheus() emits the text exposition format
  * (`# TYPE`-annotated, cumulative `_bucket{le="..."}` histograms)
@@ -144,9 +139,6 @@ struct HistogramSnapshot
                      : 0.0;
     }
 
-    /** Per-bucket sum (merging worker snapshots). */
-    HistogramSnapshot& operator+=(const HistogramSnapshot& other);
-
     /**
      * Per-bucket difference, for interval measurements over a
      * cumulative histogram (bench percentile columns). Requires
@@ -177,20 +169,13 @@ class Histogram
 
 /**
  * Point-in-time copy of a whole registry. std::map keys make every
- * traversal (merge, render) deterministic by construction.
+ * traversal (render) deterministic by construction.
  */
 struct MetricsSnapshot
 {
     std::map<std::string, std::uint64_t> counters;
     std::map<std::string, std::uint64_t> gauges;
     std::map<std::string, HistogramSnapshot> histograms;
-
-    /**
-     * Merge another snapshot in: counters and histograms add, gauges
-     * take the maximum (the only order-independent combinator for
-     * last-written values from different processes).
-     */
-    MetricsSnapshot& operator+=(const MetricsSnapshot& other);
 
     bool empty() const
     {
@@ -216,39 +201,14 @@ class Registry
     Gauge& gauge(const std::string& name);
     Histogram& histogram(const std::string& name);
 
-    /** Snapshot every local metric without stopping writers. */
+    /** Snapshot every metric without stopping writers. */
     MetricsSnapshot snapshot() const;
-
-    /**
-     * Replace the latest cumulative snapshot of one worker process
-     * (from a Telemetry frame). Replacing -- not accumulating -- is
-     * what makes merged() deterministic and double-count-free however
-     * often a worker reports.
-     */
-    void setWorkerSnapshot(std::int32_t pid,
-                           const MetricsSnapshot& snapshot);
-
-    /** Forget one departed worker's contribution (pool retire path). */
-    void dropWorkerSnapshot(std::int32_t pid);
-
-    /**
-     * local snapshot + sum over the latest snapshot of every known
-     * worker, in pid order: deterministic for a fixed set of reports,
-     * regardless of arrival interleaving.
-     */
-    MetricsSnapshot merged() const;
-
-    /** Worker pids currently contributing to merged(). */
-    std::vector<std::int32_t> workerPids() const;
 
   private:
     mutable std::mutex m_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-
-    mutable std::mutex remoteMutex_;
-    std::map<std::int32_t, MetricsSnapshot> workerSnapshots_;
 };
 
 /**

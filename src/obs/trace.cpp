@@ -26,8 +26,6 @@ spanCategoryName(SpanCategory cat)
         return "replay";
     case SpanCategory::Cache:
         return "cache";
-    case SpanCategory::Dist:
-        return "dist";
     case SpanCategory::Wire:
         return "wire";
     case SpanCategory::Store:
@@ -327,42 +325,8 @@ Tracer::drain()
 }
 
 void
-Tracer::addRemoteSpans(std::int32_t pid,
-                       const std::vector<SpanRecord>& spans)
-{
-    std::lock_guard<std::mutex> lock(remoteMutex_);
-    std::vector<SpanRecord>& parked = remote_[pid];
-    for (const SpanRecord& span : spans) {
-        parked.push_back(span);
-        // The key is authoritative: a record whose pid disagrees (or
-        // was left zero) is corrected so the export's process mapping
-        // can't split one worker across lanes.
-        parked.back().pid = pid;
-    }
-    if (parked.size() > kMaxRemoteSpansPerPid)
-        parked.erase(parked.begin(),
-                     parked.begin() +
-                         static_cast<std::ptrdiff_t>(
-                             parked.size() - kMaxRemoteSpansPerPid));
-}
-
-std::vector<SpanRecord>
-Tracer::collectAll() const
-{
-    std::vector<SpanRecord> spans = collect();
-    std::lock_guard<std::mutex> lock(remoteMutex_);
-    for (const auto& [pid, parked] : remote_)
-        spans.insert(spans.end(), parked.begin(), parked.end());
-    return spans;
-}
-
-void
 Tracer::clear()
 {
-    {
-        std::lock_guard<std::mutex> lock(remoteMutex_);
-        remote_.clear();
-    }
     std::lock_guard<std::mutex> lock(registryMutex_);
     for (const auto& buffer : buffers_) {
         const std::uint64_t head =
@@ -450,7 +414,7 @@ exportChromeTrace(const std::vector<SpanRecord>& spans,
     std::map<std::int32_t, std::string> names = process_names;
     for (const SpanRecord& span : spans)
         if (!names.count(span.pid))
-            names[span.pid] = "worker " + std::to_string(span.pid);
+            names[span.pid] = "process " + std::to_string(span.pid);
 
     std::string out = "{\"traceEvents\": [\n";
     bool first = true;
@@ -483,7 +447,7 @@ bool
 exportChromeTraceFile(const std::string& path)
 {
     const std::string json =
-        exportChromeTrace(Tracer::global().collectAll());
+        exportChromeTrace(Tracer::global().collect());
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (!f) {
         std::fprintf(stderr, "obs: cannot write trace file %s\n",

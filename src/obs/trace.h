@@ -17,17 +17,12 @@
  * one relaxed atomic load and nothing else -- no clock read, no
  * buffer, no allocation. Enable it programmatically (setTracing) or
  * with OSCAR_TRACE=1 (applied by applyEnv(), which the execution
- * engine, the worker entry point, and the daemons call at startup;
- * malformed values throw instead of silently not tracing).
+ * engine and the daemons call at startup; malformed values throw
+ * instead of silently not tracing).
  *
- * Spans from worker processes ship to the coordinator inside wire v6
- * Telemetry frames and are parked here (addRemoteSpans) under the
- * worker's pid, so one exportChromeTrace() call emits a single
- * chrome://tracing JSON covering the whole fleet: the coordinator and
- * each worker get distinct pids, each recording thread a distinct tid.
- * Timestamps are raw CLOCK_MONOTONIC nanoseconds, which every process
- * on a host shares, so coordinator and worker spans land on one
- * common timeline.
+ * exportChromeTrace() emits the collected spans as one
+ * chrome://tracing JSON, each recording thread on its own tid.
+ * Timestamps are raw CLOCK_MONOTONIC nanoseconds.
  *
  * This header depends only on the standard library (no project
  * headers), so every layer -- wire codec included -- can instrument
@@ -56,7 +51,6 @@ enum class SpanCategory : std::uint8_t
     Engine = 0, ///< engine batches and chunks
     Replay = 1, ///< compiled-circuit replay segments
     Cache = 2,  ///< prefix-cache hits and misses
-    Dist = 3,   ///< shard dispatch / steal / requeue
     Wire = 4,   ///< frame encode / decode (+compression)
     Store = 5,  ///< landscape-store get / put
     Serve = 6,  ///< serve job lifecycle
@@ -112,7 +106,7 @@ void setMetrics(bool enabled);
 /**
  * Resolve OSCAR_TRACE: unset -> `fallback`, "0" -> false, "1" -> true.
  * Anything else throws std::runtime_error naming the valid form
- * (the strict-resolver convention of OSCAR_DIST_WORKERS et al.).
+ * (the strict-resolver convention of OSCAR_KERNEL_ISA et al.).
  */
 bool resolveTraceEnabled(bool fallback = false);
 
@@ -151,7 +145,7 @@ class Tracer
   public:
     static Tracer& global();
 
-    /** Raw CLOCK_MONOTONIC nanoseconds (shared by all host processes). */
+    /** Raw CLOCK_MONOTONIC nanoseconds. */
     static std::uint64_t nowNs()
     {
         return static_cast<std::uint64_t>(
@@ -178,29 +172,16 @@ class Tracer
 
     /**
      * Collect-and-consume: like collect(), but advances each buffer's
-     * consumed cursor so the next drain only returns newer spans. The
-     * worker telemetry path uses this to ship each span exactly once.
+     * consumed cursor so the next drain only returns newer spans, each
+     * span exactly once.
      */
     std::vector<SpanRecord> drain();
 
-    /**
-     * Park spans a worker shipped in a Telemetry frame, keyed by its
-     * pid. Bounded (kMaxRemoteSpansPerPid, drop-oldest) so a chatty
-     * worker cannot grow coordinator memory without limit.
-     */
-    void addRemoteSpans(std::int32_t pid,
-                        const std::vector<SpanRecord>& spans);
-
-    /** Local spans plus every parked remote span, for export. */
-    std::vector<SpanRecord> collectAll() const;
-
-    /** Forget all parked remote spans and reset consumed cursors. */
+    /** Mark every recorded span consumed (the next drain is empty). */
     void clear();
 
-    /** Spans dropped locally by ring wraparound since start/clear(). */
+    /** Spans dropped by ring wraparound since start. */
     std::uint64_t droppedSpans() const;
-
-    static constexpr std::size_t kMaxRemoteSpansPerPid = 1u << 20;
 
   private:
     Tracer() = default;
@@ -211,9 +192,6 @@ class Tracer
     mutable std::mutex registryMutex_;
     std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
     std::uint32_t nextTid_ = 1;
-
-    mutable std::mutex remoteMutex_;
-    std::map<std::int32_t, std::vector<SpanRecord>> remote_;
 };
 
 /**
@@ -267,15 +245,15 @@ class ScopedSpan
  * Render spans as chrome://tracing "Trace Event Format" JSON: one
  * balanced B/E event pair per span plus process_name metadata, pids
  * and tids taken from the records. `process_names` labels pids in the
- * viewer (e.g. {getpid(): "coordinator"}); unlabeled worker pids get
- * "worker <pid>".
+ * viewer (e.g. {getpid(): "oscar"}); unlabeled pids get
+ * "process <pid>".
  */
 std::string exportChromeTrace(
     const std::vector<SpanRecord>& spans,
     const std::map<std::int32_t, std::string>& process_names = {});
 
 /**
- * Export Tracer::global().collectAll() to `path`. Returns false (and
+ * Export Tracer::global().collect() to `path`. Returns false (and
  * warns on stderr) when the file cannot be written.
  */
 bool exportChromeTraceFile(const std::string& path);

@@ -419,7 +419,7 @@ kernelTable(KernelIsa isa)
 {
     // Strict dispatch: a pinned ISA that cannot run here is an error,
     // never a silent downgrade. A pinned ISA silently degrading would
-    // let distributed replicas drift from the coordinator by rounding.
+    // change values by rounding under a cost id that names the pin.
     switch (isa) {
       case KernelIsa::Auto:
         return defaultKernelTable();

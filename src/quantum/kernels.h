@@ -306,8 +306,8 @@ bool avx512Available();
  * "avx2", "avx512"). Explicitly requesting a tier the build or CPU
  * lacks throws std::runtime_error listing the available ISAs — the
  * strict-dispatch counterpart of parseIsaName's strict parse; a
- * pinned ISA silently degrading would let distributed replicas drift
- * from the coordinator by rounding.
+ * pinned ISA silently degrading would change values by rounding while
+ * the cost id and store key still name the pinned ISA.
  */
 const KernelTable& kernelTable(KernelIsa isa);
 

@@ -70,7 +70,7 @@ ServeClient::call(RequestMsg msg,
         msg.tag = nextTag_++;
     const std::uint64_t tag = msg.tag;
     const std::vector<std::uint8_t> frame =
-        dist::encodeFrame(dist::FrameType::Request, encodeRequest(msg));
+        wire::encodeFrame(wire::FrameType::Request, encodeRequest(msg));
     if (!writeAll(fd_, frame.data(), frame.size()))
         throw std::runtime_error("oscar-client: send failed "
                                  "(daemon hung up?)");
@@ -78,21 +78,21 @@ ServeClient::call(RequestMsg msg,
     for (;;) {
         while (auto got = decoder_.next()) {
             switch (got->type) {
-              case dist::FrameType::Response: {
+              case wire::FrameType::Response: {
                 ResponseMsg response = decodeResponse(got->payload);
                 if (response.tag == tag)
                     return response;
                 // A response to an abandoned earlier tag: drop it.
                 break;
               }
-              case dist::FrameType::Progress: {
+              case wire::FrameType::Progress: {
                 const ProgressMsg progress = decodeProgress(got->payload);
                 if (progress.tag == tag && on_progress)
                     on_progress(progress);
                 break;
               }
               default:
-                throw dist::WireError(
+                throw wire::WireError(
                     "unexpected frame type from oscar-serve");
             }
         }
@@ -114,28 +114,28 @@ ServeClient::call(RequestMsg msg,
 std::string
 ServeClient::metrics()
 {
-    dist::MetricsRequestMsg req;
+    wire::MetricsRequestMsg req;
     req.tag = nextTag_++;
-    const std::vector<std::uint8_t> frame = dist::encodeFrame(
-        dist::FrameType::MetricsRequest, dist::encodeMetricsRequest(req));
+    const std::vector<std::uint8_t> frame = wire::encodeFrame(
+        wire::FrameType::MetricsRequest, wire::encodeMetricsRequest(req));
     if (!writeAll(fd_, frame.data(), frame.size()))
         throw std::runtime_error("oscar-client: send failed "
                                  "(daemon hung up?)");
     for (;;) {
         while (auto got = decoder_.next()) {
             switch (got->type) {
-              case dist::FrameType::MetricsResponse: {
-                dist::MetricsResponseMsg resp =
-                    dist::decodeMetricsResponse(got->payload);
+              case wire::FrameType::MetricsResponse: {
+                wire::MetricsResponseMsg resp =
+                    wire::decodeMetricsResponse(got->payload);
                 if (resp.tag == req.tag)
                     return std::move(resp.text);
                 break; // stale tag: drop
               }
-              case dist::FrameType::Response:
-              case dist::FrameType::Progress:
+              case wire::FrameType::Response:
+              case wire::FrameType::Progress:
                 break; // leftovers of an abandoned call(): drop
               default:
-                throw dist::WireError(
+                throw wire::WireError(
                     "unexpected frame type from oscar-serve");
             }
         }

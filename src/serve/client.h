@@ -17,7 +17,7 @@
 #include <functional>
 #include <string>
 
-#include "src/dist/wire.h"
+#include "src/serve/wire.h"
 #include "src/serve/protocol.h"
 
 namespace oscar {
@@ -42,7 +42,7 @@ class ServeClient
      * replaced by a fresh per-connection tag; Progress frames for the
      * request are forwarded to `on_progress` (when set) as they
      * arrive. @throws std::runtime_error when the daemon hangs up,
-     * dist::WireError on protocol corruption.
+     * wire::WireError on protocol corruption.
      */
     ResponseMsg call(
         RequestMsg msg,
@@ -58,7 +58,7 @@ class ServeClient
   private:
     int fd_ = -1;
     std::uint64_t nextTag_ = 1;
-    dist::FrameDecoder decoder_;
+    wire::FrameDecoder decoder_;
 };
 
 } // namespace serve

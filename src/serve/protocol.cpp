@@ -12,9 +12,9 @@ namespace serve {
 
 namespace {
 
-using dist::WireError;
-using dist::WireReader;
-using dist::WireWriter;
+using wire::WireError;
+using wire::WireReader;
+using wire::WireWriter;
 
 /** Embed a byte blob as one length-prefixed field. */
 void
@@ -81,11 +81,11 @@ encodeRequest(RequestMsg& msg)
     w.u64(msg.tag);
     if (msg.kind != RequestKind::Stats) {
         // The concrete computation, not "whatever this host picks":
-        // Auto resolves before hashing so the content address is the
-        // same one the distributed pool would stamp.
+        // Auto resolves before hashing so the content address names
+        // the computation the daemon will run (and the store key).
         msg.cost.kernel.isa =
             kernels::kernelTable(msg.cost.kernel.isa).isa;
-        blob(w, dist::encodeCostSpec(msg.cost));
+        blob(w, wire::encodeCostSpec(msg.cost));
         store::encodeGridSpec(w, msg.grid);
         w.f64(msg.samplingFraction);
         w.u64(msg.sampleSeed);
@@ -105,7 +105,7 @@ decodeRequest(std::span<const std::uint8_t> payload)
     msg.kind = static_cast<RequestKind>(kind);
     msg.tag = r.u64();
     if (msg.kind != RequestKind::Stats) {
-        msg.cost = dist::decodeCostSpec(readBlob(r));
+        msg.cost = wire::decodeCostSpec(readBlob(r));
         msg.grid = store::decodeGridSpec(r);
         msg.samplingFraction = r.f64();
         msg.sampleSeed = r.u64();
@@ -118,7 +118,7 @@ decodeRequest(std::span<const std::uint8_t> payload)
 }
 
 void
-encodeStoredLandscape(dist::WireWriter& w,
+encodeStoredLandscape(wire::WireWriter& w,
                       const store::StoredLandscape& entry)
 {
     store::encodeGridSpec(w, entry.grid);
@@ -126,7 +126,7 @@ encodeStoredLandscape(dist::WireWriter& w,
     w.u64(entry.sampleSeed);
     w.u64(entry.queriesUsed);
     w.f64(entry.querySpeedup);
-    dist::encodeKernelStats(w, entry.kernel);
+    wire::encodeKernelStats(w, entry.kernel);
     w.u64(entry.sampleIndices.size());
     for (std::uint64_t idx : entry.sampleIndices)
         w.u64(idx);
@@ -138,7 +138,7 @@ encodeStoredLandscape(dist::WireWriter& w,
 }
 
 store::StoredLandscape
-decodeStoredLandscape(dist::WireReader& r)
+decodeStoredLandscape(wire::WireReader& r)
 {
     store::StoredLandscape entry;
     entry.grid = store::decodeGridSpec(r);
@@ -146,7 +146,7 @@ decodeStoredLandscape(dist::WireReader& r)
     entry.sampleSeed = r.u64();
     entry.queriesUsed = r.u64();
     entry.querySpeedup = r.f64();
-    entry.kernel = dist::decodeKernelStats(r);
+    entry.kernel = wire::decodeKernelStats(r);
     const std::uint64_t samples = r.u64();
     if (samples > r.remaining() / 16)
         throw WireError("sample count runs past payload end");

@@ -3,7 +3,7 @@
  * Payload schemas of the oscar-serve protocol (wire v4).
  *
  * The always-on serving daemon fronts the execution pool behind the
- * existing OSCW framing (src/dist/wire.h) on a Unix socket. Three
+ * OSCW framing (src/serve/wire.h) on a Unix socket. Three
  * frame types extend the protocol:
  *
  *   Request  (client -> serve)  one reconstruction / store query /
@@ -14,8 +14,8 @@
  *                               asked for it (completed / total)
  *
  * A Reconstruct request carries the full problem: cost spec (circuit +
- * Hamiltonian + kernel options, content-addressed exactly like the
- * distributed task queue's), grid spec, sampling fraction and seed.
+ * Hamiltonian + kernel options, content-addressed by its FNV-1a body
+ * hash), grid spec, sampling fraction and seed.
  * The daemon answers from the persistent landscape store when it can,
  * attaches the request to an identical in-flight computation when one
  * exists, and computes otherwise -- in every case the returned values
@@ -35,7 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "src/dist/wire.h"
+#include "src/serve/wire.h"
 #include "src/store/landscape_store.h"
 
 namespace oscar {
@@ -61,7 +61,7 @@ struct RequestMsg
     std::uint64_t tag = 0;
 
     // Reconstruct / Fetch body:
-    dist::CostSpec cost;
+    wire::CostSpec cost;
     GridSpec grid;
     double samplingFraction = 0.1;
     std::uint64_t sampleSeed = 42;
@@ -121,13 +121,12 @@ struct ProgressMsg
 
 /**
  * Encode a request, resolving a KernelIsa::Auto cost to this host's
- * concrete ISA and stamping cost.costId (content hash) -- exactly like
- * the distributed pool does before serializing a cost spec, and for
- * the same reason: the hash must name the concrete computation.
+ * concrete ISA and stamping cost.costId (content hash): the hash must
+ * name the concrete computation, since it keys the landscape store.
  */
 std::vector<std::uint8_t> encodeRequest(RequestMsg& msg);
 
-/** @throws dist::WireError on any malformed payload */
+/** @throws wire::WireError on any malformed payload */
 RequestMsg decodeRequest(std::span<const std::uint8_t> payload);
 
 std::vector<std::uint8_t> encodeResponse(const ResponseMsg& msg);
@@ -137,9 +136,9 @@ std::vector<std::uint8_t> encodeProgress(const ProgressMsg& msg);
 ProgressMsg decodeProgress(std::span<const std::uint8_t> payload);
 
 /** Stored-landscape body shared by Ok responses (and tests). */
-void encodeStoredLandscape(dist::WireWriter& w,
+void encodeStoredLandscape(wire::WireWriter& w,
                            const store::StoredLandscape& entry);
-store::StoredLandscape decodeStoredLandscape(dist::WireReader& r);
+store::StoredLandscape decodeStoredLandscape(wire::WireReader& r);
 
 /**
  * The store key a request addresses. Requires cost.costId to be

@@ -22,7 +22,7 @@ namespace serve {
 
 namespace {
 
-using dist::FrameType;
+using wire::FrameType;
 
 /** Blocking full-buffer send (MSG_NOSIGNAL: EPIPE, not SIGPIPE). */
 bool
@@ -65,7 +65,7 @@ struct ServeServer::Conn
     send(FrameType type, std::span<const std::uint8_t> payload)
     {
         const std::vector<std::uint8_t> bytes =
-            dist::encodeFrame(type, payload);
+            wire::encodeFrame(type, payload);
         std::lock_guard<std::mutex> lock(sendMutex);
         if (closed)
             return false;
@@ -86,7 +86,7 @@ struct ServeServer::Conn
     const std::uint64_t id;
     std::mutex sendMutex;
     bool closed = false;
-    dist::FrameDecoder decoder;
+    wire::FrameDecoder decoder;
     /** Jobs admitted from this client, FIFO (guarded by server m_). */
     std::deque<std::shared_ptr<Job>> pending;
 };
@@ -221,11 +221,11 @@ ServeServer::counters() const
 std::string
 ServeServer::metricsText() const
 {
-    // The registry (local + any telemetry-reporting workers) carries
-    // the opt-in metrics; the serve/store counters are injected from
-    // their authoritative mutex-guarded structs so the exposition
-    // matches counters() exactly regardless of OSCAR_METRICS.
-    obs::MetricsSnapshot snap = obs::Registry::global().merged();
+    // The registry carries the opt-in metrics; the serve/store
+    // counters are injected from their authoritative mutex-guarded
+    // structs so the exposition matches counters() exactly regardless
+    // of OSCAR_METRICS.
+    obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
     const ServeCounters c = counters();
     snap.counters["serve.requests"] = c.requests;
     snap.counters["serve.responses"] = c.responses;
@@ -310,20 +310,20 @@ ServeServer::readClient(const std::shared_ptr<Conn>& conn)
             if (frame->type == FrameType::MetricsRequest) {
                 // Live exposition: answered inline on the event-loop
                 // thread (snapshots never block writers).
-                const dist::MetricsRequestMsg req =
-                    dist::decodeMetricsRequest(frame->payload);
-                dist::MetricsResponseMsg resp;
+                const wire::MetricsRequestMsg req =
+                    wire::decodeMetricsRequest(frame->payload);
+                wire::MetricsResponseMsg resp;
                 resp.tag = req.tag;
                 resp.text = metricsText();
                 conn->send(FrameType::MetricsResponse,
-                           dist::encodeMetricsResponse(resp));
+                           wire::encodeMetricsResponse(resp));
                 continue;
             }
             if (frame->type != FrameType::Request)
-                throw dist::WireError("client sent a non-Request frame");
+                throw wire::WireError("client sent a non-Request frame");
             handleRequest(conn, decodeRequest(frame->payload));
         }
-    } catch (const dist::WireError& e) {
+    } catch (const wire::WireError& e) {
         // One malformed client loses its connection; the daemon and
         // every other client keep serving.
         std::fprintf(stderr, "oscar-serve: client %llu: %s\n",
@@ -376,8 +376,8 @@ ServeServer::handleRequest(const std::shared_ptr<Conn>& conn,
     // computation THIS daemon would run, whatever the client claimed.
     req.cost.kernel.isa =
         kernels::kernelTable(req.cost.kernel.isa).isa;
-    dist::CostSpec spec = req.cost;
-    dist::encodeCostSpec(spec);
+    wire::CostSpec spec = req.cost;
+    wire::encodeCostSpec(spec);
     req.cost.costId = spec.costId;
     const store::StoreKey key = storeKeyFor(req);
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * The oscar-serve daemon: a long-running coordinator that fronts the
+ * The oscar-serve daemon: a long-running process that fronts the
  * execution pool behind the OSCW wire protocol on a Unix socket.
  *
  * Topology:
@@ -9,7 +9,7 @@
  *   oscar_client ----+--> oscar-serve --> LandscapeStore (disk)
  *   oscar_client ----+         |
  *                              +--> Oscar::reconstruct
- *                                   (thread pool / ProcessPool workers)
+ *                                   (in-process ExecutionEngine)
  *
  * One poll(2) event loop owns the listening socket and every client
  * connection; requests are parsed there and handed to a small pool of
@@ -70,7 +70,7 @@ struct ServeOptions
     /**
      * Base pipeline options for every computed request. The request
      * overrides samplingFraction, seed, kernel, and progress; thread
-     * count, distribution, CS solver tuning etc. are the daemon's.
+     * count, CS solver tuning etc. are the daemon's.
      */
     OscarOptions oscar;
 
@@ -112,8 +112,8 @@ class ServeServer
 
     /**
      * Prometheus text exposition answered to MetricsRequest frames:
-     * the process-wide obs::Registry merged across any distributed
-     * workers, plus the authoritative ServeCounters (and store
+     * the process-wide obs::Registry snapshot, plus the authoritative
+     * ServeCounters (and store
      * counters) rendered as `oscar_serve_*` / `oscar_store_*` series
      * -- so scraped values always match what counters() reports, even
      * with OSCAR_METRICS off.

@@ -1,7 +1,6 @@
-#include "src/dist/wire.h"
+#include "src/serve/wire.h"
 
 #include <bit>
-#include <cstring>
 
 #include "src/common/crc32.h"
 #include "src/common/fnv1a.h"
@@ -10,13 +9,7 @@
 #include "src/obs/trace.h"
 
 namespace oscar {
-namespace dist {
-
-std::uint32_t
-crc32(std::span<const std::uint8_t> data)
-{
-    return ::oscar::crc32(data);
-}
+namespace wire {
 
 // ------------------------------------------------------------ writer
 
@@ -124,6 +117,25 @@ WireReader::expectEnd() const
 
 // ----------------------------------------------------------- framing
 
+namespace {
+
+/** The codes are sparse (retired fleet frames leave gaps). */
+bool
+isFrameType(std::uint16_t raw)
+{
+    switch (static_cast<FrameType>(raw)) {
+    case FrameType::Request:
+    case FrameType::Response:
+    case FrameType::Progress:
+    case FrameType::MetricsRequest:
+    case FrameType::MetricsResponse:
+        return true;
+    }
+    return false;
+}
+
+} // namespace
+
 std::vector<std::uint8_t>
 encodeFrame(FrameType type, std::span<const std::uint8_t> payload)
 {
@@ -197,8 +209,7 @@ FrameDecoder::next()
         throw WireError("unsupported wire version " +
                         std::to_string(version));
     const std::uint16_t raw_type = header.u16();
-    if (raw_type < static_cast<std::uint16_t>(FrameType::Hello) ||
-        raw_type > static_cast<std::uint16_t>(FrameType::MetricsResponse))
+    if (!isFrameType(raw_type))
         throw WireError("unknown frame type " + std::to_string(raw_type));
     const std::uint64_t raw_len = header.u64();
     if (raw_len > kMaxFramePayload)
@@ -254,116 +265,6 @@ FrameDecoder::next()
 }
 
 // ---------------------------------------------------------- messages
-
-void
-encodeHello(WireWriter& w, const HelloMsg& msg)
-{
-    w.i32(msg.pid);
-    w.u16(msg.wireVersion);
-    w.u8(static_cast<std::uint8_t>(msg.isa));
-    w.u16(msg.threads);
-    w.u64(msg.authTag);
-}
-
-HelloMsg
-decodeHello(std::span<const std::uint8_t> payload)
-{
-    WireReader r(payload);
-    HelloMsg msg;
-    msg.pid = r.i32();
-    msg.wireVersion = r.u16();
-    msg.isa = static_cast<kernels::KernelIsa>(r.u8());
-    // The capacity field arrived in v3; a v2-shaped payload ends here
-    // and decodes as a single-threaded worker.
-    msg.threads = r.atEnd() ? 1 : r.u16();
-    if (msg.threads == 0)
-        throw WireError("hello advertises zero capacity");
-    // The auth tag arrived in v5; a v3-shaped payload ends here and
-    // decodes untagged (the pool rejects untagged Hellos on
-    // challenged transports, so tolerance here costs nothing).
-    msg.authTag = r.atEnd() ? 0 : r.u64();
-    r.expectEnd();
-    return msg;
-}
-
-std::uint64_t
-helloAuthTag(const std::string& secret, std::uint64_t nonce,
-             const HelloMsg& msg)
-{
-    // HMAC-style two-pass FNV-1a: tag = H(k^opad || H(k^ipad || body)),
-    // body = nonce plus the Hello's identity fields, so a tag cannot
-    // be replayed for a different nonce or a rewritten capacity. A
-    // membership gate, not cryptographic security (see wire.h).
-    constexpr std::uint64_t kIpad = 0x3636363636363636ull;
-    constexpr std::uint64_t kOpad = 0x5c5c5c5c5c5c5c5cull;
-    const std::uint64_t key = fnv1a(
-        {reinterpret_cast<const std::uint8_t*>(secret.data()),
-         secret.size()});
-    std::uint64_t inner = kFnv1aOffsetBasis;
-    inner = fnv1aAppendU64(inner, key ^ kIpad);
-    inner = fnv1aAppendU64(inner, nonce);
-    inner = fnv1aAppendU64(inner,
-                           static_cast<std::uint64_t>(
-                               static_cast<std::uint32_t>(msg.pid)));
-    inner = fnv1aAppendU64(inner, msg.wireVersion);
-    inner = fnv1aAppendU64(inner,
-                           static_cast<std::uint64_t>(msg.isa));
-    inner = fnv1aAppendU64(inner, msg.threads);
-    std::uint64_t outer = kFnv1aOffsetBasis;
-    outer = fnv1aAppendU64(outer, key ^ kOpad);
-    outer = fnv1aAppendU64(outer, inner);
-    return outer;
-}
-
-void
-encodeChallenge(WireWriter& w, const ChallengeMsg& msg)
-{
-    w.u64(msg.nonce);
-}
-
-ChallengeMsg
-decodeChallenge(std::span<const std::uint8_t> payload)
-{
-    WireReader r(payload);
-    ChallengeMsg msg;
-    msg.nonce = r.u64();
-    r.expectEnd();
-    return msg;
-}
-
-void
-encodeStealRequest(WireWriter& w, const StealRequestMsg& msg)
-{
-    w.u64(msg.taskId);
-}
-
-StealRequestMsg
-decodeStealRequest(std::span<const std::uint8_t> payload)
-{
-    WireReader r(payload);
-    StealRequestMsg msg;
-    msg.taskId = r.u64();
-    r.expectEnd();
-    return msg;
-}
-
-void
-encodeStealGrant(WireWriter& w, const StealGrantMsg& msg)
-{
-    w.u64(msg.taskId);
-    w.u64(msg.keep);
-}
-
-StealGrantMsg
-decodeStealGrant(std::span<const std::uint8_t> payload)
-{
-    WireReader r(payload);
-    StealGrantMsg msg;
-    msg.taskId = r.u64();
-    msg.keep = r.u64();
-    r.expectEnd();
-    return msg;
-}
 
 void
 encodeCircuit(WireWriter& w, const Circuit& circuit)
@@ -535,231 +436,6 @@ decodeCostSpec(std::span<const std::uint8_t> payload)
 }
 
 std::vector<std::uint8_t>
-encodeTask(const TaskMsg& msg)
-{
-    WireWriter w;
-    w.u64(msg.taskId);
-    w.u64(msg.costId);
-    w.u64(msg.baseOrdinal);
-    w.u32(static_cast<std::uint32_t>(msg.points.size()));
-    const std::size_t dim = msg.points.empty() ? 0 : msg.points[0].size();
-    w.u32(static_cast<std::uint32_t>(dim));
-    for (const auto& p : msg.points) {
-        if (p.size() != dim)
-            throw WireError("ragged point list");
-        for (double v : p)
-            w.f64(v);
-    }
-    return w.take();
-}
-
-TaskMsg
-decodeTask(std::span<const std::uint8_t> payload)
-{
-    WireReader r(payload);
-    TaskMsg msg;
-    msg.taskId = r.u64();
-    msg.costId = r.u64();
-    msg.baseOrdinal = r.u64();
-    const std::uint32_t count = r.u32();
-    const std::uint32_t dim = r.u32();
-    // dim 0 would defeat the size plausibility check below and let a
-    // crafted count reach a huge allocation; the protocol never ships
-    // zero-dimensional points. The division form cannot overflow the
-    // way count * dim * 8 could, so a crafted (count, dim) pair is
-    // always a clean WireError, never a giant reserve().
-    if (dim == 0 && count != 0)
-        throw WireError("task with zero-dimensional points");
-    if (dim != 0 &&
-        count > r.remaining() / (static_cast<std::uint64_t>(dim) * 8))
-        throw WireError("task points run past payload end");
-    msg.points.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        std::vector<double> p(dim);
-        for (std::uint32_t d = 0; d < dim; ++d)
-            p[d] = r.f64();
-        msg.points.push_back(std::move(p));
-    }
-    r.expectEnd();
-    return msg;
-}
-
-std::vector<std::uint8_t>
-encodeResult(const ResultMsg& msg)
-{
-    WireWriter w;
-    w.u64(msg.taskId);
-    w.u32(static_cast<std::uint32_t>(msg.values.size()));
-    for (double v : msg.values)
-        w.f64(v);
-    encodeKernelStats(w, msg.kernel);
-    return w.take();
-}
-
-ResultMsg
-decodeResult(std::span<const std::uint8_t> payload)
-{
-    WireReader r(payload);
-    ResultMsg msg;
-    msg.taskId = r.u64();
-    const std::uint32_t count = r.u32();
-    if (static_cast<std::uint64_t>(count) * 8 > r.remaining())
-        throw WireError("result values run past payload end");
-    msg.values.resize(count);
-    for (std::uint32_t i = 0; i < count; ++i)
-        msg.values[i] = r.f64();
-    msg.kernel = decodeKernelStats(r);
-    r.expectEnd();
-    return msg;
-}
-
-std::vector<std::uint8_t>
-encodeTaskError(const TaskErrorMsg& msg)
-{
-    WireWriter w;
-    w.u64(msg.taskId);
-    w.u8(msg.code);
-    w.str(msg.message);
-    return w.take();
-}
-
-TaskErrorMsg
-decodeTaskError(std::span<const std::uint8_t> payload)
-{
-    WireReader r(payload);
-    TaskErrorMsg msg;
-    msg.taskId = r.u64();
-    msg.code = r.u8();
-    msg.message = r.str();
-    r.expectEnd();
-    return msg;
-}
-
-// --------------------------------------------------- v6 observability
-
-void
-encodeMetricsSnapshot(WireWriter& w, const obs::MetricsSnapshot& snapshot)
-{
-    w.u32(static_cast<std::uint32_t>(snapshot.counters.size()));
-    for (const auto& [name, value] : snapshot.counters) {
-        w.str(name);
-        w.u64(value);
-    }
-    w.u32(static_cast<std::uint32_t>(snapshot.gauges.size()));
-    for (const auto& [name, value] : snapshot.gauges) {
-        w.str(name);
-        w.u64(value);
-    }
-    w.u32(static_cast<std::uint32_t>(snapshot.histograms.size()));
-    for (const auto& [name, hist] : snapshot.histograms) {
-        w.str(name);
-        // Sparse buckets: 65 log2 classes, few ever occupied.
-        std::uint32_t occupied = 0;
-        for (std::size_t i = 0; i < obs::kHistogramBuckets; ++i)
-            if (hist.buckets[i] != 0)
-                ++occupied;
-        w.u32(occupied);
-        for (std::size_t i = 0; i < obs::kHistogramBuckets; ++i) {
-            if (hist.buckets[i] == 0)
-                continue;
-            w.u8(static_cast<std::uint8_t>(i));
-            w.u64(hist.buckets[i]);
-        }
-        w.u64(hist.count);
-        w.u64(hist.sum);
-    }
-}
-
-obs::MetricsSnapshot
-decodeMetricsSnapshot(WireReader& r)
-{
-    obs::MetricsSnapshot snapshot;
-    const std::uint32_t num_counters = r.u32();
-    for (std::uint32_t i = 0; i < num_counters; ++i) {
-        const std::string name = r.str();
-        snapshot.counters[name] = r.u64();
-    }
-    const std::uint32_t num_gauges = r.u32();
-    for (std::uint32_t i = 0; i < num_gauges; ++i) {
-        const std::string name = r.str();
-        snapshot.gauges[name] = r.u64();
-    }
-    const std::uint32_t num_histograms = r.u32();
-    for (std::uint32_t i = 0; i < num_histograms; ++i) {
-        const std::string name = r.str();
-        obs::HistogramSnapshot hist;
-        const std::uint32_t occupied = r.u32();
-        if (occupied > obs::kHistogramBuckets)
-            throw WireError("histogram bucket count out of range");
-        for (std::uint32_t b = 0; b < occupied; ++b) {
-            const std::uint8_t index = r.u8();
-            if (index >= obs::kHistogramBuckets)
-                throw WireError("histogram bucket index out of range");
-            hist.buckets[index] = r.u64();
-        }
-        hist.count = r.u64();
-        hist.sum = r.u64();
-        snapshot.histograms[name] = hist;
-    }
-    return snapshot;
-}
-
-std::vector<std::uint8_t>
-encodeTelemetry(const TelemetryMsg& msg)
-{
-    WireWriter w;
-    w.i32(msg.pid);
-    w.u32(static_cast<std::uint32_t>(msg.spans.size()));
-    for (const obs::SpanRecord& span : msg.spans) {
-        w.u64(span.t0Ns);
-        w.u64(span.durNs);
-        w.u8(static_cast<std::uint8_t>(span.category));
-        w.str(span.name);
-        w.u64(span.arg0);
-        w.u64(span.arg1);
-        w.u32(span.tid);
-    }
-    encodeMetricsSnapshot(w, msg.metrics);
-    return w.take();
-}
-
-TelemetryMsg
-decodeTelemetry(std::span<const std::uint8_t> payload)
-{
-    WireReader r(payload);
-    TelemetryMsg msg;
-    msg.pid = r.i32();
-    const std::uint32_t num_spans = r.u32();
-    // Each span occupies at least 45 payload bytes; bound the reserve
-    // from what is actually present, like decodeTask does.
-    if (num_spans > r.remaining() / 45)
-        throw WireError("telemetry spans run past payload end");
-    msg.spans.reserve(num_spans);
-    for (std::uint32_t i = 0; i < num_spans; ++i) {
-        obs::SpanRecord span;
-        span.t0Ns = r.u64();
-        span.durNs = r.u64();
-        const std::uint8_t cat = r.u8();
-        if (cat > static_cast<std::uint8_t>(obs::SpanCategory::Serve))
-            throw WireError("unknown span category");
-        span.category = static_cast<obs::SpanCategory>(cat);
-        const std::string name = r.str();
-        if (name.size() > obs::kSpanNameChars)
-            throw WireError("span name too long");
-        std::memcpy(span.name, name.data(), name.size());
-        span.arg0 = r.u64();
-        span.arg1 = r.u64();
-        span.tid = r.u32();
-        // The sender's pid names the recording process fleet-wide.
-        span.pid = msg.pid;
-        msg.spans.push_back(span);
-    }
-    msg.metrics = decodeMetricsSnapshot(r);
-    r.expectEnd();
-    return msg;
-}
-
-std::vector<std::uint8_t>
 encodeMetricsRequest(const MetricsRequestMsg& msg)
 {
     WireWriter w;
@@ -797,5 +473,5 @@ decodeMetricsResponse(std::span<const std::uint8_t> payload)
     return msg;
 }
 
-} // namespace dist
+} // namespace wire
 } // namespace oscar

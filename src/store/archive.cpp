@@ -8,15 +8,15 @@
 
 #include "src/common/crc32.h"
 #include "src/common/packbits.h"
-#include "src/dist/wire.h"
+#include "src/serve/wire.h"
 
 namespace oscar {
 namespace store {
 
 namespace {
 
-using dist::WireReader;
-using dist::WireWriter;
+using wire::WireReader;
+using wire::WireWriter;
 
 /** Hard cap on one stream's raw size (sanity against crafted sizes). */
 constexpr std::uint64_t kMaxStreamBytes = std::uint64_t{1} << 32;
@@ -172,7 +172,7 @@ decodeArchive(std::span<const std::uint8_t> bytes)
             throw ArchiveError("bad container footer");
         r.expectEnd();
         return archive;
-    } catch (const dist::WireError& e) {
+    } catch (const wire::WireError& e) {
         // Bounds overruns inside the reader mean a truncated or
         // mis-sized container; surface them as archive corruption.
         throw ArchiveError(e.what());

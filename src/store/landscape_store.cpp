@@ -22,8 +22,8 @@ namespace store {
 
 namespace {
 
-using dist::WireReader;
-using dist::WireWriter;
+using wire::WireReader;
+using wire::WireWriter;
 
 /** Stream names inside a container. */
 constexpr const char* kStreamMeta = "meta";
@@ -120,7 +120,7 @@ configHash(double sampling_fraction, std::uint64_t seed)
 }
 
 void
-encodeGridSpec(dist::WireWriter& w, const GridSpec& grid)
+encodeGridSpec(wire::WireWriter& w, const GridSpec& grid)
 {
     w.u32(static_cast<std::uint32_t>(grid.rank()));
     for (const GridAxis& axis : grid.axes()) {
@@ -131,13 +131,13 @@ encodeGridSpec(dist::WireWriter& w, const GridSpec& grid)
 }
 
 GridSpec
-decodeGridSpec(dist::WireReader& r)
+decodeGridSpec(wire::WireReader& r)
 {
     const std::uint32_t rank = r.u32();
     // 16 axes is far beyond any real VQA grid; the bound keeps a
     // crafted rank from driving a giant allocation.
     if (rank < 1 || rank > 16)
-        throw dist::WireError("grid rank out of range");
+        throw wire::WireError("grid rank out of range");
     std::vector<GridAxis> axes;
     axes.reserve(rank);
     std::size_t points = 1;
@@ -147,13 +147,20 @@ decodeGridSpec(dist::WireReader& r)
         axis.hi = r.f64();
         axis.count = r.u64();
         if (axis.count < 1 || axis.count > (std::size_t{1} << 32))
-            throw dist::WireError("grid axis count out of range");
+            throw wire::WireError("grid axis count out of range");
         if (points > (std::size_t{1} << 32) / axis.count)
-            throw dist::WireError("grid too large");
+            throw wire::WireError("grid too large");
         points *= axis.count;
         axes.push_back(axis);
     }
-    return GridSpec(std::move(axes));
+    // GridSpec rejects inverted or non-finite axes with its own
+    // exception type; on the wire that is malformed input like any
+    // other, and must not escape a decoder's WireError contract.
+    try {
+        return GridSpec(std::move(axes));
+    } catch (const std::invalid_argument& e) {
+        throw wire::WireError(std::string("invalid grid: ") + e.what());
+    }
 }
 
 LandscapeStore::LandscapeStore(StoreOptions options)
@@ -216,7 +223,7 @@ LandscapeStore::load(const StoreKey& key)
         }
         {
             WireReader r(need(archive, kStreamKernelStats));
-            entry.kernel = dist::decodeKernelStats(r);
+            entry.kernel = wire::decodeKernelStats(r);
             r.expectEnd();
         }
         entry.sampleIndices = decodeU64s(need(archive, kStreamSampleIdx));
@@ -254,7 +261,7 @@ LandscapeStore::load(const StoreKey& key)
         stats_.misses++;
         stats_.corruptMisses++;
         return std::nullopt;
-    } catch (const dist::WireError&) {
+    } catch (const wire::WireError&) {
         fs::remove(path, ec);
         stats_.misses++;
         stats_.corruptMisses++;
@@ -291,7 +298,7 @@ LandscapeStore::put(const StoreKey& key, const StoredLandscape& entry)
     }
     {
         WireWriter w;
-        dist::encodeKernelStats(w, entry.kernel);
+        wire::encodeKernelStats(w, entry.kernel);
         writer.add(kStreamKernelStats, w.take());
     }
     writer.add(kStreamSampleIdx, encodeU64s(entry.sampleIndices));

@@ -9,7 +9,7 @@
  * execution pool. The store keeps one archive container
  * (src/store/archive.h) per key:
  *
- *   key = (CostSpec FNV-1a content hash      -- src/dist/wire.h,
+ *   key = (CostSpec FNV-1a content hash      -- src/serve/wire.h,
  *          canonical GridSpec FNV-1a hash,
  *          sampling-config FNV-1a hash        -- fraction + seed +
  *                                                kCsTransformRevision)
@@ -43,7 +43,7 @@
 #include <vector>
 
 #include "src/backend/executor.h"
-#include "src/dist/wire.h"
+#include "src/serve/wire.h"
 #include "src/landscape/grid.h"
 
 namespace oscar {
@@ -52,7 +52,7 @@ namespace store {
 /** Content address of one stored reconstruction. */
 struct StoreKey
 {
-    std::uint64_t costId = 0;   ///< CostSpec content hash (dist wire)
+    std::uint64_t costId = 0;   ///< CostSpec content hash (OSCW wire)
     std::uint64_t gridHash = 0; ///< canonical GridSpec hash
     std::uint64_t cfgHash = 0;  ///< configHash(): sampling config
                                 ///< and CS transform revision
@@ -160,19 +160,19 @@ std::uint64_t gridHash(const GridSpec& grid);
 std::uint64_t configHash(double sampling_fraction, std::uint64_t seed);
 
 /** Canonical GridSpec encoding (shared with the serve protocol). */
-void encodeGridSpec(dist::WireWriter& w, const GridSpec& grid);
+void encodeGridSpec(wire::WireWriter& w, const GridSpec& grid);
 
 /**
  * Inverse of encodeGridSpec.
- * @throws dist::WireError on out-of-range axes
+ * @throws wire::WireError on out-of-range axes
  */
-GridSpec decodeGridSpec(dist::WireReader& r);
+GridSpec decodeGridSpec(wire::WireReader& r);
 
 /**
  * Resolve a store directory: a non-empty `configured` wins, else the
  * OSCAR_STORE_DIR environment variable, else "" (store disabled). An
  * OSCAR_STORE_DIR that is set but empty throws std::runtime_error
- * listing the valid form -- like OSCAR_DIST_THREADS, a malformed
+ * listing the valid form -- like OSCAR_KERNEL_ISA, a malformed
  * setting must fail loudly, never silently disable persistence.
  */
 std::string resolveStoreDir(const std::string& configured);

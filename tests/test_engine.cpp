@@ -710,18 +710,8 @@ TEST(AsyncEngine, StatsReportPrefixCacheTraffic)
     EXPECT_EQ(done.pointsCompleted, points.size());
     EXPECT_GT(done.kernel.cacheLookups, 0u);
     EXPECT_GT(done.kernel.cacheHits, 0u);
-    if (done.pointsRemote == 0) {
-        // In-process, the parent evaluator's own cache counters must
-        // match the handle's delta. Under distributed execution
-        // (OSCAR_DIST_WORKERS) the traffic happens in a worker
-        // process, so the handle's delta is the only view -- asserted
-        // nonzero above -- and the parent cache stays cold.
-        EXPECT_EQ(done.kernel.cacheHits, cost.prefixCache().hits());
-        EXPECT_EQ(done.kernel.cacheLookups,
-                  cost.prefixCache().lookups());
-    } else {
-        EXPECT_EQ(cost.prefixCache().lookups(), 0u);
-    }
+    EXPECT_EQ(done.kernel.cacheHits, cost.prefixCache().hits());
+    EXPECT_EQ(done.kernel.cacheLookups, cost.prefixCache().lookups());
 
     // A tiny checkpoint budget forces evictions, and they are visible
     // through the same stats path.
@@ -733,10 +723,8 @@ TEST(AsyncEngine, StatsReportPrefixCacheTraffic)
         ExecutionEngine::serial().submit(tiny, points);
     tiny_handle.wait();
     EXPECT_GT(tiny_handle.stats().kernel.cacheEvictions, 0u);
-    if (tiny_handle.stats().pointsRemote == 0) {
-        EXPECT_EQ(tiny_handle.stats().kernel.cacheEvictions,
-                  tiny.prefixCache().evictions());
-    }
+    EXPECT_EQ(tiny_handle.stats().kernel.cacheEvictions,
+              tiny.prefixCache().evictions());
 }
 
 TEST(AsyncEngine, OscarResultSurfacesExecutionStats)

@@ -7,11 +7,9 @@
  *    throws;
  *  - log2-bucket histogram boundaries, quantiles, and snapshot
  *    arithmetic;
- *  - deterministic cross-worker metric merging: replace-per-pid
- *    semantics, order independence, and drop-on-retire;
  *  - Prometheus text exposition shape;
- *  - tracer semantics: exact drain-once shipping, remote span
- *    parking, ring wraparound dropping oldest spans only;
+ *  - tracer semantics: exact drain-once shipping, ring wraparound
+ *    dropping oldest spans only;
  *  - concurrent recorder/collector stress (the TSan leg runs this
  *    binary to prove the seqlock and relaxed-atomic contracts);
  *  - disabled-mode cost: an instrumented site performs zero heap
@@ -258,77 +256,14 @@ TEST(ObsHistogramTest, SnapshotDifferenceIsolatesAnInterval)
 }
 
 // ---------------------------------------------------------------------
-// Registry: deterministic cross-worker merge
+// Registry exposition
 // ---------------------------------------------------------------------
-
-obs::MetricsSnapshot
-workerReport(std::uint64_t hits, std::uint64_t queue_high,
-             std::uint64_t latency)
-{
-    obs::MetricsSnapshot s;
-    s.counters["cache.hits"] = hits;
-    s.gauges["queue.high"] = queue_high;
-    obs::Histogram h;
-    h.observe(latency);
-    s.histograms["latency"] = h.snapshot();
-    return s;
-}
-
-TEST(ObsRegistryTest, MergeIsOrderIndependentAndReplacesPerPid)
-{
-    obs::Registry a;
-    a.counter("cache.hits").add(5);
-    a.gauge("queue.high").set(2);
-    a.histogram("latency").observe(100);
-
-    obs::Registry b;
-    b.counter("cache.hits").add(5);
-    b.gauge("queue.high").set(2);
-    b.histogram("latency").observe(100);
-
-    // Same reports, opposite arrival order, one stale duplicate that
-    // must be *replaced* (cumulative semantics), never accumulated.
-    a.setWorkerSnapshot(101, workerReport(3, 9, 200));
-    a.setWorkerSnapshot(102, workerReport(1, 4, 400));
-    b.setWorkerSnapshot(102, workerReport(1, 4, 400));
-    b.setWorkerSnapshot(101, workerReport(2, 7, 200));
-    b.setWorkerSnapshot(101, workerReport(3, 9, 200));
-
-    const obs::MetricsSnapshot ma = a.merged();
-    const obs::MetricsSnapshot mb = b.merged();
-    EXPECT_EQ(ma.counters.at("cache.hits"), 9u);
-    EXPECT_EQ(mb.counters.at("cache.hits"), 9u);
-    EXPECT_EQ(ma.gauges.at("queue.high"), 9u); // max combinator
-    EXPECT_EQ(mb.gauges.at("queue.high"), 9u);
-    EXPECT_EQ(ma.histograms.at("latency").count, 3u);
-    EXPECT_EQ(mb.histograms.at("latency").count, 3u);
-    EXPECT_EQ(ma.histograms.at("latency").sum,
-              mb.histograms.at("latency").sum);
-    // Byte-identical exposition is the end-to-end determinism check.
-    EXPECT_EQ(obs::renderPrometheus(ma), obs::renderPrometheus(mb));
-}
-
-TEST(ObsRegistryTest, DropWorkerSnapshotRemovesItsContribution)
-{
-    obs::Registry r;
-    r.counter("cache.hits").add(1);
-    r.setWorkerSnapshot(201, workerReport(10, 1, 100));
-    r.setWorkerSnapshot(202, workerReport(20, 2, 100));
-    EXPECT_EQ(r.merged().counters.at("cache.hits"), 31u);
-    EXPECT_EQ(r.workerPids().size(), 2u);
-
-    r.dropWorkerSnapshot(201);
-    EXPECT_EQ(r.merged().counters.at("cache.hits"), 21u);
-    EXPECT_EQ(r.workerPids(), std::vector<std::int32_t>{202});
-    r.dropWorkerSnapshot(999); // unknown pid: no-op
-    EXPECT_EQ(r.merged().counters.at("cache.hits"), 21u);
-}
 
 TEST(ObsRegistryTest, PrometheusExpositionShape)
 {
     obs::MetricsSnapshot s;
     s.counters["serve.requests"] = 7;
-    s.gauges["dist.workers"] = 3;
+    s.gauges["serve.jobs.active"] = 3;
     obs::Histogram h;
     h.observe(100);
     h.observe(1000);
@@ -340,9 +275,9 @@ TEST(ObsRegistryTest, PrometheusExpositionShape)
         << text;
     EXPECT_NE(text.find("oscar_serve_requests_total 7"),
               std::string::npos);
-    EXPECT_NE(text.find("# TYPE oscar_dist_workers gauge"),
+    EXPECT_NE(text.find("# TYPE oscar_serve_jobs_active gauge"),
               std::string::npos);
-    EXPECT_NE(text.find("oscar_dist_workers 3"), std::string::npos);
+    EXPECT_NE(text.find("oscar_serve_jobs_active 3"), std::string::npos);
     EXPECT_NE(text.find("# TYPE oscar_batch_latency_ns histogram"),
               std::string::npos);
     EXPECT_NE(text.find("oscar_batch_latency_ns_bucket{le=\"+Inf\"} 2"),
@@ -382,33 +317,6 @@ TEST(ObsTracerTest, DrainShipsEachSpanExactlyOnce)
     EXPECT_EQ(countNamed(tracer.drain(), "drainonce"), 0u);
     tracer.record(obs::SpanCategory::Wire, "drainonce", t, t + 1, 99);
     EXPECT_EQ(countNamed(tracer.drain(), "drainonce"), 1u);
-}
-
-TEST(ObsTracerTest, RemoteSpansParkUnderTheirPidInCollectAll)
-{
-    ScopedTracing tracing(true);
-    obs::Tracer& tracer = obs::Tracer::global();
-    tracer.clear();
-
-    obs::SpanRecord span;
-    span.t0Ns = 1;
-    span.durNs = 2;
-    span.category = obs::SpanCategory::Dist;
-    std::strcpy(span.name, "remote");
-    span.tid = 7;
-    tracer.addRemoteSpans(4242, {span, span});
-
-    const std::vector<obs::SpanRecord> all = tracer.collectAll();
-    std::size_t remote = 0;
-    for (const obs::SpanRecord& s : all)
-        if (std::string(s.name) == "remote") {
-            EXPECT_EQ(s.pid, 4242);
-            EXPECT_EQ(s.tid, 7u);
-            ++remote;
-        }
-    EXPECT_EQ(remote, 2u);
-    tracer.clear();
-    EXPECT_EQ(countNamed(tracer.collectAll(), "remote"), 0u);
 }
 
 TEST(ObsTracerTest, RingWraparoundDropsOldestSpansOnly)

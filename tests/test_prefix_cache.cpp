@@ -180,7 +180,7 @@ TEST(PrefixCacheTest, KeysWiderThanConfiguredAreIgnored)
 }
 
 /**
- * The distributed-determinism load-bearing property: under concurrent
+ * The determinism contract's load-bearing property: under concurrent
  * insert / lookup / reclamation pressure, a hit NEVER yields a value
  * other than the one deterministically derived from its key. Torn or
  * raced reads must surface as misses. TSan-clean by construction

@@ -4,8 +4,8 @@
  *
  *  - protocol payload round trips (Request/Response/Progress), strict
  *    rejection of malformed payloads, and content addressing: the
- *    encoder resolves KernelIsa::Auto and stamps the cost id exactly
- *    like the distributed pool;
+ *    encoder resolves KernelIsa::Auto and stamps the cost id, so the
+ *    id names the concrete computation;
  *  - OSCAR_SERVE_SOCKET resolution (explicit > env > default;
  *    malformed settings throw);
  *  - the serving guarantees, end to end over a real Unix socket:
@@ -239,23 +239,23 @@ TEST(ServeProtocolTest, MalformedRequestsAreRejected)
 
     for (std::size_t len = 0; len < payload.size(); ++len) {
         EXPECT_THROW(decodeRequest({payload.data(), len}),
-                     dist::WireError)
+                     wire::WireError)
             << "prefix " << len;
     }
     std::vector<std::uint8_t> extra = payload;
     extra.push_back(0);
-    EXPECT_THROW(decodeRequest(extra), dist::WireError);
+    EXPECT_THROW(decodeRequest(extra), wire::WireError);
 
     // Unknown request kind (first payload byte).
     std::vector<std::uint8_t> bad_kind = payload;
     bad_kind[0] = 9;
-    EXPECT_THROW(decodeRequest(bad_kind), dist::WireError);
+    EXPECT_THROW(decodeRequest(bad_kind), wire::WireError);
 
     // Out-of-range sampling fraction.
     for (const double bad : {0.0, -0.5, 1.5}) {
         RequestMsg m = makeRequest(42);
         m.samplingFraction = bad;
-        EXPECT_THROW(decodeRequest(encodeRequest(m)), dist::WireError)
+        EXPECT_THROW(decodeRequest(encodeRequest(m)), wire::WireError)
             << "fraction " << bad;
     }
 }
@@ -333,7 +333,7 @@ TEST(ServeProtocolTest, ProgressRoundTripsAndValidates)
     EXPECT_EQ(decoded.total, 12u);
 
     msg.completed = 13; // beyond total
-    EXPECT_THROW(decodeProgress(encodeProgress(msg)), dist::WireError);
+    EXPECT_THROW(decodeProgress(encodeProgress(msg)), wire::WireError);
 }
 
 TEST(ServeProtocolTest, ResolveSocketPath)

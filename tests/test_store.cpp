@@ -13,8 +13,11 @@
  *    IEEE-754 bit patterns, including NaN and -0.0), key validation
  *    of a renamed container, LRU eviction under the byte budget, and
  *    the stats counters;
+ *  - seeded mutation fuzzing (tests/mutation_fuzz.h) of a stored
+ *    container: every mutant is rejected or decodes to a container
+ *    that was written, and load() serves only the stored entry;
  *  - strict OSCAR_STORE_DIR / OSCAR_STORE_BUDGET_MB parsing in the
- *    resolveThreadsPerWorker style: malformed settings throw and list
+ *    strict-resolver style: malformed settings throw and list
  *    the valid form instead of silently disabling persistence.
  */
 
@@ -38,6 +41,7 @@
 #include "src/common/rng.h"
 #include "src/store/archive.h"
 #include "src/store/landscape_store.h"
+#include "tests/mutation_fuzz.h"
 
 namespace oscar {
 namespace store {
@@ -458,6 +462,93 @@ TEST(LandscapeStoreTest, EveryTruncationLoadsAsCleanMiss)
     }
 }
 
+/**
+ * True when two decoded containers hold the same stream bytes in the
+ * same order. Names are not compared: the container CRCs cover stream
+ * bytes only, so a damaged name decodes, and load() treats it as a
+ * missing stream (a miss) -- see LoadOfAMutantIsAMissOrTheStoredEntry.
+ */
+bool
+sameStreamBytes(const Archive& a, const Archive& b)
+{
+    if (a.streams.size() != b.streams.size())
+        return false;
+    for (std::size_t i = 0; i < a.streams.size(); ++i)
+        if (a.streams[i].bytes != b.streams[i].bytes)
+            return false;
+    return true;
+}
+
+TEST(StoreFuzzTest, ContainerMutantsAreRejectedOrDecodeToAStoredEntry)
+{
+    // Seeded flips, truncations, splices (from a second container) and
+    // length-field edits of a real stored container: decodeArchive
+    // either throws ArchiveError or returns exactly the stream bytes of
+    // one of the two containers that were written.
+    constexpr int kMutantsPerSeed = 512;
+    TempDir dir;
+    LandscapeStore store({dir.path + "/store", std::size_t{64} << 20});
+    const StoredLandscape entry = sampleEntry(11);
+    const StoredLandscape other = sampleEntry(12);
+    store.put(keyFor(entry), entry);
+    store.put(keyFor(other), other);
+    const std::vector<std::uint8_t> good =
+        readFile(store.containerPath(keyFor(entry)));
+    const std::vector<std::uint8_t> donor =
+        readFile(store.containerPath(keyFor(other)));
+    const Archive good_archive = decodeArchive(good);
+    const Archive donor_archive = decodeArchive(donor);
+    const fuzz::LengthField stream_count[] = {{6, 2}};
+
+    std::size_t rejected = 0;
+    for (const std::uint64_t seed : fuzz::kSeeds) {
+        Rng rng(seed);
+        for (int it = 0; it < kMutantsPerSeed; ++it) {
+            const std::vector<std::uint8_t> mutant =
+                fuzz::mutate(rng, good, donor, stream_count);
+            try {
+                const Archive archive = decodeArchive(mutant);
+                EXPECT_TRUE(sameStreamBytes(archive, good_archive) ||
+                            sameStreamBytes(archive, donor_archive))
+                    << "seed " << seed << " mutant " << it;
+            } catch (const ArchiveError&) {
+                ++rejected;
+            }
+        }
+    }
+    EXPECT_GT(rejected, 0u);
+}
+
+TEST(StoreFuzzTest, LoadOfAMutantIsAMissOrTheStoredEntry)
+{
+    // The same mutants through the store itself: load() never throws
+    // and never serves anything but the entry put under the key.
+    constexpr int kMutantsPerSeed = 48;
+    TempDir dir;
+    LandscapeStore store({dir.path + "/store", std::size_t{64} << 20});
+    const StoredLandscape entry = sampleEntry(11);
+    const StoredLandscape other = sampleEntry(12);
+    const StoreKey key = keyFor(entry);
+    store.put(key, entry);
+    store.put(keyFor(other), other);
+    const std::string path = store.containerPath(key);
+    const std::vector<std::uint8_t> good = readFile(path);
+    const std::vector<std::uint8_t> donor =
+        readFile(store.containerPath(keyFor(other)));
+
+    for (const std::uint64_t seed : fuzz::kSeeds) {
+        Rng rng(seed);
+        for (int it = 0; it < kMutantsPerSeed; ++it) {
+            writeFile(path, fuzz::mutate(rng, good, donor));
+            std::optional<StoredLandscape> loaded;
+            ASSERT_NO_THROW(loaded = store.load(key))
+                << "seed " << seed << " mutant " << it;
+            if (loaded)
+                expectEntriesEqual(*loaded, entry);
+        }
+    }
+}
+
 TEST(LandscapeStoreTest, HalfWrittenTempFileIsIgnored)
 {
     TempDir dir;
@@ -540,7 +631,7 @@ TEST(LandscapeStoreTest, NonFiniteContainerLoadsAsCorruptMiss)
             for (const ArchiveStream& s : good.streams) {
                 std::vector<std::uint8_t> bytes = s.bytes;
                 if (s.name == stream) {
-                    dist::WireWriter w;
+                    wire::WireWriter w;
                     w.f64(bad);
                     std::copy(w.bytes().begin(), w.bytes().end(),
                               bytes.begin());
@@ -637,10 +728,10 @@ TEST(LandscapeStoreTest, GcEvictsLeastRecentlyUsed)
 TEST(LandscapeStoreTest, GridSpecRoundTripsAndHashesCanonically)
 {
     const GridSpec grid({{-0.785, 0.785, 50}, {-1.571, 1.571, 100}});
-    dist::WireWriter w;
+    wire::WireWriter w;
     encodeGridSpec(w, grid);
     std::vector<std::uint8_t> bytes = w.take();
-    dist::WireReader r(bytes);
+    wire::WireReader r(bytes);
     const GridSpec decoded = decodeGridSpec(r);
     ASSERT_EQ(decoded.rank(), grid.rank());
     EXPECT_EQ(decoded.numPoints(), grid.numPoints());
@@ -659,11 +750,22 @@ TEST(LandscapeStoreTest, GridSpecRoundTripsAndHashesCanonically)
     EXPECT_NE(configHash(0.1, 42), configHash(0.2, 42));
 
     // A rank-0 grid encoding is rejected.
-    dist::WireWriter bad;
+    wire::WireWriter bad;
     bad.u32(0);
     std::vector<std::uint8_t> bad_bytes = bad.take();
-    dist::WireReader bad_reader(bad_bytes);
-    EXPECT_THROW(decodeGridSpec(bad_reader), dist::WireError);
+    wire::WireReader bad_reader(bad_bytes);
+    EXPECT_THROW(decodeGridSpec(bad_reader), wire::WireError);
+
+    // So is an inverted axis: GridSpec's own invalid_argument must not
+    // escape the decoder (the serve daemon only catches WireError).
+    wire::WireWriter inverted;
+    inverted.u32(1);
+    inverted.f64(1.0);
+    inverted.f64(-1.0);
+    inverted.u64(4);
+    std::vector<std::uint8_t> inverted_bytes = inverted.take();
+    wire::WireReader inverted_reader(inverted_bytes);
+    EXPECT_THROW(decodeGridSpec(inverted_reader), wire::WireError);
 }
 
 // ---------------------------------------------------------------------

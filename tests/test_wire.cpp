@@ -1,33 +1,40 @@
 /**
  * @file
- * Wire-format tests for the distributed execution subsystem:
+ * Tests of the OSCW wire format (src/serve/wire.h):
  *
- *  - round-trip property tests over randomized task specs, tasks, and
- *    result frames (circuits with every gate kind, random Pauli sums,
- *    random kernel options/stats, random point shards);
+ *  - round-trip property tests over randomized cost specs (circuits
+ *    with every gate kind, random Pauli sums, random kernel options)
+ *    and kernel stats, and golden pins of the canonical encoding: a
+ *    fixed spec's costId and the store's configHash, so containers
+ *    stored by earlier builds keep their addresses;
  *  - framing robustness: every truncation of a valid frame yields "no
  *    frame yet" (never a bogus message), and corruption -- flipped
- *    payload bytes, bad magic, wrong version, unknown type, oversized
- *    length, CRC damage, trailing payload bytes -- is rejected with
- *    WireError;
+ *    payload bytes, bad magic, prior or unknown version, retired or
+ *    unknown frame type, oversized length, CRC damage, trailing
+ *    payload bytes -- is rejected with WireError;
  *  - streamed decode: frames split at arbitrary byte boundaries
  *    reassemble exactly;
- *  - v6 observability frames: Telemetry (spans + cumulative metrics
- *    snapshot) and MetricsRequest / MetricsResponse round-trip, and
- *    the telemetry decoder rejects implausible span counts, unknown
- *    categories, and oversized span names.
+ *  - seeded mutation fuzzing (tests/mutation_fuzz.h) of every
+ *    surviving frame type and of the payload decoders: a mutant either
+ *    throws WireError or decodes to a message that was encoded.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <string>
 
+#include "src/ansatz/qaoa.h"
 #include "src/common/crc32.h"
 #include "src/common/rng.h"
-#include "src/dist/wire.h"
+#include "src/graph/generators.h"
+#include "src/hamiltonian/maxcut.h"
+#include "src/serve/protocol.h"
+#include "src/serve/wire.h"
+#include "src/store/landscape_store.h"
+#include "tests/mutation_fuzz.h"
 
 namespace oscar {
-namespace dist {
+namespace wire {
 namespace {
 
 Circuit
@@ -188,143 +195,142 @@ TEST(WireTest, CostSpecIdIsContentAddressed)
     EXPECT_NE(a.costId, b.costId);
 }
 
-TEST(WireTest, TaskRoundTripRandomized)
+TEST(WireTest, GoldenCostIdAndConfigHash)
+{
+    // Pinned from the pre-v7 encoder: the canonical CostSpec body and
+    // the sampling-config hash are store keys, so changing either
+    // orphans every container already on disk.
+    const Graph graph = meshGraph(2, 3);
+    CostSpec spec;
+    spec.circuit = qaoaCircuit(graph, 1);
+    spec.hamiltonian = maxcutHamiltonian(graph);
+    spec.kernel.isa = kernels::KernelIsa::Scalar;
+    const std::vector<std::uint8_t> payload = encodeCostSpec(spec);
+    EXPECT_EQ(spec.costId, 0x6fe3af230c6028f0ull);
+    EXPECT_EQ(payload.size(), 742u);
+    EXPECT_EQ(store::configHash(0.05, 1), 0xbf0e65b4cf707337ull);
+    EXPECT_EQ(store::gridHash(GridSpec::qaoaP1(20, 40)),
+              0xc5d2700ab1021b8bull);
+}
+
+TEST(WireTest, KernelStatsRoundTripRandomized)
 {
     Rng rng(321);
     for (int rep = 0; rep < 50; ++rep) {
-        TaskMsg task;
-        task.taskId = rng.uniformInt(1u << 30);
-        task.costId = rng.uniformInt(1u << 30);
-        task.baseOrdinal = rng.uniformInt(1u << 30);
-        const std::size_t count = rng.uniformInt(20);
-        const std::size_t dim = 1 + rng.uniformInt(6);
-        for (std::size_t i = 0; i < count; ++i) {
-            std::vector<double> p(dim);
-            for (double& v : p)
-                v = rng.uniform(-10.0, 10.0);
-            task.points.push_back(std::move(p));
-        }
-        const TaskMsg back = decodeTask(encodeTask(task));
-        EXPECT_EQ(back.taskId, task.taskId);
-        EXPECT_EQ(back.costId, task.costId);
-        EXPECT_EQ(back.baseOrdinal, task.baseOrdinal);
-        ASSERT_EQ(back.points.size(), task.points.size());
-        for (std::size_t i = 0; i < count; ++i)
-            EXPECT_EQ(back.points[i], task.points[i]); // bitwise
+        const KernelStats stats = randomKernelStats(rng);
+        WireWriter w;
+        encodeKernelStats(w, stats);
+        const std::vector<std::uint8_t> bytes = w.take();
+        WireReader r(bytes);
+        const KernelStats back = decodeKernelStats(r);
+        r.expectEnd();
+        EXPECT_EQ(back.cacheHits, stats.cacheHits);
+        EXPECT_EQ(back.cacheLookups, stats.cacheLookups);
+        EXPECT_EQ(back.cacheEvictions, stats.cacheEvictions);
+        EXPECT_EQ(back.isa, stats.isa);
+        EXPECT_EQ(back.blockedGroupRuns, stats.blockedGroupRuns);
+        EXPECT_EQ(back.blockedOpsApplied, stats.blockedOpsApplied);
+        EXPECT_EQ(back.batchedExpectationPoints,
+                  stats.batchedExpectationPoints);
+        EXPECT_EQ(back.fusedSuperKernels, stats.fusedSuperKernels);
+        EXPECT_EQ(back.fusedOpsCollapsed, stats.fusedOpsCollapsed);
+        EXPECT_EQ(back.batchedPauliPoints, stats.batchedPauliPoints);
     }
 }
 
-TEST(WireTest, ResultRoundTripRandomized)
+/** Set a frame's header field (LE, `width` bytes at `offset`). */
+void
+setHeaderField(std::vector<std::uint8_t>& frame, std::size_t offset,
+               std::size_t width, std::uint64_t value)
 {
-    Rng rng(99);
-    for (int rep = 0; rep < 50; ++rep) {
-        ResultMsg msg;
-        msg.taskId = rng.uniformInt(1u << 30);
-        const std::size_t count = rng.uniformInt(64);
-        for (std::size_t i = 0; i < count; ++i)
-            msg.values.push_back(rng.uniform(-100.0, 100.0));
-        msg.kernel = randomKernelStats(rng);
+    for (std::size_t b = 0; b < width; ++b)
+        frame[offset + b] = static_cast<std::uint8_t>(value >> (8 * b));
+}
 
-        const ResultMsg back = decodeResult(encodeResult(msg));
-        EXPECT_EQ(back.taskId, msg.taskId);
-        EXPECT_EQ(back.values, msg.values); // bitwise
-        EXPECT_EQ(back.kernel.cacheHits, msg.kernel.cacheHits);
-        EXPECT_EQ(back.kernel.cacheLookups, msg.kernel.cacheLookups);
-        EXPECT_EQ(back.kernel.cacheEvictions, msg.kernel.cacheEvictions);
-        EXPECT_EQ(back.kernel.isa, msg.kernel.isa);
-        EXPECT_EQ(back.kernel.blockedGroupRuns,
-                  msg.kernel.blockedGroupRuns);
-        EXPECT_EQ(back.kernel.blockedOpsApplied,
-                  msg.kernel.blockedOpsApplied);
-        EXPECT_EQ(back.kernel.batchedExpectationPoints,
-                  msg.kernel.batchedExpectationPoints);
-        EXPECT_EQ(back.kernel.fusedSuperKernels,
-                  msg.kernel.fusedSuperKernels);
-        EXPECT_EQ(back.kernel.fusedOpsCollapsed,
-                  msg.kernel.fusedOpsCollapsed);
-        EXPECT_EQ(back.kernel.batchedPauliPoints,
-                  msg.kernel.batchedPauliPoints);
+/**
+ * Re-stamp the CRC trailer after a header edit, so the decoder's
+ * structural checks -- not the CRC -- must catch the edit.
+ */
+void
+restampCrc(std::vector<std::uint8_t>& frame,
+           const std::vector<std::uint8_t>& raw_payload)
+{
+    const std::uint32_t crc = ::oscar::crc32(
+        std::span<const std::uint8_t>(frame.data(), kFrameHeaderSize),
+        raw_payload);
+    setHeaderField(frame, frame.size() - 4, 4, crc);
+}
+
+/** The WireError message decoding `bytes` throws ("" if none). */
+std::string
+decodeError(const std::vector<std::uint8_t>& bytes)
+{
+    FrameDecoder decoder;
+    decoder.feed(bytes.data(), bytes.size());
+    try {
+        decoder.next();
+    } catch (const WireError& e) {
+        return e.what();
     }
-}
-
-TEST(WireTest, TaskErrorRoundTrip)
-{
-    TaskErrorMsg msg;
-    msg.taskId = 42;
-    msg.code = kTaskErrorUnknownCost;
-    msg.message = "statevector exploded";
-    const TaskErrorMsg back = decodeTaskError(encodeTaskError(msg));
-    EXPECT_EQ(back.taskId, msg.taskId);
-    EXPECT_EQ(back.code, kTaskErrorUnknownCost);
-    EXPECT_EQ(back.message, msg.message);
-}
-
-TEST(WireTest, TaskRejectsZeroDimensionalPoints)
-{
-    // A crafted frame claiming a huge point count with dim = 0 must
-    // be rejected before any allocation is sized from the count.
-    WireWriter w;
-    w.u64(1);          // taskId
-    w.u64(2);          // costId
-    w.u64(3);          // baseOrdinal
-    w.u32(0xFFFFFFFF); // count
-    w.u32(0);          // dim
-    EXPECT_THROW(decodeTask(w.bytes()), WireError);
-}
-
-TEST(WireTest, HelloRoundTrip)
-{
-    HelloMsg msg;
-    msg.pid = 12345;
-    msg.isa = kernels::KernelIsa::Avx2;
-    msg.threads = 16; // v3: advertised hybrid capacity
-    WireWriter w;
-    encodeHello(w, msg);
-    const HelloMsg back = decodeHello(w.bytes());
-    EXPECT_EQ(back.pid, 12345);
-    EXPECT_EQ(back.wireVersion, kWireVersion);
-    EXPECT_EQ(back.isa, kernels::KernelIsa::Avx2);
-    EXPECT_EQ(back.threads, 16);
-}
-
-TEST(WireTest, HelloWithoutCapacityDecodesAsSingleThreaded)
-{
-    // A v2-shaped Hello body ends after the ISA byte; it must decode
-    // as a pre-hybrid single-threaded worker, not fail.
-    WireWriter w;
-    w.i32(777);
-    w.u16(2);
-    w.u8(0); // scalar ISA
-    const HelloMsg back = decodeHello(w.bytes());
-    EXPECT_EQ(back.pid, 777);
-    EXPECT_EQ(back.wireVersion, 2);
-    EXPECT_EQ(back.threads, 1);
-}
-
-TEST(WireTest, HelloWithZeroCapacityIsRejected)
-{
-    // Capacity is resolved worker-side before the greeting; zero can
-    // only mean a corrupt or buggy peer, and the coordinator's
-    // proportional dispatch divides by it.
-    HelloMsg msg;
-    msg.pid = 1;
-    msg.threads = 0;
-    WireWriter w;
-    encodeHello(w, msg);
-    EXPECT_THROW(decodeHello(w.bytes()), WireError);
+    return "";
 }
 
 TEST(WireTest, PriorVersionFramesAreRejected)
 {
-    // Frame-level version negotiation is all-or-nothing: a v2 frame
-    // header (offset 4 holds the little-endian version) is torn down,
-    // not parsed leniently -- both ends come from the same build.
-    std::vector<std::uint8_t> bytes = encodeFrame(FrameType::Heartbeat, {});
-    bytes[4] = 2;
-    bytes[5] = 0;
-    FrameDecoder decoder;
-    decoder.feed(bytes.data(), bytes.size());
-    EXPECT_THROW(decoder.next(), WireError);
+    // Frame-level version negotiation is all-or-nothing: a prior
+    // version's header (offset 4 holds the little-endian version) is
+    // torn down, not parsed leniently -- both ends come from the same
+    // build. v6 is the last version that carried the fleet frames.
+    const std::vector<std::uint8_t> payload = {1, 2, 3};
+    for (const std::uint16_t version : {2, 6}) {
+        std::vector<std::uint8_t> bytes =
+            encodeFrame(FrameType::Request, payload);
+        setHeaderField(bytes, 4, 2, version);
+        restampCrc(bytes, payload);
+        EXPECT_NE(decodeError(bytes).find("unsupported wire version"),
+                  std::string::npos)
+            << "version " << version;
+    }
+}
+
+TEST(WireTest, RetiredAndUnknownFrameTypesAreRejected)
+{
+    // The fleet frames (Hello .. Shutdown = 1-7, Challenge .. Telemetry
+    // = 11-14) are retired: with a valid CRC over the edited header,
+    // the type check alone must reject them, as it does 0, the code
+    // past MetricsResponse, and the top of the range.
+    const std::vector<std::uint8_t> payload = {4, 5, 6, 7};
+    std::vector<std::uint16_t> codes = {0, 17, 0xFFFF};
+    for (std::uint16_t code = 1; code <= 7; ++code)
+        codes.push_back(code);
+    for (std::uint16_t code = 11; code <= 14; ++code)
+        codes.push_back(code);
+    for (const std::uint16_t code : codes) {
+        std::vector<std::uint8_t> bytes =
+            encodeFrame(FrameType::Request, payload);
+        setHeaderField(bytes, 6, 2, code);
+        restampCrc(bytes, payload);
+        EXPECT_NE(decodeError(bytes).find("unknown frame type"),
+                  std::string::npos)
+            << "type " << code;
+    }
+}
+
+TEST(WireTest, ServeFrameTypesRoundTrip)
+{
+    const std::vector<std::uint8_t> payload = {1, 2, 3, 4};
+    for (const FrameType type :
+         {FrameType::Request, FrameType::Response, FrameType::Progress,
+          FrameType::MetricsRequest, FrameType::MetricsResponse}) {
+        const std::vector<std::uint8_t> bytes =
+            encodeFrame(type, payload);
+        FrameDecoder decoder;
+        decoder.feed(bytes.data(), bytes.size());
+        const std::optional<Frame> frame = decoder.next();
+        ASSERT_TRUE(frame.has_value());
+        EXPECT_EQ(frame->type, type);
+        EXPECT_EQ(frame->payload, payload);
+    }
 }
 
 // ------------------------------------------------------------ framing
@@ -332,10 +338,11 @@ TEST(WireTest, PriorVersionFramesAreRejected)
 std::vector<std::uint8_t>
 sampleFrame()
 {
-    TaskErrorMsg msg;
-    msg.taskId = 7;
-    msg.message = "payload with some body to checksum";
-    return encodeFrame(FrameType::TaskError, encodeTaskError(msg));
+    MetricsResponseMsg msg;
+    msg.tag = 7;
+    msg.text = "payload with some body to checksum";
+    return encodeFrame(FrameType::MetricsResponse,
+                       encodeMetricsResponse(msg));
 }
 
 TEST(WireTest, FrameRoundTripAndStreamedReassembly)
@@ -348,8 +355,8 @@ TEST(WireTest, FrameRoundTripAndStreamedReassembly)
         decoder.feed(bytes.data(), bytes.size());
         const auto frame = decoder.next();
         ASSERT_TRUE(frame.has_value());
-        EXPECT_EQ(frame->type, FrameType::TaskError);
-        EXPECT_EQ(decodeTaskError(frame->payload).message,
+        EXPECT_EQ(frame->type, FrameType::MetricsResponse);
+        EXPECT_EQ(decodeMetricsResponse(frame->payload).text,
                   "payload with some body to checksum");
         EXPECT_FALSE(decoder.next().has_value());
     }
@@ -423,7 +430,7 @@ TEST(WireTest, CorruptFramesAreRejected)
     // Absurd payload length.
     {
         std::vector<std::uint8_t> bad = bytes;
-        bad[12] = 0xFF; // high byte of the u64 length
+        bad[12] = 0xFF; // a high byte of the u64 raw length
         FrameDecoder decoder;
         decoder.feed(bad.data(), bad.size());
         EXPECT_THROW(decoder.next(), WireError);
@@ -448,20 +455,19 @@ TEST(WireTest, CorruptFramesAreRejected)
 
 TEST(WireTest, PayloadDecodersRejectTruncationAndTrailingBytes)
 {
-    TaskMsg task;
-    task.taskId = 1;
-    task.costId = 2;
-    task.baseOrdinal = 3;
-    task.points = {{0.5, -0.5}, {1.5, 2.5}};
-    const std::vector<std::uint8_t> payload = encodeTask(task);
+    MetricsResponseMsg msg;
+    msg.tag = 3;
+    msg.text = "oscar_serve_requests_total 12\n";
+    const std::vector<std::uint8_t> payload = encodeMetricsResponse(msg);
 
     for (std::size_t len = 0; len < payload.size(); ++len) {
-        EXPECT_THROW(decodeTask({payload.data(), len}), WireError)
+        EXPECT_THROW(decodeMetricsResponse({payload.data(), len}),
+                     WireError)
             << "prefix " << len;
     }
     std::vector<std::uint8_t> extra = payload;
     extra.push_back(0);
-    EXPECT_THROW(decodeTask(extra), WireError);
+    EXPECT_THROW(decodeMetricsResponse(extra), WireError);
 
     // Cost spec: a flipped body byte must break the content address.
     Rng rng(5);
@@ -475,200 +481,11 @@ TEST(WireTest, PayloadDecodersRejectTruncationAndTrailingBytes)
 
 TEST(WireTest, Crc32KnownVector)
 {
-    // CRC-32("123456789") is the classic check value 0xCBF43926.
+    // CRC-32("123456789") is the classic check value 0xCBF43926; the
+    // framing and the landscape archive share this implementation.
     const char* s = "123456789";
-    EXPECT_EQ(crc32({reinterpret_cast<const std::uint8_t*>(s), 9}),
+    EXPECT_EQ(::oscar::crc32({reinterpret_cast<const std::uint8_t*>(s), 9}),
               0xCBF43926u);
-    // The wire-layer entry point and the shared implementation the
-    // landscape archive uses (src/common/crc32.h) are the same code.
-    EXPECT_EQ(oscar::crc32({reinterpret_cast<const std::uint8_t*>(s), 9}),
-              crc32({reinterpret_cast<const std::uint8_t*>(s), 9}));
-}
-
-TEST(WireTest, ServeFrameTypesRoundTrip)
-{
-    // v4 extends the frame-type range with the serving protocol's
-    // Request / Response / Progress; the decoder accepts all three.
-    const std::vector<std::uint8_t> payload = {1, 2, 3, 4};
-    for (const FrameType type :
-         {FrameType::Request, FrameType::Response, FrameType::Progress}) {
-        const std::vector<std::uint8_t> bytes =
-            encodeFrame(type, payload);
-        FrameDecoder decoder;
-        decoder.feed(bytes.data(), bytes.size());
-        const std::optional<Frame> frame = decoder.next();
-        ASSERT_TRUE(frame.has_value());
-        EXPECT_EQ(frame->type, type);
-        EXPECT_EQ(frame->payload, payload);
-    }
-
-    // The type one past the v6 range (MetricsResponse) is still
-    // unknown.
-    std::vector<std::uint8_t> bad =
-        encodeFrame(FrameType::Progress, payload);
-    bad[6] = static_cast<std::uint8_t>(
-        static_cast<std::uint16_t>(FrameType::MetricsResponse) + 1);
-    FrameDecoder decoder;
-    decoder.feed(bad.data(), bad.size());
-    EXPECT_THROW(decoder.next(), WireError);
-}
-
-TEST(WireTest, FleetFrameTypesRoundTrip)
-{
-    // v5 adds the elastic-fleet handshake and steal protocol frames.
-    const std::vector<std::uint8_t> payload = {9, 8, 7};
-    for (const FrameType type : {FrameType::Challenge,
-                                 FrameType::StealRequest,
-                                 FrameType::StealGrant}) {
-        const std::vector<std::uint8_t> bytes =
-            encodeFrame(type, payload);
-        FrameDecoder decoder;
-        decoder.feed(bytes.data(), bytes.size());
-        const std::optional<Frame> frame = decoder.next();
-        ASSERT_TRUE(frame.has_value());
-        EXPECT_EQ(frame->type, type);
-        EXPECT_EQ(frame->payload, payload);
-        EXPECT_EQ(frame->wireBytes, bytes.size());
-    }
-}
-
-TEST(WireTest, ChallengeAndStealMessagesRoundTrip)
-{
-    {
-        ChallengeMsg msg;
-        msg.nonce = 0x0123456789ABCDEFull;
-        WireWriter w;
-        encodeChallenge(w, msg);
-        EXPECT_EQ(decodeChallenge(w.bytes()).nonce, msg.nonce);
-        std::vector<std::uint8_t> extra = w.bytes();
-        extra.push_back(0);
-        EXPECT_THROW(decodeChallenge(extra), WireError);
-    }
-    {
-        StealRequestMsg msg;
-        msg.taskId = 42;
-        WireWriter w;
-        encodeStealRequest(w, msg);
-        EXPECT_EQ(decodeStealRequest(w.bytes()).taskId, 42u);
-    }
-    {
-        StealGrantMsg msg;
-        msg.taskId = 43;
-        msg.keep = 7;
-        WireWriter w;
-        encodeStealGrant(w, msg);
-        const StealGrantMsg back = decodeStealGrant(w.bytes());
-        EXPECT_EQ(back.taskId, 43u);
-        EXPECT_EQ(back.keep, 7u);
-    }
-}
-
-TEST(WireTest, ObservabilityFrameTypesRoundTrip)
-{
-    // v6 adds the telemetry and metrics-scrape frames.
-    const std::vector<std::uint8_t> payload = {5, 6};
-    for (const FrameType type : {FrameType::Telemetry,
-                                 FrameType::MetricsRequest,
-                                 FrameType::MetricsResponse}) {
-        const std::vector<std::uint8_t> bytes =
-            encodeFrame(type, payload);
-        FrameDecoder decoder;
-        decoder.feed(bytes.data(), bytes.size());
-        const std::optional<Frame> frame = decoder.next();
-        ASSERT_TRUE(frame.has_value());
-        EXPECT_EQ(frame->type, type);
-        EXPECT_EQ(frame->payload, payload);
-    }
-}
-
-TEST(WireTest, TelemetryMessageRoundTrip)
-{
-    TelemetryMsg msg;
-    msg.pid = 31337;
-    obs::SpanRecord span;
-    span.t0Ns = 123456789;
-    span.durNs = 987;
-    span.category = obs::SpanCategory::Dist;
-    std::strcpy(span.name, "dispatch");
-    span.arg0 = 7;
-    span.arg1 = 48;
-    span.tid = 3;
-    msg.spans.push_back(span);
-    span.category = obs::SpanCategory::Wire;
-    std::strcpy(span.name, "fifteen-chars..");
-    span.tid = 4;
-    msg.spans.push_back(span);
-    msg.metrics.counters["cache.hits"] = 42;
-    msg.metrics.gauges["queue.depth"] = 5;
-    obs::Histogram h;
-    h.observe(0);
-    h.observe(300);
-    h.observe(~std::uint64_t{0});
-    msg.metrics.histograms["latency.ns"] = h.snapshot();
-
-    const TelemetryMsg back = decodeTelemetry(encodeTelemetry(msg));
-    EXPECT_EQ(back.pid, 31337);
-    ASSERT_EQ(back.spans.size(), 2u);
-    EXPECT_EQ(back.spans[0].t0Ns, 123456789u);
-    EXPECT_EQ(back.spans[0].durNs, 987u);
-    EXPECT_EQ(back.spans[0].category, obs::SpanCategory::Dist);
-    EXPECT_STREQ(back.spans[0].name, "dispatch");
-    EXPECT_EQ(back.spans[0].arg0, 7u);
-    EXPECT_EQ(back.spans[0].arg1, 48u);
-    EXPECT_EQ(back.spans[0].tid, 3u);
-    // The span's pid is stamped from the message, not the record.
-    EXPECT_EQ(back.spans[0].pid, 31337);
-    EXPECT_STREQ(back.spans[1].name, "fifteen-chars..");
-    EXPECT_EQ(back.metrics.counters.at("cache.hits"), 42u);
-    EXPECT_EQ(back.metrics.gauges.at("queue.depth"), 5u);
-    const obs::HistogramSnapshot hist =
-        back.metrics.histograms.at("latency.ns");
-    EXPECT_EQ(hist.count, 3u);
-    EXPECT_EQ(hist.sum, h.snapshot().sum);
-    EXPECT_EQ(hist.buckets[0], 1u);
-    EXPECT_EQ(hist.buckets[obs::histogramBucketOf(300)], 1u);
-    EXPECT_EQ(hist.buckets[64], 1u);
-
-    // An empty telemetry message survives too (heartbeat cadence
-    // with nothing new to report).
-    TelemetryMsg empty;
-    empty.pid = 1;
-    const TelemetryMsg empty_back =
-        decodeTelemetry(encodeTelemetry(empty));
-    EXPECT_EQ(empty_back.pid, 1);
-    EXPECT_TRUE(empty_back.spans.empty());
-    EXPECT_TRUE(empty_back.metrics.empty());
-}
-
-TEST(WireTest, TelemetryDecoderRejectsMalformedPayloads)
-{
-    TelemetryMsg msg;
-    msg.pid = 7;
-    obs::SpanRecord span;
-    std::strcpy(span.name, "x");
-    msg.spans.push_back(span);
-    const std::vector<std::uint8_t> good = encodeTelemetry(msg);
-
-    // Truncation never yields a message.
-    for (std::size_t keep = 0; keep < good.size(); ++keep) {
-        const std::vector<std::uint8_t> cut(good.begin(),
-                                            good.begin() + keep);
-        EXPECT_THROW(decodeTelemetry(cut), WireError) << keep;
-    }
-    // Trailing garbage is rejected (expectEnd).
-    std::vector<std::uint8_t> extra = good;
-    extra.push_back(0);
-    EXPECT_THROW(decodeTelemetry(extra), WireError);
-    // An implausible span count is rejected before allocation: bytes
-    // 4..7 hold the LE span count.
-    std::vector<std::uint8_t> huge = good;
-    huge[4] = huge[5] = huge[6] = huge[7] = 0xFF;
-    EXPECT_THROW(decodeTelemetry(huge), WireError);
-    // An unknown span category is rejected. The category byte sits
-    // right after pid (i32) + count (u32) + t0 (u64) + dur (u64).
-    std::vector<std::uint8_t> badcat = good;
-    badcat[4 + 4 + 8 + 8] = 0xEE;
-    EXPECT_THROW(decodeTelemetry(badcat), WireError);
 }
 
 TEST(WireTest, MetricsRequestAndResponseRoundTrip)
@@ -692,68 +509,35 @@ TEST(WireTest, MetricsRequestAndResponseRoundTrip)
     EXPECT_THROW(decodeMetricsRequest(extra), WireError);
 }
 
-TEST(WireTest, HelloAuthTagRoundTripAndKeying)
-{
-    HelloMsg msg;
-    msg.pid = 4321;
-    msg.isa = kernels::KernelIsa::Avx2;
-    msg.threads = 8;
-    msg.authTag = helloAuthTag("fleet-secret", 0xDEADBEEFull, msg);
-    EXPECT_NE(msg.authTag, 0u);
-
-    WireWriter w;
-    encodeHello(w, msg);
-    const HelloMsg back = decodeHello(w.bytes());
-    EXPECT_EQ(back.authTag, msg.authTag);
-
-    // The tag keys on the secret, the nonce, and every Hello field,
-    // so a replay under a different challenge (or a different fleet)
-    // never verifies.
-    EXPECT_EQ(helloAuthTag("fleet-secret", 0xDEADBEEFull, msg),
-              msg.authTag);
-    EXPECT_NE(helloAuthTag("other-secret", 0xDEADBEEFull, msg),
-              msg.authTag);
-    EXPECT_NE(helloAuthTag("fleet-secret", 0xDEADBEEEull, msg),
-              msg.authTag);
-    HelloMsg tweaked = msg;
-    tweaked.threads = 9;
-    EXPECT_NE(helloAuthTag("fleet-secret", 0xDEADBEEFull, tweaked),
-              msg.authTag);
-}
-
-TEST(WireTest, HelloWithoutAuthTagDecodesAsUntagged)
-{
-    // A v3-shaped Hello body ends after the capacity field; it must
-    // decode with authTag 0 (socketpair workers never tag), not fail.
-    WireWriter w;
-    w.i32(555);
-    w.u16(kWireVersion);
-    w.u8(0); // scalar ISA
-    w.u16(4);
-    const HelloMsg back = decodeHello(w.bytes());
-    EXPECT_EQ(back.pid, 555);
-    EXPECT_EQ(back.threads, 4);
-    EXPECT_EQ(back.authTag, 0u);
-}
-
 // ------------------------------------------------- compressed framing
+
+/** An Ok response whose landscape is one repeated value. */
+serve::ResponseMsg
+flatLandscapeResponse()
+{
+    serve::ResponseMsg msg;
+    msg.status = serve::ResponseStatus::Ok;
+    msg.tag = 11;
+    msg.landscape.grid = GridSpec({{0.0, 1.0, 8}, {0.0, 1.0, 8}});
+    msg.landscape.sampleIndices = {0, 9, 18};
+    msg.landscape.sampleValues = {0.5, 0.5, 0.5};
+    msg.landscape.reconstructed.assign(64, 0.25);
+    msg.landscape.samplingFraction = 0.05;
+    msg.landscape.sampleSeed = 1;
+    msg.landscape.queriesUsed = 3;
+    msg.landscape.querySpeedup = 21.0;
+    return msg;
+}
 
 /** A frame whose payload the byte-plane/PackBits codec shrinks. */
 std::vector<std::uint8_t>
 compressibleFrame(std::vector<std::uint8_t>* payload_out = nullptr)
 {
-    // A realistic compressible payload: a Task full of repeated point
-    // coordinates (f64s with long runs of equal bytes).
-    TaskMsg task;
-    task.taskId = 11;
-    task.costId = 22;
-    task.baseOrdinal = 33;
-    for (int i = 0; i < 32; ++i)
-        task.points.push_back({0.5, 0.5, 0.25, 0.25});
-    const std::vector<std::uint8_t> payload = encodeTask(task);
+    const std::vector<std::uint8_t> payload =
+        serve::encodeResponse(flatLandscapeResponse());
     if (payload_out)
         *payload_out = payload;
-    return encodeFrame(FrameType::Task, payload);
+    return encodeFrame(FrameType::Response, payload);
 }
 
 TEST(WireTest, CompressedFrameShrinksAndRoundTrips)
@@ -769,14 +553,13 @@ TEST(WireTest, CompressedFrameShrinksAndRoundTrips)
     decoder.feed(bytes.data(), bytes.size());
     const std::optional<Frame> frame = decoder.next();
     ASSERT_TRUE(frame.has_value());
-    EXPECT_EQ(frame->type, FrameType::Task);
+    EXPECT_EQ(frame->type, FrameType::Response);
     EXPECT_EQ(frame->payload, payload); // decompression is bit-exact
     EXPECT_EQ(frame->wireBytes, bytes.size());
 
-    const TaskMsg back = decodeTask(frame->payload);
-    EXPECT_EQ(back.points.size(), 32u);
-    EXPECT_EQ(back.points[7], (std::vector<double>{0.5, 0.5, 0.25,
-                                                   0.25}));
+    const serve::ResponseMsg back = serve::decodeResponse(frame->payload);
+    EXPECT_EQ(back.landscape.reconstructed.size(), 64u);
+    EXPECT_EQ(back.landscape.reconstructed[7], 0.25);
 }
 
 TEST(WireTest, CompressedFrameEveryByteFlipIsRejected)
@@ -834,6 +617,189 @@ TEST(WireTest, IncompressiblePayloadStaysRaw)
     EXPECT_EQ(frame->wireBytes, bytes.size());
 }
 
+// ------------------------------------------------ mutation fuzzing
+
+/** One encoded message of a surviving frame type. */
+struct Encoded
+{
+    FrameType type;
+    std::vector<std::uint8_t> payload;
+};
+
+/**
+ * Decode a payload as its frame type's message and encode it again:
+ * equal bytes mean the decoded message equals the encoded one.
+ */
+std::vector<std::uint8_t>
+reencode(FrameType type, std::span<const std::uint8_t> payload)
+{
+    switch (type) {
+      case FrameType::Request: {
+        serve::RequestMsg msg = serve::decodeRequest(payload);
+        return serve::encodeRequest(msg);
+      }
+      case FrameType::Response:
+        return serve::encodeResponse(serve::decodeResponse(payload));
+      case FrameType::Progress:
+        return serve::encodeProgress(serve::decodeProgress(payload));
+      case FrameType::MetricsRequest:
+        return encodeMetricsRequest(decodeMetricsRequest(payload));
+      case FrameType::MetricsResponse:
+        return encodeMetricsResponse(decodeMetricsResponse(payload));
+    }
+    throw WireError("unreachable frame type");
+}
+
+/** One message of every surviving frame type (and every status). */
+std::vector<Encoded>
+encodedMessages()
+{
+    std::vector<Encoded> out;
+    {
+        serve::RequestMsg msg;
+        msg.kind = serve::RequestKind::Reconstruct;
+        msg.tag = 21;
+        const Graph graph = meshGraph(2, 2);
+        msg.cost.circuit = qaoaCircuit(graph, 1);
+        msg.cost.hamiltonian = maxcutHamiltonian(graph);
+        msg.grid = GridSpec({{-0.785, 0.785, 6}, {-1.571, 1.571, 8}});
+        msg.samplingFraction = 0.25;
+        msg.sampleSeed = 5;
+        msg.wantProgress = true;
+        out.push_back({FrameType::Request, serve::encodeRequest(msg)});
+        serve::RequestMsg stats;
+        stats.tag = 22;
+        out.push_back({FrameType::Request, serve::encodeRequest(stats)});
+    }
+    out.push_back(
+        {FrameType::Response, serve::encodeResponse(flatLandscapeResponse())});
+    {
+        serve::ResponseMsg msg;
+        msg.status = serve::ResponseStatus::Error;
+        msg.tag = 23;
+        msg.error = "sampling fraction out of range";
+        out.push_back({FrameType::Response, serve::encodeResponse(msg)});
+        msg.status = serve::ResponseStatus::Stats;
+        msg.error.clear();
+        msg.counters.requests = 40;
+        msg.counters.evaluations = 3;
+        msg.counters.store.hits = 12;
+        out.push_back({FrameType::Response, serve::encodeResponse(msg)});
+    }
+    out.push_back({FrameType::Progress,
+                   serve::encodeProgress({24, 17, 48})});
+    out.push_back({FrameType::MetricsRequest, encodeMetricsRequest({25})});
+    out.push_back({FrameType::MetricsResponse,
+                   encodeMetricsResponse(
+                       {26, "# TYPE oscar_serve_requests_total counter\n"
+                            "oscar_serve_requests_total 40\n"})});
+    return out;
+}
+
+TEST(WireFuzzTest, FrameMutantsAreRejectedOrDecodeToAnEncodedMessage)
+{
+    constexpr int kMutantsPerFrame = 96;
+    const std::vector<Encoded> messages = encodedMessages();
+    std::vector<std::vector<std::uint8_t>> frames;
+    std::vector<std::uint8_t> donor;
+    for (const Encoded& m : messages) {
+        // The equality check below relies on encode(decode(p)) == p.
+        ASSERT_EQ(reencode(m.type, m.payload), m.payload);
+        frames.push_back(encodeFrame(m.type, m.payload));
+        donor.insert(donor.end(), frames.back().begin(),
+                     frames.back().end());
+    }
+    const fuzz::LengthField header_lengths[] = {{8, 8}, {16, 8}};
+
+    std::size_t rejected = 0;
+    std::size_t intact = 0;
+    for (const std::uint64_t seed : fuzz::kSeeds) {
+        Rng rng(seed);
+        for (std::size_t f = 0; f < frames.size(); ++f) {
+            for (int it = 0; it < kMutantsPerFrame; ++it) {
+                // Half the mutants carry the next frame behind them,
+                // so a damaged header can swallow or split a stream.
+                std::vector<std::uint8_t> input = frames[f];
+                if (rng.uniformInt(2)) {
+                    const auto& next = frames[(f + 1) % frames.size()];
+                    input.insert(input.end(), next.begin(), next.end());
+                }
+                const std::vector<std::uint8_t> mutant =
+                    fuzz::mutate(rng, input, donor, header_lengths);
+                FrameDecoder decoder;
+                decoder.feed(mutant.data(), mutant.size());
+                try {
+                    while (const std::optional<Frame> frame =
+                               decoder.next()) {
+                        bool encoded = false;
+                        for (const Encoded& m : messages)
+                            encoded = encoded ||
+                                      (m.type == frame->type &&
+                                       m.payload == frame->payload);
+                        ASSERT_TRUE(encoded)
+                            << "seed " << seed << " frame " << f
+                            << " mutant " << it;
+                        EXPECT_EQ(reencode(frame->type, frame->payload),
+                                  frame->payload);
+                        ++intact;
+                    }
+                } catch (const WireError&) {
+                    ++rejected;
+                }
+            }
+        }
+    }
+    // Both outcomes occur: the loop is not vacuous either way.
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(intact, 0u);
+}
+
+TEST(WireFuzzTest, PayloadDecodersThrowOnlyWireError)
+{
+    // Behind the framing the CRC hides most payload damage, so mutate
+    // the payloads themselves: each decoder must return or throw
+    // WireError on every mutant -- any other exception fails the
+    // test, and an out-of-bounds read fails the sanitizer leg.
+    constexpr int kMutantsPerPayload = 256;
+    const std::vector<Encoded> messages = encodedMessages();
+    std::vector<std::uint8_t> donor;
+    for (const Encoded& m : messages)
+        donor.insert(donor.end(), m.payload.begin(), m.payload.end());
+
+    std::size_t rejected = 0;
+    for (const std::uint64_t seed : fuzz::kSeeds) {
+        Rng rng(seed);
+        for (const Encoded& m : messages) {
+            for (int it = 0; it < kMutantsPerPayload; ++it) {
+                const std::vector<std::uint8_t> mutant =
+                    fuzz::mutate(rng, m.payload, donor);
+                try {
+                    switch (m.type) {
+                      case FrameType::Request:
+                        serve::decodeRequest(mutant);
+                        break;
+                      case FrameType::Response:
+                        serve::decodeResponse(mutant);
+                        break;
+                      case FrameType::Progress:
+                        serve::decodeProgress(mutant);
+                        break;
+                      case FrameType::MetricsRequest:
+                        decodeMetricsRequest(mutant);
+                        break;
+                      case FrameType::MetricsResponse:
+                        decodeMetricsResponse(mutant);
+                        break;
+                    }
+                } catch (const WireError&) {
+                    ++rejected;
+                }
+            }
+        }
+    }
+    EXPECT_GT(rejected, 0u);
+}
+
 } // namespace
-} // namespace dist
+} // namespace wire
 } // namespace oscar

@@ -3,13 +3,13 @@
  * The oscar-serve executable: always-on landscape serving daemon.
  *
  *   oscar-serve [--socket PATH] [--store DIR] [--budget-mb N]
- *               [--threads T] [--job-threads J] [--workers W]
+ *               [--threads T] [--job-threads J]
  *
  * Listens on a Unix socket (default /tmp/oscar-serve.sock, or
  * OSCAR_SERVE_SOCKET), answers reconstruction requests from the
  * persistent landscape store when possible, dedupes identical
- * in-flight requests onto one pool evaluation, and computes the rest
- * on its execution pool. SIGTERM/SIGINT drain gracefully: admitted
+ * in-flight requests onto one evaluation, and computes the rest on
+ * its in-process execution engine. SIGTERM/SIGINT drain gracefully: admitted
  * requests are answered before exit. See src/serve/server.h.
  */
 
@@ -59,15 +59,11 @@ main(int argc, char** argv)
             else if (tools::flagValue(argc, argv, i, "--job-threads", val))
                 options.jobThreads = static_cast<int>(
                     tools::parseInt("--job-threads", val, 1, 64));
-            else if (tools::flagValue(argc, argv, i, "--workers", val))
-                options.oscar.distributed.numWorkers = static_cast<int>(
-                    tools::parseInt("--workers", val, -1, 256));
             else {
                 std::fprintf(stderr,
                              "usage: oscar-serve [--socket PATH] "
                              "[--store DIR] [--budget-mb N] "
-                             "[--threads T] [--job-threads J] "
-                             "[--workers W]\n");
+                             "[--threads T] [--job-threads J]\n");
                 return 64;
             }
         }

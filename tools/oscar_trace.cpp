@@ -1,26 +1,20 @@
 /**
  * @file
- * The oscar-trace executable: fleet-wide Chrome trace capture and
- * validation for the observability subsystem (src/obs/).
+ * The oscar-trace executable: Chrome trace capture and validation
+ * for the observability subsystem (src/obs/).
  *
  *   oscar-trace --out FILE [--qubits N] [--depth 1|2] [--points P]
- *               [--workers W] [--threads T]
- *       Run one traced QAOA MaxCut batch on a loopback-TCP worker
- *       fleet (hybrid: W worker processes x T evaluation threads,
- *       default 2x2) and export the merged coordinator + worker spans
+ *               [--threads T]
+ *       Run one traced QAOA MaxCut batch on an in-process
+ *       ExecutionEngine of T threads (default 2) and export its spans
  *       as chrome://tracing JSON to FILE.
  *
  *   oscar-trace --check FILE [--min-pids N]
  *       Validate a trace written by --out: well-formed traceEvents
  *       JSON, every begin has a matching end per (pid, tid), and
  *       spans were recorded by at least N distinct processes
- *       (default 2 -- the coordinator plus one worker). Exit 0 on a
- *       valid trace, 1 with a diagnostic otherwise. CI uses this pair
- *       to prove worker telemetry actually crosses the wire.
- *
- * The fleet secret travels in-process via DistOptions (and from the
- * coordinator to its spawned workers through the environment) -- it
- * never appears on a command line.
+ *       (default 1). Exit 0 on a valid trace, 1 with a diagnostic
+ *       otherwise.
  */
 
 #include <unistd.h>
@@ -39,8 +33,8 @@
 
 #include "src/ansatz/qaoa.h"
 #include "src/backend/statevector_backend.h"
+#include "src/backend/engine.h"
 #include "src/common/rng.h"
-#include "src/dist/process_pool.h"
 #include "src/graph/generators.h"
 #include "src/hamiltonian/maxcut.h"
 #include "src/obs/metrics.h"
@@ -57,7 +51,7 @@ usage()
     std::fprintf(
         stderr,
         "usage: oscar-trace --out FILE [--qubits N] [--depth 1|2]\n"
-        "                   [--points P] [--workers W] [--threads T]\n"
+        "                   [--points P] [--threads T]\n"
         "       oscar-trace --check FILE [--min-pids N]\n");
     return 64;
 }
@@ -66,11 +60,10 @@ usage()
 
 int
 runTraced(const std::string& out_path, int qubits, int depth,
-          std::size_t num_points, int workers, int threads)
+          std::size_t num_points, int threads)
 {
-    // Tracing and metrics on for this process AND the workers the
-    // pool forks (they inherit the environment). The tool's whole
-    // purpose is tracing, so it overrides an inherited "0".
+    // The tool's whole purpose is tracing, so it overrides an
+    // inherited "0".
     ::setenv("OSCAR_TRACE", "1", 1);
     ::setenv("OSCAR_METRICS", "1", 1);
     obs::applyEnv();
@@ -91,30 +84,15 @@ runTraced(const std::string& out_path, int qubits, int depth,
         points.push_back(std::move(p));
     }
 
-    dist::DistOptions options;
-    options.numWorkers = workers;
-    options.threadsPerWorker = threads;
-    options.listen = "127.0.0.1:0"; // loopback TCP: the fleet path
-    options.secret = "oscar-trace-capture"; // in-process, never argv
-    dist::ProcessPool pool(options);
-    if (!pool.healthy()) {
-        std::fprintf(stderr, "oscar-trace: worker fleet failed to start\n");
-        return 1;
-    }
-
-    BatchHandle handle = pool.submit(cost, std::move(points));
-    const std::vector<double> values = handle.get();
-    const BatchStats stats = handle.stats();
-    std::fprintf(stderr,
-                 "oscar-trace: %zu points on %d workers x %d threads "
-                 "(%zu remote, %zu joined)\n",
-                 values.size(), workers, threads, stats.pointsRemote,
-                 stats.workersJoined);
+    ExecutionEngine engine(threads);
+    const std::vector<double> values = engine.evaluate(cost, points);
+    std::fprintf(stderr, "oscar-trace: %zu points on %d threads\n",
+                 values.size(), engine.numThreads());
 
     const std::vector<obs::SpanRecord> spans =
-        obs::Tracer::global().collectAll();
+        obs::Tracer::global().collect();
     std::map<std::int32_t, std::string> names;
-    names[static_cast<std::int32_t>(::getpid())] = "coordinator";
+    names[static_cast<std::int32_t>(::getpid())] = "oscar";
     const std::string json = obs::exportChromeTrace(spans, names);
 
     std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
@@ -300,9 +278,8 @@ main(int argc, char** argv)
         int qubits = 8;
         int depth = 1;
         std::size_t num_points = 48;
-        int workers = 2;
         int threads = 2;
-        long long min_pids = 2;
+        long long min_pids = 1;
         for (int i = 1; i < argc; ++i) {
             const char* val = nullptr;
             if (tools::flagValue(argc, argv, i, "--out", val))
@@ -318,9 +295,6 @@ main(int argc, char** argv)
             else if (tools::flagValue(argc, argv, i, "--points", val))
                 num_points = static_cast<std::size_t>(
                     tools::parseInt("--points", val, 16, 1 << 20));
-            else if (tools::flagValue(argc, argv, i, "--workers", val))
-                workers = static_cast<int>(
-                    tools::parseInt("--workers", val, 1, 64));
             else if (tools::flagValue(argc, argv, i, "--threads", val))
                 threads = static_cast<int>(
                     tools::parseInt("--threads", val, 1, 64));
@@ -333,7 +307,7 @@ main(int argc, char** argv)
             return usage(); // exactly one mode
         if (!out_path.empty())
             return runTraced(out_path, qubits, depth, num_points,
-                             workers, threads);
+                             threads);
         return checkTrace(check_path, min_pids);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "oscar-trace: %s\n", e.what());
