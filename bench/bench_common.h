@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "src/graph/generators.h"
 #include "src/landscape/landscape.h"
 #include "src/landscape/metrics.h"
+#include "src/quantum/kernels.h"
 
 namespace oscar {
 namespace bench {
@@ -53,15 +55,40 @@ struct TimingStats
 {
     double median = 0.0;
     double min = 0.0;
+    double p25 = 0.0; ///< quartiles; written only for reps > 1
+    double p75 = 0.0;
     int reps = 0;
 };
 
 /**
- * Run `fn` `reps` times and report the median and minimum wall-clock
- * seconds. Single-shot timing is noise-bound on shared CI hosts; the
- * median is the headline number (robust to one-off stalls) and the
- * minimum approximates the noise-free cost.
+ * Median, quartiles and minimum of repeated wall-clock samples
+ * (seconds). Single-shot timing is noise-bound on shared CI hosts; the
+ * median is the headline number (robust to one-off stalls), the
+ * quartiles its spread, and the minimum approximates the noise-free
+ * cost.
  */
+inline TimingStats
+timingStats(std::vector<double> seconds)
+{
+    std::sort(seconds.begin(), seconds.end());
+    // Linear interpolation between order statistics.
+    auto quantile = [&seconds](double q) {
+        const double pos = q * static_cast<double>(seconds.size() - 1);
+        const auto lo = static_cast<std::size_t>(pos);
+        const std::size_t hi = std::min(lo + 1, seconds.size() - 1);
+        return seconds[lo] +
+               (pos - static_cast<double>(lo)) * (seconds[hi] - seconds[lo]);
+    };
+    TimingStats stats;
+    stats.reps = static_cast<int>(seconds.size());
+    stats.min = seconds.front();
+    stats.median = quantile(0.5);
+    stats.p25 = quantile(0.25);
+    stats.p75 = quantile(0.75);
+    return stats;
+}
+
+/** Run `fn` `reps` times and report timingStats() of the runs. */
 template <typename Fn>
 TimingStats
 timeRepeated(int reps, Fn&& fn)
@@ -73,21 +100,38 @@ timeRepeated(int reps, Fn&& fn)
         fn();
         seconds.push_back(secondsSince(start));
     }
-    std::sort(seconds.begin(), seconds.end());
-    TimingStats stats;
-    stats.reps = reps;
-    stats.min = seconds.front();
-    const std::size_t mid = seconds.size() / 2;
-    stats.median = seconds.size() % 2 == 1
-                       ? seconds[mid]
-                       : 0.5 * (seconds[mid - 1] + seconds[mid]);
-    return stats;
+    return timingStats(std::move(seconds));
+}
+
+/**
+ * `git describe --always --dirty` of the source tree the bench was
+ * built from, or "unknown" outside a git checkout.
+ */
+inline std::string
+gitDescribe()
+{
+    std::string out;
+#ifdef OSCAR_SOURCE_DIR
+    const std::string cmd = std::string("git -C '") + OSCAR_SOURCE_DIR +
+                            "' describe --always --dirty --abbrev=12 "
+                            "2>/dev/null";
+    if (std::FILE* pipe = ::popen(cmd.c_str(), "r")) {
+        char buf[128];
+        if (std::fgets(buf, sizeof(buf), pipe))
+            out = buf;
+        ::pclose(pipe);
+    }
+    while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
+        out.pop_back();
+#endif
+    return out.empty() ? "unknown" : out;
 }
 
 /**
  * Machine-readable benchmark report: one JSON file of {case, median_s,
- * min_s, ...} rows, so the perf trajectory of a hot path is diffable
- * across PRs (bench_engine writes BENCH_kernels.json).
+ * p25_s, p75_s, min_s, ...} rows under a "host" record (core count,
+ * default kernel ISA, git revision), so the perf trajectory of a hot
+ * path is diffable across PRs (bench_engine writes BENCH_kernels.json).
  */
 class JsonReport
 {
@@ -118,8 +162,13 @@ class JsonReport
                          path.c_str());
             return false;
         }
-        std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"cases\": [\n",
-                     bench_.c_str());
+        std::fprintf(f,
+                     "{\n  \"bench\": \"%s\",\n"
+                     "  \"host\": {\"nproc\": %u, \"isa\": \"%s\", "
+                     "\"git\": \"%s\"},\n  \"cases\": [\n",
+                     bench_.c_str(), std::thread::hardware_concurrency(),
+                     kernels::isaName(kernels::defaultKernelTable().isa),
+                     gitDescribe().c_str());
         for (std::size_t i = 0; i < cases_.size(); ++i) {
             const Case& c = cases_[i];
             std::fprintf(f,
@@ -132,6 +181,9 @@ class JsonReport
                              ? static_cast<double>(c.points) /
                                    c.timing.median
                              : 0.0);
+            if (c.timing.reps > 1)
+                std::fprintf(f, ", \"p25_s\": %.9g, \"p75_s\": %.9g",
+                             c.timing.p25, c.timing.p75);
             for (const auto& [key, value] : c.extra)
                 std::fprintf(f, ", \"%s\": %.9g", key.c_str(), value);
             std::fprintf(f, "}%s\n",

@@ -1,11 +1,9 @@
 /**
  * @file
- * Execution-engine throughput: scalar vs batched vs prefix-cached vs
- * threaded, and asynchronous pipeline overlap vs the synchronous
- * barrier.
+ * Execution-engine throughput (scalar vs batched vs prefix-cached vs
+ * threaded) and the CS solve on the engine.
  *
- * Studies on the system's hottest path (turning a list of grid
- * points into cost values on the statevector backend):
+ * Studies:
  *
  *  1. Sweep modes: scalar loop (cache off), one batched submission
  *     (cache off), prefix-cached batch, and the prefix-cached batch
@@ -21,12 +19,10 @@
  *     ratio and p50/p95/p99 per-batch latency read back from the live
  *     engine.batch.latency.ns histogram (src/obs/).
  *
- *  4. Overlap: Oscar::reconstruct with the synchronous barrier
- *     (execute everything, then run FISTA) vs the streaming pipeline
- *     (sharded async submission, FISTA warm-ups on finished shards
- *     while later shards execute). Samples are asserted identical;
- *     on a multi-core host the overlapped run should be no slower
- *     than the barrier.
+ *  4. CS solve (BENCH_cs.json): fistaSolve alone on the paper's p = 2
+ *     fold and on a fold below kFistaParallelPoints, with no engine
+ *     and on engines of 1, 2 and 4 threads, every row checked bitwise
+ *     against the engine-free solve.
  *
  * OSCAR_BENCH_ONLY=<substring> selects a subset of studies (the CI
  * observability leg runs only "obs").
@@ -37,11 +33,14 @@
  * the engine can only match the serial path.
  */
 
+#include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,7 +49,10 @@
 #include "src/ansatz/qaoa.h"
 #include "src/backend/engine.h"
 #include "src/backend/statevector_backend.h"
+#include "src/cs/fista.h"
+#include "src/cs/reconstructor.h"
 #include "src/hamiltonian/maxcut.h"
+#include "src/landscape/sampler.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -338,37 +340,123 @@ runObsStudy()
     json.write("BENCH_obs.json");
 }
 
-/** Overlap workload: reconstruct options for barrier vs streaming. */
-struct OverlapCase
+/** Bitwise equality, so -0.0 and +0.0 differ. */
+bool
+sameBits(const std::vector<double>& a, const std::vector<double>& b)
 {
-    Graph graph;
-    GridSpec grid;
-    OscarOptions barrier;
-    OscarOptions overlapped;
-
-    explicit OverlapCase(int num_qubits)
-        : graph(SweepCase::makeGraph(num_qubits)),
-          grid(GridSpec::qaoaP1(30, 60))
-    {
-        barrier.samplingFraction = 0.1;
-        barrier.numThreads = 0; // hardware
-        // Few shards + small warm-up budgets: on a multi-core host the
-        // warm-ups hide entirely behind in-flight shards; on a 1-core
-        // host they are bounded by the continuation carry-over to
-        // roughly a cold solve's work, so the overlapped pipeline is
-        // no slower than the barrier either way.
-        overlapped = barrier;
-        overlapped.streaming.shards = 4;
-        overlapped.streaming.warmupIterations = 10;
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (std::bit_cast<std::uint64_t>(a[i]) !=
+            std::bit_cast<std::uint64_t>(b[i]))
+            return false;
     }
+    return true;
+}
 
-    StatevectorCost
-    make() const
+/**
+ * CS solve study (BENCH_cs.json): fistaSolve alone -- the stage that
+ * is ~90% of a p = 2 request -- on the p2_fista benchmark's fold,
+ * (12, 12, 15, 15) -> 144 x 225 at 5%, and on (8, 8, 10, 10) ->
+ * 64 x 100 at 10%, which is below kFistaParallelPoints and so runs
+ * inline on every engine. The samples are the p = 2 QAOA landscape of
+ * the accuracy gate's 8-node 3-regular MaxCut graph. Each fold is
+ * solved with no engine and on engines of 1, 2 and 4 threads; every
+ * row must equal the engine-free solve bit for bit (coefficients,
+ * iterations, residual norm).
+ */
+void
+runCsStudy()
+{
+    constexpr int kStudyReps = 7;
+    struct Fold
     {
-        return StatevectorCost(qaoaCircuit(graph, 1),
-                               maxcutHamiltonian(graph));
+        const char* name;
+        GridSpec grid;
+        double fraction;
+    };
+    const Fold folds[] = {
+        {"144x225 5%", GridSpec::qaoaP2(12, 15), 0.05},
+        {"64x100 10%", GridSpec::qaoaP2(8, 10), 0.10},
+    };
+    Rng graph_rng(8);
+    const Graph graph = random3RegularGraph(8, graph_rng);
+
+    bench::header("CS solve: FISTA on the engine, 8-qubit p=2 QAOA "
+                  "landscape (median of " +
+                  std::to_string(kStudyReps) + ")");
+    bench::columns("mode", {"median_s", "p25_s", "p75_s", "ms/iter",
+                            "speedup", "identical"});
+    bench::JsonReport json("bench_engine/cs");
+    for (const Fold& fold : folds) {
+        StatevectorCost cost(qaoaCircuit(graph, 2),
+                             maxcutHamiltonian(graph));
+        const Landscape truth =
+            Landscape::gridSearch(fold.grid, cost, &bench::engine());
+        Rng rng(1);
+        const std::vector<std::size_t> indices = chooseSampleIndices(
+            fold.grid.numPoints(), fold.fraction, rng);
+        std::vector<double> values;
+        for (std::size_t i : indices)
+            values.push_back(truth.values()[i]);
+        const auto folded = csFoldedShape(fold.grid.shape());
+        const Dct2d dct(folded[0], folded[1]);
+        const FistaResult reference = fistaSolve(dct, indices, values);
+
+        // Modes alternate within each rep, so host drift over the
+        // study lands on every mode alike.
+        const int thread_counts[] = {0, 1, 2, 4};
+        std::vector<std::unique_ptr<ExecutionEngine>> engines;
+        for (int threads : thread_counts) {
+            engines.push_back(threads > 0 ? std::make_unique<ExecutionEngine>(
+                                                threads)
+                                          : nullptr);
+        }
+        std::vector<std::vector<double>> seconds(engines.size());
+        std::vector<bool> same(engines.size(), true);
+        for (int rep = 0; rep < kStudyReps; ++rep) {
+            for (std::size_t m = 0; m < engines.size(); ++m) {
+                const auto start = std::chrono::steady_clock::now();
+                const FistaResult result = fistaSolve(
+                    dct, indices, values, {}, engines[m].get());
+                seconds[m].push_back(bench::secondsSince(start));
+                same[m] = same[m] &&
+                          sameBits(result.coefficients.flat(),
+                                   reference.coefficients.flat()) &&
+                          result.iterations == reference.iterations &&
+                          sameBits({result.residualNorm},
+                                   {reference.residualNorm});
+            }
+        }
+        const double serial_median = bench::timingStats(seconds[0]).median;
+        for (std::size_t m = 0; m < engines.size(); ++m) {
+            const int threads = thread_counts[m];
+            const bench::TimingStats timing =
+                bench::timingStats(seconds[m]);
+            const double ms_per_iter =
+                timing.median * 1e3 /
+                static_cast<double>(
+                    std::max<std::size_t>(1, reference.iterations));
+            const double speedup = serial_median / timing.median;
+            const std::string name =
+                std::string("fista ") + fold.name +
+                (threads == 0 ? " no engine"
+                              : " x" + std::to_string(threads));
+            bench::row(name,
+                       {timing.median, timing.p25, timing.p75, ms_per_iter,
+                        speedup, same[m] ? 1.0 : 0.0},
+                       " %10.4g");
+            json.add(name, timing, fold.grid.numPoints(),
+                     {{"threads", static_cast<double>(threads)},
+                      {"iterations",
+                       static_cast<double>(reference.iterations)},
+                      {"ms_per_iter", ms_per_iter},
+                      {"speedup_vs_no_engine", speedup},
+                      {"identical", same[m] ? 1.0 : 0.0}});
+        }
     }
-};
+    json.write("BENCH_cs.json");
+}
 
 #ifndef OSCAR_HAVE_GBENCH
 
@@ -480,48 +568,6 @@ runSweep(int num_qubits, int depth, const GridSpec& grid)
     report(modes, num_points);
 }
 
-/**
- * Async-overlap vs synchronous-barrier reconstruction: same samples,
- * same engine width; the streaming pipeline hides FISTA warm-ups
- * behind in-flight execution shards.
- */
-void
-runOverlapStudy(int num_qubits)
-{
-    const OverlapCase study(num_qubits);
-    bench::header(
-        "Oscar::reconstruct overlap: " + std::to_string(num_qubits) +
-        " qubits, 30x60 grid, 10% samples, " +
-        std::to_string(study.overlapped.streaming.shards) +
-        " shards (median of " + std::to_string(kReps) + ")");
-
-    std::vector<Mode> modes;
-    OscarResult barrier_result, overlap_result;
-    {
-        const auto timing = bench::timeRepeated(kReps, [&] {
-            StatevectorCost cost = study.make();
-            barrier_result =
-                Oscar::reconstruct(study.grid, cost, study.barrier);
-        });
-        modes.push_back({"synchronous barrier", timing, true});
-    }
-    {
-        const auto timing = bench::timeRepeated(kReps, [&] {
-            StatevectorCost cost = study.make();
-            overlap_result =
-                Oscar::reconstruct(study.grid, cost, study.overlapped);
-        });
-        modes.push_back({"streaming overlap", timing,
-                         identical(overlap_result.samples.values,
-                                   barrier_result.samples.values)});
-    }
-    report(modes, barrier_result.samples.size());
-    std::printf("  (execution: %zu pts, prefix cache %zu/%zu hits)\n",
-                overlap_result.execution.pointsCompleted,
-                overlap_result.execution.kernel.cacheHits,
-                overlap_result.execution.kernel.cacheLookups);
-}
-
 #endif // !OSCAR_HAVE_GBENCH
 
 } // namespace
@@ -603,28 +649,6 @@ BM_EngineCachedSubmit(benchmark::State& state)
                                   sweep.points.size()));
 }
 
-void
-BM_ReconstructBarrier(benchmark::State& state)
-{
-    const OverlapCase study(static_cast<int>(state.range(0)));
-    for (auto _ : state) {
-        StatevectorCost cost = study.make();
-        benchmark::DoNotOptimize(
-            Oscar::reconstruct(study.grid, cost, study.barrier));
-    }
-}
-
-void
-BM_ReconstructOverlapped(benchmark::State& state)
-{
-    const OverlapCase study(static_cast<int>(state.range(0)));
-    for (auto _ : state) {
-        StatevectorCost cost = study.make();
-        benchmark::DoNotOptimize(
-            Oscar::reconstruct(study.grid, cost, study.overlapped));
-    }
-}
-
 BENCHMARK(BM_BatchedNoCache)
     ->Args({12, 1})
     ->Args({12, 2})
@@ -637,10 +661,6 @@ BENCHMARK(BM_EngineCachedSubmit)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ReconstructBarrier)->Arg(14)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ReconstructOverlapped)
-    ->Arg(14)
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 } // namespace oscar
@@ -651,15 +671,18 @@ main(int argc, char** argv)
     ::benchmark::Initialize(&argc, argv);
     if (::benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
-    // The kernel-layer and observability studies run in both modes and
-    // write BENCH_kernels.json / BENCH_obs.json for the cross-PR perf
-    // trajectory; they run first so the reports exist regardless of
-    // --benchmark_filter. OSCAR_BENCH_ONLY=<substring> narrows to
-    // matching studies (the observability CI leg runs only "obs").
+    // The kernel-layer, observability and CS studies run in both modes
+    // and write BENCH_kernels.json / BENCH_obs.json / BENCH_cs.json for
+    // the cross-PR perf trajectory; they run first so the reports exist
+    // regardless of --benchmark_filter. OSCAR_BENCH_ONLY=<substring>
+    // narrows to matching studies (the observability CI leg runs only
+    // "obs").
     if (oscar::benchEnabled("kernels"))
         oscar::runKernelStudy();
     if (oscar::benchEnabled("obs"))
         oscar::runObsStudy();
+    if (oscar::benchEnabled("cs"))
+        oscar::runCsStudy();
     if (std::getenv("OSCAR_BENCH_ONLY"))
         return 0;
     ::benchmark::RunSpecifiedBenchmarks();
@@ -699,9 +722,9 @@ main()
     if (oscar::benchEnabled("obs"))
         oscar::runObsStudy();
 
-    // Async pipeline overlap vs synchronous barrier.
-    if (oscar::benchEnabled("overlap"))
-        oscar::runOverlapStudy(14);
+    // The CS solve with and without the engine; writes BENCH_cs.json.
+    if (oscar::benchEnabled("cs"))
+        oscar::runCsStudy();
     return 0;
 }
 

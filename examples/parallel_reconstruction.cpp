@@ -1,7 +1,7 @@
 /**
  * @file
- * Parallel multi-QPU reconstruction with noise compensation, pipeline
- * overlap, and eager timeout (paper Section 5).
+ * Parallel multi-QPU reconstruction with noise compensation and eager
+ * timeout (paper Section 5).
  *
  * Scenario: a user wants the landscape *as QPU-1 sees it* (to study
  * QPU-1's noise), but QPU-1 alone would take too long, so half the
@@ -11,21 +11,13 @@
  * devices) maps QPU-2 values onto QPU-1's noise profile. An eager
  * timeout drops straggler jobs, trading a sliver of accuracy for a
  * large makespan cut.
- *
- * The study also demonstrates the engine's asynchronous submission
- * API: the streaming pipeline shards the execution batch, runs FISTA
- * warm-ups on finished shards while later shards are still in flight,
- * and reports the prefix-cache traffic it observed -- same samples,
- * same answer, less wall-clock on a multi-core host.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
 
 #include "src/ansatz/qaoa.h"
 #include "src/backend/analytic_qaoa.h"
-#include "src/backend/statevector_backend.h"
 #include "src/core/oscar.h"
 #include "src/graph/generators.h"
 #include "src/hamiltonian/maxcut.h"
@@ -107,60 +99,5 @@ main()
                 "with almost no accuracy cost -- the flat error-vs-"
                 "fraction curve of Fig. 4 at work.\n");
 
-    // ------------------------------------------------------------
-    // Execution/reconstruction overlap via the async submission API.
-    // ------------------------------------------------------------
-    std::printf("\nStreaming pipeline (statevector backend, 14 qubits, "
-                "30x60 grid, 10%% samples):\n");
-    {
-        Rng g_rng(5);
-        const Graph sv_graph = random3RegularGraph(14, g_rng);
-        const GridSpec sv_grid = GridSpec::qaoaP1(30, 60);
-        auto make_cost = [&] {
-            return StatevectorCost(qaoaCircuit(sv_graph, 1),
-                                   maxcutHamiltonian(sv_graph));
-        };
-        auto seconds = [](auto fn) {
-            const auto start = std::chrono::steady_clock::now();
-            fn();
-            return std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                .count();
-        };
-
-        OscarOptions barrier;
-        barrier.samplingFraction = 0.10;
-        OscarOptions streaming = barrier;
-        streaming.streaming.shards = 6;
-        streaming.streaming.warmupIterations = 10;
-
-        OscarResult sync_result, overlap_result;
-        const double sync_s = seconds([&] {
-            StatevectorCost cost = make_cost();
-            sync_result = Oscar::reconstruct(sv_grid, cost, barrier);
-        });
-        const double overlap_s = seconds([&] {
-            StatevectorCost cost = make_cost();
-            overlap_result = Oscar::reconstruct(sv_grid, cost, streaming);
-        });
-
-        const bool same_samples =
-            sync_result.samples.values == overlap_result.samples.values;
-        std::printf("  synchronous barrier: %6.2f s\n", sync_s);
-        std::printf("  streaming overlap:   %6.2f s (%zu shards, "
-                    "same samples: %s)\n",
-                    overlap_s, streaming.streaming.shards,
-                    same_samples ? "yes" : "NO");
-        std::printf("  execution stats: %zu points, prefix cache "
-                    "%zu/%zu hits, %zu evictions\n",
-                    overlap_result.execution.pointsCompleted,
-                    overlap_result.execution.kernel.cacheHits,
-                    overlap_result.execution.kernel.cacheLookups,
-                    overlap_result.execution.kernel.cacheEvictions);
-        std::printf("  While shards execute on the worker pool, the "
-                    "reconstructor is already iterating on finished "
-                    "samples -- the barrier between Fig. 3's phases "
-                    "is gone.\n");
-    }
     return 0;
 }

@@ -11,9 +11,9 @@
  *
  * The submission API is asynchronous: submit() returns a BatchHandle
  * immediately, so callers can keep several batches in flight and do
- * other work (CS reconstruction iterations, NCM fitting, scheduling)
- * while circuits execute -- the pipeline-overlap the ROADMAP calls
- * for. The synchronous evaluate() is submit(...).get().
+ * other work (NCM fitting, scheduling) while circuits execute. The
+ * synchronous evaluate() is submit(...).get(); map() runs plain
+ * per-index work, such as the FISTA solve's row and lane blocks.
  *
  * Determinism contract (unchanged from the synchronous engine):
  * evaluation i of a batch always runs with ordinal base + i, where

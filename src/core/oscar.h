@@ -38,42 +38,6 @@
 
 namespace oscar {
 
-/**
- * Execution/reconstruction overlap of the streaming pipeline.
- *
- * With shards > 1, Oscar::reconstruct splits the sample batch into
- * `shards` asynchronous submissions and interleaves reconstruction
- * with execution: after each completed shard it runs
- * `warmupIterations` FISTA iterations on all samples received so far
- * (warm-started from the previous partial solve), while later shards
- * keep executing on the engine's workers. The final solve is
- * warm-started from the accumulated coefficients.
- *
- * Determinism: the interleaving schedule is fixed by these two
- * numbers alone -- shards are incorporated in submission order and
- * every warm-up runs a fixed iteration budget -- so the result never
- * depends on timing or thread count. The measured samples themselves
- * are bit-identical to the non-streaming pipeline's; only the solver
- * trajectory (and hence the reconstruction) differs from shards = 1.
- * Warm-ups apply to the FISTA solver; under OMP the shards still
- * overlap execution, but the single solve runs at the end.
- */
-struct StreamingOptions
-{
-    /** Execution shards; 1 = synchronous barrier (no overlap). */
-    std::size_t shards = 1;
-
-    /**
-     * FISTA iterations run after each completed shard. The default is
-     * small on purpose: the warm-up chain shares one global lambda
-     * annealing schedule with the final solve, so a few iterations
-     * per shard capture most of the head start, while larger budgets
-     * only pay off when many cores keep the shards in flight long
-     * enough to hide them.
-     */
-    std::size_t warmupIterations = 10;
-};
-
 /** Configuration for an OSCAR reconstruction. */
 struct OscarOptions
 {
@@ -104,17 +68,12 @@ struct OscarOptions
      */
     KernelOptions kernel;
 
-    /** Execution/reconstruction overlap (off by default). */
-    StreamingOptions streaming;
-
     /**
      * Execution-phase progress callback: (points completed, total
      * points to sample), invoked as sampled points finish. Purely
      * observational -- it never affects values or scheduling. Calls
-     * are serialized within one submission batch but may interleave
-     * across streaming shards; the completed count is monotonic
-     * either way. Used by oscar-serve to stream Progress frames to
-     * waiting clients.
+     * are serialized and the completed count is monotonic. Used by
+     * oscar-serve to stream Progress frames to waiting clients.
      */
     std::function<void(std::size_t completed, std::size_t total)> progress;
 
@@ -181,7 +140,8 @@ class Oscar
      * Single-device pipeline: sample `fraction` of the grid uniformly
      * at random, execute the cost function there (batched across
      * `options.numThreads` workers, or on `engine` when provided),
-     * reconstruct.
+     * reconstruct. Every pipeline runs its FISTA solve on the same
+     * engine (see fistaSolve); values do not depend on it.
      */
     static OscarResult reconstruct(const GridSpec& grid, CostFunction& cost,
                                    const OscarOptions& options = {},

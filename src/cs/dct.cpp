@@ -199,20 +199,22 @@ stageRow(std::size_t p, const double* roots, const double* xr,
 }
 
 /**
- * Lane row of the packed complex batch from one element row: vector
- * b < half goes to re[b], vector b >= half to im[b - half]; lanes
- * beyond the batch are zero.
+ * Lane row of the packed complex batch from one element row: the
+ * vector at xa + l * bs goes to re[l] for l < count, the one at
+ * xb + l * bs to im[l] for l < im_count, and lanes beyond those are
+ * zero.
  */
 void
-packRow(const double* x, std::size_t bs, std::size_t batch, std::size_t half,
-        std::size_t lanes, double* re, double* im)
+packRow(const double* xa, const double* xb, std::size_t bs,
+        std::size_t count, std::size_t im_count, std::size_t lanes,
+        double* re, double* im)
 {
-    for (std::size_t b = 0; b < half; ++b)
-        re[b] = x[b * bs];
-    std::fill(re + half, re + lanes, 0.0);
-    for (std::size_t b = half; b < batch; ++b)
-        im[b - half] = x[b * bs];
-    std::fill(im + (batch - half), im + lanes, 0.0);
+    for (std::size_t l = 0; l < count; ++l)
+        re[l] = xa[l * bs];
+    std::fill(re + count, re + lanes, 0.0);
+    for (std::size_t l = 0; l < im_count; ++l)
+        im[l] = xb[l * bs];
+    std::fill(im + im_count, im + lanes, 0.0);
 }
 
 } // namespace
@@ -304,37 +306,51 @@ DctPlan::forward(const double* in, double* out, std::size_t batch,
                  std::size_t js, std::size_t bs,
                  std::vector<double>& work) const
 {
+    forwardLanes(in, out, batch, js, bs, 0, lanes(batch), work);
+}
+
+void
+DctPlan::forwardLanes(const double* in, double* out, std::size_t batch,
+                      std::size_t js, std::size_t bs, std::size_t lo,
+                      std::size_t hi, std::vector<double>& work) const
+{
     const std::size_t n = n_;
-    const std::size_t half = (batch + 1) / 2;
-    const std::size_t lanes = (half + 1) / 2 * 2;
-    work.resize(4 * n * lanes);
+    const std::size_t half = lanes(batch);
+    assert(lo <= hi && hi <= half);
+    // Lane l of this call holds vectors lo + l and lo + half + l (the
+    // second only when below batch).
+    const std::size_t count = hi - lo;
+    const std::size_t im_count =
+        std::min(hi + half, batch) - std::min(lo + half, batch);
+    const std::size_t width = (count + 1) / 2 * 2;
+    work.resize(4 * n * width);
     double* re = work.data();
-    double* im = re + n * lanes;
+    double* im = re + n * width;
     // Makhoul's order: v[e / 2] = x[e] for even e, v[n - 1 - e / 2]
     // for odd e.
     for (std::size_t e = 0; e < n; ++e) {
         const std::size_t row = e % 2 == 0 ? e / 2 : n - 1 - e / 2;
-        packRow(in + e * js, bs, batch, half, lanes, re + row * lanes,
-                im + row * lanes);
+        const double* x = in + e * js;
+        packRow(x + lo * bs, x + (lo + half) * bs, bs, count, im_count,
+                width, re + row * width, im + row * width);
     }
-    const auto [fr, fi] = fft(re, im, im + n * lanes, im + 2 * n * lanes,
-                              lanes);
+    const auto [fr, fi] = fft(re, im, im + n * width, im + 2 * n * width,
+                              width);
     // Split the shared lane Z = V_a + i V_b with V_{n-k} = conj(V_k):
     // V_a = (Z_k + conj Z_{n-k}) / 2, V_b = (Z_k - conj Z_{n-k}) / 2i.
+    double* oa = out + lo * bs;
+    double* ob = out + (lo + half) * bs;
     for (std::size_t k = 0; k < n; ++k) {
         const std::size_t kk = k == 0 ? 0 : n - k;
         const double p = post_[2 * k], q = post_[2 * k + 1];
-        const double* rk = fr + k * lanes;
-        const double* rkk = fr + kk * lanes;
-        const double* ik = fi + k * lanes;
-        const double* ikk = fi + kk * lanes;
-        double* o = out + k * js;
-        for (std::size_t b = 0; b < half; ++b)
-            o[b * bs] = p * (rk[b] + rkk[b]) - q * (ik[b] - ikk[b]);
-        for (std::size_t b = half; b < batch; ++b) {
-            const std::size_t l = b - half;
-            o[b * bs] = p * (ik[l] + ikk[l]) + q * (rk[l] - rkk[l]);
-        }
+        const double* rk = fr + k * width;
+        const double* rkk = fr + kk * width;
+        const double* ik = fi + k * width;
+        const double* ikk = fi + kk * width;
+        for (std::size_t l = 0; l < count; ++l)
+            oa[k * js + l * bs] = p * (rk[l] + rkk[l]) - q * (ik[l] - ikk[l]);
+        for (std::size_t l = 0; l < im_count; ++l)
+            ob[k * js + l * bs] = p * (ik[l] + ikk[l]) + q * (rk[l] - rkk[l]);
     }
 }
 
@@ -344,39 +360,39 @@ DctPlan::inverse(const double* in, double* out, std::size_t batch,
                  std::vector<double>& work) const
 {
     const std::size_t n = n_;
-    const std::size_t half = (batch + 1) / 2;
-    const std::size_t lanes = (half + 1) / 2 * 2;
-    work.resize(4 * n * lanes);
+    const std::size_t half = lanes(batch);
+    const std::size_t width = (half + 1) / 2 * 2;
+    work.resize(4 * n * width);
     double* re = work.data();
-    double* im = re + n * lanes;
-    double* ca = im + n * lanes; // coefficients of the real-part vectors
-    double* cb = ca + n * lanes; // and of the imaginary-part vectors
+    double* im = re + n * width;
+    double* ca = im + n * width; // coefficients of the real-part vectors
+    double* cb = ca + n * width; // and of the imaginary-part vectors
     for (std::size_t k = 0; k < n; ++k)
-        packRow(in + k * js, bs, batch, half, lanes, ca + k * lanes,
-                cb + k * lanes);
+        packRow(in + k * js, in + k * js + half * bs, bs, half, batch - half,
+                width, ca + k * width, cb + k * width);
     // Z_k = V_a,k + i V_b,k, stored swapped (re <- Im Z, im <- Re Z):
     // the forward FFT of swap(Z) is swap(n IFFT(Z)).
     for (std::size_t k = 0; k < n; ++k) {
         const std::size_t kk = k == 0 ? 0 : n - k;
         const double c = pre_[4 * k], s = pre_[4 * k + 1];
         const double c2 = pre_[4 * k + 2], s2 = pre_[4 * k + 3];
-        const double* ak = ca + k * lanes;
-        const double* akk = ca + kk * lanes;
-        const double* bk = cb + k * lanes;
-        const double* bkk = cb + kk * lanes;
-        double* zi = re + k * lanes;
-        double* zr = im + k * lanes;
-        for (std::size_t l = 0; l < lanes; ++l) {
+        const double* ak = ca + k * width;
+        const double* akk = ca + kk * width;
+        const double* bk = cb + k * width;
+        const double* bkk = cb + kk * width;
+        double* zi = re + k * width;
+        double* zr = im + k * width;
+        for (std::size_t l = 0; l < width; ++l) {
             zr[l] = c * ak[l] + s2 * akk[l] - s * bk[l] + c2 * bkk[l];
             zi[l] = s * ak[l] - c2 * akk[l] + c * bk[l] + s2 * bkk[l];
         }
     }
-    const auto [fr, fi] = fft(re, im, ca, cb, lanes);
+    const auto [fr, fi] = fft(re, im, ca, cb, width);
     // v_a = Im, v_b = Re of the swapped result, back in natural order.
     for (std::size_t e = 0; e < n; ++e) {
         const std::size_t row = e % 2 == 0 ? e / 2 : n - 1 - e / 2;
-        const double* va = fi + row * lanes;
-        const double* vb = fr + row * lanes;
+        const double* va = fi + row * width;
+        const double* vb = fr + row * width;
         double* o = out + e * js;
         for (std::size_t b = 0; b < half; ++b)
             o[b * bs] = va[b];
@@ -475,7 +491,8 @@ Dct2d::inverse(const NdArray& c) const
 SampledDct2d::SampledDct2d(const Dct2d& dct,
                            const std::vector<std::size_t>& sample_index)
     : dct_(dct), order_(sample_index.size()),
-      index_(sample_index.size()), work_(dct.rows() * dct.cols())
+      index_(sample_index.size()), rowStart_(dct.rows() + 1),
+      u_(dct.rows() * dct.cols()), t_(dct.rows() * dct.cols())
 {
     const std::size_t n = dct.rows() * dct.cols();
     for (std::size_t idx : sample_index) {
@@ -494,24 +511,47 @@ SampledDct2d::SampledDct2d(const Dct2d& dct,
             throw std::invalid_argument(
                 "SampledDct2d: duplicate sample index");
     }
+    const std::size_t nc = dct.cols();
+    std::size_t j = 0;
+    for (std::size_t r = 0; r <= dct.rows(); ++r) {
+        while (j < index_.size() && index_[j] / nc < r)
+            ++j;
+        rowStart_[r] = j;
+    }
 }
 
 void
 SampledDct2d::apply(const NdArray& z, std::vector<double>& values)
 {
+    assert(z.size() == u_.size());
+    columnRows(z.data(), 0, dct_.rows());
+    values.resize(order_.size());
+    gatherRows(0, dct_.rows(), nullptr, values);
+}
+
+void
+SampledDct2d::adjoint(const std::vector<double>& values,
+                      NdArray& coefficients)
+{
     const std::size_t nr = dct_.rows();
     const std::size_t nc = dct_.cols();
-    assert(z.size() == nr * nc);
-    const double* bc = dct_.colT_.basis().data();
-    const double* br = dct_.rowT_.basis().data();
+    if (coefficients.shape() != std::vector<std::size_t>{nr, nc})
+        coefficients = NdArray({nr, nc});
+    scatterRows(values, 0, nr);
+    forwardLanes(0, lanes(), coefficients, fftWork_);
+}
 
-    // Column axis U = Z Bc, one row at a time so that each nonzero of
-    // a sparse iterate costs one axpy.
-    double* u = work_.data();
-    std::fill(work_.begin(), work_.end(), 0.0);
-    for (std::size_t r = 0; r < nr; ++r) {
-        double* __restrict ur = u + r * nc;
-        const double* zr = z.data() + r * nc;
+void
+SampledDct2d::columnRows(const double* z, std::size_t r0, std::size_t r1)
+{
+    const std::size_t nc = dct_.cols();
+    const double* bc = dct_.colT_.basis().data();
+    // U = Z Bc one row at a time, so that each nonzero of a sparse
+    // iterate costs one axpy.
+    for (std::size_t r = r0; r < r1; ++r) {
+        double* __restrict ur = u_.data() + r * nc;
+        const double* zr = z + r * nc;
+        std::fill(ur, ur + nc, 0.0);
         for (std::size_t l = 0; l < nc; ++l) {
             const double zl = zr[l];
             if (zl == 0.0)
@@ -521,13 +561,26 @@ SampledDct2d::apply(const NdArray& z, std::vector<double>& values)
                 ur[j] += bl[j] * zl;
         }
     }
+}
 
+void
+SampledDct2d::gatherRows(std::size_t r0, std::size_t r1, const double* y,
+                         std::vector<double>& values) const
+{
+    const std::size_t nr = dct_.rows();
+    const std::size_t nc = dct_.cols();
+    assert(values.size() == order_.size());
+    const double* br = dct_.rowT_.basis().data();
+    const double* u = u_.data();
+    auto put = [&](std::size_t j, double x) {
+        const std::size_t m = order_[j];
+        values[m] = y ? x - y[m] : x;
+    };
     // Row axis only at the samples: X[r, c] = sum_k Br[k, r] U[k, c],
     // four independent samples per sweep of k.
-    const std::size_t m = order_.size();
-    values.resize(m);
-    std::size_t j = 0;
-    for (; j + 4 <= m; j += 4) {
+    const std::size_t end = rowStart_[r1];
+    std::size_t j = rowStart_[r0];
+    for (; j + 4 <= end; j += 4) {
         const std::size_t* idx = &index_[j];
         const double* b0 = br + idx[0] / nc;
         const double* b1 = br + idx[1] / nc;
@@ -544,47 +597,51 @@ SampledDct2d::apply(const NdArray& z, std::vector<double>& values)
             x2 += b2[k * nr] * u2[k * nc];
             x3 += b3[k * nr] * u3[k * nc];
         }
-        values[order_[j]] = x0;
-        values[order_[j + 1]] = x1;
-        values[order_[j + 2]] = x2;
-        values[order_[j + 3]] = x3;
+        put(j, x0);
+        put(j + 1, x1);
+        put(j + 2, x2);
+        put(j + 3, x3);
     }
-    for (; j < m; ++j) {
+    for (; j < end; ++j) {
         const double* b0 = br + index_[j] / nc;
         const double* u0 = u + index_[j] % nc;
         double x0 = 0.0;
         for (std::size_t k = 0; k < nr; ++k)
             x0 += b0[k * nr] * u0[k * nc];
-        values[order_[j]] = x0;
+        put(j, x0);
     }
 }
 
 void
-SampledDct2d::adjoint(const std::vector<double>& values,
-                      NdArray& coefficients)
+SampledDct2d::scatterRows(const std::vector<double>& values, std::size_t r0,
+                          std::size_t r1)
 {
-    const std::size_t nr = dct_.rows();
     const std::size_t nc = dct_.cols();
     assert(values.size() == order_.size());
     const double* bct = dct_.colBasisT_.data();
-
-    // Column axis of the scattered grid: each sample adds its value
-    // times Bc^T's row c to T's row r, in ascending c within a row.
-    double* t = work_.data();
-    std::fill(work_.begin(), work_.end(), 0.0);
-    for (std::size_t j = 0; j < order_.size(); ++j) {
+    // Each sample adds its value times Bc^T's row c to T's row r, in
+    // ascending c within a row.
+    std::fill(t_.begin() + r0 * nc, t_.begin() + r1 * nc, 0.0);
+    for (std::size_t j = rowStart_[r0]; j < rowStart_[r1]; ++j) {
         const double v = values[order_[j]];
         if (v == 0.0)
             continue;
-        double* __restrict tr = t + index_[j] / nc * nc;
+        double* __restrict tr = t_.data() + index_[j] / nc * nc;
         const double* __restrict bc = bct + index_[j] % nc * nc;
         for (std::size_t k = 0; k < nc; ++k)
             tr[k] += bc[k] * v;
     }
+}
 
-    if (coefficients.shape() != std::vector<std::size_t>{nr, nc})
-        coefficients = NdArray({nr, nc});
-    dct_.rowPlan_.forward(t, coefficients.data(), nc, nc, 1, fftWork_);
+void
+SampledDct2d::forwardLanes(std::size_t lo, std::size_t hi,
+                           NdArray& coefficients,
+                           std::vector<double>& work) const
+{
+    const std::size_t nc = dct_.cols();
+    assert(coefficients.size() == t_.size());
+    dct_.rowPlan_.forwardLanes(t_.data(), coefficients.data(), nc, nc, 1, lo,
+                               hi, work);
 }
 
 void

@@ -28,15 +28,21 @@
  * exist: apply() gathers the inverse at the samples instead of
  * finishing the row-axis pass over the whole grid, and adjoint()
  * scatters each sample straight into the column-axis result instead
- * of transforming a mostly-zero grid.
+ * of transforming a mostly-zero grid. Both are built from pieces over
+ * a range of grid rows (column pass, gather, scatter) and a range of
+ * row-axis FFT lanes (DctPlan::forwardLanes). Pieces over disjoint
+ * ranges write disjoint memory, so a caller may run them concurrently
+ * (FISTA does, on the request's ExecutionEngine), and every output
+ * element is computed by the same operation sequence however the
+ * ranges are cut.
  *
  * Determinism contract: every value is bit-identical per (build, ISA,
- * kCsTransformRevision) -- across calls, threads and processes, since
- * a plan is immutable after construction and each caller owns its
- * workspace. The fast transforms round differently from the direct
- * products, so they agree with the Dct1d composition only to a
- * rounding bound (tests/test_dct.cpp), and the solvers' reconstruction
- * quality is held by the NRMSE accuracy gate in
+ * kCsTransformRevision) -- across calls, threads, processes and row or
+ * lane splits, since a plan is immutable after construction and each
+ * caller owns its workspace. The fast transforms round differently
+ * from the direct products, so they agree with the Dct1d composition
+ * only to a rounding bound (tests/test_dct.cpp), and the solvers'
+ * reconstruction quality is held by the NRMSE accuracy gate in
  * tests/test_cs_solvers.cpp. apply() and atom() still sum the same
  * products as Dct1d in ascending index order from +0.0 and stay
  * bitwise equal to it. This code stays in the baseline-ISA TU, with no
@@ -102,11 +108,26 @@ class DctPlan
   public:
     explicit DctPlan(std::size_t length);
 
+    /** FFT lanes of a batch: vector b < lanes(batch) shares its lane
+     * with vector b + lanes(batch). */
+    static std::size_t lanes(std::size_t batch) { return (batch + 1) / 2; }
+
     /** out = DCT-II of every vector of in; out may alias in. `work` is
      * resized as needed and may be reused across calls. */
     void forward(const double* in, double* out, std::size_t batch,
                  std::size_t js, std::size_t bs,
                  std::vector<double>& work) const;
+
+    /**
+     * forward() of the vectors in lanes [lo, hi) only: vectors b and
+     * b + lanes(batch) for lo <= b < hi. Each vector's output is
+     * bitwise what forward() gives it, and calls over disjoint lane
+     * ranges touch disjoint vectors, so they may run concurrently on
+     * one (possibly aliased) in/out pair, each with its own `work`.
+     */
+    void forwardLanes(const double* in, double* out, std::size_t batch,
+                      std::size_t js, std::size_t bs, std::size_t lo,
+                      std::size_t hi, std::vector<double>& work) const;
 
     /** out = DCT-III (the inverse) of every vector of in, with the
      * same layout, aliasing and workspace rules as forward(). */
@@ -166,9 +187,16 @@ class Dct2d
  * A = Sample_Omega o IDCT2 and A^T for one sample set, built once per
  * solve. Sample values are exchanged in the caller's sample order;
  * internally the samples are visited in row-major grid order. Owns
- * its workspaces, so apply/adjoint allocate nothing after the first
- * adjoint. The
- * Dct2d must outlive the operator.
+ * its workspaces: U, the column-axis pass of the last applied
+ * iterate, and T, that of the last scattered values, so apply/adjoint
+ * allocate nothing after the first adjoint. The Dct2d must outlive
+ * the operator.
+ *
+ * apply() is columnRows() then gatherRows() over every row, and
+ * adjoint() is scatterRows() over every row then forwardLanes() over
+ * every lane. A solver that splits the rows or lanes into blocks gets
+ * bitwise the same values; blocks of one piece may run concurrently,
+ * but each piece must finish before one that reads its result.
  */
 class SampledDct2d
 {
@@ -191,12 +219,39 @@ class SampledDct2d
      * the samples, values[m] = Br[kr, r_m] * Bc[kc, c_m]. */
     void atom(std::size_t coefficient, std::vector<double>& values) const;
 
+    /** Rows [r0, r1) of U = Z Bc, the column-axis pass of the
+     * (rows x cols) iterate z, skipping its zero coefficients. */
+    void columnRows(const double* z, std::size_t r0, std::size_t r1);
+
+    /**
+     * A z at the samples in grid rows [r0, r1), from U (every row of
+     * it): values[m] = IDCT2(z)[sample_index[m]], minus y[m] when y is
+     * given. `values` must hold samples() entries.
+     */
+    void gatherRows(std::size_t r0, std::size_t r1, const double* y,
+                    std::vector<double>& values) const;
+
+    /** Rows [r0, r1) of T, the column-axis pass of the grid that is
+     * values[m] at sample_index[m] and zero elsewhere. */
+    void scatterRows(const std::vector<double>& values, std::size_t r0,
+                     std::size_t r1);
+
+    /** FFT lanes of the row-axis pass: lanes() of the cols columns. */
+    std::size_t lanes() const { return DctPlan::lanes(dct_.cols()); }
+
+    /** Lanes [lo, hi) of the row-axis forward pass of T into
+     * `coefficients` (rows x cols, allocated by the caller). */
+    void forwardLanes(std::size_t lo, std::size_t hi, NdArray& coefficients,
+                      std::vector<double>& work) const;
+
   private:
     const Dct2d& dct_;
-    std::vector<std::size_t> order_; // caller positions, grid order
-    std::vector<std::size_t> index_; // grid index of order_[j]
-    std::vector<double> work_;       // column-axis pass result
-    std::vector<double> fftWork_;    // DctPlan workspace
+    std::vector<std::size_t> order_;    // caller positions, grid order
+    std::vector<std::size_t> index_;    // grid index of order_[j]
+    std::vector<std::size_t> rowStart_; // first j of each row, rows + 1
+    std::vector<double> u_;             // column-axis pass of apply()
+    std::vector<double> t_;             // column-axis pass of adjoint()
+    std::vector<double> fftWork_;       // DctPlan workspace
 };
 
 } // namespace oscar

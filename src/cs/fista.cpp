@@ -1,12 +1,41 @@
 #include "src/cs/fista.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
 
+#include "src/backend/engine.h"
+
 namespace oscar {
+
+namespace {
+
+/** Run fn(b) for every b < blocks: on the engine when one is given,
+ * else inline in ascending order. */
+template <class Fn>
+void
+forBlocks(ExecutionEngine* engine, std::size_t blocks, const Fn& fn)
+{
+    if (!engine) {
+        for (std::size_t b = 0; b < blocks; ++b)
+            fn(b);
+        return;
+    }
+    engine->map(blocks, [&fn](std::size_t b) {
+        fn(b);
+        return 0.0;
+    });
+}
+
+/** Block b of [0, total) cut into `blocks` near-equal ranges. */
+std::pair<std::size_t, std::size_t>
+blockRange(std::size_t b, std::size_t blocks, std::size_t total)
+{
+    return {b * total / blocks, (b + 1) * total / blocks};
+}
+
+} // namespace
 
 double
 softThreshold(double x, double threshold)
@@ -21,8 +50,7 @@ softThreshold(double x, double threshold)
 FistaResult
 fistaSolve(const Dct2d& dct, const std::vector<std::size_t>& sample_index,
            const std::vector<double>& sample_value,
-           const FistaOptions& options, const NdArray* warm_start,
-           double warm_lambda_fraction)
+           const FistaOptions& options, ExecutionEngine* engine)
 {
     if (sample_index.size() != sample_value.size())
         throw std::invalid_argument("fistaSolve: index/value size mismatch");
@@ -51,63 +79,70 @@ fistaSolve(const Dct2d& dct, const std::vector<std::size_t>& sample_index,
     if (max_aty == 0.0)
         return {NdArray({nr, nc}), 0, 0.0};
 
+    // Continuation anneals lambda from lambdaInitFraction (it speeds
+    // up the early shrinkage) down to the final objective.
     const double lambda_final = options.lambdaFinalFraction * max_aty;
-    // Cold starts anneal lambda from lambdaInitFraction (continuation
-    // speeds up the early shrinkage). A warm start resumes the
-    // caller's annealing state instead of re-shrinking the iterate:
-    // at the handed-over lambda fraction when given, else directly at
-    // the final objective (the iterate is assumed near-converged).
-    double init_fraction = options.lambdaInitFraction;
-    if (warm_start) {
-        init_fraction = warm_lambda_fraction >= 0.0
-                            ? warm_lambda_fraction
-                            : options.lambdaFinalFraction;
-    }
-    double lambda = std::max(init_fraction * max_aty, lambda_final);
+    double lambda =
+        std::max(options.lambdaInitFraction * max_aty, lambda_final);
 
-    NdArray s({nr, nc});       // current iterate
-    if (warm_start) {
-        if (warm_start->shape() != std::vector<std::size_t>{nr, nc})
-            throw std::invalid_argument(
-                "fistaSolve: warm start shape mismatch");
-        s = *warm_start;
-    }
-    NdArray s_prev({nr, nc});  // previous iterate
-    NdArray z = s;             // momentum point
+    // Row blocks and blocks of FFT lane pairs (even lane boundaries
+    // keep the FFT's two-lane vectors full). The engine cuts a map
+    // into one chunk per thread only when each chunk gets at least
+    // EngineOptions::minPointsPerThread (4) blocks, hence 4 per
+    // thread. Inline, each region is one block: on the small grids that
+    // run inline, 16 lane blocks cost 1.5-3x one full-width FFT pass.
+    if (engine && (engine->numThreads() < 2 || n < kFistaParallelPoints))
+        engine = nullptr;
+    const std::size_t lanes = op.lanes();
+    const std::size_t pairs = (lanes + 1) / 2;
+    const std::size_t want =
+        engine ? 4 * static_cast<std::size_t>(engine->numThreads()) : 1;
+    const std::size_t row_blocks = std::min(want, nr);
+    const std::size_t lane_blocks = std::min(want, pairs);
+    std::vector<std::vector<double>> fft_work(lane_blocks);
+
+    NdArray s({nr, nc});      // current iterate
+    NdArray s_prev({nr, nc}); // previous iterate
+    NdArray z({nr, nc});      // momentum point
     NdArray grad({nr, nc});
     std::vector<double> residual(m);
     double t = 1.0;
+    op.columnRows(z.data(), 0, nr);
 
     FistaResult result;
     for (std::size_t iter = 0; iter < options.maxIters; ++iter) {
-        // Gradient of 1/2||A z - y||^2 at z: A^T (A z - y).
-        op.apply(z, residual);
-        double res_norm2 = 0.0;
-        for (std::size_t k = 0; k < m; ++k) {
-            const double r = residual[k] - sample_value[k];
-            residual[k] = r;
-            res_norm2 += r * r;
-        }
-        op.adjoint(residual, grad);
+        // Gradient of 1/2||A z - y||^2 at z: A^T (A z - y), from z's
+        // column pass (already in the operator).
+        forBlocks(engine, row_blocks, [&](std::size_t b) {
+            const auto [r0, r1] = blockRange(b, row_blocks, nr);
+            op.gatherRows(r0, r1, sample_value.data(), residual);
+            op.scatterRows(residual, r0, r1);
+        });
+        forBlocks(engine, lane_blocks, [&](std::size_t b) {
+            const auto [p0, p1] = blockRange(b, lane_blocks, pairs);
+            op.forwardLanes(2 * p0, std::min(2 * p1, lanes), grad,
+                            fft_work[b]);
+        });
 
-        // Proximal step (unit step size, ||A|| <= 1).
+        // Proximal step (unit step size, ||A|| <= 1), Nesterov
+        // momentum, and the new z's column pass for the next gather.
         std::swap(s, s_prev);
-        for (std::size_t i = 0; i < n; ++i)
-            s[i] = softThreshold(z[i] - grad[i], lambda);
-
-        // Nesterov momentum.
         const double t_next = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * t * t));
         const double momentum = (t - 1.0) / t_next;
-        double change2 = 0.0, norm2 = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            const double d = s[i] - s_prev[i];
-            change2 += d * d;
-            norm2 += s[i] * s[i];
-            z[i] = s[i] + momentum * d;
-        }
+        double* sp = s.data();
+        double* zp = z.data();
+        const double* prev = s_prev.data();
+        const double* g = grad.data();
+        forBlocks(engine, row_blocks, [&](std::size_t b) {
+            const auto [r0, r1] = blockRange(b, row_blocks, nr);
+            for (std::size_t i = r0 * nc; i < r1 * nc; ++i) {
+                sp[i] = softThreshold(zp[i] - g[i], lambda);
+                zp[i] = sp[i] + momentum * (sp[i] - prev[i]);
+            }
+            op.columnRows(zp, r0, r1);
+        });
         t = t_next;
         result.iterations = iter + 1;
-        result.residualNorm = std::sqrt(res_norm2);
 
         // Lambda continuation toward the basis-pursuit limit.
         if ((iter + 1) % options.continuationEvery == 0 &&
@@ -117,12 +152,23 @@ fistaSolve(const Dct2d& dct, const std::vector<std::size_t>& sample_index,
             continue;
         }
 
-        if (lambda <= lambda_final && norm2 > 0.0 &&
-            std::sqrt(change2 / norm2) < options.tolerance) {
-            break;
+        if (lambda <= lambda_final) {
+            double change2 = 0.0, norm2 = 0.0;
+            for (std::size_t i = 0; i < n; ++i) {
+                const double d = sp[i] - prev[i];
+                change2 += d * d;
+                norm2 += sp[i] * sp[i];
+            }
+            if (norm2 > 0.0 && std::sqrt(change2 / norm2) < options.tolerance)
+                break;
         }
     }
 
+    // The last iteration's residual A z - y, summed in sample order.
+    double res_norm2 = 0.0;
+    for (double r : residual)
+        res_norm2 += r * r;
+    result.residualNorm = std::sqrt(res_norm2);
     result.lambdaFraction = lambda / max_aty;
     result.coefficients = std::move(s);
     return result;

@@ -46,8 +46,7 @@ CsSolveResult
 csSolveFolded(const std::vector<std::size_t>& shape,
               const std::vector<std::size_t>& sample_index,
               const std::vector<double>& sample_value,
-              const CsOptions& options, const NdArray* warm_coefficients,
-              double warm_lambda_fraction)
+              const CsOptions& options, ExecutionEngine* engine)
 {
     const auto folded = csFoldedShape(shape);
     // Row-major flattening is invariant under the fold, so the flat
@@ -55,9 +54,8 @@ csSolveFolded(const std::vector<std::size_t>& shape,
     const Dct2d dct(folded[0], folded[1]);
     CsSolveResult result;
     if (options.solver == CsSolver::Fista) {
-        FistaResult solve =
-            fistaSolve(dct, sample_index, sample_value, options.fista,
-                       warm_coefficients, warm_lambda_fraction);
+        FistaResult solve = fistaSolve(dct, sample_index, sample_value,
+                                       options.fista, engine);
         result.coefficients = std::move(solve.coefficients);
         result.iterations = solve.iterations;
         result.lambdaFraction = solve.lambdaFraction;

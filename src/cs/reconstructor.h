@@ -76,21 +76,15 @@ struct CsSolveResult
 };
 
 /**
- * reconstructLandscape with the solver state exposed, so a caller can
- * chain solves: the streaming pipeline runs a few FISTA iterations
- * after each completed execution shard (warm-started from the
- * previous partial solve's coefficients and continuation state) and
- * hands the final solve the accumulated iterate. `warm_coefficients`
- * must be in the folded 2-D shape; warm state is honoured by the
- * FISTA solver only (OMP rebuilds its support greedily and starts
- * cold).
+ * reconstructLandscape with the solver's coefficients and counters
+ * exposed. A FISTA solve runs its iteration blocks on `engine` (see
+ * fistaSolve); the result is bitwise the same with or without it.
  */
 CsSolveResult csSolveFolded(const std::vector<std::size_t>& shape,
                             const std::vector<std::size_t>& sample_index,
                             const std::vector<double>& sample_value,
                             const CsOptions& options = {},
-                            const NdArray* warm_coefficients = nullptr,
-                            double warm_lambda_fraction = -1.0);
+                            ExecutionEngine* engine = nullptr);
 
 /** The 2-D shape used internally for a given grid shape. */
 std::vector<std::size_t> csFoldedShape(const std::vector<std::size_t>& shape);

@@ -7,6 +7,30 @@
 
 namespace oscar {
 
+namespace {
+
+/**
+ * Submission order for `indices` on `cost`: a permutation of positions
+ * into `indices`, prefix-friendly axis-major when the backend
+ * publishes a batch order hint (and its arity matches the grid),
+ * identity otherwise. Results are scattered back, so the (index,
+ * value) pairing never depends on it.
+ */
+std::vector<std::size_t>
+prefixSubmissionOrder(const GridSpec& grid, const CostFunction& cost,
+                      const std::vector<std::size_t>& indices)
+{
+    const std::vector<int> hint = cost.batchOrderHint();
+    if (!hint.empty() &&
+        grid.rank() == static_cast<std::size_t>(cost.numParams()))
+        return grid.prefixFriendlyPermutation(indices, hint);
+    std::vector<std::size_t> identity(indices.size());
+    std::iota(identity.begin(), identity.end(), std::size_t{0});
+    return identity;
+}
+
+} // namespace
+
 std::size_t
 sampleCount(const GridSpec& grid, double fraction)
 {
@@ -38,19 +62,6 @@ sampleCost(const GridSpec& grid, CostFunction& cost, double fraction,
     return gatherCost(grid, cost,
                       chooseSampleIndices(grid.numPoints(), fraction, rng),
                       engine);
-}
-
-std::vector<std::size_t>
-prefixSubmissionOrder(const GridSpec& grid, const CostFunction& cost,
-                      const std::vector<std::size_t>& indices)
-{
-    const std::vector<int> hint = cost.batchOrderHint();
-    if (!hint.empty() &&
-        grid.rank() == static_cast<std::size_t>(cost.numParams()))
-        return grid.prefixFriendlyPermutation(indices, hint);
-    std::vector<std::size_t> identity(indices.size());
-    std::iota(identity.begin(), identity.end(), std::size_t{0});
-    return identity;
 }
 
 GridBatch

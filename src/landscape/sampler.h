@@ -10,9 +10,9 @@
  *
  * Evaluation goes through the engine's asynchronous submission API:
  * submitGridIndices() returns an in-flight GridBatch so pipelines can
- * keep several shards executing while they reconstruct, fit, or
- * schedule (see Oscar::reconstruct's streaming mode); the synchronous
- * helpers are the submit-then-collect composition.
+ * keep several batches executing while they fit or schedule (NCM
+ * training runs both devices at once); the synchronous helpers are
+ * the submit-then-collect composition.
  */
 
 #ifndef OSCAR_LANDSCAPE_SAMPLER_H
@@ -49,18 +49,6 @@ std::vector<std::size_t> chooseSampleIndices(std::size_t num_points,
                                              double fraction, Rng& rng);
 
 /**
- * Submission order for `indices` on `cost`: a permutation of positions
- * into `indices`, prefix-friendly axis-major when the backend
- * publishes a batch order hint (and its arity matches the grid),
- * identity otherwise. Submitting in this order maximizes consecutive
- * points' shared simulation prefix; results are scattered back so the
- * (index, value) pairing never depends on it.
- */
-std::vector<std::size_t> prefixSubmissionOrder(
-    const GridSpec& grid, const CostFunction& cost,
-    const std::vector<std::size_t>& indices);
-
-/**
  * An in-flight asynchronous evaluation of grid indices. Submission
  * position j evaluates indices[perm[j]]; collect() blocks and returns
  * values positionally aligned with the original `indices`.
@@ -76,7 +64,9 @@ struct GridBatch
 
 /**
  * Submit `indices` for evaluation as one asynchronous batch in
- * prefix-friendly submission order. Queries/ordinals are reserved on
+ * prefix-friendly submission order: axis-major when the backend
+ * publishes a batch order hint (and its arity matches the grid), so
+ * consecutive points share the longest simulation prefix. Queries/ordinals are reserved on
  * `cost` at submission, so interleaving several GridBatches is
  * deterministic (see engine.h).
  */

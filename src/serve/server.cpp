@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 
 #include "src/backend/statevector_backend.h"
@@ -374,8 +375,24 @@ ServeServer::handleRequest(const std::shared_ptr<Conn>& conn,
 
     // Re-derive the content address locally: the key must name the
     // computation THIS daemon would run, whatever the client claimed.
-    req.cost.kernel.isa =
-        kernels::kernelTable(req.cost.kernel.isa).isa;
+    // A kernel ISA this build or host lacks fails only this request.
+    try {
+        req.cost.kernel.isa =
+            kernels::kernelTable(req.cost.kernel.isa).isa;
+    } catch (const std::runtime_error& e) {
+        ResponseMsg msg;
+        msg.status = ResponseStatus::Error;
+        msg.tag = req.tag;
+        msg.error = e.what();
+        {
+            std::lock_guard<std::mutex> lock(m_);
+            counters_.requests++;
+            counters_.responses++;
+            counters_.errors++;
+        }
+        conn->send(FrameType::Response, encodeResponse(msg));
+        return;
+    }
     wire::CostSpec spec = req.cost;
     wire::encodeCostSpec(spec);
     req.cost.costId = spec.costId;

@@ -7,12 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <ostream>
+#include <string>
 #include <stdexcept>
 #include <vector>
 
 #include "src/ansatz/qaoa.h"
+#include "src/backend/engine.h"
 #include "src/backend/statevector_backend.h"
 #include "src/common/rng.h"
 #include "src/core/oscar.h"
@@ -332,6 +337,117 @@ TEST(DegenerateGrid, TinyGridsReconstructAConstant)
             EXPECT_NEAR(fista[i], c, 1e-3) << "FISTA, point " << i;
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The solve on an engine: every block split gives the serial solve's
+// bits, for every thread count, above and below the parallel threshold.
+
+struct EngineCase
+{
+    const char* name;
+    std::size_t rows;
+    std::size_t cols;
+    bool emptyRows; ///< leave every third row (and rows 0-9) unsampled
+};
+
+void
+PrintTo(const EngineCase& c, std::ostream* os)
+{
+    *os << c.name << " " << c.rows << "x" << c.cols;
+}
+
+class FistaOnEngine : public ::testing::TestWithParam<EngineCase>
+{
+};
+
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST_P(FistaOnEngine, BitwiseEqualToTheSerialSolve)
+{
+    const EngineCase c = GetParam();
+    const Dct2d dct(c.rows, c.cols);
+    Rng rng(c.rows * 1000 + c.cols);
+    std::vector<std::size_t> indices;
+    std::vector<double> values;
+    for (std::size_t i :
+         rng.sampleWithoutReplacement(c.rows * c.cols, c.rows * c.cols / 20)) {
+        const std::size_t r = i / c.cols, col = i % c.cols;
+        if (c.emptyRows && (r % 3 == 1 || r < 10))
+            continue;
+        indices.push_back(i);
+        values.push_back(std::cos(0.21 * r) * std::sin(0.13 * col + 0.3) +
+                         0.1 * std::cos(0.05 * r * col));
+    }
+    // A short schedule that still anneals to the final lambda, so the
+    // momentum restarts and the stop test's reductions both run.
+    FistaOptions options;
+    options.maxIters = 50;
+    options.lambdaFinalFraction = 0.05;
+
+    const FistaResult serial = fistaSolve(dct, indices, values, options);
+    ASSERT_EQ(serial.iterations, options.maxIters);
+    for (int threads = 1; threads <= 4; ++threads) {
+        ExecutionEngine engine(threads);
+        const FistaResult pooled =
+            fistaSolve(dct, indices, values, options, &engine);
+        EXPECT_EQ(pooled.iterations, serial.iterations) << threads;
+        EXPECT_TRUE(sameBits(pooled.residualNorm, serial.residualNorm))
+            << threads;
+        EXPECT_TRUE(sameBits(pooled.lambdaFraction, serial.lambdaFraction))
+            << threads;
+        std::size_t diffs = 0;
+        for (std::size_t i = 0; i < serial.coefficients.size(); ++i)
+            diffs += !sameBits(pooled.coefficients[i], serial.coefficients[i]);
+        EXPECT_EQ(diffs, 0u) << threads << " threads";
+    }
+}
+
+static_assert(131 * 127 >= kFistaParallelPoints &&
+                  127 * 128 < kFistaParallelPoints,
+              "the folds must straddle the parallel threshold");
+
+INSTANTIATE_TEST_SUITE_P(
+    Folds, FistaOnEngine,
+    ::testing::Values(
+        // The p2_fista fold; a prime row axis (generic radix) with an
+        // odd column count; empty sample rows; just under the
+        // kFistaParallelPoints threshold (runs inline on the engine).
+        EngineCase{"PaperFold", 144, 225, false},
+        EngineCase{"PrimeOddFold", 131, 127, false},
+        EngineCase{"EmptyRows", 144, 225, true},
+        EngineCase{"UnderThreshold", 127, 128, false}),
+    [](const ::testing::TestParamInfo<EngineCase>& info) {
+        return std::string(info.param.name);
+    });
+
+TEST(FistaOnEngine, OscarPipelineIsBitwiseEqualAcrossThreadCounts)
+{
+    // The pipeline hands its engine to the solve: numThreads 1 (the
+    // serial engine) and 4 reconstruct the paper fold identically.
+    const GridSpec grid = GridSpec::qaoaP2(12, 15);
+    NdArray values(grid.shape());
+    for (std::size_t i = 0; i < values.size(); ++i)
+        values[i] = std::cos(0.002 * static_cast<double>(i)) +
+                    0.3 * std::sin(0.05 * static_cast<double>(i % 225));
+    const Landscape truth(grid, std::move(values));
+
+    OscarOptions options;
+    options.samplingFraction = 0.05;
+    options.cs.fista.maxIters = 40;
+    options.numThreads = 1;
+    const OscarResult serial = Oscar::reconstructFromLandscape(truth, options);
+    options.numThreads = 4;
+    const OscarResult pooled = Oscar::reconstructFromLandscape(truth, options);
+    std::size_t diffs = 0;
+    for (std::size_t i = 0; i < grid.numPoints(); ++i)
+        diffs += !sameBits(serial.reconstructed.value(i),
+                           pooled.reconstructed.value(i));
+    EXPECT_EQ(diffs, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -469,6 +469,94 @@ planLengths()
 INSTANTIATE_TEST_SUITE_P(Lengths, DctPlanLength,
                          ::testing::ValuesIn(planLengths()));
 
+TEST(DctPlan, ForwardLanesPiecesEqualForward)
+{
+    // Lane pieces of 1, 2 and 3 lanes (odd pieces pad a zero lane),
+    // over even and odd batches, in both layouts and in place.
+    for (std::size_t n : {1, 2, 7, 144, 225}) {
+        const DctPlan plan(n);
+        Rng rng(n + 5);
+        std::vector<double> work;
+        for (std::size_t batch : {1, 2, 5, 6, 13}) {
+            const std::size_t lanes = DctPlan::lanes(batch);
+            std::vector<double> in(n * batch);
+            for (double& e : in)
+                e = rng.normal();
+            for (bool contiguous_batch : {true, false}) {
+                const std::size_t js = contiguous_batch ? batch : 1;
+                const std::size_t bs = contiguous_batch ? 1 : n;
+                std::vector<double> want(n * batch);
+                plan.forward(in.data(), want.data(), batch, js, bs, work);
+                for (std::size_t step : {1, 2, 3}) {
+                    std::vector<double> got(n * batch, -1.0);
+                    std::vector<double> inplace = in;
+                    for (std::size_t lo = 0; lo < lanes; lo += step) {
+                        const std::size_t hi = std::min(lo + step, lanes);
+                        plan.forwardLanes(in.data(), got.data(), batch, js,
+                                          bs, lo, hi, work);
+                        plan.forwardLanes(inplace.data(), inplace.data(),
+                                          batch, js, bs, lo, hi, work);
+                    }
+                    EXPECT_EQ(firstBitDiff(got, want), std::string::npos)
+                        << "n " << n << " batch " << batch << " step "
+                        << step << (contiguous_batch ? " bs=1" : " js=1");
+                    EXPECT_EQ(firstBitDiff(inplace, want), std::string::npos)
+                        << "in place: n " << n << " batch " << batch
+                        << " step " << step;
+                }
+            }
+        }
+    }
+}
+
+TEST(SampledDct2d, RowAndLanePiecesEqualApplyAndAdjoint)
+{
+    // 13 x 17 with rows 0, 5 and 6 left without samples.
+    const std::size_t nr = 13, nc = 17;
+    const Dct2d dct(nr, nc);
+    Rng rng(99);
+    std::vector<std::size_t> idx;
+    for (std::size_t i : rng.sampleWithoutReplacement(nr * nc, 80)) {
+        const std::size_t r = i / nc;
+        if (r != 0 && r != 5 && r != 6)
+            idx.push_back(i);
+    }
+    SampledDct2d op(dct, idx);
+    const NdArray z = randomArray(nr, nc, rng);
+    std::vector<double> y(idx.size());
+    for (double& v : y)
+        v = rng.normal();
+
+    std::vector<double> want_apply;
+    op.apply(z, want_apply);
+    NdArray want_adjoint;
+    op.adjoint(y, want_adjoint);
+
+    // One row (or lane) per piece, in reverse order.
+    for (std::size_t r = nr; r-- > 0;)
+        op.columnRows(z.data(), r, r + 1);
+    std::vector<double> got_apply(idx.size());
+    std::vector<double> residual(idx.size());
+    for (std::size_t r = nr; r-- > 0;) {
+        op.gatherRows(r, r + 1, nullptr, got_apply);
+        op.gatherRows(r, r + 1, y.data(), residual);
+    }
+    EXPECT_EQ(firstBitDiff(got_apply, want_apply), std::string::npos);
+    for (std::size_t m = 0; m < idx.size(); ++m)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(residual[m]),
+                  std::bit_cast<std::uint64_t>(want_apply[m] - y[m]))
+            << m;
+
+    for (std::size_t r = nr; r-- > 0;)
+        op.scatterRows(y, r, r + 1);
+    NdArray got_adjoint({nr, nc});
+    std::vector<double> work;
+    for (std::size_t l = op.lanes(); l-- > 0;)
+        op.forwardLanes(l, l + 1, got_adjoint, work);
+    EXPECT_EQ(firstBitDiff(got_adjoint.flat(), want_adjoint.flat()),
+              std::string::npos);
+}
+
 TEST(DctPlan, RejectsZeroLength)
 {
     EXPECT_THROW(DctPlan(0), std::invalid_argument);

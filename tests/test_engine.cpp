@@ -9,10 +9,9 @@
  *    every backend, any thread count, and any completion order;
  *  - query counting is atomic and batch-aware; streaming callbacks
  *    and BatchHandle::stats report every point exactly once;
- *  - the full Oscar::reconstruct pipeline -- synchronous or
- *    streaming-overlapped -- is bit-identical for 1 and N threads at
- *    a fixed seed, as are the multi-QPU scheduler's three assignment
- *    policies and the speculative Nelder-Mead probes.
+ *  - the full Oscar::reconstruct pipeline is bit-identical for 1 and
+ *    N threads at a fixed seed, as are the multi-QPU scheduler's three
+ *    assignment policies and the speculative Nelder-Mead probes.
  */
 
 #include <gtest/gtest.h>
@@ -740,56 +739,6 @@ TEST(AsyncEngine, OscarResultSurfacesExecutionStats)
     EXPECT_EQ(result.execution.pointsTotal, result.samples.size());
     EXPECT_EQ(result.execution.pointsCompleted, result.samples.size());
     EXPECT_GT(result.execution.kernel.cacheLookups, 0u);
-}
-
-TEST(AsyncEngine, StreamingReconstructBitIdenticalAcrossThreadCounts)
-{
-    const Graph g = testGraph();
-    const GridSpec grid = GridSpec::qaoaP1(20, 30);
-
-    OscarOptions serial_options;
-    serial_options.samplingFraction = 0.1;
-    serial_options.seed = 42;
-    serial_options.numThreads = 1;
-    serial_options.streaming.shards = 4;
-    serial_options.streaming.warmupIterations = 10;
-
-    OscarOptions pooled_options = serial_options;
-    pooled_options.numThreads = 4;
-
-    StatevectorCost a(qaoaCircuit(g, 1), maxcutHamiltonian(g));
-    StatevectorCost b(qaoaCircuit(g, 1), maxcutHamiltonian(g));
-    const OscarResult serial = Oscar::reconstruct(grid, a, serial_options);
-    const OscarResult pooled = Oscar::reconstruct(grid, b, pooled_options);
-    ASSERT_EQ(serial.samples.indices, pooled.samples.indices);
-    ASSERT_EQ(serial.samples.values, pooled.samples.values);
-    for (std::size_t i = 0; i < serial.reconstructed.numPoints(); ++i)
-        EXPECT_EQ(serial.reconstructed.value(i),
-                  pooled.reconstructed.value(i));
-
-    // The measured samples equal the synchronous pipeline's: shards
-    // only re-slice the one global submission order.
-    OscarOptions barrier_options = serial_options;
-    barrier_options.streaming = StreamingOptions{};
-    StatevectorCost c(qaoaCircuit(g, 1), maxcutHamiltonian(g));
-    const OscarResult barrier =
-        Oscar::reconstruct(grid, c, barrier_options);
-    EXPECT_EQ(barrier.samples.indices, serial.samples.indices);
-    EXPECT_EQ(barrier.samples.values, serial.samples.values);
-
-    // Stochastic backend: ordinal-keyed streams stay bit-identical
-    // under sharded submission too.
-    {
-        SampledCost sa(qaoaCircuit(g, 1), maxcutHamiltonian(g), 128,
-                       NoiseModel{}, 3);
-        SampledCost sb(qaoaCircuit(g, 1), maxcutHamiltonian(g), 128,
-                       NoiseModel{}, 3);
-        const OscarResult s1 =
-            Oscar::reconstruct(grid, sa, serial_options);
-        const OscarResult s2 =
-            Oscar::reconstruct(grid, sb, pooled_options);
-        ASSERT_EQ(s1.samples.values, s2.samples.values);
-    }
 }
 
 TEST(AsyncEngine, PrefixPullSchedulerDeterministicAndPrefixAware)

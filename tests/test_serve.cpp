@@ -15,8 +15,9 @@
  *        pool evaluation, everyone gets the same bits;
  *      progress -- frames are monotonic and end at completed == total;
  *      fetch -- never computes: Miss when cold, Store hit when warm;
- *      isolation -- a malformed client loses its connection, the
- *        daemon keeps serving everyone else;
+ *      isolation -- a malformed client loses its connection, and a
+ *        request pinning a kernel ISA the daemon cannot run gets an
+ *        Error response; the daemon keeps serving everyone else;
  *      graceful drain -- stop() after admission still answers.
  */
 
@@ -30,6 +31,7 @@
 #include <bit>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -524,20 +526,31 @@ TEST(ServeServerTest, StatsRequestReturnsCounters)
     EXPECT_EQ(response.counters.store.puts, 1u);
 }
 
+/** A raw connection to the daemon's socket, bypassing ServeClient. */
+int
+connectRaw(const std::string& path)
+{
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0)
+        return fd;
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
 TEST(ServeServerTest, MalformedClientLosesOnlyItsConnection)
 {
     ServerFixture fixture;
 
     // A raw connection that speaks garbage: the daemon must close it.
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = connectRaw(fixture.socket());
     ASSERT_GE(fd, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, fixture.socket().c_str(),
-                fixture.socket().size() + 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                        sizeof(addr)),
-              0);
     const char garbage[] = "this is not an OSCW frame";
     ASSERT_GT(::send(fd, garbage, sizeof(garbage), MSG_NOSIGNAL), 0);
     char buf[16];
@@ -547,6 +560,67 @@ TEST(ServeServerTest, MalformedClientLosesOnlyItsConnection)
     // Everyone else is still being served.
     ServeClient client(fixture.socket());
     EXPECT_EQ(client.call(makeRequest(42)).status, ResponseStatus::Ok);
+}
+
+TEST(ServeServerTest, UnavailableIsaGetsAnErrorResponse)
+{
+    kernels::KernelIsa missing;
+    if (!kernels::avx512Available())
+        missing = kernels::KernelIsa::Avx512;
+    else if (!kernels::avx2Available())
+        missing = kernels::KernelIsa::Avx2;
+    else
+        GTEST_SKIP() << "every kernel ISA runs on this build and host";
+
+    ServerFixture fixture;
+
+    // encodeRequest resolves the ISA and would refuse it client-side,
+    // so the Request payload is written field by field.
+    RequestMsg req = makeRequest(42);
+    req.tag = 7;
+    req.cost.kernel.isa = missing;
+    wire::WireWriter w;
+    w.u8(static_cast<std::uint8_t>(req.kind));
+    w.u64(req.tag);
+    const std::vector<std::uint8_t> spec = wire::encodeCostSpec(req.cost);
+    w.u64(spec.size());
+    for (std::uint8_t b : spec)
+        w.u8(b);
+    store::encodeGridSpec(w, req.grid);
+    w.f64(req.samplingFraction);
+    w.u64(req.sampleSeed);
+    w.u8(0); // no progress
+    const std::vector<std::uint8_t> frame =
+        wire::encodeFrame(wire::FrameType::Request, w.take());
+
+    const int fd = connectRaw(fixture.socket());
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(frame.size()));
+    wire::FrameDecoder decoder;
+    std::optional<wire::Frame> reply;
+    while (!reply) {
+        std::uint8_t buf[4096];
+        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        ASSERT_GT(n, 0) << "daemon hung up instead of answering";
+        decoder.feed(buf, static_cast<std::size_t>(n));
+        reply = decoder.next();
+    }
+    ::close(fd);
+    ASSERT_EQ(reply->type, wire::FrameType::Response);
+    const ResponseMsg resp = decodeResponse(reply->payload);
+    EXPECT_EQ(resp.status, ResponseStatus::Error);
+    EXPECT_EQ(resp.tag, 7u);
+    EXPECT_NE(resp.error.find("not available"), std::string::npos)
+        << resp.error;
+
+    // The daemon is still up and serves the next client.
+    ServeClient client(fixture.socket());
+    EXPECT_EQ(client.call(makeRequest(42)).status, ResponseStatus::Ok);
+    const ServeCounters counters = fixture.server->counters();
+    EXPECT_EQ(counters.errors, 1u);
+    EXPECT_EQ(counters.evaluations, 1u);
+    EXPECT_EQ(counters.responses, 2u);
 }
 
 TEST(ServeServerTest, GracefulDrainAnswersAdmittedRequests)
