@@ -75,7 +75,8 @@ main()
 
     // 2. Continuation on/off.
     CsOptions no_continuation;
-    no_continuation.fista.lambdaInitFraction = 1e-4;
+    no_continuation.fista.lambdaInitFraction =
+        FistaOptions{}.lambdaFinalFraction;
     bench::row("FISTA, no continuation",
                {errorWith(truth, no_continuation, fraction, false, 11)});
 

@@ -22,7 +22,8 @@
  *  4. CS solve (BENCH_cs.json): fistaSolve alone on the paper's p = 2
  *     fold and on a fold below kFistaParallelPoints, with no engine
  *     and on engines of 1, 2 and 4 threads, every row checked bitwise
- *     against the engine-free solve.
+ *     against the engine-free solve; each fold reports the iterations
+ *     its solve ran and its NRMSE against the truth.
  *
  * OSCAR_BENCH_ONLY=<substring> selects a subset of studies (the CI
  * observability leg runs only "obs").
@@ -386,7 +387,7 @@ runCsStudy()
                   "landscape (median of " +
                   std::to_string(kStudyReps) + ")");
     bench::columns("mode", {"median_s", "p25_s", "p75_s", "ms/iter",
-                            "speedup", "identical"});
+                            "iters", "nrmse", "speedup", "identical"});
     bench::JsonReport json("bench_engine/cs");
     for (const Fold& fold : folds) {
         StatevectorCost cost(qaoaCircuit(graph, 2),
@@ -402,6 +403,8 @@ runCsStudy()
         const auto folded = csFoldedShape(fold.grid.shape());
         const Dct2d dct(folded[0], folded[1]);
         const FistaResult reference = fistaSolve(dct, indices, values);
+        const double error =
+            nrmse(truth.values(), dct.inverse(reference.coefficients));
 
         // Modes alternate within each rep, so host drift over the
         // study lands on every mode alike.
@@ -444,6 +447,7 @@ runCsStudy()
                               : " x" + std::to_string(threads));
             bench::row(name,
                        {timing.median, timing.p25, timing.p75, ms_per_iter,
+                        static_cast<double>(reference.iterations), error,
                         speedup, same[m] ? 1.0 : 0.0},
                        " %10.4g");
             json.add(name, timing, fold.grid.numPoints(),
@@ -451,6 +455,7 @@ runCsStudy()
                       {"iterations",
                        static_cast<double>(reference.iterations)},
                       {"ms_per_iter", ms_per_iter},
+                      {"nrmse", error},
                       {"speedup_vs_no_engine", speedup},
                       {"identical", same[m] ? 1.0 : 0.0}});
         }

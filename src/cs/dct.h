@@ -91,7 +91,8 @@ class Dct1d
  * landscape store folds it into its key, so a landscape persisted by
  * an older revision is a miss instead of being served against a fresh
  * reconstruct that differs in the last bits. Revision 1 was the direct
- * O(n^2) products; 2 is DctPlan.
+ * O(n^2) products; 2 is DctPlan. The solvers' defaults have their own
+ * revision, kCsSolverRevision (src/cs/fista.h).
  */
 inline constexpr std::uint64_t kCsTransformRevision = 2;
 

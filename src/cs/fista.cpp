@@ -106,6 +106,8 @@ fistaSolve(const Dct2d& dct, const std::vector<std::size_t>& sample_index,
     NdArray z({nr, nc});      // momentum point
     NdArray grad({nr, nc});
     std::vector<double> residual(m);
+    std::vector<double> window;  // stop-test snapshot of s
+    std::size_t final_iters = 0; // iterations run at lambda_final
     double t = 1.0;
     op.columnRows(z.data(), 0, nr);
 
@@ -145,23 +147,29 @@ fistaSolve(const Dct2d& dct, const std::vector<std::size_t>& sample_index,
         result.iterations = iter + 1;
 
         // Lambda continuation toward the basis-pursuit limit.
-        if ((iter + 1) % options.continuationEvery == 0 &&
-            lambda > lambda_final) {
-            lambda = std::max(lambda * 0.7, lambda_final);
-            t = 1.0; // restart momentum after changing the objective
+        if (lambda > lambda_final) {
+            if ((iter + 1) % options.continuationEvery == 0) {
+                lambda = std::max(lambda * 0.7, lambda_final);
+                t = 1.0; // restart momentum after changing the objective
+            }
             continue;
         }
 
-        if (lambda <= lambda_final) {
+        // At lambda_final: compare s with the snapshot a window back,
+        // then take the next snapshot.
+        if (final_iters++ % kFistaStopWindow != 0)
+            continue;
+        if (!window.empty()) {
             double change2 = 0.0, norm2 = 0.0;
             for (std::size_t i = 0; i < n; ++i) {
-                const double d = sp[i] - prev[i];
+                const double d = sp[i] - window[i];
                 change2 += d * d;
                 norm2 += sp[i] * sp[i];
             }
             if (norm2 > 0.0 && std::sqrt(change2 / norm2) < options.tolerance)
                 break;
         }
+        window.assign(sp, sp + n);
     }
 
     // The last iteration's residual A z - y, summed in sample order.

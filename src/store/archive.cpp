@@ -21,6 +21,15 @@ using wire::WireWriter;
 /** Hard cap on one stream's raw size (sanity against crafted sizes). */
 constexpr std::uint64_t kMaxStreamBytes = std::uint64_t{1} << 32;
 
+/** CRC-32 of a stream's name followed by its raw bytes. */
+std::uint32_t
+streamCrc(const ArchiveStream& s)
+{
+    return ::oscar::crc32(
+        {reinterpret_cast<const std::uint8_t*>(s.name.data()), s.name.size()},
+        s.bytes);
+}
+
 } // namespace
 
 std::vector<std::uint8_t>
@@ -86,7 +95,7 @@ ArchiveWriter::serialize() const
         w.u8(static_cast<std::uint8_t>(enc.codec));
         w.u64(s.bytes.size());
         w.u64(payload.size());
-        w.u32(::oscar::crc32(s.bytes));
+        w.u32(streamCrc(s));
         const std::vector<std::uint8_t> head = w.take();
         out.insert(out.end(), head.begin(), head.end());
         out.insert(out.end(), payload.begin(), payload.end());
@@ -164,7 +173,7 @@ decodeArchive(std::span<const std::uint8_t> bytes)
             } catch (const packbits::CodecError& e) {
                 throw ArchiveError(e.what());
             }
-            if (::oscar::crc32(s.bytes) != crc)
+            if (streamCrc(s) != crc)
                 throw ArchiveError("stream CRC mismatch: " + s.name);
             archive.streams.push_back(std::move(s));
         }

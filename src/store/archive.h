@@ -11,7 +11,7 @@
  *
  *   superblock:  [magic u32 "OSCA"][version u16][stream count u16]
  *   per stream:  [name u32+bytes][codec u8][raw size u64]
- *                [stored size u64][crc32 u32 of the RAW bytes]
+ *                [stored size u64][crc32 u32 of name + RAW bytes]
  *                [stored bytes]
  *   footer:      [magic u32 "ENDA"]  -- and then end-of-file, exactly
  *
@@ -19,8 +19,9 @@
  * optionally behind a byte-plane split that groups the slowly-varying
  * high bytes of f64 arrays into long runs); a stream whose compressed
  * form would not shrink is stored raw, so compression is always
- * size-bounded and bit-exact. The CRC is over the uncompressed bytes:
- * corruption is detected after decode, whichever codec was used.
+ * size-bounded and bit-exact. The CRC is over the stream's name and its
+ * uncompressed bytes: corruption of either is detected after decode,
+ * whichever codec was used.
  *
  * Any structural defect -- short file, bad magic, unknown version or
  * codec, size overrun, CRC mismatch, trailing bytes -- throws
@@ -64,9 +65,10 @@ constexpr std::uint32_t kArchiveFooter = 0x41444E45u; // "ENDA"
 /**
  * Container format version. Readers reject any other value, so a
  * stale container from an older (or newer) build loads as a miss
- * instead of being misparsed.
+ * instead of being misparsed. Version 1 checked the stream bytes
+ * only; 2 checks each stream's name too.
  */
-constexpr std::uint16_t kArchiveVersion = 1;
+constexpr std::uint16_t kArchiveVersion = 2;
 
 /**
  * Per-stream storage codec. The codec itself lives in

@@ -11,6 +11,7 @@
 
 #include "src/common/fnv1a.h"
 #include "src/cs/dct.h"
+#include "src/cs/fista.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/store/archive.h"
@@ -116,6 +117,7 @@ configHash(double sampling_fraction, std::uint64_t seed)
     h = fnv1aAppendU64(h, std::bit_cast<std::uint64_t>(sampling_fraction));
     h = fnv1aAppendU64(h, seed);
     h = fnv1aAppendU64(h, kCsTransformRevision);
+    h = fnv1aAppendU64(h, kCsSolverRevision);
     return h;
 }
 

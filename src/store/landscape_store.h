@@ -4,15 +4,16 @@
  *
  * Every OSCAR reconstruction is a pure function of (cost spec, grid
  * spec, sampling config) per fixed kernel ISA, fusion plan and CS
- * transform revision -- so a finished reconstruction can be memoized
- * on disk and served again bit-identically, without touching the
- * execution pool. The store keeps one archive container
+ * transform and solver revisions -- so a finished reconstruction can
+ * be memoized on disk and served again bit-identically, without
+ * touching the execution pool. The store keeps one archive container
  * (src/store/archive.h) per key:
  *
  *   key = (CostSpec FNV-1a content hash      -- src/serve/wire.h,
  *          canonical GridSpec FNV-1a hash,
  *          sampling-config FNV-1a hash        -- fraction + seed +
- *                                                kCsTransformRevision)
+ *                                                kCsTransformRevision +
+ *                                                kCsSolverRevision)
  *
  * holding the sampled points, the reconstructed values, the kernel
  * stats, and the grid spec as named streams. All doubles are stored as
@@ -55,7 +56,7 @@ struct StoreKey
     std::uint64_t costId = 0;   ///< CostSpec content hash (OSCW wire)
     std::uint64_t gridHash = 0; ///< canonical GridSpec hash
     std::uint64_t cfgHash = 0;  ///< configHash(): sampling config
-                                ///< and CS transform revision
+                                ///< and CS transform/solver revisions
 };
 
 /** One memoized reconstruction (the container's stream contents). */
@@ -153,9 +154,11 @@ class LandscapeStore
 std::uint64_t gridHash(const GridSpec& grid);
 
 /**
- * FNV-1a hash of the sampling config and kCsTransformRevision
- * (src/cs/dct.h), StoreKey::cfgHash: a landscape reconstructed by an
- * older transform revision differs in the last bits, so it must miss.
+ * FNV-1a hash of the sampling config, kCsTransformRevision
+ * (src/cs/dct.h) and kCsSolverRevision (src/cs/fista.h),
+ * StoreKey::cfgHash: a landscape reconstructed by an older transform
+ * or with older solver defaults differs from a fresh reconstruct, so
+ * it must miss.
  */
 std::uint64_t configHash(double sampling_fraction, std::uint64_t seed);
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "src/ansatz/qaoa.h"
+#include "src/backend/analytic_qaoa.h"
 #include "src/backend/engine.h"
 #include "src/backend/statevector_backend.h"
 #include "src/common/rng.h"
@@ -27,6 +29,7 @@
 #include "src/graph/generators.h"
 #include "src/hamiltonian/maxcut.h"
 #include "src/landscape/metrics.h"
+#include "src/landscape/sampler.h"
 
 namespace oscar {
 namespace {
@@ -383,11 +386,14 @@ TEST_P(FistaOnEngine, BitwiseEqualToTheSerialSolve)
         values.push_back(std::cos(0.21 * r) * std::sin(0.13 * col + 0.3) +
                          0.1 * std::cos(0.05 * r * col));
     }
-    // A short schedule that still anneals to the final lambda, so the
-    // momentum restarts and the stop test's reductions both run.
+    // A short schedule that still anneals to the final lambda (at
+    // iteration 35), so the momentum restarts and the stop test's
+    // reductions both run: two window checks, at iterations 56 and 76,
+    // that never fire.
     FistaOptions options;
-    options.maxIters = 50;
+    options.maxIters = 80;
     options.lambdaFinalFraction = 0.05;
+    options.tolerance = 0.0;
 
     const FistaResult serial = fistaSolve(dct, indices, values, options);
     ASSERT_EQ(serial.iterations, options.maxIters);
@@ -425,6 +431,82 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(info.param.name);
     });
 
+/** The p = 2 QAOA landscape of an 8-node 3-regular MaxCut graph. */
+Landscape
+qaoaP2Truth(const GridSpec& grid)
+{
+    Rng rng(8);
+    const Graph g = random3RegularGraph(8, rng);
+    StatevectorCost cost(qaoaCircuit(g, 2), maxcutHamiltonian(g));
+    return Landscape::gridSearch(grid, cost);
+}
+
+TEST(FistaOnEngine, StopsAtTheSameIterationOnEveryThreadCount)
+{
+    // Default options on the paper fold: the window test fires before
+    // maxIters, at the same iteration and with the same bits for every
+    // engine.
+    const Landscape truth = qaoaP2Truth(GridSpec::qaoaP2(12, 15));
+    const Dct2d dct(144, 225);
+    Rng rng(1);
+    const SampleSet samples = sampleLandscape(truth, 0.05, rng);
+    const FistaOptions options;
+    const FistaResult serial =
+        fistaSolve(dct, samples.indices, samples.values);
+    ASSERT_LT(serial.iterations, options.maxIters);
+    for (int threads = 1; threads <= 4; ++threads) {
+        ExecutionEngine engine(threads);
+        const FistaResult pooled = fistaSolve(dct, samples.indices,
+                                              samples.values, options, &engine);
+        EXPECT_EQ(pooled.iterations, serial.iterations) << threads;
+        EXPECT_TRUE(sameBits(pooled.residualNorm, serial.residualNorm))
+            << threads;
+        std::size_t diffs = 0;
+        for (std::size_t i = 0; i < serial.coefficients.size(); ++i)
+            diffs += !sameBits(pooled.coefficients[i], serial.coefficients[i]);
+        EXPECT_EQ(diffs, 0u) << threads << " threads";
+    }
+}
+
+/** Iterations the default schedule runs before lambda is final. */
+std::size_t
+iterationsToFinalLambda(const FistaOptions& options)
+{
+    std::size_t iters = 0;
+    for (double f = options.lambdaInitFraction;
+         f > options.lambdaFinalFraction;
+         f = std::max(f * 0.7, options.lambdaFinalFraction))
+        iters += options.continuationEvery;
+    return iters;
+}
+
+TEST(Fista, NeverStopsWithinOneWindowOfTheFinalLambda)
+{
+    // When continuation ends, momentum restarts and the next steps are
+    // tiny, so a per-iteration test stops a solve that is far from
+    // converged. A fully sampled signal converges in one step, yet the
+    // solve runs 20 iterations past its first at the final lambda; a
+    // partially sampled landscape runs at least that long.
+    const FistaOptions options;
+    const std::size_t annealed = iterationsToFinalLambda(options);
+    ASSERT_EQ(annealed, 105u);
+
+    const Dct2d dct(16, 16);
+    Rng rng(5);
+    const NdArray signal = makeSparseSignal(16, 16, 4, rng, dct);
+    std::vector<std::size_t> all(signal.size());
+    for (std::size_t i = 0; i < all.size(); ++i)
+        all[i] = i;
+    const FistaResult full = fistaSolve(dct, all, signal.flat());
+    EXPECT_EQ(full.iterations, annealed + 21);
+
+    const Landscape truth = qaoaP2Truth(GridSpec::qaoaP2(8, 10));
+    const SampleSet samples = sampleLandscape(truth, 0.1, rng);
+    const FistaResult sampled =
+        fistaSolve(Dct2d(64, 100), samples.indices, samples.values);
+    EXPECT_GT(sampled.iterations, annealed + 20);
+}
+
 TEST(FistaOnEngine, OscarPipelineIsBitwiseEqualAcrossThreadCounts)
 {
     // The pipeline hands its engine to the solve: numThreads 1 (the
@@ -451,10 +533,10 @@ TEST(FistaOnEngine, OscarPipelineIsBitwiseEqualAcrossThreadCounts)
 }
 
 // ---------------------------------------------------------------------
-// Accuracy gate: reconstruction quality on a real depth-2 QAOA
-// landscape must not drift. A solver change that reorders floating
-// point may move these within the tolerance; a change that gives up
-// quality fails here.
+// Accuracy gate: reconstruction quality on real QAOA landscapes must
+// not drift. A solver change that reorders floating point may move
+// these within the tolerance; a change that gives up quality fails
+// here.
 
 struct GoldenNrmse
 {
@@ -464,19 +546,13 @@ struct GoldenNrmse
 };
 
 /**
- * Reconstruct the p = 2 QAOA landscape of an 8-node 3-regular MaxCut
- * graph on `grid` at `fraction` and hold each solve's NRMSE within 2%
- * of its golden.
+ * Reconstruct `truth` at `fraction` and hold each solve's NRMSE within
+ * 2% of its golden.
  */
 void
-expectGoldenNrmse(const GridSpec& grid, double fraction,
+expectGoldenNrmse(const Landscape& truth, double fraction,
                   const std::vector<GoldenNrmse>& goldens)
 {
-    Rng rng(8);
-    const Graph g = random3RegularGraph(8, rng);
-    StatevectorCost cost(qaoaCircuit(g, 2), maxcutHamiltonian(g));
-    const Landscape truth = Landscape::gridSearch(grid, cost);
-
     for (const GoldenNrmse& golden : goldens) {
         OscarOptions options;
         options.samplingFraction = fraction;
@@ -496,7 +572,7 @@ TEST(AccuracyGate, QaoaP2LandscapeNrmseMatchesGolden)
     // Grid (8, 8, 10, 10) folded to 64 x 100, 10% sampled. Goldens
     // recorded with the row-by-row Dct1d solver these transforms
     // replaced.
-    expectGoldenNrmse(GridSpec::qaoaP2(8, 10), 0.1,
+    expectGoldenNrmse(qaoaP2Truth(GridSpec::qaoaP2(8, 10)), 0.1,
                       {
                           {CsSolver::Fista, 1, 0.22689992313647633},
                           {CsSolver::Fista, 2, 0.21158258527827836},
@@ -513,11 +589,28 @@ TEST(AccuracyGate, QaoaP2PaperFoldNrmseMatchesGolden)
     // 5% sampled, where the fast transform's row axis is longest.
     // Goldens recorded with the direct-product transforms DctPlan
     // replaced.
-    expectGoldenNrmse(GridSpec::qaoaP2(12, 15), 0.05,
+    expectGoldenNrmse(qaoaP2Truth(GridSpec::qaoaP2(12, 15)), 0.05,
                       {
                           {CsSolver::Fista, 1, 0.18672328982966704},
                           {CsSolver::Fista, 2, 0.19286597147710938},
                           {CsSolver::Fista, 3, 0.17367105451494017},
+                      });
+}
+
+TEST(AccuracyGate, QaoaP1LandscapeNrmseMatchesGolden)
+{
+    // The p1_exec shape: the closed-form p = 1 landscape of a 20-node
+    // 3-regular MaxCut graph on the 50 x 100 grid, 3% sampled. The
+    // defaults before the window stop test (lambda final 1e-4, 800
+    // iterations) gave 0.0630, 0.0471 and 0.0310.
+    Rng rng(20);
+    const Graph g = random3RegularGraph(20, rng);
+    AnalyticQaoaCost cost(g);
+    expectGoldenNrmse(Landscape::gridSearch(GridSpec::qaoaP1(), cost), 0.03,
+                      {
+                          {CsSolver::Fista, 1, 0.048574209362485195},
+                          {CsSolver::Fista, 2, 0.031230248436232618},
+                          {CsSolver::Fista, 3, 0.034807134476122499},
                       });
 }
 

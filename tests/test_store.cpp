@@ -39,6 +39,7 @@
 #include "src/common/fnv1a.h"
 #include "src/common/packbits.h"
 #include "src/common/rng.h"
+#include "src/cs/dct.h"
 #include "src/store/archive.h"
 #include "src/store/landscape_store.h"
 #include "tests/mutation_fuzz.h"
@@ -363,6 +364,20 @@ TEST(ArchiveTest, StaleVersionIsRejected)
     EXPECT_THROW(decodeArchive(bytes), ArchiveError);
 }
 
+TEST(ArchiveTest, DamagedStreamNameIsRejected)
+{
+    // The stream CRC covers the name: a flipped name byte must not
+    // decode as a stream of another name.
+    ArchiveWriter writer;
+    writer.add("data", randomBytes(16, 7));
+    std::vector<std::uint8_t> bytes = writer.serialize();
+    ASSERT_NO_THROW(decodeArchive(bytes));
+    // Superblock (8 bytes), then the name's u32 length and its bytes.
+    ASSERT_EQ(bytes[12], 'd');
+    bytes[12] = 'D';
+    EXPECT_THROW(decodeArchive(bytes), ArchiveError);
+}
+
 TEST(ArchiveTest, MissingFileIsRejected)
 {
     TempDir dir;
@@ -462,19 +477,16 @@ TEST(LandscapeStoreTest, EveryTruncationLoadsAsCleanMiss)
     }
 }
 
-/**
- * True when two decoded containers hold the same stream bytes in the
- * same order. Names are not compared: the container CRCs cover stream
- * bytes only, so a damaged name decodes, and load() treats it as a
- * missing stream (a miss) -- see LoadOfAMutantIsAMissOrTheStoredEntry.
- */
+/** True when two decoded containers hold the same named streams in
+ * the same order. */
 bool
-sameStreamBytes(const Archive& a, const Archive& b)
+sameStreams(const Archive& a, const Archive& b)
 {
     if (a.streams.size() != b.streams.size())
         return false;
     for (std::size_t i = 0; i < a.streams.size(); ++i)
-        if (a.streams[i].bytes != b.streams[i].bytes)
+        if (a.streams[i].name != b.streams[i].name ||
+            a.streams[i].bytes != b.streams[i].bytes)
             return false;
     return true;
 }
@@ -483,8 +495,8 @@ TEST(StoreFuzzTest, ContainerMutantsAreRejectedOrDecodeToAStoredEntry)
 {
     // Seeded flips, truncations, splices (from a second container) and
     // length-field edits of a real stored container: decodeArchive
-    // either throws ArchiveError or returns exactly the stream bytes of
-    // one of the two containers that were written.
+    // either throws ArchiveError or returns exactly the streams (names
+    // and bytes) of one of the two containers that were written.
     constexpr int kMutantsPerSeed = 512;
     TempDir dir;
     LandscapeStore store({dir.path + "/store", std::size_t{64} << 20});
@@ -508,8 +520,8 @@ TEST(StoreFuzzTest, ContainerMutantsAreRejectedOrDecodeToAStoredEntry)
                 fuzz::mutate(rng, good, donor, stream_count);
             try {
                 const Archive archive = decodeArchive(mutant);
-                EXPECT_TRUE(sameStreamBytes(archive, good_archive) ||
-                            sameStreamBytes(archive, donor_archive))
+                EXPECT_TRUE(sameStreams(archive, good_archive) ||
+                            sameStreams(archive, donor_archive))
                     << "seed " << seed << " mutant " << it;
             } catch (const ArchiveError&) {
                 ++rejected;
@@ -669,6 +681,29 @@ TEST(LandscapeStoreTest, EntryKeyedBeforeTransformRevisionIsAMiss)
 
     EXPECT_FALSE(store.load(keyFor(entry)).has_value());
     // Nor under its own stale key: the content no longer hashes to it.
+    EXPECT_FALSE(store.load(old_key).has_value());
+    EXPECT_EQ(store.stats().hits, 0u);
+}
+
+TEST(LandscapeStoreTest, EntryKeyedBeforeSolverRevisionIsAMiss)
+{
+    // The sampling-config hash before the solver revision joined it:
+    // fraction, seed and transform revision. Such an entry was solved
+    // with the old FISTA defaults, so it must never be served.
+    TempDir dir;
+    LandscapeStore store({dir.path + "/store", std::size_t{64} << 20});
+    const StoredLandscape entry = sampleEntry();
+    StoreKey old_key = keyFor(entry);
+    old_key.cfgHash = fnv1aAppendU64(
+        fnv1aAppendU64(
+            fnv1aAppendU64(kFnv1aOffsetBasis, std::bit_cast<std::uint64_t>(
+                                                  entry.samplingFraction)),
+            entry.sampleSeed),
+        kCsTransformRevision);
+    ASSERT_NE(old_key.cfgHash, keyFor(entry).cfgHash);
+    store.put(old_key, entry);
+
+    EXPECT_FALSE(store.load(keyFor(entry)).has_value());
     EXPECT_FALSE(store.load(old_key).has_value());
     EXPECT_EQ(store.stats().hits, 0u);
 }

@@ -199,7 +199,9 @@ TEST(WireTest, GoldenCostIdAndConfigHash)
 {
     // Pinned from the pre-v7 encoder: the canonical CostSpec body and
     // the sampling-config hash are store keys, so changing either
-    // orphans every container already on disk.
+    // orphans every container already on disk. The config hash was
+    // re-pinned when kCsSolverRevision joined it: containers solved
+    // with the old FISTA defaults must miss.
     const Graph graph = meshGraph(2, 3);
     CostSpec spec;
     spec.circuit = qaoaCircuit(graph, 1);
@@ -208,7 +210,7 @@ TEST(WireTest, GoldenCostIdAndConfigHash)
     const std::vector<std::uint8_t> payload = encodeCostSpec(spec);
     EXPECT_EQ(spec.costId, 0x6fe3af230c6028f0ull);
     EXPECT_EQ(payload.size(), 742u);
-    EXPECT_EQ(store::configHash(0.05, 1), 0xbf0e65b4cf707337ull);
+    EXPECT_EQ(store::configHash(0.05, 1), 0x3a6dae9ddf472bd5ull);
     EXPECT_EQ(store::gridHash(GridSpec::qaoaP1(20, 40)),
               0xc5d2700ab1021b8bull);
 }
