@@ -30,8 +30,7 @@ struct EngineBatch
     std::vector<ExecutionEngine::Chunk> chunks;
     std::uint64_t baseOrdinal = 0;
     SubmitOptions options;
-    /** Submission timestamp; feeds the batch-latency histogram when
-     *  the last chunk accounts. 0 when metrics are off. */
+    /** Submission timestamp; feeds the batch-latency histogram. */
     std::uint64_t submittedNs = 0;
 
     /** Next chunk index to claim (may overshoot chunks.size()). */
@@ -106,11 +105,41 @@ struct EngineBatch
         std::lock_guard<std::mutex> lock(m);
         progress.pointsCancelled += skipped;
         chunksAccounted += total - claimed;
-        if (chunksAccounted == total) {
-            finished = true;
-            cv.notify_all();
-        }
+        if (chunksAccounted == total)
+            finish();
         return true;
+    }
+
+    /**
+     * Retire the batch; the caller holds `m`. Every batch ends here
+     * exactly once (its last chunk, cancel(), or an empty submit), so
+     * the engine's registry totals are the sum of every batch's
+     * stats() by construction.
+     */
+    void
+    finish()
+    {
+        static obs::Registry& registry = obs::Registry::global();
+        static obs::Counter& completed =
+            registry.counter("engine.points.completed");
+        static obs::Counter& cancelled =
+            registry.counter("engine.points.cancelled");
+        static obs::Counter& cache_hits =
+            registry.counter("engine.cache.hits");
+        static obs::Counter& cache_lookups =
+            registry.counter("engine.cache.lookups");
+        static obs::Counter& cache_evictions =
+            registry.counter("engine.cache.evictions");
+        static obs::Histogram& latency =
+            registry.histogram("engine.batch.latency.ns");
+        completed.add(progress.pointsCompleted);
+        cancelled.add(progress.pointsCancelled);
+        cache_hits.add(progress.kernel.cacheHits);
+        cache_lookups.add(progress.kernel.cacheLookups);
+        cache_evictions.add(progress.kernel.cacheEvictions);
+        latency.observe(obs::Tracer::nowNs() - submittedNs);
+        finished = true;
+        cv.notify_all();
     }
 
     BatchStats
@@ -164,22 +193,6 @@ struct EngineBatch
             }
         }
 
-        if (obs::metricsEnabled()) {
-            static obs::Counter& points_done =
-                obs::Registry::global().counter(
-                    "engine.points.completed");
-            static obs::Counter& cache_hits =
-                obs::Registry::global().counter("engine.cache.hits");
-            static obs::Counter& cache_lookups =
-                obs::Registry::global().counter(
-                    "engine.cache.lookups");
-            if (!failure) {
-                points_done.add(n);
-                cache_hits.add(delta.cacheHits);
-                cache_lookups.add(delta.cacheLookups);
-            }
-        }
-
         std::lock_guard<std::mutex> lock(m);
         if (failure) {
             if (!error)
@@ -190,16 +203,8 @@ struct EngineBatch
             if (callback_failure && !error)
                 error = callback_failure;
         }
-        if (++chunksAccounted == chunks.size()) {
-            finished = true;
-            cv.notify_all();
-            if (submittedNs != 0 && obs::metricsEnabled()) {
-                static obs::Histogram& latency =
-                    obs::Registry::global().histogram(
-                        "engine.batch.latency.ns");
-                latency.observe(obs::Tracer::nowNs() - submittedNs);
-            }
-        }
+        if (++chunksAccounted == chunks.size())
+            finish();
     }
 };
 
@@ -260,9 +265,8 @@ ExecutionEngine::ExecutionEngine(const EngineOptions& options)
     : minPointsPerThread_(std::max<std::size_t>(1,
                                                 options.minPointsPerThread))
 {
-    // Resolve OSCAR_TRACE / OSCAR_METRICS / OSCAR_TRACE_BUFFER_KB
-    // once, fail-fast (a malformed toggle throws here, not on the
-    // first recorded span).
+    // Resolve OSCAR_TRACE / OSCAR_TRACE_BUFFER_KB once, fail-fast (a
+    // malformed toggle throws here, not on the first recorded span).
     obs::applyEnv();
 
     // Threads spawn last: everything above may throw, and unwinding
@@ -373,13 +377,13 @@ ExecutionEngine::submitBatch(CostFunction* cost,
     batch->mapFn = std::move(map_fn);
     batch->cost = cost;
     batch->options = std::move(options);
-    if (obs::metricsEnabled())
-        batch->submittedNs = obs::Tracer::nowNs();
+    batch->submittedNs = obs::Tracer::nowNs();
     batch->out.resize(count);
     batch->progress.pointsTotal = count;
 
     if (count == 0) {
-        batch->finished = true;
+        std::lock_guard<std::mutex> lock(batch->m);
+        batch->finish();
         return BatchHandle(std::move(batch));
     }
 

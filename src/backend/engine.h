@@ -74,7 +74,12 @@ struct EngineOptions
     std::size_t minPointsPerThread = 4;
 };
 
-/** Progress / effectiveness counters of one submitted batch. */
+/**
+ * Progress / effectiveness counters of one submitted batch. When the
+ * batch finishes (completed or cancelled), these totals are added
+ * once to the process-wide obs::Registry (`engine.points.*`,
+ * `engine.cache.*`).
+ */
 struct BatchStats
 {
     /** Points in the batch as submitted. */

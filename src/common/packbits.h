@@ -2,10 +2,8 @@
  * @file
  * Shared PackBits / byte-plane compression codec.
  *
- * Hoisted from the landscape store's archive container (src/store)
- * so the OSCW wire layer (src/serve/wire.h) can reuse the exact same
- * bit-exact, size-bounded compression for frame payloads — one codec,
- * two containers, like the CRC-32 hoist in src/common/crc32.h.
+ * The landscape store's archive container (src/store) compresses
+ * each stream with it.
  *
  * PackBits is classic run-length coding: a control byte c in 0..127
  * announces c+1 literal bytes, c in 129..255 announces 257-c repeats
@@ -19,7 +17,7 @@
  * Raw whenever neither codec strictly shrinks the input, so callers
  * never pay for incompressible data, and decoding is bit-exact by
  * construction (round-trip tested against random and structured
- * vectors in both the store and wire suites).
+ * vectors in the store suite).
  */
 
 #ifndef OSCAR_COMMON_PACKBITS_H
@@ -44,10 +42,7 @@ class CodecError : public std::runtime_error
     }
 };
 
-/**
- * Storage codec identifier, shared by every container that embeds a
- * codec byte (the store's archive streams, the wire's frame header).
- */
+/** Storage codec identifier: the codec byte of each archive stream. */
 enum class Codec : std::uint8_t
 {
     Raw = 0,           ///< stored bytes == raw bytes

@@ -120,7 +120,7 @@ Oscar::reconstructParallel(const GridSpec& grid,
         grid.numPoints(), options.samplingFraction, rng);
     ParallelRunResult run =
         runParallelSampling(grid, devices, indices, rng,
-                            options.parallelAssignment, fractions,
+                            Assignment::FractionSplit, fractions,
                             eng.get());
 
     // Train one NCM per non-reference device and transform its share.

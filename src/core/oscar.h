@@ -76,15 +76,6 @@ struct OscarOptions
      * oscar-serve to stream Progress frames to waiting clients.
      */
     std::function<void(std::size_t completed, std::size_t total)> progress;
-
-    /**
-     * Sample-to-device policy of reconstructParallel. FractionSplit
-     * honours the caller's per-device fractions; PrefixPull makes
-     * devices pull same-prefix task groups from a shared queue (each
-     * device's PrefixCache stays hot, loads balance by simulated
-     * speed) and ignores the fractions.
-     */
-    Assignment parallelAssignment = Assignment::FractionSplit;
 };
 
 /** Outcome of an OSCAR reconstruction. */

@@ -13,13 +13,19 @@
  *              with count and sum for averages
  *
  * Updates are single relaxed atomic RMWs -- safe from any thread, on
- * any hot path. Lookup by name takes the registry mutex, so call
- * sites cache the returned reference (metrics are never removed;
- * references stay valid for the registry's lifetime):
+ * any hot path -- so metrics always record; there is no switch.
+ * Lookup by name takes the registry mutex, so call sites cache the
+ * returned reference (metrics are never removed; references stay
+ * valid for the registry's lifetime):
  *
  *   static obs::Counter& hits =
  *       obs::Registry::global().counter("engine.cache.hits");
- *   if (obs::metricsEnabled()) hits.add();
+ *   hits.add(batch.kernel.cacheHits);
+ *
+ * Each event has one home. Process-wide events (engine batches, wire
+ * frames, request latency) live here; per-instance tallies (one
+ * store's StoreStats, one daemon's ServeCounters) live in their
+ * instance, because one process may run several.
  *
  * snapshot() reads every metric without stopping writers (each value
  * is independently atomic; a snapshot is a consistent *per-metric*
@@ -44,8 +50,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "src/obs/trace.h" // metricsEnabled()
 
 namespace oscar {
 namespace obs {

@@ -13,7 +13,6 @@ namespace obs {
 
 namespace detail {
 std::atomic<bool> g_tracingEnabled{false};
-std::atomic<bool> g_metricsEnabled{false};
 } // namespace detail
 
 const char*
@@ -42,19 +41,10 @@ setTracing(bool enabled)
     detail::g_tracingEnabled.store(enabled, std::memory_order_relaxed);
 }
 
-void
-setMetrics(bool enabled)
-{
-    detail::g_metricsEnabled.store(enabled, std::memory_order_relaxed);
-}
-
-namespace {
-
-/** Parse a strict 0/1 toggle env var; throws naming the valid form. */
 bool
-resolveToggle(const char* name, bool fallback)
+resolveTraceEnabled(bool fallback)
 {
-    const char* env = std::getenv(name);
+    const char* env = std::getenv("OSCAR_TRACE");
     if (!env)
         return fallback;
     const std::string value(env);
@@ -62,22 +52,8 @@ resolveToggle(const char* name, bool fallback)
         return false;
     if (value == "1")
         return true;
-    throw std::runtime_error(std::string(name) +
-                             ": expected 0 or 1, got \"" + value + "\"");
-}
-
-} // namespace
-
-bool
-resolveTraceEnabled(bool fallback)
-{
-    return resolveToggle("OSCAR_TRACE", fallback);
-}
-
-bool
-resolveMetricsEnabled(bool fallback)
-{
-    return resolveToggle("OSCAR_METRICS", fallback);
+    throw std::runtime_error("OSCAR_TRACE: expected 0 or 1, got \"" +
+                             value + "\"");
 }
 
 std::size_t
@@ -125,16 +101,13 @@ applyEnv()
 {
     static std::once_flag once;
     std::call_once(once, [] {
-        // Resolve all three before applying any: a malformed value
+        // Resolve both before applying either: a malformed value
         // must not leave tracing half-configured.
         const bool trace = resolveTraceEnabled();
-        const bool metrics = resolveMetricsEnabled();
         const std::size_t kb = resolveTraceBufferKb();
         g_bufferKb.store(kb, std::memory_order_relaxed);
         if (trace)
             setTracing(true);
-        if (metrics)
-            setMetrics(true);
         const char* file = std::getenv("OSCAR_TRACE_FILE");
         if (file && *file)
             std::atexit(atexitExportTrace);

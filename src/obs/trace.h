@@ -51,7 +51,7 @@ enum class SpanCategory : std::uint8_t
     Engine = 0, ///< engine batches and chunks
     Replay = 1, ///< compiled-circuit replay segments
     Cache = 2,  ///< prefix-cache hits and misses
-    Wire = 4,   ///< frame encode / decode (+compression)
+    Wire = 4,   ///< frame encode / decode
     Store = 5,  ///< landscape-store get / put
     Serve = 6,  ///< serve job lifecycle
 };
@@ -78,12 +78,11 @@ struct SpanRecord
 };
 
 // ---------------------------------------------------------------------
-// Enable flags
+// Enable flag
 // ---------------------------------------------------------------------
 
 namespace detail {
 extern std::atomic<bool> g_tracingEnabled;
-extern std::atomic<bool> g_metricsEnabled;
 } // namespace detail
 
 /** Is span recording on? One relaxed load: safe on any hot path. */
@@ -93,15 +92,7 @@ tracingEnabled()
     return detail::g_tracingEnabled.load(std::memory_order_relaxed);
 }
 
-/** Is metrics recording on? One relaxed load. */
-inline bool
-metricsEnabled()
-{
-    return detail::g_metricsEnabled.load(std::memory_order_relaxed);
-}
-
 void setTracing(bool enabled);
-void setMetrics(bool enabled);
 
 /**
  * Resolve OSCAR_TRACE: unset -> `fallback`, "0" -> false, "1" -> true.
@@ -117,12 +108,9 @@ bool resolveTraceEnabled(bool fallback = false);
  */
 std::size_t resolveTraceBufferKb();
 
-/** Resolve OSCAR_METRICS exactly like resolveTraceEnabled. */
-bool resolveMetricsEnabled(bool fallback = false);
-
 /**
- * Apply the environment once per process: OSCAR_TRACE /
- * OSCAR_TRACE_BUFFER_KB / OSCAR_METRICS via the strict resolvers
+ * Apply the environment once per process: OSCAR_TRACE and
+ * OSCAR_TRACE_BUFFER_KB via the strict resolvers
  * above, and OSCAR_TRACE_FILE (when set, an atexit hook exports the
  * full Chrome trace there on clean process exit, so ordinary test and
  * tool binaries produce traces under OSCAR_TRACE=1 without code

@@ -101,99 +101,6 @@ scheduleStatic(const std::vector<std::size_t>& indices,
     return schedule;
 }
 
-/**
- * Group positions into runs sharing a circuit prefix: consecutive
- * points of the axis-major submission order that agree on every axis
- * but the fastest-varying one. Without a usable order hint, fall back
- * to contiguous blocks sized for a few pulls per device.
- */
-std::vector<std::vector<std::size_t>>
-prefixGroups(const GridSpec& grid, const QpuDevice& reference,
-             const std::vector<std::size_t>& indices,
-             std::size_t num_devices)
-{
-    std::vector<std::size_t> order(indices.size());
-    std::size_t fastest = 0;
-    bool hinted = false;
-    if (reference.cost) {
-        const std::vector<int> hint = reference.cost->batchOrderHint();
-        if (!hint.empty() &&
-            grid.rank() ==
-                static_cast<std::size_t>(reference.cost->numParams())) {
-            order = grid.prefixFriendlyPermutation(indices, hint);
-            // Effective axis order appends unnamed axes, ascending, as
-            // the fastest digits; the grouping key drops the fastest.
-            std::vector<bool> named(grid.rank(), false);
-            for (int a : hint)
-                named[static_cast<std::size_t>(a)] = true;
-            fastest = static_cast<std::size_t>(hint.back());
-            for (std::size_t a = 0; a < grid.rank(); ++a) {
-                if (!named[a])
-                    fastest = a;
-            }
-            hinted = true;
-        }
-    }
-
-    std::vector<std::vector<std::size_t>> groups;
-    if (!hinted) {
-        // No prefix structure to exploit: contiguous blocks, about
-        // four pulls per device so faster devices can still grab more.
-        for (std::size_t i = 0; i < order.size(); ++i)
-            order[i] = i;
-        const std::size_t block = std::max<std::size_t>(
-            1, (indices.size() + 4 * num_devices - 1) /
-                   (4 * num_devices));
-        for (std::size_t lo = 0; lo < order.size(); lo += block) {
-            const std::size_t hi = std::min(order.size(), lo + block);
-            groups.emplace_back(order.begin() + lo, order.begin() + hi);
-        }
-        return groups;
-    }
-
-    std::vector<std::size_t> prev_key;
-    for (std::size_t pos : order) {
-        std::vector<std::size_t> key = grid.coordsAt(indices[pos]);
-        key.erase(key.begin() + static_cast<std::ptrdiff_t>(fastest));
-        if (groups.empty() || key != prev_key)
-            groups.emplace_back();
-        groups.back().push_back(pos);
-        prev_key = std::move(key);
-    }
-    return groups;
-}
-
-/**
- * Pull-based scheduling: whenever a device falls idle in simulated
- * time it pulls the next prefix group off the shared queue. Latency
- * draws consume `rng` in pull order; the simulation is serial, so the
- * schedule is deterministic for any engine thread count.
- */
-std::vector<ScheduledTask>
-schedulePull(const GridSpec& grid,
-             const std::vector<std::size_t>& indices,
-             std::vector<QpuDevice>& devices, Rng& rng)
-{
-    const auto groups =
-        prefixGroups(grid, devices.front(), indices, devices.size());
-    std::vector<double> clock(devices.size(), 0.0);
-    std::vector<ScheduledTask> schedule;
-    schedule.reserve(indices.size());
-    for (const auto& group : groups) {
-        std::size_t d = 0;
-        for (std::size_t k = 1; k < clock.size(); ++k) {
-            if (clock[k] < clock[d])
-                d = k;
-        }
-        for (std::size_t pos : group) {
-            const double latency = devices[d].latency.sample(rng);
-            clock[d] += latency;
-            schedule.push_back({pos, d, latency});
-        }
-    }
-    return schedule;
-}
-
 } // namespace
 
 ParallelRunResult
@@ -206,9 +113,7 @@ runParallelSampling(const GridSpec& grid, std::vector<QpuDevice>& devices,
         throw std::invalid_argument("runParallelSampling: no devices");
 
     const std::vector<ScheduledTask> schedule =
-        how == Assignment::PrefixPull
-            ? schedulePull(grid, indices, devices, rng)
-            : scheduleStatic(indices, devices, rng, how, fractions);
+        scheduleStatic(indices, devices, rng, how, fractions);
 
     ParallelRunResult result;
     result.samples.reserve(indices.size());

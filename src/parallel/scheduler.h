@@ -3,18 +3,16 @@
  * Parallel sampling scheduler (paper Fig. 7A).
  *
  * OSCAR's samples are independent, so they can run on k QPUs at once.
- * The scheduler assigns sample points to devices -- statically
- * (RoundRobin / FractionSplit) or by a pull-based shared task queue
- * with prefix-aware placement (PrefixPull) -- and submits every
- * device's share as one asynchronous batch to the ExecutionEngine, so
- * all simulated devices execute concurrently on the worker pool (the
+ * The scheduler assigns sample points to devices statically
+ * (RoundRobin / FractionSplit) and submits every device's share as
+ * one asynchronous batch to the ExecutionEngine, so all simulated
+ * devices execute concurrently on the worker pool (the
  * simulated device still processes one job at a time for *timing*
  * purposes, so completion timestamps and makespans are unchanged).
  *
- * Determinism: latency draws consume `rng` serially in a fixed order
- * (submission order for the static policies, pull order for
- * PrefixPull), and evaluation randomness is ordinal-keyed per device
- * cost, so a run is bit-identical for any engine thread count.
+ * Determinism: latency draws consume `rng` serially in submission
+ * order, and evaluation randomness is ordinal-keyed per device cost,
+ * so a run is bit-identical for any engine thread count.
  * Downstream consumers use the per-sample completion timestamps for
  * makespan/speedup accounting and for eager reconstruction.
  */
@@ -39,18 +37,6 @@ enum class Assignment
     RoundRobin,
     /** First `fractions[d]` share of samples to device d, in order. */
     FractionSplit,
-    /**
-     * Pull-based shared task queue with prefix-aware placement: the
-     * samples are grouped into runs sharing a circuit prefix (the
-     * leading axes of the reference device's batch order hint), and
-     * whenever a device falls idle in simulated time it pulls the next
-     * whole group. Same-prefix points therefore land on the same
-     * device -- each device's PrefixCache stays hot -- while load
-     * balances by actual device speed instead of a static split.
-     * Per-device shares become latency-dependent, so `fractions` is
-     * ignored.
-     */
-    PrefixPull,
 };
 
 /** One executed sample. */

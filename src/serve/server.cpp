@@ -222,10 +222,10 @@ ServeServer::counters() const
 std::string
 ServeServer::metricsText() const
 {
-    // The registry carries the opt-in metrics; the serve/store
-    // counters are injected from their authoritative mutex-guarded
-    // structs so the exposition matches counters() exactly regardless
-    // of OSCAR_METRICS.
+    // Process-wide events come from the registry; this daemon's own
+    // serve and store tallies live in its per-instance structs (one
+    // process may run several daemons and stores), so they are
+    // rendered from counters() and the exposition matches it exactly.
     obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
     const ServeCounters c = counters();
     snap.counters["serve.requests"] = c.requests;
@@ -497,21 +497,17 @@ ServeServer::execute(const std::shared_ptr<Job>& job)
 {
     obs::ScopedSpan span(obs::SpanCategory::Serve, "execute",
                          job->key.costId);
-    const std::uint64_t t0 =
-        obs::metricsEnabled() ? obs::Tracer::nowNs() : 0;
     struct LatencyGuard
     {
-        std::uint64_t t0;
+        std::uint64_t t0 = obs::Tracer::nowNs();
         ~LatencyGuard()
         {
-            if (t0 == 0 || !obs::metricsEnabled())
-                return;
             static obs::Histogram& latency =
                 obs::Registry::global().histogram(
                     "serve.request.latency.ns");
             latency.observe(obs::Tracer::nowNs() - t0);
         }
-    } latency_guard{t0};
+    } latency_guard;
 
     // 1. The store answers without touching the pool.
     if (store_) {

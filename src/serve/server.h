@@ -112,11 +112,10 @@ class ServeServer
 
     /**
      * Prometheus text exposition answered to MetricsRequest frames:
-     * the process-wide obs::Registry snapshot, plus the authoritative
-     * ServeCounters (and store
-     * counters) rendered as `oscar_serve_*` / `oscar_store_*` series
-     * -- so scraped values always match what counters() reports, even
-     * with OSCAR_METRICS off.
+     * the process-wide obs::Registry snapshot (engine, wire, request
+     * latency) plus this daemon's counters() rendered as
+     * `oscar_serve_*` / `oscar_store_container_*` series, so scraped
+     * values always match what counters() reports.
      */
     std::string metricsText() const;
 

@@ -4,7 +4,6 @@
 
 #include "src/common/crc32.h"
 #include "src/common/fnv1a.h"
-#include "src/common/packbits.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -143,41 +142,25 @@ encodeFrame(FrameType type, std::span<const std::uint8_t> payload)
         throw WireError("payload exceeds frame size limit");
     obs::ScopedSpan span(obs::SpanCategory::Wire, "encode",
                          static_cast<std::uint64_t>(type));
-    // Smallest-of codec selection (shared with the store's on-disk
-    // archive): a compressed frame is always strictly smaller than
-    // raw, so framing never expands a payload.
-    const packbits::Encoded enc = packbits::pickSmallest(payload);
-    const std::span<const std::uint8_t> stored =
-        enc.codec == packbits::Codec::Raw ? payload
-                                          : std::span(enc.bytes);
     WireWriter w;
     w.u32(kWireMagic);
     w.u16(kWireVersion);
     w.u16(static_cast<std::uint16_t>(type));
     w.u64(payload.size());
-    w.u64(stored.size());
-    w.u8(static_cast<std::uint8_t>(enc.codec));
     std::vector<std::uint8_t> out = w.take();
-    // The trailer checks header + RAW payload: a bit flip anywhere in
-    // the frame -- type, lengths, codec, or compressed bytes -- fails
-    // either a structural check or this CRC, never decoding silently.
+    out.reserve(kFrameHeaderSize + payload.size() + 4);
     const std::uint32_t crc = ::oscar::crc32(
         std::span<const std::uint8_t>(out.data(), out.size()), payload);
-    out.insert(out.end(), stored.begin(), stored.end());
+    out.insert(out.end(), payload.begin(), payload.end());
     for (int i = 0; i < 4; ++i)
         out.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
     span.setArgs(payload.size(), out.size());
-    if (obs::metricsEnabled()) {
-        static obs::Counter& raw_bytes =
-            obs::Registry::global().counter("wire.bytes.raw");
-        static obs::Counter& stored_bytes =
-            obs::Registry::global().counter("wire.bytes.stored");
-        static obs::Counter& frames =
-            obs::Registry::global().counter("wire.frames.encoded");
-        raw_bytes.add(kFrameHeaderSize + payload.size() + 4);
-        stored_bytes.add(out.size());
-        frames.add();
-    }
+    static obs::Counter& bytes =
+        obs::Registry::global().counter("wire.bytes.encoded");
+    static obs::Counter& frames =
+        obs::Registry::global().counter("wire.frames.encoded");
+    bytes.add(out.size());
+    frames.add();
     return out;
 }
 
@@ -211,56 +194,25 @@ FrameDecoder::next()
     const std::uint16_t raw_type = header.u16();
     if (!isFrameType(raw_type))
         throw WireError("unknown frame type " + std::to_string(raw_type));
-    const std::uint64_t raw_len = header.u64();
-    if (raw_len > kMaxFramePayload)
+    const std::uint64_t len = header.u64();
+    if (len > kMaxFramePayload)
         throw WireError("frame payload too large");
-    const std::uint64_t stored_len = header.u64();
-    const std::uint8_t codec = header.u8();
-    if (codec > static_cast<std::uint8_t>(packbits::Codec::PlanePackBits))
-        throw WireError("unknown frame codec " + std::to_string(codec));
-    // The length pair must be self-consistent before any allocation:
-    // a raw frame stores exactly its payload, a compressed frame is
-    // strictly smaller (the encoder never picks a codec that fails to
-    // shrink), and a plane split only exists for 8-byte records.
-    if (codec == static_cast<std::uint8_t>(packbits::Codec::Raw)) {
-        if (stored_len != raw_len)
-            throw WireError("raw frame stored/raw length mismatch");
-    } else {
-        if (stored_len >= raw_len)
-            throw WireError("compressed frame does not shrink");
-        if (codec ==
-                static_cast<std::uint8_t>(packbits::Codec::PlanePackBits) &&
-            raw_len % 8 != 0)
-            throw WireError("plane-split frame not a multiple of 8");
-    }
-    if (avail < kFrameHeaderSize + stored_len + 4)
+    if (avail < kFrameHeaderSize + len + 4)
         return std::nullopt; // truncated: wait for more bytes
-    obs::ScopedSpan span(obs::SpanCategory::Wire, "decode", raw_type,
-                         raw_len);
-    const std::uint8_t* stored = buf_.data() + pos_ + kFrameHeaderSize;
-    Frame frame;
-    frame.type = static_cast<FrameType>(raw_type);
-    if (codec == static_cast<std::uint8_t>(packbits::Codec::Raw)) {
-        frame.payload.assign(stored, stored + raw_len);
-    } else {
-        try {
-            frame.payload = packbits::decode(
-                codec, {stored, static_cast<std::size_t>(stored_len)},
-                static_cast<std::size_t>(raw_len));
-        } catch (const packbits::CodecError& e) {
-            throw WireError(e.what());
-        }
-    }
+    obs::ScopedSpan span(obs::SpanCategory::Wire, "decode", raw_type, len);
+    const std::uint8_t* payload = buf_.data() + pos_ + kFrameHeaderSize;
     std::uint32_t trailer = 0;
     for (int i = 0; i < 4; ++i)
-        trailer |=
-            static_cast<std::uint32_t>(stored[stored_len + i]) << (8 * i);
+        trailer |= static_cast<std::uint32_t>(payload[len + i]) << (8 * i);
     if (::oscar::crc32(std::span<const std::uint8_t>(buf_.data() + pos_,
                                                      kFrameHeaderSize),
-                       frame.payload) != trailer)
+                       {payload, static_cast<std::size_t>(len)}) !=
+        trailer)
         throw WireError("frame CRC mismatch");
-    frame.wireBytes = kFrameHeaderSize + stored_len + 4;
-    pos_ += frame.wireBytes;
+    Frame frame;
+    frame.type = static_cast<FrameType>(raw_type);
+    frame.payload.assign(payload, payload + len);
+    pos_ += kFrameHeaderSize + len + 4;
     return frame;
 }
 

@@ -7,28 +7,18 @@
  * Every message between an oscar-serve client and the daemon is one
  * *frame*:
  *
- *   [magic u32 "OSCW"][version u16][type u16][raw length u64]
- *   [stored length u64][codec u8]
- *   [stored bytes][crc32 u32 of header + RAW payload]
+ *   [magic u32 "OSCW"][version u16][type u16][payload length u64]
+ *   [payload bytes][crc32 u32 of header + payload]
  *
- * The encoder picks the smallest of {raw, PackBits, byte-plane
- * PackBits} (the shared codec in src/common/packbits.h, the same one
- * the landscape store uses on disk) and records the choice in the
- * codec byte. A compressed frame's stored length is always strictly
- * smaller than its raw length; incompressible payloads ship raw, so
- * framing never expands beyond the fixed header. The CRC covers the
- * header and the RAW payload: corruption is detected after decode
- * whichever codec was used, a flipped header field (even one that
- * still parses, like a valid neighbouring frame type) fails the
- * trailer check, and decode itself is bounds-checked (a crafted
- * stored stream that overruns or undershoots the declared raw length
- * is a WireError, not an allocation).
+ * Frames travel over a local Unix socket, so the payload ships
+ * uncompressed. The CRC covers the header and the payload: a flipped
+ * header field (even one that still parses, like a valid
+ * neighbouring frame type) fails the trailer check.
  *
  * All integers are little-endian; doubles travel as their IEEE-754
  * bit pattern, so served values are bitwise the computed ones. A
- * frame is rejected -- WireError -- on bad magic, unknown version,
- * type, or codec, an oversized or inconsistent length pair, a CRC
- * mismatch, malformed compressed bytes, or payload decode
+ * frame is rejected -- WireError -- on bad magic, unknown version or
+ * type, an oversized length, a CRC mismatch, or payload decode
  * overrun/trailing bytes; a truncated frame is simply "not complete
  * yet" and never yields a message.
  *
@@ -74,13 +64,12 @@ constexpr std::uint32_t kWireMagic = 0x4F534357u; // "OSCW"
 // oscar-serve daemon's Prometheus text exposition.
 // v7: the multi-process fleet frames (codes 1-7 and 11-14) are
 // retired; only the serving frames remain.
-constexpr std::uint16_t kWireVersion = 7;
+// v8: frame compression is gone: the header drops the stored length
+// and codec byte, and every payload ships as is.
+constexpr std::uint16_t kWireVersion = 8;
 
-/**
- * Fixed frame header size (magic + version + type + raw length +
- * stored length + codec byte).
- */
-constexpr std::size_t kFrameHeaderSize = 25;
+/** Fixed frame header size (magic + version + type + length). */
+constexpr std::size_t kFrameHeaderSize = 16;
 
 /** Hard upper bound on one frame's payload (sanity, not a target). */
 constexpr std::size_t kMaxFramePayload = std::size_t{1} << 30;
@@ -160,18 +149,9 @@ struct Frame
 {
     FrameType type = FrameType::Request;
     std::vector<std::uint8_t> payload;
-    /**
-     * Bytes this frame occupied on the wire (header + stored bytes +
-     * CRC), as consumed by the decoder. With compression this is at
-     * most kFrameHeaderSize + payload.size() + 4.
-     */
-    std::size_t wireBytes = 0;
 };
 
-/**
- * Serialize a complete frame (header + stored payload + CRC over the
- * raw payload), compressing the payload when that strictly shrinks it.
- */
+/** Serialize a complete frame (header + payload + CRC). */
 std::vector<std::uint8_t> encodeFrame(FrameType type,
                                       std::span<const std::uint8_t> payload);
 

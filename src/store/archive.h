@@ -72,9 +72,9 @@ constexpr std::uint16_t kArchiveVersion = 2;
 
 /**
  * Per-stream storage codec. The codec itself lives in
- * src/common/packbits.h, shared with the serve wire layer's
- * compressed framing; the alias keeps the historical store-layer name
- * (and its on-disk byte values: Raw=0, PackBits=1, PlanePackBits=2).
+ * src/common/packbits.h; the alias keeps the historical store-layer
+ * name (and its on-disk byte values: Raw=0, PackBits=1,
+ * PlanePackBits=2).
  */
 using StreamCodec = ::oscar::packbits::Codec;
 

@@ -12,7 +12,6 @@
 #include "src/common/fnv1a.h"
 #include "src/cs/dct.h"
 #include "src/cs/fista.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/store/archive.h"
 
@@ -194,11 +193,6 @@ std::optional<StoredLandscape>
 LandscapeStore::load(const StoreKey& key)
 {
     obs::ScopedSpan span(obs::SpanCategory::Store, "get", key.costId);
-    if (obs::metricsEnabled()) {
-        static obs::Counter& gets =
-            obs::Registry::global().counter("store.gets");
-        gets.add();
-    }
     std::lock_guard<std::mutex> lock(mutex_);
     const std::string path = containerPath(key);
     std::error_code ec;
@@ -250,11 +244,6 @@ LandscapeStore::load(const StoreKey& key)
         // LRU recency: a hit makes this container the newest.
         fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
         stats_.hits++;
-        if (obs::metricsEnabled()) {
-            static obs::Counter& hits =
-                obs::Registry::global().counter("store.hits");
-            hits.add();
-        }
         return entry;
     } catch (const ArchiveError&) {
         // Damaged container: unlink so the rewrite starts clean, and
@@ -279,11 +268,6 @@ LandscapeStore::put(const StoreKey& key, const StoredLandscape& entry)
             "LandscapeStore::put: non-finite sample or reconstructed value");
     obs::ScopedSpan span(obs::SpanCategory::Store, "put", key.costId,
                          entry.reconstructed.size());
-    if (obs::metricsEnabled()) {
-        static obs::Counter& puts =
-            obs::Registry::global().counter("store.puts");
-        puts.add();
-    }
     ArchiveWriter writer;
     {
         WireWriter w;

@@ -73,10 +73,11 @@ TEST_P(RecoveryRate, ImprovesWithMeasurements)
         if (sparseRecoveryError(m, 6, 10 * m + t) < 0.05)
             ++successes;
     }
-    if (m >= 96)
+    if (m >= 96) {
         EXPECT_GE(successes, 9) << "m=" << m;
-    else if (m <= 24)
+    } else if (m <= 24) {
         EXPECT_LE(successes, 4) << "m=" << m;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(MeasurementCounts, RecoveryRate,

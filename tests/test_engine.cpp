@@ -10,8 +10,10 @@
  *  - query counting is atomic and batch-aware; streaming callbacks
  *    and BatchHandle::stats report every point exactly once;
  *  - the full Oscar::reconstruct pipeline is bit-identical for 1 and
- *    N threads at a fixed seed, as are the multi-QPU scheduler's three
- *    assignment policies and the speculative Nelder-Mead probes.
+ *    N threads at a fixed seed, as are the multi-QPU scheduler's
+ *    assignment policies and the speculative Nelder-Mead probes;
+ *  - the registry's engine counters grow by exactly the sum of every
+ *    finished batch's stats(), cancelled batches included.
  */
 
 #include <gtest/gtest.h>
@@ -36,6 +38,7 @@
 #include "src/interp/bicubic.h"
 #include "src/interp/multilinear.h"
 #include "src/landscape/sampler.h"
+#include "src/obs/metrics.h"
 #include "src/optimize/adam.h"
 #include "src/optimize/nelder_mead.h"
 #include "src/parallel/latency_model.h"
@@ -726,6 +729,66 @@ TEST(AsyncEngine, StatsReportPrefixCacheTraffic)
               tiny.prefixCache().evictions());
 }
 
+TEST(AsyncEngine, RegistryCountsEachBatchOnceIncludingCancelled)
+{
+    // Metrics have no switch: every batch adds its stats() to the
+    // registry exactly once, when it finishes -- completed or
+    // cancelled -- so the registry grows by the sum of the batches.
+    obs::Registry& registry = obs::Registry::global();
+    const auto counters = [&registry] {
+        return std::vector<std::uint64_t>{
+            registry.counter("engine.points.completed").value(),
+            registry.counter("engine.points.cancelled").value(),
+            registry.counter("engine.cache.hits").value(),
+            registry.counter("engine.cache.lookups").value(),
+            registry.counter("engine.cache.evictions").value()};
+    };
+    obs::Histogram& latency =
+        registry.histogram("engine.batch.latency.ns");
+    const std::vector<std::uint64_t> before = counters();
+    const std::uint64_t batches_before = latency.snapshot().count;
+
+    Rng rng(41);
+    const Graph g = random3RegularGraph(6, rng);
+    const GridSpec grid = GridSpec::qaoaP2(3, 4);
+
+    // Completed on four threads (several chunks), with a checkpoint
+    // budget small enough to evict.
+    StatevectorCost completed_cost(qaoaCircuit(g, 2),
+                                   maxcutHamiltonian(g));
+    KernelOptions small;
+    small.prefixCacheBudgetBytes = 4096;
+    completed_cost.configureKernel(small);
+    const auto points = axisMajorPoints(grid, completed_cost);
+    ExecutionEngine engine(4);
+    BatchHandle completed = engine.submit(completed_cost, points);
+    completed.get();
+
+    // Cancelled before it runs: a serial batch executes only when
+    // waited on.
+    StatevectorCost cancelled_cost(qaoaCircuit(g, 2),
+                                   maxcutHamiltonian(g));
+    BatchHandle cancelled =
+        ExecutionEngine::serial().submit(cancelled_cost, points);
+    ASSERT_TRUE(cancelled.cancel());
+    cancelled.wait();
+
+    BatchStats sum = completed.stats();
+    sum += cancelled.stats();
+    EXPECT_EQ(sum.pointsCompleted, points.size());
+    EXPECT_EQ(sum.pointsCancelled, points.size());
+    EXPECT_GT(sum.kernel.cacheHits, 0u);
+    EXPECT_GT(sum.kernel.cacheEvictions, 0u);
+
+    const std::vector<std::uint64_t> after = counters();
+    EXPECT_EQ(after[0] - before[0], sum.pointsCompleted);
+    EXPECT_EQ(after[1] - before[1], sum.pointsCancelled);
+    EXPECT_EQ(after[2] - before[2], sum.kernel.cacheHits);
+    EXPECT_EQ(after[3] - before[3], sum.kernel.cacheLookups);
+    EXPECT_EQ(after[4] - before[4], sum.kernel.cacheEvictions);
+    EXPECT_EQ(latency.snapshot().count - batches_before, 2u);
+}
+
 TEST(AsyncEngine, OscarResultSurfacesExecutionStats)
 {
     const Graph g = testGraph();
@@ -739,123 +802,6 @@ TEST(AsyncEngine, OscarResultSurfacesExecutionStats)
     EXPECT_EQ(result.execution.pointsTotal, result.samples.size());
     EXPECT_EQ(result.execution.pointsCompleted, result.samples.size());
     EXPECT_GT(result.execution.kernel.cacheLookups, 0u);
-}
-
-TEST(AsyncEngine, PrefixPullSchedulerDeterministicAndPrefixAware)
-{
-    const Graph g = testGraph();
-    const GridSpec grid = GridSpec::qaoaP1(12, 18);
-
-    auto make_devices = [&] {
-        std::vector<QpuDevice> devices;
-        for (int d = 0; d < 3; ++d) {
-            QpuDevice dev;
-            dev.name = "qpu" + std::to_string(d);
-            dev.cost = std::make_shared<AnalyticQaoaCost>(g);
-            dev.latency = LatencyModel{};
-            devices.push_back(std::move(dev));
-        }
-        return devices;
-    };
-
-    std::vector<std::size_t> indices;
-    for (std::size_t i = 0; i < grid.numPoints(); i += 2)
-        indices.push_back(i);
-
-    auto devices_serial = make_devices();
-    Rng rng_serial(77);
-    const ParallelRunResult serial = runParallelSampling(
-        grid, devices_serial, indices, rng_serial,
-        Assignment::PrefixPull);
-
-    auto devices_pooled = make_devices();
-    Rng rng_pooled(77);
-    ExecutionEngine engine(4);
-    const ParallelRunResult pooled = runParallelSampling(
-        grid, devices_pooled, indices, rng_pooled,
-        Assignment::PrefixPull, {}, &engine);
-
-    // Bit-identical for any engine thread count.
-    ASSERT_EQ(serial.samples.size(), pooled.samples.size());
-    EXPECT_EQ(serial.makespan, pooled.makespan);
-    for (std::size_t i = 0; i < serial.samples.size(); ++i) {
-        EXPECT_EQ(serial.samples[i].index, pooled.samples[i].index);
-        EXPECT_EQ(serial.samples[i].value, pooled.samples[i].value);
-        EXPECT_EQ(serial.samples[i].device, pooled.samples[i].device);
-        EXPECT_EQ(serial.samples[i].completionTime,
-                  pooled.samples[i].completionTime);
-    }
-
-    // Every requested index ran exactly once.
-    std::vector<std::size_t> executed;
-    for (const ParallelSample& s : serial.samples)
-        executed.push_back(s.index);
-    std::sort(executed.begin(), executed.end());
-    EXPECT_EQ(executed, indices);
-
-    // Prefix-aware placement: AnalyticQaoaCost's hint is {gamma,
-    // beta}, so all samples sharing a gamma coordinate (one prefix
-    // group) must land on a single device.
-    std::map<std::size_t, std::size_t> device_of_gamma;
-    for (const ParallelSample& s : serial.samples) {
-        const std::size_t gamma = grid.coordsAt(s.index)[1];
-        const auto it = device_of_gamma.find(gamma);
-        if (it == device_of_gamma.end())
-            device_of_gamma[gamma] = s.device;
-        else
-            EXPECT_EQ(it->second, s.device)
-                << "gamma column " << gamma << " split across devices";
-    }
-
-    // And the values equal the static scheduler's (same evaluators,
-    // device-local ordinal streams are deterministic per backend).
-    std::size_t busy_devices = 0;
-    for (std::size_t count : serial.perDeviceCounts)
-        busy_devices += count > 0 ? 1 : 0;
-    EXPECT_GT(busy_devices, 1u) << "pull queue never balanced load";
-}
-
-TEST(AsyncEngine, ReconstructParallelPrefixPullThreadInvariant)
-{
-    const Graph g = testGraph();
-    const GridSpec grid = GridSpec::qaoaP1(16, 20);
-
-    auto make_devices = [&] {
-        std::vector<QpuDevice> devices;
-        for (int d = 0; d < 2; ++d) {
-            QpuDevice dev;
-            dev.name = "qpu" + std::to_string(d);
-            dev.cost = std::make_shared<SampledCost>(
-                qaoaCircuit(g, 1), maxcutHamiltonian(g), 64, NoiseModel{},
-                100 + d);
-            dev.latency = LatencyModel{};
-            devices.push_back(std::move(dev));
-        }
-        return devices;
-    };
-
-    OscarOptions options;
-    options.samplingFraction = 0.15;
-    options.parallelAssignment = Assignment::PrefixPull;
-
-    auto devices_serial = make_devices();
-    Rng rng_serial(5);
-    ExecutionEngine serial_engine(1);
-    const OscarResult serial = Oscar::reconstructParallel(
-        grid, devices_serial, {0.5, 0.5}, false, 0.01, rng_serial,
-        options, &serial_engine);
-
-    auto devices_pooled = make_devices();
-    Rng rng_pooled(5);
-    ExecutionEngine pooled_engine(4);
-    const OscarResult pooled = Oscar::reconstructParallel(
-        grid, devices_pooled, {0.5, 0.5}, false, 0.01, rng_pooled,
-        options, &pooled_engine);
-
-    ASSERT_EQ(serial.samples.indices, pooled.samples.indices);
-    ASSERT_EQ(serial.samples.values, pooled.samples.values);
-    EXPECT_EQ(serial.execution.pointsCompleted,
-              pooled.execution.pointsCompleted);
 }
 
 TEST(AsyncEngine, NelderMeadSpeculativeMatchesPlainOnDeterministicCost)

@@ -18,7 +18,10 @@
  *      isolation -- a malformed client loses its connection, and a
  *        request pinning a kernel ISA the daemon cannot run gets an
  *        Error response; the daemon keeps serving everyone else;
- *      graceful drain -- stop() after admission still answers.
+ *      graceful drain -- stop() after admission still answers;
+ *  - the metrics exposition, with no setup: engine counters from the
+ *    registry, serve and store counters equal to counters(), and no
+ *    second counter for a store event.
  */
 
 #include <gtest/gtest.h>
@@ -41,6 +44,7 @@
 #include "src/core/oscar.h"
 #include "src/graph/generators.h"
 #include "src/hamiltonian/maxcut.h"
+#include "src/obs/metrics.h"
 #include "src/quantum/kernels.h"
 #include "src/serve/client.h"
 #include "src/serve/protocol.h"
@@ -524,6 +528,49 @@ TEST(ServeServerTest, StatsRequestReturnsCounters)
     EXPECT_EQ(response.counters.requests, 2u); // reconstruct + stats
     EXPECT_EQ(response.counters.evaluations, 1u);
     EXPECT_EQ(response.counters.store.puts, 1u);
+}
+
+TEST(ServeServerTest, MetricsExpositionCountsEachEventOnce)
+{
+    // Metrics have no switch: with no setup at all, the exposition
+    // carries the process-wide engine counters, and this daemon's own
+    // serve and store tallies come from counters() alone.
+    const std::uint64_t completed_before =
+        obs::Registry::global().counter("engine.points.completed").value();
+    ServerFixture fixture;
+    ServeClient client(fixture.socket());
+    const ResponseMsg computed = client.call(makeRequest(42));
+    ASSERT_EQ(computed.status, ResponseStatus::Ok);
+    ASSERT_EQ(computed.servedFrom, ServedFrom::Computed);
+
+    const std::string text = client.metrics();
+    EXPECT_GE(promValue(text, "oscar_engine_points_completed_total"),
+              completed_before + computed.landscape.sampleIndices.size());
+
+    const ServeCounters c = fixture.server->counters();
+    EXPECT_EQ(promValue(text, "oscar_serve_requests_total"), c.requests);
+    EXPECT_EQ(promValue(text, "oscar_serve_responses_total"),
+              c.responses);
+    EXPECT_EQ(promValue(text, "oscar_serve_evaluations_total"),
+              c.evaluations);
+    EXPECT_EQ(promValue(text, "oscar_serve_store_hits_total"),
+              c.storeHits);
+    EXPECT_EQ(promValue(text, "oscar_serve_dedup_waiters_total"),
+              c.dedupWaiters);
+    EXPECT_EQ(promValue(text, "oscar_serve_errors_total"), c.errors);
+    EXPECT_EQ(promValue(text, "oscar_store_container_hits_total"),
+              c.store.hits);
+    EXPECT_EQ(promValue(text, "oscar_store_container_misses_total"),
+              c.store.misses);
+    EXPECT_EQ(promValue(text, "oscar_store_container_puts_total"),
+              c.store.puts);
+    EXPECT_EQ(c.evaluations, 1u);
+    EXPECT_EQ(c.store.puts, 1u);
+
+    // A store event has one counter: no registry twin of StoreStats.
+    for (const char* twin :
+         {"oscar_store_hits", "oscar_store_gets", "oscar_store_puts"})
+        EXPECT_EQ(text.find(twin), std::string::npos) << twin;
 }
 
 /** A raw connection to the daemon's socket, bypassing ServeClient. */

@@ -247,10 +247,9 @@ TEST(PackBitsTest, RejectsMalformedEncodings)
 
 TEST(PackBitsTest, StoreCodecIsTheSharedCodec)
 {
-    // The store delegates to src/common/packbits.h (the codec the
-    // distributed wire layer also uses for compressed framing). The
-    // encodings must be byte-for-byte identical -- a divergence would
-    // silently fork the on-disk and on-wire formats.
+    // The store delegates to src/common/packbits.h. The encodings
+    // must be byte-for-byte identical -- a divergence would silently
+    // change the on-disk format.
     const std::vector<std::vector<std::uint8_t>> cases = {
         {},
         {42},

@@ -11,7 +11,8 @@
  *    frame yet" (never a bogus message), and corruption -- flipped
  *    payload bytes, bad magic, prior or unknown version, retired or
  *    unknown frame type, oversized length, CRC damage, trailing
- *    payload bytes -- is rejected with WireError;
+ *    payload bytes -- is rejected with WireError (a flipped header
+ *    byte never yields a frame);
  *  - streamed decode: frames split at arbitrary byte boundaries
  *    reassemble exactly;
  *  - seeded mutation fuzzing (tests/mutation_fuzz.h) of every
@@ -255,11 +256,11 @@ setHeaderField(std::vector<std::uint8_t>& frame, std::size_t offset,
  */
 void
 restampCrc(std::vector<std::uint8_t>& frame,
-           const std::vector<std::uint8_t>& raw_payload)
+           const std::vector<std::uint8_t>& payload)
 {
     const std::uint32_t crc = ::oscar::crc32(
         std::span<const std::uint8_t>(frame.data(), kFrameHeaderSize),
-        raw_payload);
+        payload);
     setHeaderField(frame, frame.size() - 4, 4, crc);
 }
 
@@ -282,9 +283,10 @@ TEST(WireTest, PriorVersionFramesAreRejected)
     // Frame-level version negotiation is all-or-nothing: a prior
     // version's header (offset 4 holds the little-endian version) is
     // torn down, not parsed leniently -- both ends come from the same
-    // build. v6 is the last version that carried the fleet frames.
+    // build. v6 is the last version that carried the fleet frames, v7
+    // the last with compressed framing.
     const std::vector<std::uint8_t> payload = {1, 2, 3};
-    for (const std::uint16_t version : {2, 6}) {
+    for (const std::uint16_t version : {2, 6, 7}) {
         std::vector<std::uint8_t> bytes =
             encodeFrame(FrameType::Request, payload);
         setHeaderField(bytes, 4, 2, version);
@@ -326,6 +328,7 @@ TEST(WireTest, ServeFrameTypesRoundTrip)
           FrameType::MetricsRequest, FrameType::MetricsResponse}) {
         const std::vector<std::uint8_t> bytes =
             encodeFrame(type, payload);
+        EXPECT_EQ(bytes.size(), kFrameHeaderSize + payload.size() + 4);
         FrameDecoder decoder;
         decoder.feed(bytes.data(), bytes.size());
         const std::optional<Frame> frame = decoder.next();
@@ -432,10 +435,24 @@ TEST(WireTest, CorruptFramesAreRejected)
     // Absurd payload length.
     {
         std::vector<std::uint8_t> bad = bytes;
-        bad[12] = 0xFF; // a high byte of the u64 raw length
+        bad[12] = 0xFF; // a high byte of the u64 payload length
         FrameDecoder decoder;
         decoder.feed(bad.data(), bad.size());
         EXPECT_THROW(decoder.next(), WireError);
+    }
+    // A flipped header byte never yields a frame: it is rejected, or
+    // (a longer length) waits for bytes that never arrive.
+    for (std::size_t i = 0; i < kFrameHeaderSize; ++i) {
+        std::vector<std::uint8_t> bad = bytes;
+        bad[i] ^= 0x01;
+        FrameDecoder decoder;
+        decoder.feed(bad.data(), bad.size());
+        bool yielded = false;
+        try {
+            yielded = decoder.next().has_value();
+        } catch (const WireError&) {
+        }
+        EXPECT_FALSE(yielded) << "header byte " << i;
     }
     // Every single flipped payload byte must trip the CRC.
     for (std::size_t i = kFrameHeaderSize; i + 4 < bytes.size(); ++i) {
@@ -511,7 +528,7 @@ TEST(WireTest, MetricsRequestAndResponseRoundTrip)
     EXPECT_THROW(decodeMetricsRequest(extra), WireError);
 }
 
-// ------------------------------------------------- compressed framing
+// ------------------------------------------------ mutation fuzzing
 
 /** An Ok response whose landscape is one repeated value. */
 serve::ResponseMsg
@@ -530,96 +547,6 @@ flatLandscapeResponse()
     msg.landscape.querySpeedup = 21.0;
     return msg;
 }
-
-/** A frame whose payload the byte-plane/PackBits codec shrinks. */
-std::vector<std::uint8_t>
-compressibleFrame(std::vector<std::uint8_t>* payload_out = nullptr)
-{
-    const std::vector<std::uint8_t> payload =
-        serve::encodeResponse(flatLandscapeResponse());
-    if (payload_out)
-        *payload_out = payload;
-    return encodeFrame(FrameType::Response, payload);
-}
-
-TEST(WireTest, CompressedFrameShrinksAndRoundTrips)
-{
-    std::vector<std::uint8_t> payload;
-    const std::vector<std::uint8_t> bytes = compressibleFrame(&payload);
-
-    // Smaller on the wire than raw framing, and flagged as such.
-    EXPECT_LT(bytes.size(), kFrameHeaderSize + payload.size() + 4);
-    EXPECT_NE(bytes[24], 0u); // codec byte: not Raw
-
-    FrameDecoder decoder;
-    decoder.feed(bytes.data(), bytes.size());
-    const std::optional<Frame> frame = decoder.next();
-    ASSERT_TRUE(frame.has_value());
-    EXPECT_EQ(frame->type, FrameType::Response);
-    EXPECT_EQ(frame->payload, payload); // decompression is bit-exact
-    EXPECT_EQ(frame->wireBytes, bytes.size());
-
-    const serve::ResponseMsg back = serve::decodeResponse(frame->payload);
-    EXPECT_EQ(back.landscape.reconstructed.size(), 64u);
-    EXPECT_EQ(back.landscape.reconstructed[7], 0.25);
-}
-
-TEST(WireTest, CompressedFrameEveryByteFlipIsRejected)
-{
-    // Flipping ANY bit of a compressed frame -- header, codec byte,
-    // stored payload, or CRC trailer -- must never yield a valid
-    // frame: either the decoder throws, or it (safely) waits for more
-    // bytes that will never arrive (a length-field flip).
-    const std::vector<std::uint8_t> bytes = compressibleFrame();
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-        std::vector<std::uint8_t> bad = bytes;
-        bad[i] ^= 0x01;
-        FrameDecoder decoder;
-        decoder.feed(bad.data(), bad.size());
-        bool yielded = false;
-        try {
-            yielded = decoder.next().has_value();
-        } catch (const WireError&) {
-            // rejected loudly: fine
-        }
-        EXPECT_FALSE(yielded) << "flipped byte " << i;
-    }
-}
-
-TEST(WireTest, CompressedFrameEveryTruncationIsRejected)
-{
-    const std::vector<std::uint8_t> bytes = compressibleFrame();
-    for (std::size_t len = 0; len < bytes.size(); ++len) {
-        FrameDecoder decoder;
-        decoder.feed(bytes.data(), len);
-        std::optional<Frame> frame;
-        EXPECT_NO_THROW(frame = decoder.next()) << "prefix " << len;
-        EXPECT_FALSE(frame.has_value()) << "prefix " << len;
-    }
-}
-
-TEST(WireTest, IncompressiblePayloadStaysRaw)
-{
-    // High-entropy payloads must ride unchanged (codec byte 0) with
-    // identical stored and raw lengths -- compression is smallest-of,
-    // never an expansion.
-    Rng rng(17);
-    std::vector<std::uint8_t> payload(256);
-    for (std::uint8_t& b : payload)
-        b = static_cast<std::uint8_t>(rng.uniformInt(256));
-    const std::vector<std::uint8_t> bytes =
-        encodeFrame(FrameType::Request, payload);
-    EXPECT_EQ(bytes.size(), kFrameHeaderSize + payload.size() + 4);
-    EXPECT_EQ(bytes[24], 0u); // Raw
-    FrameDecoder decoder;
-    decoder.feed(bytes.data(), bytes.size());
-    const std::optional<Frame> frame = decoder.next();
-    ASSERT_TRUE(frame.has_value());
-    EXPECT_EQ(frame->payload, payload);
-    EXPECT_EQ(frame->wireBytes, bytes.size());
-}
-
-// ------------------------------------------------ mutation fuzzing
 
 /** One encoded message of a surviving frame type. */
 struct Encoded
@@ -711,7 +638,7 @@ TEST(WireFuzzTest, FrameMutantsAreRejectedOrDecodeToAnEncodedMessage)
         donor.insert(donor.end(), frames.back().begin(),
                      frames.back().end());
     }
-    const fuzz::LengthField header_lengths[] = {{8, 8}, {16, 8}};
+    const fuzz::LengthField header_lengths[] = {{8, 8}};
 
     std::size_t rejected = 0;
     std::size_t intact = 0;

@@ -71,10 +71,7 @@ main(int argc, char** argv)
         options.storeDir = store::resolveStoreDir(store_arg);
         options.storeBudgetBytes = store::resolveStoreBudgetBytes(budget_mb);
 
-        // A serving daemon keeps its metrics on by default (the
-        // exposition endpoint is the point); OSCAR_METRICS=0 still
-        // pins them off, and OSCAR_TRACE opts tracing in.
-        obs::setMetrics(true);
+        // Metrics always record; OSCAR_TRACE opts tracing in.
         obs::applyEnv();
 
         serve::ServeServer server(options);

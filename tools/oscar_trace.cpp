@@ -9,11 +9,10 @@
  *       ExecutionEngine of T threads (default 2) and export its spans
  *       as chrome://tracing JSON to FILE.
  *
- *   oscar-trace --check FILE [--min-pids N]
+ *   oscar-trace --check FILE
  *       Validate a trace written by --out: well-formed traceEvents
- *       JSON, every begin has a matching end per (pid, tid), and
- *       spans were recorded by at least N distinct processes
- *       (default 1). Exit 0 on a valid trace, 1 with a diagnostic
+ *       JSON, every begin has a matching end per (pid, tid), and at
+ *       least one span. Exit 0 on a valid trace, 1 with a diagnostic
  *       otherwise.
  */
 
@@ -26,7 +25,6 @@
 #include <exception>
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -37,7 +35,6 @@
 #include "src/common/rng.h"
 #include "src/graph/generators.h"
 #include "src/hamiltonian/maxcut.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "tools/serve_common.h"
 
@@ -52,7 +49,7 @@ usage()
         stderr,
         "usage: oscar-trace --out FILE [--qubits N] [--depth 1|2]\n"
         "                   [--points P] [--threads T]\n"
-        "       oscar-trace --check FILE [--min-pids N]\n");
+        "       oscar-trace --check FILE\n");
     return 64;
 }
 
@@ -65,7 +62,6 @@ runTraced(const std::string& out_path, int qubits, int depth,
     // The tool's whole purpose is tracing, so it overrides an
     // inherited "0".
     ::setenv("OSCAR_TRACE", "1", 1);
-    ::setenv("OSCAR_METRICS", "1", 1);
     obs::applyEnv();
 
     Rng graph_rng(3);
@@ -101,11 +97,8 @@ runTraced(const std::string& out_path, int qubits, int depth,
                      out_path.c_str());
         return 1;
     }
-    std::set<std::int32_t> pids;
-    for (const obs::SpanRecord& span : spans)
-        pids.insert(span.pid);
-    std::printf("oscar-trace: wrote %zu spans from %zu processes to %s\n",
-                spans.size(), pids.size(), out_path.c_str());
+    std::printf("oscar-trace: wrote %zu spans to %s\n", spans.size(),
+                out_path.c_str());
     return 0;
 }
 
@@ -148,7 +141,7 @@ fieldStr(const std::string& obj, const char* key, std::string* out)
 }
 
 int
-checkTrace(const std::string& path, long long min_pids)
+checkTrace(const std::string& path)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
@@ -220,14 +213,12 @@ checkTrace(const std::string& path, long long min_pids)
     // one span are emitted as an adjacent B/E pair, but spans from
     // different tids interleave freely, so balance is per-lane.
     std::map<std::pair<long long, long long>, long long> open;
-    std::set<long long> span_pids;
     long long begins = 0;
     for (const Event& ev : events) {
         const auto lane = std::make_pair(ev.pid, ev.tid);
         if (ev.ph == "B") {
             ++open[lane];
             ++begins;
-            span_pids.insert(ev.pid);
         } else if (ev.ph == "E") {
             if (--open[lane] < 0) {
                 std::fprintf(stderr,
@@ -255,15 +246,7 @@ checkTrace(const std::string& path, long long min_pids)
         std::fprintf(stderr, "oscar-trace: %s: no spans\n", path.c_str());
         return 1;
     }
-    if (static_cast<long long>(span_pids.size()) < min_pids) {
-        std::fprintf(stderr,
-                     "oscar-trace: %s: spans from %zu process(es), "
-                     "expected >= %lld\n",
-                     path.c_str(), span_pids.size(), min_pids);
-        return 1;
-    }
-    std::printf("oscar-trace: %s ok: %lld spans across %zu processes\n",
-                path.c_str(), begins, span_pids.size());
+    std::printf("oscar-trace: %s ok: %lld spans\n", path.c_str(), begins);
     return 0;
 }
 
@@ -279,7 +262,6 @@ main(int argc, char** argv)
         int depth = 1;
         std::size_t num_points = 48;
         int threads = 2;
-        long long min_pids = 1;
         for (int i = 1; i < argc; ++i) {
             const char* val = nullptr;
             if (tools::flagValue(argc, argv, i, "--out", val))
@@ -298,8 +280,6 @@ main(int argc, char** argv)
             else if (tools::flagValue(argc, argv, i, "--threads", val))
                 threads = static_cast<int>(
                     tools::parseInt("--threads", val, 1, 64));
-            else if (tools::flagValue(argc, argv, i, "--min-pids", val))
-                min_pids = tools::parseInt("--min-pids", val, 1, 4096);
             else
                 return usage();
         }
@@ -308,7 +288,7 @@ main(int argc, char** argv)
         if (!out_path.empty())
             return runTraced(out_path, qubits, depth, num_points,
                              threads);
-        return checkTrace(check_path, min_pids);
+        return checkTrace(check_path);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "oscar-trace: %s\n", e.what());
         return 1;
