@@ -11,8 +11,8 @@
  *     to the scalar reference (caching and threading change
  *     performance, never values).
  *
- *  2. Kernel layers (BENCH_kernels.json): cache blocking, AVX2
- *     dispatch, batched diagonal expectation.
+ *  2. Kernel layers (BENCH_kernels.json): the one fused, blocked
+ *     replay plan on each available kernel ISA.
  *
  *  3. Observability (BENCH_obs.json): the same sweep with tracing off
  *     and on (metrics always record) -- the traced row reports its
@@ -40,7 +40,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -123,41 +122,20 @@ struct SweepCase
 
 /**
  * Kernel-layer study on the acceptance sweep (axis-major 12q p=2
- * QAOA): the PR 2 prefix-cached scalar path vs each layer of the
- * kernel architecture -- cache blocking + batched expectation per ISA
- * (scalar / AVX2 / AVX-512, as available on this host/build), each
- * with super-kernel fusion off and on. Fused rows additionally report
- * speedup_vs_unfused against their own ISA's unfused row, which is
- * the fusion-only gain the acceptance criteria track. Runs in both
- * benchmark modes and writes the machine-readable BENCH_kernels.json
- * (median/min per case) so the perf trajectory is tracked across PRs.
+ * QAOA): one row per kernel ISA available on this host/build (scalar /
+ * AVX2 / AVX-512), each replaying StatevectorCost's one fused, blocked
+ * plan with the prefix cache and batched expectation. `match` checks
+ * every row against the scalar row: bitwise for scalar itself, within
+ * rounding (1e-12) for the wider ISAs. Writes BENCH_kernels.json
+ * (median and quartiles per row) so the perf trajectory is tracked
+ * across changes.
  */
 void
 runKernelStudy()
 {
-    constexpr int kStudyReps = 3;
+    constexpr int kStudyReps = 7;
     const SweepCase sweep(12, 2, GridSpec::qaoaP2(5, 7));
     const std::size_t num_points = sweep.points.size();
-
-    struct KernelMode
-    {
-        std::string name;
-        KernelOptions options;
-        bool bitExact;          ///< must match the scalar reference exactly
-        std::string unfusedRef; ///< unfused row for speedup_vs_unfused
-    };
-
-    KernelOptions pr2; // the PR 2 path: scalar kernels, cache only
-    pr2.isa = kernels::KernelIsa::Scalar;
-    pr2.blockWindow = 0;
-    pr2.batchedExpectation = false;
-
-    std::vector<KernelMode> modes = {{"pr2 scalar+cache", pr2, true, ""}};
-    if (kernels::avx2Available()) {
-        KernelOptions avx2_plain = pr2;
-        avx2_plain.isa = kernels::KernelIsa::Avx2;
-        modes.push_back({"avx2+cache", avx2_plain, false, ""});
-    }
 
     struct IsaCase
     {
@@ -171,76 +149,56 @@ runKernelStudy()
         {"avx512", kernels::KernelIsa::Avx512,
          kernels::avx512Available()},
     };
-    for (const IsaCase& isa : isa_cases) {
-        if (!isa.available) {
-            std::printf("  (skipping %s rows: unavailable on this "
-                        "host/build)\n",
-                        isa.name);
-            continue;
-        }
-        KernelOptions full;
-        full.isa = isa.isa;
-        const std::string unfused_name =
-            std::string(isa.name) + "+blocked+batchexp";
-        modes.push_back({unfused_name, full,
-                         isa.isa == kernels::KernelIsa::Scalar, ""});
-        KernelOptions fused = full;
-        fused.fuseWindow = 6;
-        modes.push_back(
-            {unfused_name + "+fused", fused, false, unfused_name});
-    }
 
     bench::header("kernel layers: p=2 QAOA, 12 qubits, axis-major " +
                   std::to_string(num_points) +
                   "-point sweep (median of " +
                   std::to_string(kStudyReps) + ")");
-    bench::columns("mode", {"pts/s", "median_s", "min_s", "speedup",
-                            "match"});
+    bench::columns("isa", {"pts/s", "median_s", "p25_s", "p75_s",
+                           "speedup", "match"});
 
     bench::JsonReport json("bench_engine/kernels");
     std::vector<double> reference;
     double base_median = 0.0;
-    std::map<std::string, double> medians;
-    for (const KernelMode& mode : modes) {
-        StatevectorCost cost = sweep.make();
+    for (const IsaCase& isa : isa_cases) {
+        if (!isa.available) {
+            std::printf("  (skipping %s: unavailable on this "
+                        "host/build)\n",
+                        isa.name);
+            continue;
+        }
+        KernelOptions options;
+        options.isa = isa.isa;
         std::vector<double> values;
+        KernelStats stats;
         const auto timing = bench::timeRepeated(kStudyReps, [&] {
-            cost.configureKernel(mode.options); // cold cache per rep
+            // A fresh cost per rep: its prefix cache starts cold.
+            StatevectorCost cost = sweep.make();
+            cost.configureKernel(options);
             values = cost.evaluateBatch(sweep.points);
+            stats = cost.kernelStats();
         });
         if (reference.empty()) {
             reference = values;
             base_median = timing.median;
         }
-        bool match = true;
-        for (std::size_t i = 0; i < values.size(); ++i) {
-            if (mode.bitExact ? values[i] != reference[i]
-                              : std::abs(values[i] - reference[i]) >
-                                    1e-9)
-                match = false;
+        bool match = values.size() == reference.size();
+        for (std::size_t i = 0; match && i < values.size(); ++i) {
+            match = isa.isa == kernels::KernelIsa::Scalar
+                        ? values[i] == reference[i]
+                        : std::abs(values[i] - reference[i]) <= 1e-12;
         }
-        medians[mode.name] = timing.median;
         const double speedup = base_median / timing.median;
-        bench::row(mode.name,
+        bench::row(isa.name,
                    {static_cast<double>(num_points) / timing.median,
-                    timing.median, timing.min, speedup,
+                    timing.median, timing.p25, timing.p75, speedup,
                     match ? 1.0 : 0.0},
                    " %10.4g");
-        std::vector<std::pair<std::string, double>> extra = {
-            {"speedup_vs_pr2", speedup}, {"match", match ? 1.0 : 0.0}};
-        if (!mode.unfusedRef.empty()) {
-            const double vs_unfused =
-                medians.at(mode.unfusedRef) / timing.median;
-            extra.emplace_back("speedup_vs_unfused", vs_unfused);
-            const KernelStats stats = cost.kernelStats();
-            extra.emplace_back(
-                "fused_super_kernels",
-                static_cast<double>(stats.fusedSuperKernels));
-            std::printf("    %s: %.2fx over %s from fusion alone\n",
-                        mode.name.c_str(), vs_unfused,
-                        mode.unfusedRef.c_str());
-        }
-        json.add(mode.name, timing, num_points, extra);
+        json.add(isa.name, timing, num_points,
+                 {{"speedup_vs_scalar", speedup},
+                  {"match", match ? 1.0 : 0.0},
+                  {"fused_super_kernels",
+                   static_cast<double>(stats.fusedSuperKernels)}});
     }
     std::printf("  (default ISA: %s)\n",
                 kernels::isaName(kernels::defaultKernelTable().isa));

@@ -210,12 +210,6 @@ AnalyticQaoaCost::evaluateBatchImpl(
     // the memo lives on the instance. Runs of bitwise-equal gammas
     // additionally fold their betas into one pass over the factor
     // table (bit-identical to point-by-point evaluation).
-    if (!kernel_.batchedExpectation) {
-        for (std::size_t i = 0; i < points.size(); ++i)
-            out[i] =
-                energyFromFactors(points[i][0], factorsFor(points[i][1]));
-        return;
-    }
     constexpr std::size_t kMaxRun = 64;
     double betas[kMaxRun];
     std::size_t i = 0;
@@ -235,7 +229,7 @@ AnalyticQaoaCost::evaluateBatchImpl(
         }
         energiesFromFactorsBatch(betas, j - i, factorsFor(gamma),
                                  out + i);
-        batchedPoints_ += j - i;
+        batchedDiagonalPoints_ += j - i;
         i = j;
     }
 }

@@ -75,7 +75,7 @@ class AnalyticQaoaCost : public CostFunction
         KernelStats stats;
         stats.cacheHits = memoHits_;
         stats.cacheLookups = memoLookups_;
-        stats.batchedExpectationPoints = batchedPoints_;
+        stats.batchedDiagonalPoints = batchedDiagonalPoints_;
         return stats;
     }
 
@@ -144,7 +144,7 @@ class AnalyticQaoaCost : public CostFunction
     std::vector<EdgeGammaFactors> memo_;
     std::size_t memoHits_ = 0;
     std::size_t memoLookups_ = 0;
-    std::size_t batchedPoints_ = 0;
+    std::size_t batchedDiagonalPoints_ = 0;
 };
 
 } // namespace oscar

@@ -43,9 +43,12 @@ class ExecutionEngine;
 struct EngineBatch;
 
 /**
- * Tuning knobs for the compiled-circuit kernel layer of the batched
- * backends (statevector_backend.h, analytic_qaoa.h). Plumbed through
- * the Oscar pipelines via OscarOptions::kernel.
+ * Runtime settings of the kernel layer of the batched backends
+ * (statevector_backend.h, analytic_qaoa.h): the kernel ISA and the
+ * prefix cache. Plumbed through the Oscar pipelines via
+ * OscarOptions::kernel. The replay plan (blocking and super-kernel
+ * fusion) is not among them: each backend compiles its one plan at
+ * construction.
  */
 struct KernelOptions
 {
@@ -70,40 +73,6 @@ struct KernelOptions
      * any fixed ISA, but differ between ISAs by rounding.
      */
     kernels::KernelIsa isa = kernels::KernelIsa::Auto;
-
-    /**
-     * Cache-blocking window of the compiled-circuit replay, in qubits:
-     * runs of ops confined to (or diagonal above) the low `blockWindow`
-     * qubits execute block-by-block over 2^blockWindow-amplitude
-     * chunks, streaming the statevector once per run instead of once
-     * per gate. -1 = keep the compile-time default, 0 = disable.
-     * Value-neutral for a fixed ISA: blocking reorders whole-block
-     * passes, never the per-amplitude operation sequence.
-     */
-    int blockWindow = -1;
-
-    /**
-     * Evaluate shared-prefix groups of batched points with one fused
-     * pass over the observable (kernels::expectationDiagonalBatch for
-     * diagonal Hamiltonians, kernels::expectationPauliBatch per term
-     * otherwise). Bit-identical to per-point evaluation; costs a few
-     * scratch statevectors per replica.
-     */
-    bool batchedExpectation = true;
-
-    /**
-     * Super-kernel fusion window of the compiled-circuit replay, in
-     * qubits: 0 (default) = off, > 0 collapses eligible in-window op
-     * runs at compile time into dense matvec / diagonal-table
-     * super-kernels and lowers RX/RY payloads onto the specialized
-     * rotation kernels. Part of the fusion plan: results are
-     * bit-identical across batching, segmentation, and checkpoint
-     * resume for a fixed (ISA, fuseWindow), but a given ISA's fused
-     * and unfused replays differ by rounding (fewer, reassociated
-     * arithmetic ops), so change this knob only between runs you
-     * compare bitwise.
-     */
-    int fuseWindow = 0;
 };
 
 /**
@@ -131,8 +100,11 @@ struct KernelStats
     /** Ops that executed inside a blocked pass. */
     std::size_t blockedOpsApplied = 0;
 
-    /** Points whose expectation came from a fused batched pass. */
-    std::size_t batchedExpectationPoints = 0;
+    /**
+     * Points whose diagonal (or closed-form) expectation came from a
+     * fused batched pass.
+     */
+    std::size_t batchedDiagonalPoints = 0;
 
     /** Fused super-kernel applications (one per unit per block run). */
     std::size_t fusedSuperKernels = 0;
@@ -152,7 +124,7 @@ struct KernelStats
         isa = std::max(isa, other.isa);
         blockedGroupRuns += other.blockedGroupRuns;
         blockedOpsApplied += other.blockedOpsApplied;
-        batchedExpectationPoints += other.batchedExpectationPoints;
+        batchedDiagonalPoints += other.batchedDiagonalPoints;
         fusedSuperKernels += other.fusedSuperKernels;
         fusedOpsCollapsed += other.fusedOpsCollapsed;
         batchedPauliPoints += other.batchedPauliPoints;
@@ -168,7 +140,7 @@ struct KernelStats
         a.cacheEvictions -= b.cacheEvictions;
         a.blockedGroupRuns -= b.blockedGroupRuns;
         a.blockedOpsApplied -= b.blockedOpsApplied;
-        a.batchedExpectationPoints -= b.batchedExpectationPoints;
+        a.batchedDiagonalPoints -= b.batchedDiagonalPoints;
         a.fusedSuperKernels -= b.fusedSuperKernels;
         a.fusedOpsCollapsed -= b.fusedOpsCollapsed;
         a.batchedPauliPoints -= b.batchedPauliPoints;
@@ -213,8 +185,8 @@ class CostFunction
     }
 
     /**
-     * Apply kernel-layer tuning (prefix cache on/off, checkpoint
-     * budget). Backends without a kernel layer ignore it; wrappers
+     * Apply kernel-layer settings (kernel ISA, prefix cache on/off,
+     * checkpoint budget). Backends without a kernel layer ignore it; wrappers
      * should forward to their inner evaluator.
      */
     virtual void

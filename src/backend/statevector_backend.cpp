@@ -8,30 +8,8 @@
 
 namespace oscar {
 
-namespace {
-
-/** Effective blocking window for a KernelOptions setting. */
-int
-resolvedBlockWindow(const KernelOptions& options, int num_qubits)
-{
-    const int window = options.blockWindow < 0 ? kDefaultBlockWindow
-                                               : options.blockWindow;
-    return window <= 0 ? 0 : std::min(window, num_qubits);
-}
-
-/** Effective super-kernel fusion window (0 = off, clamped). */
-int
-resolvedFuseWindow(const KernelOptions& options, int num_qubits)
-{
-    return options.fuseWindow <= 0
-               ? 0
-               : std::min(options.fuseWindow, num_qubits);
-}
-
-} // namespace
-
 StatevectorCost::StatevectorCost(Circuit circuit, PauliSum hamiltonian)
-    : circuit_(std::move(circuit)), compiled_(circuit_),
+    : circuit_(std::move(circuit)), compiled_(circuit_, kPlan),
       hamiltonian_(std::move(hamiltonian)), state_(circuit_.numQubits()),
       table_(&kernels::kernelTable(kernel_.isa)),
       cache_(std::make_shared<PrefixCache>(kernel_.prefixCacheBudgetBytes))
@@ -74,7 +52,7 @@ StatevectorCost::operator=(const StatevectorCost& other)
     cacheHits_ = 0;
     cacheLookups_ = 0;
     cacheEvictions_ = 0;
-    batchedPoints_ = 0;
+    batchedDiagonalPoints_ = 0;
     batchedPauliPoints_ = 0;
     groupScratch_.clear();
     return *this;
@@ -112,12 +90,6 @@ StatevectorCost::configureKernel(const KernelOptions& options)
         cache_->setBudget(options.prefixCacheBudgetBytes);
     shapeCache();
     table_ = &kernels::kernelTable(options.isa);
-    const int window = resolvedBlockWindow(options, compiled_.numQubits());
-    if (window != compiled_.blockWindow())
-        compiled_.setBlockWindow(window);
-    const int fuse = resolvedFuseWindow(options, compiled_.numQubits());
-    if (fuse != compiled_.fuseWindow())
-        compiled_.setFuseWindow(fuse);
 }
 
 std::vector<int>
@@ -136,7 +108,7 @@ StatevectorCost::kernelStats() const
     stats.isa = table_->isa;
     stats.blockedGroupRuns = replay_.blockedGroupRuns;
     stats.blockedOpsApplied = replay_.blockedOpsApplied;
-    stats.batchedExpectationPoints = batchedPoints_;
+    stats.batchedDiagonalPoints = batchedDiagonalPoints_;
     stats.fusedSuperKernels = replay_.fusedSuperKernels;
     stats.fusedOpsCollapsed = replay_.fusedOpsCollapsed;
     stats.batchedPauliPoints = batchedPauliPoints_;
@@ -268,7 +240,7 @@ StatevectorCost::evaluateBatchImpl(
     // Pauli kernel per term otherwise (both value-neutral: the
     // per-point accumulation is unchanged).
     const std::size_t max_group = maxExpectationGroup();
-    if (!kernel_.batchedExpectation || max_group < 2) {
+    if (max_group < 2) {
         for (std::size_t i = 0; i < points.size(); ++i)
             out[i] = evaluatePoint(points[i]);
         return;
@@ -298,7 +270,7 @@ StatevectorCost::evaluateBatchImpl(
         if (diagonal_) {
             table_->expectationDiagonalBatch(
                 group, j - i, diagonal_->data(), state_.dim(), out + i);
-            batchedPoints_ += j - i;
+            batchedDiagonalPoints_ += j - i;
         } else {
             hamiltonian_.expectationBatch(group, j - i, state_.dim(),
                                           *table_, out + i);

@@ -2,19 +2,20 @@
  * @file
  * Ideal (noise-free) cost evaluation via dense state-vector simulation.
  *
- * The circuit is lowered once into a compiled kernel schedule
- * (quantum/compiled_circuit.h); every evaluation replays that schedule
- * instead of re-resolving the gate list. Three layers of the kernel
+ * The circuit is lowered once, at construction, into a compiled kernel
+ * schedule with one fixed replay plan (StatevectorCost::kPlan, see
+ * quantum/compiled_circuit.h); every evaluation replays that schedule
+ * instead of re-resolving the gate list. Four layers of the kernel
  * architecture meet here:
  *
  *  - ISA dispatch: replay and expectation go through a KernelTable
  *    selected once at startup (CPUID) or forced via
  *    KernelOptions::isa;
- *  - cache blocking: the compiled schedule's blocking plan streams
- *    runs of compatible ops over L1-sized amplitude blocks;
- *  - super-kernel fusion: KernelOptions::fuseWindow collapses eligible
- *    op runs of the blocking plan into dense matvec / diagonal-table
- *    super-kernels replayed once per block (compiled_circuit.h);
+ *  - cache blocking: the plan streams runs of compatible ops over
+ *    L1-sized amplitude blocks;
+ *  - super-kernel fusion: the plan collapses eligible op runs of each
+ *    blocked run into dense matvec / diagonal-table super-kernels
+ *    replayed once per block;
  *  - batched expectation: consecutive batch points that share the full
  *    simulation prefix up to the deepest checkpoint level are simulated
  *    into scratch states and folded with one fused pass over the
@@ -30,12 +31,15 @@
  * Determinism: a checkpoint at depth L keyed by the prefix parameter
  * bits is the exact state a from-scratch run of ops [0, L) produces
  * under those values, and replaying the suffix executes the identical
- * kernel sequence. Cache state, blocking, expectation batching, batch
- * order, and thread count can change performance but never values —
- * for a fixed kernel ISA the batched path is bit-identical to the
- * scalar path, which tests/test_engine.cpp and tests/test_kernels.cpp
- * assert. Different ISAs round differently; pin KernelOptions::isa
- * when comparing against externally computed references.
+ * kernel sequence. Cache state, expectation batching, batch order,
+ * and thread count can change performance but never values — for a
+ * fixed kernel ISA the batched path is bit-identical to the scalar
+ * path, which tests/test_engine.cpp and tests/test_kernels.cpp assert.
+ * Different ISAs round differently, and the fused plan rounds
+ * differently from an unfused replay of the same circuit (within
+ * 1e-12 on QAOA energies); pin KernelOptions::isa, and compile the
+ * reference with kPlan, when comparing bitwise against values computed
+ * outside this class.
  */
 
 #ifndef OSCAR_BACKEND_STATEVECTOR_BACKEND_H
@@ -60,6 +64,15 @@ namespace oscar {
 class StatevectorCost : public CostFunction
 {
   public:
+    /**
+     * The one replay plan: cache blocking over kDefaultBlockWindow
+     * qubits with super-kernel fusion over 4. On QAOA circuits windows
+     * 4, 5 and 6 collapse the same ops and time alike (window 3
+     * collapses one op fewer); 4 keeps each dense unit at most 16x16.
+     */
+    static constexpr CompileOptions kPlan{
+        .blockWindow = kDefaultBlockWindow, .fuseWindow = 4};
+
     StatevectorCost(Circuit circuit, PauliSum hamiltonian);
 
     /**
@@ -100,8 +113,9 @@ class StatevectorCost : public CostFunction
 
     /**
      * Kernel-layer counters for BatchHandle::stats: prefix-cache
-     * traffic, the selected ISA, blocked-pass activity, and the number
-     * of points folded into batched expectation passes.
+     * traffic, the selected ISA, blocked-pass and super-kernel
+     * activity, and the number of points folded into batched
+     * expectation passes.
      */
     KernelStats kernelStats() const override;
 
@@ -171,7 +185,7 @@ class StatevectorCost : public CostFunction
     std::size_t cacheHits_ = 0;
     std::size_t cacheLookups_ = 0;
     std::size_t cacheEvictions_ = 0;
-    std::size_t batchedPoints_ = 0;
+    std::size_t batchedDiagonalPoints_ = 0;
     std::size_t batchedPauliPoints_ = 0;
     /** Per-point final states of a fused expectation group. */
     std::vector<AlignedVector<cplx>> groupScratch_;

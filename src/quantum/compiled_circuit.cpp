@@ -387,7 +387,7 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit,
     fuseBits_ = options.fuseWindow <= 0
                     ? 0
                     : std::min(options.fuseWindow, numQubits_);
-    rebuildPlan();
+    buildPlan();
 }
 
 bool
@@ -459,30 +459,8 @@ denseWeight(const CompiledOp& op)
 } // namespace
 
 void
-CompiledCircuit::setBlockWindow(int window)
+CompiledCircuit::buildPlan()
 {
-    blockBits_ = window <= 0 ? 0 : std::min(window, numQubits_);
-    rebuildPlan();
-}
-
-void
-CompiledCircuit::setFuseWindow(int window)
-{
-    fuseBits_ = window <= 0 ? 0 : std::min(window, numQubits_);
-    rebuildPlan();
-}
-
-void
-CompiledCircuit::rebuildPlan()
-{
-    plan_.clear();
-    units_.clear();
-    constPayload_.clear();
-    blockedGroups_ = 0;
-    blockedOps_ = 0;
-    fusedOps_ = 0;
-    paramScratchSize_ = 0;
-    matvecScratchSize_ = 0;
     if (blockBits_ <= 0 || ops_.empty()) {
         blockBits_ = 0;
         return;
@@ -499,7 +477,6 @@ CompiledCircuit::rebuildPlan()
             plan_.push_back({static_cast<std::uint32_t>(i),
                              static_cast<std::uint32_t>(j), true, 0, 0});
             ++blockedGroups_;
-            blockedOps_ += j - i;
             i = j;
             continue;
         }

@@ -23,6 +23,10 @@
  * backend/statevector_backend.h). Because replaying a checkpointed
  * prefix executes exactly the same kernel sequence as a from-scratch
  * run, checkpointing is bit-exact, not approximate.
+ *
+ * The replay plan (cache blocking and super-kernel fusion) is built
+ * once from CompileOptions and never changes afterwards, so one
+ * compiled circuit always replays one plan.
  */
 
 #ifndef OSCAR_QUANTUM_COMPILED_CIRCUIT_H
@@ -91,7 +95,10 @@ struct CompileOptions
      * and reassociates arithmetic: replay is bit-identical across
      * batching, checkpoint resume, and frontier-aligned segmentation
      * for a fixed (ISA, fusion plan), but fused and unfused replays
-     * of the same circuit agree only to rounding.
+     * of the same circuit agree only to rounding. StatevectorCost
+     * compiles its one fused plan (StatevectorCost::kPlan); the
+     * default here stays unfused for the density path and for
+     * reference replays.
      */
     int fuseWindow = 0;
 };
@@ -211,36 +218,10 @@ class CompiledCircuit
     std::size_t sharedPrefixLength(const std::vector<double>& a,
                                    const std::vector<double>& b) const;
 
-    /**
-     * Rebuild the blocking plan for a new window (see
-     * CompileOptions::blockWindow; 0 disables). Cheap — one linear
-     * scan of the schedule — but not thread-safe against concurrent
-     * replays of the same instance.
-     */
-    void setBlockWindow(int window);
-
-    /** Effective blocking window in qubits (0 when disabled). */
-    int blockWindow() const { return blockBits_; }
-
     /** Blocked runs in the plan (fused multi-op passes). */
     std::size_t numBlockedGroups() const { return blockedGroups_; }
 
-    /** Ops covered by blocked runs. */
-    std::size_t blockedOpCount() const { return blockedOps_; }
-
-    /**
-     * Rebuild the super-kernel fusion plan for a new window (see
-     * CompileOptions::fuseWindow; 0 disables). Changing the window
-     * changes the fusion plan and therefore the replay's rounding —
-     * only replays under the same (ISA, fusion plan) compare bitwise.
-     * Not thread-safe against concurrent replays of this instance.
-     */
-    void setFuseWindow(int window);
-
-    /** Effective fusion window in qubits (0 when disabled). */
-    int fuseWindow() const { return fuseBits_; }
-
-    /** Fused super-kernel units in the current plan. */
+    /** Fused super-kernel units in the plan. */
     std::size_t numFusedUnits() const { return units_.size(); }
 
     /** Ops collapsed into super-kernels (per full replay). */
@@ -326,8 +307,8 @@ class CompiledCircuit
     /** True when `op` can join a blocked run under window `k`. */
     static bool blockable(const CompiledOp& op, int k);
 
-    /** Rebuild plan_ + units_ from blockBits_ / fuseBits_. */
-    void rebuildPlan();
+    /** Build plan_ + units_ from blockBits_ / fuseBits_ (once). */
+    void buildPlan();
 
     /** Form the fused units of one blocked segment. */
     void formUnits(PlanSegment& seg);
@@ -363,7 +344,6 @@ class CompiledCircuit
 
     int blockBits_ = 0; ///< effective window, 0 = blocking off
     std::size_t blockedGroups_ = 0;
-    std::size_t blockedOps_ = 0;
     std::vector<PlanSegment> plan_;
 
     int fuseBits_ = 0; ///< effective fusion window, 0 = fusion off

@@ -20,7 +20,7 @@
  * attaches the request to an identical in-flight computation when one
  * exists, and computes otherwise -- in every case the returned values
  * are bit-identical to a fresh Oscar::reconstruct of the same request
- * (per fixed kernel ISA and fusion plan), by the determinism contract
+ * (per fixed kernel ISA), by the determinism contract
  * the store and the pool share.
  *
  * Requests are tagged (RequestMsg::tag, echoed by Response/Progress)

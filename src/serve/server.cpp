@@ -237,6 +237,8 @@ ServeServer::metricsText() const
     snap.counters["store.container.hits"] = c.store.hits;
     snap.counters["store.container.misses"] = c.store.misses;
     snap.counters["store.container.puts"] = c.store.puts;
+    snap.counters["store.container.corrupt_misses"] = c.store.corruptMisses;
+    snap.counters["store.container.removed"] = c.store.containersRemoved;
     return obs::renderPrometheus(snap);
 }
 

@@ -19,7 +19,7 @@
  *  - Determinism: a served value -- from the store, from a shared
  *    in-flight computation, or freshly computed -- is bit-identical
  *    to a fresh Oscar::reconstruct of the same request (per fixed
- *    kernel ISA and fusion plan).
+ *    kernel ISA).
  *  - Dedupe: identical cost specs in flight share ONE pool
  *    evaluation; later identical requests attach as waiters and all
  *    receive the same bits. Store hits never touch the pool.

@@ -302,9 +302,6 @@ encodeKernelOptions(WireWriter& w, const KernelOptions& options)
     w.u8(options.prefixCache ? 1 : 0);
     w.u64(options.prefixCacheBudgetBytes);
     w.u8(static_cast<std::uint8_t>(options.isa));
-    w.i32(options.blockWindow);
-    w.u8(options.batchedExpectation ? 1 : 0);
-    w.i32(options.fuseWindow);
 }
 
 KernelOptions
@@ -318,9 +315,6 @@ decodeKernelOptions(WireReader& r)
         isa != static_cast<std::uint8_t>(kernels::KernelIsa::Auto))
         throw WireError("unknown kernel ISA");
     options.isa = static_cast<kernels::KernelIsa>(isa);
-    options.blockWindow = r.i32();
-    options.batchedExpectation = r.u8() != 0;
-    options.fuseWindow = r.i32();
     return options;
 }
 
@@ -333,7 +327,7 @@ encodeKernelStats(WireWriter& w, const KernelStats& stats)
     w.u8(static_cast<std::uint8_t>(stats.isa));
     w.u64(stats.blockedGroupRuns);
     w.u64(stats.blockedOpsApplied);
-    w.u64(stats.batchedExpectationPoints);
+    w.u64(stats.batchedDiagonalPoints);
     w.u64(stats.fusedSuperKernels);
     w.u64(stats.fusedOpsCollapsed);
     w.u64(stats.batchedPauliPoints);
@@ -349,7 +343,7 @@ decodeKernelStats(WireReader& r)
     stats.isa = static_cast<kernels::KernelIsa>(r.u8());
     stats.blockedGroupRuns = r.u64();
     stats.blockedOpsApplied = r.u64();
-    stats.batchedExpectationPoints = r.u64();
+    stats.batchedDiagonalPoints = r.u64();
     stats.fusedSuperKernels = r.u64();
     stats.fusedOpsCollapsed = r.u64();
     stats.batchedPauliPoints = r.u64();

@@ -54,7 +54,7 @@ class WireError : public std::runtime_error
 };
 
 constexpr std::uint32_t kWireMagic = 0x4F534357u; // "OSCW"
-// v2: KernelOptions carries fuseWindow, KernelStats carries the
+// v2: KernelOptions carries the fusion window, KernelStats carries the
 // super-kernel/batched-Pauli counters, and the ISA byte admits avx512.
 // v4: the serving frames (Request/Response/Progress, payload schemas
 // in src/serve/protocol.h).
@@ -66,7 +66,10 @@ constexpr std::uint32_t kWireMagic = 0x4F534357u; // "OSCW"
 // retired; only the serving frames remain.
 // v8: frame compression is gone: the header drops the stored length
 // and codec byte, and every payload ships as is.
-constexpr std::uint16_t kWireVersion = 8;
+// v9: KernelOptions drops its three replay-plan fields (block window,
+// expectation batching, fusion window): a cost replays one fixed plan,
+// so the spec, and with it the costId, no longer names one.
+constexpr std::uint16_t kWireVersion = 9;
 
 /** Fixed frame header size (magic + version + type + length). */
 constexpr std::size_t kFrameHeaderSize = 16;
@@ -179,7 +182,7 @@ class FrameDecoder
 
 /**
  * A cost function the daemon can evaluate: ansatz circuit +
- * Hamiltonian + kernel tuning. Content-addressed: `costId` is the
+ * Hamiltonian + kernel settings. Content-addressed: `costId` is the
  * FNV-1a hash of the encoded body, so it names the computation (and
  * keys the landscape store) independently of who sent it.
  */

@@ -3,10 +3,10 @@
  * Persistent, content-addressed landscape store.
  *
  * Every OSCAR reconstruction is a pure function of (cost spec, grid
- * spec, sampling config) per fixed kernel ISA, fusion plan and CS
- * transform and solver revisions -- so a finished reconstruction can
- * be memoized on disk and served again bit-identically, without
- * touching the execution pool. The store keeps one archive container
+ * spec, sampling config) per fixed kernel ISA and CS transform and
+ * solver revisions -- so a finished reconstruction can be memoized on
+ * disk and served again bit-identically, without touching the
+ * execution pool. The store keeps one archive container
  * (src/store/archive.h) per key:
  *
  *   key = (CostSpec FNV-1a content hash      -- src/serve/wire.h,

@@ -315,9 +315,9 @@ TEST(CompiledCircuit, MidUnitCutFallsBackDeterministically)
 
 TEST(CompiledCircuit, FuseWindowCountsAndCounters)
 {
-    // Window bookkeeping: setFuseWindow rebuilds the plan, 0 clears
-    // it, and ReplayCounters records one super-kernel execution per
-    // active unit per replay with the collapsed op count.
+    // Window bookkeeping: a fusion window builds super-kernel units,
+    // window 0 builds none, and ReplayCounters records one super-kernel
+    // execution per active unit per replay with the collapsed op count.
     const int n = 6;
     Circuit circuit(n, 0);
     for (int q = 0; q < n; ++q)
@@ -325,11 +325,13 @@ TEST(CompiledCircuit, FuseWindowCountsAndCounters)
     for (int q = 0; q + 1 < n; ++q)
         circuit.append(Gate::rzz(q, q + 1, 0.4));
 
-    CompiledCircuit compiled(circuit,
-                             CompileOptions{.blockWindow = 4});
-    EXPECT_EQ(compiled.numFusedUnits(), 0u);
-    compiled.setFuseWindow(4);
-    EXPECT_EQ(compiled.fuseWindow(), 4);
+    const CompiledCircuit unfused(circuit,
+                                  CompileOptions{.blockWindow = 4});
+    EXPECT_EQ(unfused.numFusedUnits(), 0u);
+    EXPECT_EQ(unfused.fusedOpCount(), 0u);
+
+    const CompiledCircuit compiled(
+        circuit, CompileOptions{.blockWindow = 4, .fuseWindow = 4});
     ASSERT_GT(compiled.numFusedUnits(), 0u);
 
     Statevector sv(n);
@@ -339,11 +341,6 @@ TEST(CompiledCircuit, FuseWindowCountsAndCounters)
                       &counters);
     EXPECT_EQ(counters.fusedSuperKernels, compiled.numFusedUnits());
     EXPECT_EQ(counters.fusedOpsCollapsed, compiled.fusedOpCount());
-
-    compiled.setFuseWindow(0);
-    EXPECT_EQ(compiled.fuseWindow(), 0);
-    EXPECT_EQ(compiled.numFusedUnits(), 0u);
-    EXPECT_EQ(compiled.fusedOpCount(), 0u);
 }
 
 TEST(CompiledCircuit, StatevectorBoundRunUsesCompiledSchedule)

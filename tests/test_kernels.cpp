@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -310,7 +311,7 @@ TEST(Kernels, BatchedExpectationBitIdenticalPerIsa)
     }
 }
 
-/** Axis-major points of a 6-qubit p=2 QAOA sweep (beta2 fastest). */
+/** Axis-major points of a p=2 QAOA sweep (beta2 fastest). */
 std::vector<std::vector<double>>
 axisMajorPoints(const StatevectorCost& probe)
 {
@@ -327,60 +328,108 @@ axisMajorPoints(const StatevectorCost& probe)
     return points;
 }
 
-TEST(Kernels, StatevectorCostBatchedPathsBitIdentical)
+/**
+ * Energies of `points`, each replayed from |0...0> through `compiled`
+ * on one kernel table with the per-point diagonal expectation: the
+ * uncached, unbatched reference for a cost compiled with the same
+ * options.
+ */
+std::vector<double>
+replayEnergies(const CompiledCircuit& compiled,
+               const std::vector<double>& diag,
+               const std::vector<std::vector<double>>& points,
+               const KernelTable& table)
 {
-    // For every ISA: one-by-one evaluation, the grouped batched path
-    // (fused expectation), the cache-off path, and the
-    // blocking-disabled path all agree bit for bit.
-    Rng rng(21);
-    const Graph g = random3RegularGraph(6, rng);
-    const Circuit circuit = qaoaCircuit(g, 2);
-    const PauliSum ham = maxcutHamiltonian(g);
+    const std::size_t dim = diag.size();
+    AlignedVector<cplx> amps(dim);
+    std::vector<double> energies;
+    for (const auto& p : points) {
+        std::fill(amps.begin(), amps.end(), cplx(0.0, 0.0));
+        amps[0] = 1.0;
+        compiled.runRange(amps.data(), dim, 0, compiled.numOps(),
+                          p.data(), table);
+        energies.push_back(
+            table.expectationDiagonal(amps.data(), diag.data(), dim));
+    }
+    return energies;
+}
 
-    std::vector<KernelIsa> isas = {KernelIsa::Scalar};
-    if (kernels::avx2Available())
-        isas.push_back(KernelIsa::Avx2);
-    if (kernels::avx512Available())
-        isas.push_back(KernelIsa::Avx512);
+/**
+ * For every ISA: one-by-one evaluation of `circuit` against `ham`, the
+ * grouped batched path (fused expectation), the cache-off path and a
+ * per-point replay of StatevectorCost::kPlan agree bit for bit; every
+ * value is within 1e-12 of the unfused replay; and the unfused plan
+ * replays bit for bit with blocking on and off.
+ */
+void
+expectReplayPathsAgree(const Circuit& circuit, const PauliSum& ham)
+{
+    const std::vector<double> diag = ham.diagonalTable();
+    const CompiledCircuit plan(circuit, StatevectorCost::kPlan);
+    const CompiledCircuit unfused(circuit, CompileOptions{});
+    const CompiledCircuit unblocked(circuit,
+                                    CompileOptions{.blockWindow = 0});
+    ASSERT_GT(plan.numFusedUnits(), 0u);
+    ASSERT_EQ(unfused.numFusedUnits(), 0u);
+    ASSERT_GT(unfused.numBlockedGroups(), 0u);
+    ASSERT_EQ(unblocked.numBlockedGroups(), 0u);
 
-    for (KernelIsa isa : isas) {
-        KernelOptions base;
-        base.isa = isa;
+    for (const KernelTable* table : availableTables()) {
+        const KernelIsa isa = table->isa;
+        const char* name = kernels::isaName(isa);
+        KernelOptions options;
+        options.isa = isa;
 
         StatevectorCost one_by_one(circuit, ham);
-        one_by_one.configureKernel(base);
+        one_by_one.configureKernel(options);
         const auto points = axisMajorPoints(one_by_one);
         std::vector<double> reference;
         for (const auto& p : points)
             reference.push_back(one_by_one.evaluate(p));
 
         StatevectorCost batched(circuit, ham);
-        batched.configureKernel(base);
+        batched.configureKernel(options);
         const auto grouped = batched.evaluateBatch(points);
         const KernelStats stats = batched.kernelStats();
         EXPECT_EQ(stats.isa, isa);
-        EXPECT_GT(stats.batchedExpectationPoints, 0u);
-        EXPECT_GT(stats.blockedGroupRuns, 0u);
+        EXPECT_GT(stats.batchedDiagonalPoints, 0u) << name;
+        EXPECT_GT(stats.blockedGroupRuns, 0u) << name;
+        EXPECT_GT(stats.fusedSuperKernels, 0u) << name;
+        EXPECT_GT(stats.fusedOpsCollapsed, stats.fusedSuperKernels)
+            << name;
 
-        KernelOptions no_cache = base;
+        KernelOptions no_cache = options;
         no_cache.prefixCache = false;
         StatevectorCost uncached(circuit, ham);
         uncached.configureKernel(no_cache);
         const auto uncached_values = uncached.evaluateBatch(points);
 
-        KernelOptions no_block = base;
-        no_block.blockWindow = 0;
-        no_block.batchedExpectation = false;
-        StatevectorCost plain(circuit, ham);
-        plain.configureKernel(no_block);
-        const auto plain_values = plain.evaluateBatch(points);
+        const auto per_point = replayEnergies(plan, diag, points, *table);
+        const auto unfused_values =
+            replayEnergies(unfused, diag, points, *table);
+        const auto unblocked_values =
+            replayEnergies(unblocked, diag, points, *table);
 
         for (std::size_t i = 0; i < points.size(); ++i) {
-            EXPECT_EQ(reference[i], grouped[i]) << "point " << i;
-            EXPECT_EQ(reference[i], uncached_values[i]) << "point " << i;
-            EXPECT_EQ(reference[i], plain_values[i]) << "point " << i;
+            EXPECT_EQ(reference[i], grouped[i]) << name << " point " << i;
+            EXPECT_EQ(reference[i], uncached_values[i])
+                << name << " point " << i;
+            EXPECT_EQ(reference[i], per_point[i])
+                << name << " point " << i;
+            EXPECT_NEAR(reference[i], unfused_values[i], 1e-12)
+                << name << " point " << i;
+            EXPECT_EQ(unfused_values[i], unblocked_values[i])
+                << name << " point " << i;
         }
     }
+}
+
+TEST(Kernels, StatevectorCostBatchedPathsBitIdentical)
+{
+    // 6 qubits: the whole state is one cache block.
+    Rng rng(21);
+    const Graph g = random3RegularGraph(6, rng);
+    expectReplayPathsAgree(qaoaCircuit(g, 2), maxcutHamiltonian(g));
 }
 
 TEST(Kernels, ScalarVsAvx2CostValuesAgreeWithinTolerance)
@@ -428,7 +477,7 @@ TEST(Kernels, AnalyticBatchedSameGammaBitIdentical)
     const auto values = batched.evaluateBatch(points);
     for (std::size_t i = 0; i < points.size(); ++i)
         EXPECT_EQ(reference[i], values[i]) << "point " << i;
-    EXPECT_EQ(batched.kernelStats().batchedExpectationPoints,
+    EXPECT_EQ(batched.kernelStats().batchedDiagonalPoints,
               points.size());
 }
 
@@ -775,12 +824,8 @@ TEST(Kernels, NonDiagonalBatchedExpectationBitIdentical)
     ASSERT_FALSE(mixed.isDiagonal());
     const Circuit circuit = qaoaCircuit(g, 2);
 
-    std::vector<KernelIsa> isas = {KernelIsa::Scalar};
-    if (kernels::avx2Available())
-        isas.push_back(KernelIsa::Avx2);
-    if (kernels::avx512Available())
-        isas.push_back(KernelIsa::Avx512);
-    for (const KernelIsa isa : isas) {
+    for (const KernelTable* table : availableTables()) {
+        const KernelIsa isa = table->isa;
         KernelOptions base;
         base.isa = isa;
         StatevectorCost one_by_one(circuit, mixed);
@@ -803,63 +848,27 @@ TEST(Kernels, NonDiagonalBatchedExpectationBitIdentical)
 
 TEST(Kernels, FusedReplayPathsBitIdenticalPerIsa)
 {
-    // With super-kernel fusion on, one-by-one evaluation, the grouped
-    // batched path, and the cache-off path still agree bit for bit per
-    // ISA (they replay the identical fusion plan), the fused counters
-    // surface, and fused values agree with the unfused replay within
-    // rounding.
+    // The one replay plan is fused: a default-constructed 12-qubit p=2
+    // cost runs super-kernels and reproduces a replay of
+    // StatevectorCost::kPlan bit for bit. With 12 qubits the block
+    // window (10) splits the state into blocks.
     Rng rng(71);
-    const Graph g = random3RegularGraph(6, rng);
+    const Graph g = random3RegularGraph(12, rng);
     const Circuit circuit = qaoaCircuit(g, 2);
     const PauliSum ham = maxcutHamiltonian(g);
 
-    std::vector<KernelIsa> isas = {KernelIsa::Scalar};
-    if (kernels::avx2Available())
-        isas.push_back(KernelIsa::Avx2);
-    if (kernels::avx512Available())
-        isas.push_back(KernelIsa::Avx512);
-    for (const KernelIsa isa : isas) {
-        KernelOptions fused;
-        fused.isa = isa;
-        fused.blockWindow = 4;
-        fused.fuseWindow = 4;
+    StatevectorCost defaults(circuit, ham);
+    const auto points = axisMajorPoints(defaults);
+    const auto values = defaults.evaluateBatch(points);
+    EXPECT_GT(defaults.kernelStats().fusedSuperKernels, 0u);
+    const auto reference =
+        replayEnergies(CompiledCircuit(circuit, StatevectorCost::kPlan),
+                       ham.diagonalTable(), points,
+                       kernels::defaultKernelTable());
+    for (std::size_t i = 0; i < points.size(); ++i)
+        EXPECT_EQ(reference[i], values[i]) << "point " << i;
 
-        StatevectorCost one_by_one(circuit, ham);
-        one_by_one.configureKernel(fused);
-        const auto points = axisMajorPoints(one_by_one);
-        std::vector<double> reference;
-        for (const auto& p : points)
-            reference.push_back(one_by_one.evaluate(p));
-        EXPECT_GT(one_by_one.kernelStats().fusedSuperKernels, 0u)
-            << kernels::isaName(isa);
-        EXPECT_GT(one_by_one.kernelStats().fusedOpsCollapsed,
-                  one_by_one.kernelStats().fusedSuperKernels);
-
-        StatevectorCost batched(circuit, ham);
-        batched.configureKernel(fused);
-        const auto grouped = batched.evaluateBatch(points);
-
-        KernelOptions no_cache = fused;
-        no_cache.prefixCache = false;
-        StatevectorCost uncached(circuit, ham);
-        uncached.configureKernel(no_cache);
-        const auto uncached_values = uncached.evaluateBatch(points);
-
-        KernelOptions plain = fused;
-        plain.fuseWindow = 0;
-        StatevectorCost unfused(circuit, ham);
-        unfused.configureKernel(plain);
-        const auto unfused_values = unfused.evaluateBatch(points);
-
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            EXPECT_EQ(reference[i], grouped[i])
-                << kernels::isaName(isa) << " point " << i;
-            EXPECT_EQ(reference[i], uncached_values[i])
-                << kernels::isaName(isa) << " point " << i;
-            EXPECT_NEAR(reference[i], unfused_values[i], 1e-11)
-                << kernels::isaName(isa) << " point " << i;
-        }
-    }
+    expectReplayPathsAgree(circuit, ham);
 }
 
 TEST(Kernels, ParseIsaNameAcceptsOnlyKnownNames)

@@ -38,10 +38,16 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
-}
 
+/**
+ * The one allocate/release pair behind every global new and delete
+ * below. `release` stays out of line, so an inlined delete hands its
+ * pointer back to the pair's own function rather than straight to
+ * std::free, which GCC reports as a mismatch with operator new
+ * (-Wmismatched-new-delete).
+ */
 void*
-operator new(std::size_t size)
+allocate(std::size_t size)
 {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
     if (void* p = std::malloc(size ? size : 1))
@@ -49,34 +55,47 @@ operator new(std::size_t size)
     throw std::bad_alloc();
 }
 
+[[gnu::noinline]] void
+release(void* p) noexcept
+{
+    std::free(p);
+}
+} // namespace
+
+void*
+operator new(std::size_t size)
+{
+    return allocate(size);
+}
+
 void*
 operator new[](std::size_t size)
 {
-    return ::operator new(size);
+    return allocate(size);
 }
 
 void
 operator delete(void* p) noexcept
 {
-    std::free(p);
+    release(p);
 }
 
 void
 operator delete[](void* p) noexcept
 {
-    std::free(p);
+    release(p);
 }
 
 void
 operator delete(void* p, std::size_t) noexcept
 {
-    std::free(p);
+    release(p);
 }
 
 void
 operator delete[](void* p, std::size_t) noexcept
 {
-    std::free(p);
+    release(p);
 }
 
 namespace oscar {

@@ -32,6 +32,7 @@
 #include <unistd.h>
 
 #include <bit>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <optional>
@@ -169,12 +170,15 @@ promValue(const std::string& text, const std::string& name)
 /** A running daemon on a scratch socket + store, torn down in order. */
 struct ServerFixture
 {
-    explicit ServerFixture(bool with_store = true, int job_threads = 2)
+    explicit ServerFixture(
+        bool with_store = true, int job_threads = 2,
+        std::size_t store_budget_bytes = ServeOptions{}.storeBudgetBytes)
     {
         ServeOptions options;
         options.socketPath = dir.path + "/serve.sock";
         if (with_store)
             options.storeDir = dir.path + "/store";
+        options.storeBudgetBytes = store_budget_bytes;
         options.jobThreads = job_threads;
         options.oscar.numThreads = 0;
         server = std::make_unique<ServeServer>(options);
@@ -534,14 +538,35 @@ TEST(ServeServerTest, MetricsExpositionCountsEachEventOnce)
 {
     // Metrics have no switch: with no setup at all, the exposition
     // carries the process-wide engine counters, and this daemon's own
-    // serve and store tallies come from counters() alone.
+    // serve and store tallies come from counters() alone -- store
+    // corruption and GC evictions included. The 1-byte store budget
+    // makes every gc() evict each container it finds.
     const std::uint64_t completed_before =
         obs::Registry::global().counter("engine.points.completed").value();
-    ServerFixture fixture;
+    ServerFixture fixture(true, 2, 1);
     ServeClient client(fixture.socket());
     const ResponseMsg computed = client.call(makeRequest(42));
     ASSERT_EQ(computed.status, ResponseStatus::Ok);
     ASSERT_EQ(computed.servedFrom, ServedFrom::Computed);
+
+    // A damaged container under the request's key loads as a corrupt
+    // miss; another one is evicted by an explicit gc().
+    store::LandscapeStore& store = *fixture.server->store();
+    RequestMsg addressed = makeRequest(42);
+    encodeRequest(addressed); // stamps the costId the key needs
+    const std::string path = store.containerPath(storeKeyFor(addressed));
+    auto damage = [&path] {
+        std::FILE* f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fputs("not a container", f);
+        std::fclose(f);
+    };
+    damage();
+    RequestMsg fetch = makeRequest(42);
+    fetch.kind = RequestKind::Fetch;
+    ASSERT_EQ(client.call(fetch).status, ResponseStatus::Miss);
+    damage();
+    EXPECT_EQ(store.gc(), 1u);
 
     const std::string text = client.metrics();
     EXPECT_GE(promValue(text, "oscar_engine_points_completed_total"),
@@ -564,8 +589,15 @@ TEST(ServeServerTest, MetricsExpositionCountsEachEventOnce)
               c.store.misses);
     EXPECT_EQ(promValue(text, "oscar_store_container_puts_total"),
               c.store.puts);
+    EXPECT_EQ(promValue(text, "oscar_store_container_corrupt_misses_total"),
+              c.store.corruptMisses);
+    EXPECT_EQ(promValue(text, "oscar_store_container_removed_total"),
+              c.store.containersRemoved);
     EXPECT_EQ(c.evaluations, 1u);
     EXPECT_EQ(c.store.puts, 1u);
+    EXPECT_EQ(c.store.corruptMisses, 1u);
+    // The put's own gc evicted the computed container; gc() the other.
+    EXPECT_EQ(c.store.containersRemoved, 2u);
 
     // A store event has one counter: no registry twin of StoreStats.
     for (const char* twin :

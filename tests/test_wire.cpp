@@ -95,9 +95,6 @@ randomKernelOptions(Rng& rng)
                                        kernels::KernelIsa::Avx2,
                                        kernels::KernelIsa::Avx512};
     options.isa = isas[rng.uniformInt(3)];
-    options.blockWindow = static_cast<int>(rng.uniformInt(12)) - 1;
-    options.batchedExpectation = rng.uniform() < 0.5;
-    options.fuseWindow = static_cast<int>(rng.uniformInt(8));
     return options;
 }
 
@@ -114,7 +111,7 @@ randomKernelStats(Rng& rng)
     stats.isa = isas[rng.uniformInt(3)];
     stats.blockedGroupRuns = rng.uniformInt(500);
     stats.blockedOpsApplied = rng.uniformInt(5000);
-    stats.batchedExpectationPoints = rng.uniformInt(500);
+    stats.batchedDiagonalPoints = rng.uniformInt(500);
     stats.fusedSuperKernels = rng.uniformInt(500);
     stats.fusedOpsCollapsed = rng.uniformInt(5000);
     stats.batchedPauliPoints = rng.uniformInt(500);
@@ -171,10 +168,6 @@ TEST(WireTest, CostSpecRoundTripRandomized)
         EXPECT_EQ(back.kernel.prefixCacheBudgetBytes,
                   spec.kernel.prefixCacheBudgetBytes);
         EXPECT_EQ(back.kernel.isa, spec.kernel.isa);
-        EXPECT_EQ(back.kernel.blockWindow, spec.kernel.blockWindow);
-        EXPECT_EQ(back.kernel.batchedExpectation,
-                  spec.kernel.batchedExpectation);
-        EXPECT_EQ(back.kernel.fuseWindow, spec.kernel.fuseWindow);
     }
 }
 
@@ -191,7 +184,7 @@ TEST(WireTest, CostSpecIdIsContentAddressed)
     EXPECT_EQ(pa, pb);
 
     // Any semantic change moves the id.
-    b.kernel.blockWindow += 1;
+    b.kernel.isa = kernels::KernelIsa::Scalar;
     encodeCostSpec(b);
     EXPECT_NE(a.costId, b.costId);
 }
@@ -202,15 +195,17 @@ TEST(WireTest, GoldenCostIdAndConfigHash)
     // the sampling-config hash are store keys, so changing either
     // orphans every container already on disk. The config hash was
     // re-pinned when kCsSolverRevision joined it: containers solved
-    // with the old FISTA defaults must miss.
+    // with the old FISTA defaults must miss. The costId was re-pinned
+    // at wire v9, when KernelOptions dropped its replay-plan fields:
+    // landscapes computed under a per-request plan must miss.
     const Graph graph = meshGraph(2, 3);
     CostSpec spec;
     spec.circuit = qaoaCircuit(graph, 1);
     spec.hamiltonian = maxcutHamiltonian(graph);
     spec.kernel.isa = kernels::KernelIsa::Scalar;
     const std::vector<std::uint8_t> payload = encodeCostSpec(spec);
-    EXPECT_EQ(spec.costId, 0x6fe3af230c6028f0ull);
-    EXPECT_EQ(payload.size(), 742u);
+    EXPECT_EQ(spec.costId, 0x3a9470642955a825ull);
+    EXPECT_EQ(payload.size(), 733u);
     EXPECT_EQ(store::configHash(0.05, 1), 0x3a6dae9ddf472bd5ull);
     EXPECT_EQ(store::gridHash(GridSpec::qaoaP1(20, 40)),
               0xc5d2700ab1021b8bull);
@@ -233,8 +228,7 @@ TEST(WireTest, KernelStatsRoundTripRandomized)
         EXPECT_EQ(back.isa, stats.isa);
         EXPECT_EQ(back.blockedGroupRuns, stats.blockedGroupRuns);
         EXPECT_EQ(back.blockedOpsApplied, stats.blockedOpsApplied);
-        EXPECT_EQ(back.batchedExpectationPoints,
-                  stats.batchedExpectationPoints);
+        EXPECT_EQ(back.batchedDiagonalPoints, stats.batchedDiagonalPoints);
         EXPECT_EQ(back.fusedSuperKernels, stats.fusedSuperKernels);
         EXPECT_EQ(back.fusedOpsCollapsed, stats.fusedOpsCollapsed);
         EXPECT_EQ(back.batchedPauliPoints, stats.batchedPauliPoints);
