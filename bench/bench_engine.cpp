@@ -12,7 +12,9 @@
  *     performance, never values).
  *
  *  2. Kernel layers (BENCH_kernels.json): the one fused, blocked
- *     replay plan on each available kernel ISA.
+ *     replay plan on each available kernel ISA, on the 12-qubit p=2
+ *     sweep and on the p1_exec request's gather (150 samples of the
+ *     20-qubit p=1 grid on 4 threads).
  *
  *  3. Observability (BENCH_obs.json): the same sweep with tracing off
  *     and on (metrics always record) -- the traced row reports its
@@ -121,22 +123,47 @@ struct SweepCase
 };
 
 /**
- * Kernel-layer study on the acceptance sweep (axis-major 12q p=2
- * QAOA): one row per kernel ISA available on this host/build (scalar /
- * AVX2 / AVX-512), each replaying StatevectorCost's one fused, blocked
- * plan with the prefix cache and batched expectation. `match` checks
- * every row against the scalar row: bitwise for scalar itself, within
- * rounding (1e-12) for the wider ISAs. Writes BENCH_kernels.json
- * (median and quartiles per row) so the perf trajectory is tracked
- * across changes.
+ * Time `run(cost)` `reps` times, each on a fresh cost of `sweep` built
+ * and configured outside the timed region: every rep starts with a
+ * cold prefix cache (a reconfigured cost would keep its shared one)
+ * and pays no circuit lowering or diagonal-table build.
+ */
+template <typename Run>
+bench::TimingStats
+timeFreshCosts(const SweepCase& sweep, int reps,
+               const KernelOptions& options, Run&& run)
+{
+    std::vector<double> seconds;
+    for (int r = 0; r < reps; ++r) {
+        StatevectorCost cost = sweep.make();
+        cost.configureKernel(options);
+        const auto start = std::chrono::steady_clock::now();
+        run(cost);
+        seconds.push_back(bench::secondsSince(start));
+    }
+    return bench::timingStats(std::move(seconds));
+}
+
+/**
+ * Kernel-layer study: one row per kernel ISA available on this
+ * host/build (scalar / AVX2 / AVX-512) for each of two workloads, each
+ * replaying StatevectorCost's one plan on fresh costs:
+ *
+ *  - the acceptance sweep (axis-major 12q p=2 QAOA, one batch, prefix
+ *    cache and batched expectation);
+ *  - the p1_exec request's gather: 150 samples (3%) of the 20-qubit
+ *    p=1 grid through gatherCost on a 4-thread engine, as
+ *    Oscar::reconstruct runs them (rows "p1_gather_<isa>").
+ *
+ * `match` checks every row against its workload's scalar row: bitwise
+ * for scalar itself, within rounding (1e-12 relative, the 20-qubit
+ * energies reach |E| ~ 30) for the wider ISAs.
+ * Writes BENCH_kernels.json (median and quartiles per row) so the perf
+ * trajectory is tracked across changes.
  */
 void
 runKernelStudy()
 {
-    constexpr int kStudyReps = 7;
-    const SweepCase sweep(12, 2, GridSpec::qaoaP2(5, 7));
-    const std::size_t num_points = sweep.points.size();
-
     struct IsaCase
     {
         const char* name;
@@ -149,57 +176,87 @@ runKernelStudy()
         {"avx512", kernels::KernelIsa::Avx512,
          kernels::avx512Available()},
     };
-
-    bench::header("kernel layers: p=2 QAOA, 12 qubits, axis-major " +
-                  std::to_string(num_points) +
-                  "-point sweep (median of " +
-                  std::to_string(kStudyReps) + ")");
-    bench::columns("isa", {"pts/s", "median_s", "p25_s", "p75_s",
-                           "speedup", "match"});
-
     bench::JsonReport json("bench_engine/kernels");
-    std::vector<double> reference;
-    double base_median = 0.0;
-    for (const IsaCase& isa : isa_cases) {
-        if (!isa.available) {
-            std::printf("  (skipping %s: unavailable on this "
-                        "host/build)\n",
-                        isa.name);
-            continue;
+
+    // One workload's rows: `run(cost, stats)` evaluates a fresh cost,
+    // returning its values and filling the kernel stats of the run.
+    auto study = [&](const std::string& title, const std::string& prefix,
+                     const SweepCase& sweep, std::size_t num_points,
+                     int reps, const auto& run) {
+        bench::header(title + " (median of " + std::to_string(reps) + ")");
+        bench::columns("isa", {"pts/s", "median_s", "p25_s", "p75_s",
+                               "speedup", "match"});
+        std::vector<double> reference;
+        double base_median = 0.0;
+        for (const IsaCase& isa : isa_cases) {
+            if (!isa.available) {
+                std::printf("  (skipping %s: unavailable on this "
+                            "host/build)\n",
+                            isa.name);
+                continue;
+            }
+            KernelOptions options;
+            options.isa = isa.isa;
+            std::vector<double> values;
+            KernelStats stats;
+            const auto timing = timeFreshCosts(
+                sweep, reps, options, [&](StatevectorCost& cost) {
+                    values = run(cost, stats);
+                });
+            if (reference.empty()) {
+                reference = values;
+                base_median = timing.median;
+            }
+            bool match = values.size() == reference.size();
+            for (std::size_t i = 0; match && i < values.size(); ++i) {
+                match = isa.isa == kernels::KernelIsa::Scalar
+                            ? values[i] == reference[i]
+                            : std::abs(values[i] - reference[i]) <=
+                                  1e-12 * std::max(1.0,
+                                                   std::abs(reference[i]));
+            }
+            const double speedup = base_median / timing.median;
+            const std::string name = prefix + isa.name;
+            bench::row(name,
+                       {static_cast<double>(num_points) / timing.median,
+                        timing.median, timing.p25, timing.p75, speedup,
+                        match ? 1.0 : 0.0},
+                       " %10.4g");
+            json.add(name, timing, num_points,
+                     {{"speedup_vs_scalar", speedup},
+                      {"match", match ? 1.0 : 0.0},
+                      {"fused_super_kernels",
+                       static_cast<double>(stats.fusedSuperKernels)},
+                      {"cache_lookups",
+                       static_cast<double>(stats.cacheLookups)}});
         }
-        KernelOptions options;
-        options.isa = isa.isa;
-        std::vector<double> values;
-        KernelStats stats;
-        const auto timing = bench::timeRepeated(kStudyReps, [&] {
-            // A fresh cost per rep: its prefix cache starts cold.
-            StatevectorCost cost = sweep.make();
-            cost.configureKernel(options);
-            values = cost.evaluateBatch(sweep.points);
-            stats = cost.kernelStats();
-        });
-        if (reference.empty()) {
-            reference = values;
-            base_median = timing.median;
-        }
-        bool match = values.size() == reference.size();
-        for (std::size_t i = 0; match && i < values.size(); ++i) {
-            match = isa.isa == kernels::KernelIsa::Scalar
-                        ? values[i] == reference[i]
-                        : std::abs(values[i] - reference[i]) <= 1e-12;
-        }
-        const double speedup = base_median / timing.median;
-        bench::row(isa.name,
-                   {static_cast<double>(num_points) / timing.median,
-                    timing.median, timing.p25, timing.p75, speedup,
-                    match ? 1.0 : 0.0},
-                   " %10.4g");
-        json.add(isa.name, timing, num_points,
-                 {{"speedup_vs_scalar", speedup},
-                  {"match", match ? 1.0 : 0.0},
-                  {"fused_super_kernels",
-                   static_cast<double>(stats.fusedSuperKernels)}});
-    }
+    };
+
+    const SweepCase sweep(12, 2, GridSpec::qaoaP2(5, 7));
+    study("kernel layers: p=2 QAOA, 12 qubits, axis-major " +
+              std::to_string(sweep.points.size()) + "-point sweep",
+          "", sweep, sweep.points.size(), 7,
+          [&](StatevectorCost& cost, KernelStats& stats) {
+              std::vector<double> values = cost.evaluateBatch(sweep.points);
+              stats = cost.kernelStats();
+              return values;
+          });
+
+    const GridSpec p1_grid = GridSpec::qaoaP1();
+    const SweepCase p1(20, 1, p1_grid);
+    Rng sample_rng(2);
+    const std::vector<std::size_t> indices =
+        chooseSampleIndices(p1_grid.numPoints(), 0.03, sample_rng);
+    ExecutionEngine engine(4);
+    study("kernel layers: p1_exec gather, 20 qubits, " +
+              std::to_string(indices.size()) + " samples on 4 threads",
+          "p1_gather_", p1, indices.size(), 5,
+          [&](StatevectorCost& cost, KernelStats& stats) {
+              SampleSet samples = gatherCost(p1_grid, cost, indices, &engine);
+              stats = samples.stats.kernel;
+              return samples.values;
+          });
+
     std::printf("  (default ISA: %s)\n",
                 kernels::isaName(kernels::defaultKernelTable().isa));
     json.write("BENCH_kernels.json");
@@ -237,11 +294,10 @@ runObsStudy()
     std::vector<double> reference;
     bench::TimingStats untraced;
     {
-        StatevectorCost cost = sweep.make();
-        untraced = bench::timeRepeated(kStudyReps, [&] {
-            cost.configureKernel(KernelOptions{}); // cold cache per rep
-            reference = engine.submit(cost, sweep.points).get();
-        });
+        untraced = timeFreshCosts(
+            sweep, kStudyReps, KernelOptions{}, [&](StatevectorCost& cost) {
+                reference = engine.submit(cost, sweep.points).get();
+            });
         bench::row("untraced",
                    {static_cast<double>(num_points) / untraced.median,
                     untraced.median, 0.0, 0.0, 0.0, 1.0},
@@ -258,13 +314,11 @@ runObsStudy()
         obs::Tracer::global().droppedSpans();
     std::vector<double> values;
     bench::TimingStats traced;
-    {
-        StatevectorCost cost = sweep.make();
-        traced = bench::timeRepeated(kStudyReps, [&] {
-            cost.configureKernel(KernelOptions{});
-            values = engine.submit(cost, sweep.points).get();
-        });
-    }
+    traced = timeFreshCosts(sweep, kStudyReps, KernelOptions{},
+                            [&](StatevectorCost& cost) {
+                                values =
+                                    engine.submit(cost, sweep.points).get();
+                            });
     obs::setTracing(false);
 
     const obs::HistogramSnapshot delta = latency.snapshot() - before;
@@ -492,19 +546,17 @@ runSweep(int num_qubits, int depth, const GridSpec& grid)
             {"batched (no cache)", timing, identical(values, reference)});
     }
 
-    // 3. Prefix-cached batch. configureKernel clears the cache, so
-    // every rep pays the cold cache like a fresh sweep would, without
-    // timing circuit lowering / diagonal-table construction.
+    // 3. Prefix-cached batch on a fresh cost per rep: every rep pays
+    // the cold cache like a fresh sweep would.
     {
-        StatevectorCost cost = sweep.make();
         std::vector<double> values;
         std::size_t hits = 0, lookups = 0;
-        const auto timing = bench::timeRepeated(kReps, [&] {
-            cost.configureKernel(KernelOptions{});
-            values = cost.evaluateBatch(points);
-            hits = cost.prefixCache().hits();
-            lookups = cost.prefixCache().lookups();
-        });
+        const auto timing = timeFreshCosts(
+            sweep, kReps, KernelOptions{}, [&](StatevectorCost& cost) {
+                values = cost.evaluateBatch(points);
+                hits = cost.prefixCache().hits();
+                lookups = cost.prefixCache().lookups();
+            });
         modes.push_back(
             {"prefix-cached batch", timing, identical(values, reference)});
         std::printf("  (cache: %zu hits / %zu lookups)\n", hits, lookups);
@@ -516,12 +568,11 @@ runSweep(int num_qubits, int depth, const GridSpec& grid)
     for (unsigned threads = 2; threads <= hw && threads <= 8;
          threads *= 2) {
         ExecutionEngine engine(static_cast<int>(threads));
-        StatevectorCost cost = sweep.make();
         std::vector<double> values;
-        const auto timing = bench::timeRepeated(kReps, [&] {
-            cost.configureKernel(KernelOptions{});
-            values = engine.submit(cost, points).get();
-        });
+        const auto timing = timeFreshCosts(
+            sweep, kReps, KernelOptions{}, [&](StatevectorCost& cost) {
+                values = engine.submit(cost, points).get();
+            });
         modes.push_back({"engine x" + std::to_string(threads) + " cached",
                          timing, identical(values, reference)});
     }
@@ -576,10 +627,11 @@ BM_PrefixCachedBatch(benchmark::State& state)
                           state.range(1) == 1 ? GridSpec::qaoaP1(30, 60)
                                               : GridSpec::qaoaP2(5, 7));
     const std::vector<double> reference = scalarReference(sweep);
-    StatevectorCost cost = sweep.make();
     std::vector<double> values;
     for (auto _ : state) {
-        cost.configureKernel(KernelOptions{}); // cold cache per rep
+        state.PauseTiming();
+        StatevectorCost cost = sweep.make(); // cold cache per rep
+        state.ResumeTiming();
         values = cost.evaluateBatch(sweep.points);
         benchmark::DoNotOptimize(values);
     }
@@ -596,10 +648,11 @@ BM_EngineCachedSubmit(benchmark::State& state)
     const SweepCase sweep(12, 2, GridSpec::qaoaP2(5, 7));
     const std::vector<double> reference = scalarReference(sweep);
     ExecutionEngine engine(static_cast<int>(state.range(0)));
-    StatevectorCost cost = sweep.make();
     std::vector<double> values;
     for (auto _ : state) {
-        cost.configureKernel(KernelOptions{});
+        state.PauseTiming();
+        StatevectorCost cost = sweep.make(); // cold cache per rep
+        state.ResumeTiming();
         values = engine.submit(cost, sweep.points).get();
         benchmark::DoNotOptimize(values);
     }

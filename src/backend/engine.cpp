@@ -1,12 +1,50 @@
 #include "src/backend/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace oscar {
+
+NonFiniteValueError::NonFiniteValueError(std::size_t index, double value)
+    : std::runtime_error("ExecutionEngine: cost function returned " +
+                         std::to_string(value) + " at batch index " +
+                         std::to_string(index)),
+      index_(index), value_(value)
+{
+}
+
+namespace {
+
+/**
+ * Throw NonFiniteValueError for the first non-finite value of
+ * out[lo, hi), after counting every such value once.
+ */
+void
+rejectNonFinite(const std::vector<double>& out, std::size_t lo,
+                std::size_t hi)
+{
+    std::size_t bad = 0;
+    std::size_t first = hi;
+    for (std::size_t i = lo; i < hi; ++i) {
+        if (!std::isfinite(out[i])) {
+            first = std::min(first, i);
+            ++bad;
+        }
+    }
+    if (bad == 0)
+        return;
+    static obs::Counter& nonfinite =
+        obs::Registry::global().counter("engine.points.nonfinite");
+    nonfinite.add(bad);
+    throw NonFiniteValueError(first, out[first]);
+}
+
+} // namespace
 
 /**
  * Shared state of one submitted batch. Handles, queued workers, and
@@ -171,6 +209,7 @@ struct EngineBatch
                         chunk.lo, n),
                     baseOrdinal + chunk.lo, out.data() + chunk.lo);
                 delta = evaluator->kernelStats() - before;
+                rejectNonFinite(out, chunk.lo, chunk.hi);
             }
         } catch (...) {
             failure = std::current_exception();

@@ -42,12 +42,35 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "src/backend/executor.h"
 
 namespace oscar {
+
+/**
+ * A cost function returned a NaN or infinite value. The engine fails
+ * the batch with this error (BatchHandle::get rethrows it), streams
+ * none of the failing chunk's values to onComplete, and counts each
+ * such point under the registry's `engine.points.nonfinite`. So a
+ * non-finite sample never reaches a solve, a reply or the store.
+ */
+class NonFiniteValueError : public std::runtime_error
+{
+  public:
+    NonFiniteValueError(std::size_t index, double value);
+
+    /** Batch index of the first non-finite value of its chunk. */
+    std::size_t index() const { return index_; }
+
+    double value() const { return value_; }
+
+  private:
+    std::size_t index_;
+    double value_;
+};
 
 struct EngineBatch; // shared state of one submitted batch (engine.cpp)
 
@@ -77,8 +100,8 @@ struct EngineOptions
 /**
  * Progress / effectiveness counters of one submitted batch. When the
  * batch finishes (completed or cancelled), these totals are added
- * once to the process-wide obs::Registry (`engine.points.*`,
- * `engine.cache.*`).
+ * once to the process-wide obs::Registry
+ * (`engine.points.completed` / `.cancelled`, `engine.cache.*`).
  */
 struct BatchStats
 {

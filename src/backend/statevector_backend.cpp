@@ -8,9 +8,41 @@
 
 namespace oscar {
 
+namespace {
+
+/**
+ * The phase levels of a diagonal Hamiltonian made of ZZ terms and a
+ * constant (null for any other term: the QAOA phase ops then stay
+ * off).
+ */
+std::shared_ptr<const PhaseLevels>
+phaseLevelsOf(const PauliSum& hamiltonian,
+              std::shared_ptr<const std::vector<double>> diagonal)
+{
+    std::vector<PhaseLevels::Term> terms;
+    double constant = 0.0;
+    for (const PauliTerm& t : hamiltonian.terms()) {
+        const PauliMasks m = t.pauli.masks();
+        if (m.flip != 0)
+            return nullptr;
+        if (m.sign == 0) {
+            constant += t.coeff;
+        } else if (std::popcount(m.sign) == 2) {
+            terms.push_back({std::countr_zero(m.sign),
+                             63 - std::countl_zero(m.sign), t.coeff});
+        } else {
+            return nullptr;
+        }
+    }
+    return PhaseLevels::make(std::move(terms), constant,
+                             std::move(diagonal));
+}
+
+} // namespace
+
 StatevectorCost::StatevectorCost(Circuit circuit, PauliSum hamiltonian)
-    : circuit_(std::move(circuit)), compiled_(circuit_, kPlan),
-      hamiltonian_(std::move(hamiltonian)), state_(circuit_.numQubits()),
+    : circuit_(std::move(circuit)), hamiltonian_(std::move(hamiltonian)),
+      state_(circuit_.numQubits()),
       table_(&kernels::kernelTable(kernel_.isa)),
       cache_(std::make_shared<PrefixCache>(kernel_.prefixCacheBudgetBytes))
 {
@@ -20,6 +52,9 @@ StatevectorCost::StatevectorCost(Circuit circuit, PauliSum hamiltonian)
     if (hamiltonian_.isDiagonal())
         diagonal_ = std::make_shared<const std::vector<double>>(
             hamiltonian_.diagonalTable());
+    compiled_ = CompiledCircuit(
+        circuit_, kPlan,
+        diagonal_ ? phaseLevelsOf(hamiltonian_, diagonal_) : nullptr);
     for (std::size_t level : compiled_.frontierLevels())
         levelParams_.push_back(compiled_.paramsUsedBefore(level));
     shapeCache();
@@ -135,7 +170,13 @@ StatevectorCost::simulate(const std::vector<double>& params,
     const auto& levels = compiled_.frontierLevels();
     std::size_t pos = 0;
 
+    // A schedule that starts with a PhaseFill writes every amplitude
+    // itself, so |0...0> need not be written first.
     auto reset = [&] {
+        if (compiled_.startsWithFill()) {
+            amps.resize(dim);
+            return;
+        }
         amps.assign(dim, cplx(0.0, 0.0));
         amps[0] = 1.0;
     };

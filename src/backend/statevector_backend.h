@@ -16,6 +16,13 @@
  *  - super-kernel fusion: the plan collapses eligible op runs of each
  *    blocked run into dense matvec / diagonal-table super-kernels
  *    replayed once per block;
+ *  - QAOA phase ops: when the Hamiltonian is diagonal, made only of
+ *    ZZ terms and a constant sharing one coefficient unit, with at
+ *    most 256 levels, each matching RZZ layer compiles to a phase op
+ *    over the shared level index (PhaseLevels, quantum/
+ *    compiled_circuit.h): the Hadamard layer plus the first cost layer
+ *    become one write-only PhaseFill, later cost layers PhaseTable
+ *    multiplies. Any other circuit or Hamiltonian keeps the gates;
  *  - batched expectation: consecutive batch points that share the full
  *    simulation prefix up to the deepest checkpoint level are simulated
  *    into scratch states and folded with one fused pass over the
@@ -26,7 +33,10 @@
  * through a prefix cache: the schedule's parameter frontier marks the
  * depths at which a statevector snapshot only depends on the
  * parameters bound so far, so a point whose leading parameters match a
- * cached checkpoint replays only the invalidated suffix.
+ * cached checkpoint replays only the invalidated suffix. A level whose
+ * prefix is only a PhaseFill is no checkpoint (one write pass rebuilds
+ * it for less than a resume costs), so a p=1 QAOA cost never looks up
+ * the cache and simulates each point from scratch.
  *
  * Determinism: a checkpoint at depth L keyed by the prefix parameter
  * bits is the exact state a from-scratch run of ops [0, L) produces
@@ -35,11 +45,11 @@
  * and thread count can change performance but never values — for a
  * fixed kernel ISA the batched path is bit-identical to the scalar
  * path, which tests/test_engine.cpp and tests/test_kernels.cpp assert.
- * Different ISAs round differently, and the fused plan rounds
- * differently from an unfused replay of the same circuit (within
- * 1e-12 on QAOA energies); pin KernelOptions::isa, and compile the
- * reference with kPlan, when comparing bitwise against values computed
- * outside this class.
+ * Different ISAs round differently, and the fused plan and the phase
+ * ops round differently from an unfused gate replay of the same
+ * circuit (within 1e-12 on QAOA energies); pin KernelOptions::isa, and
+ * replay compiled() as the reference, when comparing bitwise against
+ * values computed outside this class.
  */
 
 #ifndef OSCAR_BACKEND_STATEVECTOR_BACKEND_H
@@ -57,6 +67,15 @@
 namespace oscar {
 
 /**
+ * Revision of StatevectorCost's replay plan. Values move by rounding
+ * when the plan changes, so the landscape store folds it into its key
+ * next to the CS revisions, and landscapes from an older plan miss.
+ * Revision 1 (before the key held it) replayed every QAOA cost layer
+ * as RZZ gates; 2 replays matching layers as phase ops.
+ */
+inline constexpr std::uint64_t kStatevectorPlanRevision = 2;
+
+/**
  * Exact expectation <psi(theta)|H|psi(theta)> where |psi(theta)> is
  * the ansatz circuit run on |0...0>. Diagonal Hamiltonians use a
  * precomputed per-basis-state value table.
@@ -69,6 +88,8 @@ class StatevectorCost : public CostFunction
      * qubits with super-kernel fusion over 4. On QAOA circuits windows
      * 4, 5 and 6 collapse the same ops and time alike (window 3
      * collapses one op fewer); 4 keeps each dense unit at most 16x16.
+     * The constructor compiles it with the Hamiltonian's phase levels,
+     * so matching QAOA cost layers replay as phase ops (compiled()).
      */
     static constexpr CompileOptions kPlan{
         .blockWindow = kDefaultBlockWindow, .fuseWindow = 4};
@@ -107,6 +128,12 @@ class StatevectorCost : public CostFunction
      * read the same immutable table.
      */
     const std::vector<double>* diagonal() const { return diagonal_.get(); }
+
+    /**
+     * The compiled schedule this cost replays: kPlan, with the QAOA
+     * phase ops when the Hamiltonian's levels allow them.
+     */
+    const CompiledCircuit& compiled() const { return compiled_; }
 
     /** The kernel table this evaluator dispatches through. */
     const kernels::KernelTable& kernelTable() const { return *table_; }

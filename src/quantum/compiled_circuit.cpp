@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "src/quantum/kernels.h"
@@ -73,7 +74,44 @@ lowerGate(const Gate& gate)
     }
 }
 
+/** amps[i] = phase[level[i]]: the PhaseFill kernel. */
+inline void
+fillLevels(cplx* amps, std::size_t n, const std::uint8_t* level,
+           const cplx* phase)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        amps[i] = phase[level[i]];
+}
+
+/**
+ * amps[i] *= phase[level[i]]: the PhaseTable kernel. Plain scalar
+ * arithmetic, so every kernel table and every blocking of a replay
+ * computes the same bits.
+ */
+inline void
+mulLevels(cplx* amps, std::size_t n, const std::uint8_t* level,
+          const cplx* phase)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        const cplx a = amps[i];
+        const cplx p = phase[level[i]];
+        amps[i] = cplx(a.real() * p.real() - a.imag() * p.imag(),
+                       a.real() * p.imag() + a.imag() * p.real());
+    }
+}
+
 } // namespace
+
+/**
+ * Per-call payloads of the phase ops in a replayed range: the resolved
+ * tables, `stride` complexes per phase slot, and the level index.
+ */
+struct PhaseArgs
+{
+    const cplx* tables = nullptr;
+    std::size_t stride = 0;
+    const std::uint8_t* index = nullptr;
+};
 
 /** Parameter-resolved payload of one op inside a blocked run. */
 struct ResolvedPayload
@@ -83,6 +121,8 @@ struct ResolvedPayload
     cplx p0, p1;
     int rot = 0; ///< 1 = rotX(c, s), 2 = rotY(c, s) (fusion plans only)
     double c = 0.0, s = 0.0;
+    const cplx* phases = nullptr;         ///< phase ops: per-level table
+    const std::uint8_t* levels = nullptr; ///< phase ops: level index
 };
 
 namespace {
@@ -101,7 +141,7 @@ rotLowerable(const CompiledOp& op)
 
 ResolvedPayload
 resolvePayload(const CompiledOp& op, const double* params,
-               bool rotLower = false)
+               bool rotLower = false, const PhaseArgs* phase = nullptr)
 {
     ResolvedPayload r;
     r.op = &op;
@@ -130,6 +170,11 @@ resolvePayload(const CompiledOp& op, const double* params,
         } else {
             rotationPhases(op.resolvedAngle(params), r.p0, r.p1);
         }
+        break;
+      case KernelOp::PhaseFill:
+      case KernelOp::PhaseTable:
+        r.phases = phase->tables + op.phaseSlot * phase->stride;
+        r.levels = phase->index;
         break;
       default:
         break; // CX / CZ / Swap carry no payload
@@ -206,6 +251,12 @@ applyToBlock(const kernels::KernelTable& t, cplx* blk, std::size_t bs,
         }
         break;
       }
+      case KernelOp::PhaseFill:
+        fillLevels(blk, bs, r.levels + base, r.phases);
+        break;
+      case KernelOp::PhaseTable:
+        mulLevels(blk, bs, r.levels + base, r.phases);
+        break;
     }
 }
 
@@ -241,7 +292,7 @@ applyRunToBlock(const kernels::KernelTable& t, cplx* blk,
 void
 runOp(const CompiledOp& op, cplx* amps, std::size_t dim,
       const double* params, const kernels::KernelTable& t,
-      bool rotLower)
+      bool rotLower, const PhaseArgs& phase)
 {
     switch (op.op) {
       case KernelOp::Matrix1q:
@@ -287,6 +338,14 @@ runOp(const CompiledOp& op, cplx* amps, std::size_t dim,
             t.phaseZZ(amps, dim, op.q0, op.q1, same, diff);
         }
         break;
+      case KernelOp::PhaseFill:
+        fillLevels(amps, dim, phase.index,
+                   phase.tables + op.phaseSlot * phase.stride);
+        break;
+      case KernelOp::PhaseTable:
+        mulLevels(amps, dim, phase.index,
+                  phase.tables + op.phaseSlot * phase.stride);
+        break;
     }
 }
 
@@ -299,7 +358,8 @@ runOp(const CompiledOp& op, cplx* amps, std::size_t dim,
 void
 runOps(const std::vector<CompiledOp>& ops, std::size_t lo, std::size_t hi,
        cplx* amps, std::size_t dim, const double* params,
-       const kernels::KernelTable& t, bool rotLower)
+       const kernels::KernelTable& t, bool rotLower,
+       const PhaseArgs& phase)
 {
     std::size_t k = lo;
     while (k < hi) {
@@ -315,7 +375,7 @@ runOps(const std::vector<CompiledOp>& ops, std::size_t lo, std::size_t hi,
             k += 2;
             continue;
         }
-        runOp(ops[k], amps, dim, params, t, rotLower);
+        runOp(ops[k], amps, dim, params, t, rotLower, phase);
         ++k;
     }
 }
@@ -324,7 +384,15 @@ runOps(const std::vector<CompiledOp>& ops, std::size_t lo, std::size_t hi,
 
 CompiledCircuit::CompiledCircuit(const Circuit& circuit,
                                  const CompileOptions& options)
-    : numQubits_(circuit.numQubits()), numParams_(circuit.numParams())
+    : CompiledCircuit(circuit, options, nullptr)
+{
+}
+
+CompiledCircuit::CompiledCircuit(const Circuit& circuit,
+                                 const CompileOptions& options,
+                                 std::shared_ptr<const PhaseLevels> levels)
+    : numQubits_(circuit.numQubits()), numParams_(circuit.numParams()),
+      levels_(std::move(levels))
 {
     ops_.reserve(circuit.numGates());
     firstUse_.assign(static_cast<std::size_t>(numParams_), 0);
@@ -380,6 +448,8 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit,
         }
     }
 
+    if (levels_)
+        lowerPhaseOps();
     finalizeFrontier();
     blockBits_ = options.blockWindow <= 0
                      ? 0
@@ -407,6 +477,11 @@ CompiledCircuit::blockable(const CompiledOp& op, int k)
         return op.q1 < k;
       case KernelOp::Swap:
         return op.q0 < k && op.q1 < k;
+      case KernelOp::PhaseFill:
+      case KernelOp::PhaseTable:
+        // Element-wise over the basis index: a block reads its slice
+        // of the level index.
+        return true;
     }
     return false;
 }
@@ -437,7 +512,7 @@ diagFoldable(const CompiledOp& op, int k)
 inline bool
 denseFusable(const CompiledOp& op, int f)
 {
-    if (op.q0 >= f)
+    if (op.isPhaseOp() || op.q0 >= f)
         return false;
     return op.arity() == 1 || op.q1 < f;
 }
@@ -683,7 +758,192 @@ CompiledCircuit::buildDenseMatrix(const FusedUnit& unit,
     const kernels::KernelTable& t = kernels::scalarKernelTable();
     for (std::size_t m = unit.begin; m < unit.end; ++m) {
         for (std::size_t c = 0; c < fdim; ++c)
-            runOp(ops_[m], matrix + c * fdim, fdim, params, t, false);
+            runOp(ops_[m], matrix + c * fdim, fdim, params, t, false, {});
+    }
+}
+
+namespace {
+
+/** Order terms by qubit pair and add the coefficients of equal pairs. */
+std::vector<PhaseLevels::Term>
+mergeTerms(std::vector<PhaseLevels::Term> terms)
+{
+    for (PhaseLevels::Term& t : terms) {
+        if (t.a > t.b)
+            std::swap(t.a, t.b);
+    }
+    std::sort(terms.begin(), terms.end(),
+              [](const PhaseLevels::Term& x, const PhaseLevels::Term& y) {
+                  return x.a != y.a ? x.a < y.a : x.b < y.b;
+              });
+    std::vector<PhaseLevels::Term> merged;
+    for (const PhaseLevels::Term& t : terms) {
+        if (!merged.empty() && merged.back().a == t.a &&
+            merged.back().b == t.b)
+            merged.back().coeff += t.coeff;
+        else
+            merged.push_back(t);
+    }
+    std::erase_if(merged,
+                  [](const PhaseLevels::Term& t) { return t.coeff == 0.0; });
+    return merged;
+}
+
+} // namespace
+
+std::shared_ptr<const PhaseLevels>
+PhaseLevels::make(std::vector<Term> terms, double constant,
+                  std::shared_ptr<const std::vector<double>> table)
+{
+    terms = mergeTerms(std::move(terms));
+    if (!table || terms.empty())
+        return nullptr;
+    double unit = std::numeric_limits<double>::infinity();
+    for (const Term& t : terms)
+        unit = std::min(unit, std::abs(t.coeff));
+    // K = sum_e |m_e|, each m_e = |h_e| / unit an integer.
+    double k = 0.0;
+    for (const Term& t : terms) {
+        const double m = std::abs(t.coeff) / unit;
+        const double whole = std::round(m);
+        if (!std::isfinite(m) || std::abs(m - whole) > 1e-12 * whole)
+            return nullptr;
+        k += whole;
+    }
+    // The index rounds (C(z) - c) / unit to the nearest level, which
+    // needs C(z)'s rounding error well below one unit.
+    if (k + 1 > kMaxLevels || !(std::abs(constant) < 1e9 * unit))
+        return nullptr;
+    auto levels = std::shared_ptr<PhaseLevels>(new PhaseLevels());
+    levels->terms_ = std::move(terms);
+    levels->constant_ = constant;
+    levels->unit_ = unit;
+    levels->numLevels_ = static_cast<int>(k) + 1;
+    levels->table_ = std::move(table);
+    return levels;
+}
+
+const std::uint8_t*
+PhaseLevels::index() const
+{
+    std::call_once(built_, [this] {
+        // level = ((C(z) - c) / unit + K) / 2, rounded to nearest: one
+        // pass over the table, no search.
+        const std::vector<double>& values = *table_;
+        const double scale = 0.5 / unit_;
+        const double shift = 0.5 * (numLevels_ - 1) + 0.5;
+        index_.resize(values.size());
+        for (std::size_t z = 0; z < values.size(); ++z)
+            index_[z] = static_cast<std::uint8_t>(
+                (values[z] - constant_) * scale + shift);
+    });
+    return index_.data();
+}
+
+void
+CompiledCircuit::lowerPhaseOps()
+{
+    if (levels_->size() != std::size_t{1} << numQubits_) {
+        levels_.reset();
+        return;
+    }
+    const std::vector<PhaseLevels::Term>& terms = levels_->terms();
+    const std::array<cplx, 4> hadamard = gateMatrix1q(GateKind::H, 0.0);
+
+    // True when ops [i, j), RZZ ops on one parameter gamma, apply
+    // exp(-i factor gamma sum_e h_e Z_a Z_b / 2): per qubit pair their
+    // coefficients are one multiple of the cost's ZZ terms.
+    auto matches = [&](std::size_t i, std::size_t j, double& factor) {
+        std::vector<PhaseLevels::Term> run;
+        for (std::size_t m = i; m < j; ++m)
+            run.push_back({ops_[m].q0, ops_[m].q1, ops_[m].coeff});
+        run = mergeTerms(std::move(run));
+        if (run.size() != terms.size())
+            return false;
+        factor = run[0].coeff / terms[0].coeff;
+        for (std::size_t e = 0; e < terms.size(); ++e) {
+            if (run[e].a != terms[e].a || run[e].b != terms[e].b ||
+                std::abs(run[e].coeff - factor * terms[e].coeff) >
+                    1e-12 * std::abs(run[e].coeff))
+                return false;
+        }
+        return true;
+    };
+    // True when `ops` is H on every qubit once: |+...+> from |0...0>.
+    auto hadamardLayer = [&](const std::vector<CompiledOp>& ops) {
+        if (ops.size() != static_cast<std::size_t>(numQubits_))
+            return false;
+        std::vector<bool> seen(ops.size());
+        for (const CompiledOp& op : ops) {
+            if (op.op != KernelOp::Matrix1q || op.paramIndex >= 0 ||
+                op.matrix != hadamard || seen[op.q0])
+                return false;
+            seen[op.q0] = true;
+        }
+        return true;
+    };
+
+    std::vector<CompiledOp> lowered;
+    lowered.reserve(ops_.size());
+    std::size_t i = 0;
+    while (i < ops_.size()) {
+        const CompiledOp& first = ops_[i];
+        std::size_t j = i;
+        if (first.op == KernelOp::PhaseZZ && first.paramIndex >= 0) {
+            while (j < ops_.size() && ops_[j].op == KernelOp::PhaseZZ &&
+                   ops_[j].paramIndex == first.paramIndex &&
+                   ops_[j].angle == 0.0)
+                ++j;
+        }
+        double factor = 0.0;
+        if (j == i || !matches(i, j, factor)) {
+            const std::size_t stop = std::max(j, i + 1);
+            lowered.insert(lowered.end(), ops_.begin() + i,
+                           ops_.begin() + stop);
+            i = stop;
+            continue;
+        }
+        CompiledOp op;
+        op.kind = GateKind::RZZ;
+        op.paramIndex = first.paramIndex;
+        op.coeff = factor * levels_->unit();
+        op.phaseSlot = static_cast<std::uint16_t>(numPhaseOps_++);
+        if (hadamardLayer(lowered)) {
+            op.op = KernelOp::PhaseFill;
+            op.folded = static_cast<std::uint32_t>(lowered.size() + j - i);
+            lowered.clear();
+        } else {
+            op.op = KernelOp::PhaseTable;
+            op.folded = static_cast<std::uint32_t>(j - i);
+        }
+        fusedOps_ += op.folded;
+        lowered.push_back(op);
+        i = j;
+    }
+    ops_ = std::move(lowered);
+    if (numPhaseOps_ == 0)
+        levels_.reset();
+}
+
+void
+CompiledCircuit::resolvePhases(const CompiledOp& op, const double* params,
+                               cplx* phases) const
+{
+    // The run applies exp(-i a sum_e m_e Z_a Z_b / 2), a the resolved
+    // angle (factor * unit * gamma), and sum_e m_e Z_a Z_b = 2 level -
+    // K, so level l takes exp(-i a (l - K/2)). A fill also carries the
+    // 1/sqrt(N) amplitude of |+...+>.
+    const int num_levels = levels_->numLevels();
+    const double half_k = 0.5 * (num_levels - 1);
+    const double a = op.resolvedAngle(params);
+    const double scale =
+        op.op == KernelOp::PhaseFill
+            ? 1.0 / std::sqrt(static_cast<double>(std::size_t{1}
+                                                  << numQubits_))
+            : 1.0;
+    for (int l = 0; l < num_levels; ++l) {
+        const double x = -a * (l - half_k);
+        phases[l] = cplx(scale * std::cos(x), scale * std::sin(x));
     }
 }
 
@@ -712,6 +972,10 @@ CompiledCircuit::finalizeFrontier()
     // Unused parameters contribute a bogus level at numOps().
     while (!frontier_.empty() && frontier_.back() >= ops_.size())
         frontier_.pop_back();
+    // Rebuilding a PhaseFill-only prefix is one write pass; resuming a
+    // checkpoint of it would read and write the state. No checkpoint.
+    if (startsWithFill())
+        std::erase_if(frontier_, [](std::size_t l) { return l <= 1; });
 }
 
 std::vector<int>
@@ -755,6 +1019,7 @@ CompiledCircuit::runBlocked(cplx* amps, std::size_t dim,
                             const PlanSegment& seg, std::size_t begin,
                             std::size_t end, const double* params,
                             const kernels::KernelTable& table,
+                            const PhaseArgs& phases,
                             ReplayCounters* counters) const
 {
     const int k = blockBits_;
@@ -786,8 +1051,8 @@ CompiledCircuit::runBlocked(cplx* amps, std::size_t dim,
         for (std::size_t cb = begin; cb < end; cb += kOpChunk) {
             const std::size_t n = std::min(kOpChunk, end - cb);
             for (std::size_t j = 0; j < n; ++j)
-                resolved[j] =
-                    resolvePayload(ops_[cb + j], params, rotLower);
+                resolved[j] = resolvePayload(ops_[cb + j], params,
+                                             rotLower, &phases);
             for (std::size_t base = 0; base < dim; base += bs) {
                 cplx* blk = amps + base;
                 applyRunToBlock(table, blk, bs, base, resolved, n, k);
@@ -830,7 +1095,8 @@ CompiledCircuit::runBlocked(cplx* amps, std::size_t dim,
     // units) still replay per block through their resolved payloads.
     std::vector<ResolvedPayload> resolved(end - begin);
     for (std::size_t m = begin; m < end; ++m)
-        resolved[m - begin] = resolvePayload(ops_[m], params, rotLower);
+        resolved[m - begin] =
+            resolvePayload(ops_[m], params, rotLower, &phases);
 
     for (std::size_t base = 0; base < dim; base += bs) {
         cplx* blk = amps + base;
@@ -885,8 +1151,37 @@ CompiledCircuit::runRange(cplx* amps, std::size_t dim, std::size_t begin,
     const bool use_plan = blockBits_ > 0 && !plan_.empty() &&
                           (std::size_t{1} << blockBits_) <= dim;
     const bool rotLower = fuseBits_ > 0;
+
+    // Resolve the phase tables of the phase ops in range; each counts
+    // as one super-kernel collapsing the gates it replaced.
+    PhaseArgs phases;
+    std::vector<cplx> tables;
+    if (numPhaseOps_ > 0) {
+        if (dim != std::size_t{1} << numQubits_)
+            throw std::invalid_argument(
+                "CompiledCircuit::runRange: phase ops need the full state");
+        phases.stride = static_cast<std::size_t>(levels_->numLevels());
+        for (std::size_t m = begin; m < end; ++m) {
+            const CompiledOp& op = ops_[m];
+            if (!op.isPhaseOp())
+                continue;
+            if (tables.empty()) {
+                tables.resize(numPhaseOps_ * phases.stride);
+                phases.index = levels_->index();
+            }
+            resolvePhases(op, params,
+                          tables.data() + op.phaseSlot * phases.stride);
+            if (counters) {
+                ++counters->fusedSuperKernels;
+                counters->fusedOpsCollapsed += op.folded;
+            }
+        }
+        phases.tables = tables.data();
+    }
+
     if (!use_plan) {
-        runOps(ops_, begin, end, amps, dim, params, table, rotLower);
+        runOps(ops_, begin, end, amps, dim, params, table, rotLower,
+               phases);
         return;
     }
     for (const PlanSegment& seg : plan_) {
@@ -897,13 +1192,15 @@ CompiledCircuit::runRange(cplx* amps, std::size_t dim, std::size_t begin,
         const std::size_t lo = std::max<std::size_t>(seg.begin, begin);
         const std::size_t hi = std::min<std::size_t>(seg.end, end);
         if (seg.blocked && hi - lo >= 2) {
-            runBlocked(amps, dim, seg, lo, hi, params, table, counters);
+            runBlocked(amps, dim, seg, lo, hi, params, table, phases,
+                       counters);
             if (counters) {
                 ++counters->blockedGroupRuns;
                 counters->blockedOpsApplied += hi - lo;
             }
         } else {
-            runOps(ops_, lo, hi, amps, dim, params, table, rotLower);
+            runOps(ops_, lo, hi, amps, dim, params, table, rotLower,
+                   phases);
         }
     }
 }

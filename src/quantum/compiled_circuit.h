@@ -27,6 +27,28 @@
  * The replay plan (cache blocking and super-kernel fusion) is built
  * once from CompileOptions and never changes afterwards, so one
  * compiled circuit always replays one plan.
+ *
+ * QAOA phase ops. Given the PhaseLevels of a diagonal cost (the
+ * statevector backend passes them; every other caller compiles plain
+ * gates), the compiler rewrites each run of RZZ ops that shares one
+ * parameter and reproduces exp(-i k gamma sum_e h_e Z_a Z_b) for one
+ * common factor k into a single phase op over the cost's level index:
+ *
+ *  - PhaseFill, when the run directly follows a Hadamard layer at the
+ *    start of the schedule: amps[z] = phase[level[z]] / sqrt(N). It
+ *    replaces H^n on |0...0> plus the first cost layer and writes
+ *    every amplitude without reading any, so a replay from op 0 needs
+ *    no |0...0> written first (and always starts from |0...0>,
+ *    whatever the buffer held);
+ *  - PhaseTable for every later matching run: amps[z] *=
+ *    phase[level[z]].
+ *
+ * The per-level phases are resolved per replay call from the bound
+ * parameter; a phase op agrees with the gates it replaces to rounding.
+ * A frontier level whose prefix is only a PhaseFill is not a
+ * checkpoint level: rebuilding it is one write pass, cheaper than a
+ * checkpoint resume's read plus write, so p=1 QAOA schedules have no
+ * checkpoint levels at all.
  */
 
 #ifndef OSCAR_QUANTUM_COMPILED_CIRCUIT_H
@@ -35,6 +57,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "src/common/aligned.h"
@@ -45,6 +69,7 @@
 namespace oscar {
 
 class Statevector;
+struct PhaseArgs;
 
 /**
  * Default cache-blocking window in qubits: 2^10 amplitudes = 16 KiB of
@@ -103,6 +128,74 @@ struct CompileOptions
     int fuseWindow = 0;
 };
 
+/**
+ * The level structure of a diagonal cost C(z) = c + sum_e h_e Z_a Z_b
+ * whose ZZ coefficients are integer multiples h_e = m_e * unit of one
+ * unit. Each basis state has the level
+ *
+ *     level(z) = (sum_e m_e Z_a Z_b(z) + K) / 2,   K = sum_e |m_e|,
+ *
+ * an integer in [0, K], and C(z) = c + unit * (2 level(z) - K). So a
+ * phase operator exp(-i t sum_e h_e Z_a Z_b) is a (K + 1)-entry phase
+ * table indexed by one byte per basis state.
+ *
+ * The level index is derived from the cost's diagonal table on first
+ * use (one pass, thread-safe) and then shared by every compiled
+ * circuit holding this object, so copies and clones of a cost build
+ * it once.
+ */
+class PhaseLevels
+{
+  public:
+    /** One term h Z_a Z_b (a < b). */
+    struct Term
+    {
+        int a;
+        int b;
+        double coeff;
+    };
+
+    /** Most levels a one-byte index can address. */
+    static constexpr int kMaxLevels = 256;
+
+    /**
+     * Levels of the cost `constant + sum terms`, whose per-basis-state
+     * values are `table`. Terms on the same pair merge. Null when there
+     * is no ZZ term, the coefficients share no unit (every ratio to
+     * the smallest an integer to 1e-12), or the cost has more than
+     * kMaxLevels levels.
+     */
+    static std::shared_ptr<const PhaseLevels>
+    make(std::vector<Term> terms, double constant,
+         std::shared_ptr<const std::vector<double>> table);
+
+    /** Merged terms, sorted by (a, b). */
+    const std::vector<Term>& terms() const { return terms_; }
+
+    /** The common unit of the coefficients. */
+    double unit() const { return unit_; }
+
+    /** K + 1. */
+    int numLevels() const { return numLevels_; }
+
+    /** Basis states covered (2^n). */
+    std::size_t size() const { return table_->size(); }
+
+    /** level(z) for every basis state; built on the first call. */
+    const std::uint8_t* index() const;
+
+  private:
+    PhaseLevels() = default;
+
+    std::vector<Term> terms_;
+    double constant_ = 0.0;
+    double unit_ = 0.0;
+    int numLevels_ = 0;
+    std::shared_ptr<const std::vector<double>> table_;
+    mutable std::once_flag built_;
+    mutable std::vector<std::uint8_t> index_;
+};
+
 /** Kernel selector for one compiled op (see quantum/kernels.h). */
 enum class KernelOp : std::uint8_t
 {
@@ -111,7 +204,9 @@ enum class KernelOp : std::uint8_t
     CX,
     CZ,
     Swap,
-    PhaseZZ, ///< diagonal ZZ phases (RZZ)
+    PhaseZZ,    ///< diagonal ZZ phases (RZZ)
+    PhaseFill,  ///< amps[z] = phase[level[z]] / sqrt(N) (write-only)
+    PhaseTable, ///< amps[z] *= phase[level[z]]
 };
 
 /** One op of the compiled schedule. */
@@ -130,11 +225,25 @@ struct CompiledOp
     cplx phase0{};                ///< Diag1q: |0>, PhaseZZ: bits agree
     cplx phase1{};                ///< Diag1q: |1>, PhaseZZ: bits differ
 
+    /**
+     * Phase ops: the source ops the op replaces, and its ordinal among
+     * the schedule's phase ops. Its phase table is
+     * exp(-i resolvedAngle (level - K/2)) per level.
+     */
+    std::uint32_t folded = 0;
+    std::uint16_t phaseSlot = 0;
+
     /** Qubits the op acts on (2 for CX/CZ/Swap/PhaseZZ). */
     int arity() const
     {
         return (op == KernelOp::Matrix1q || op == KernelOp::Diag1q) ? 1
                                                                     : 2;
+    }
+
+    /** PhaseFill or PhaseTable (acts on every qubit, q0 = q1 = -1). */
+    bool isPhaseOp() const
+    {
+        return op == KernelOp::PhaseFill || op == KernelOp::PhaseTable;
     }
 
     /** Effective rotation angle under a parameter binding. */
@@ -156,7 +265,10 @@ struct ReplayCounters
     /** Ops that executed inside a blocked pass. */
     std::size_t blockedOpsApplied = 0;
 
-    /** Fused super-kernel executions (one per unit per replay). */
+    /**
+     * Fused super-kernel executions (one per unit or phase op per
+     * replay).
+     */
     std::size_t fusedSuperKernels = 0;
 
     /** Ops whose individual replay a super-kernel collapsed. */
@@ -171,6 +283,14 @@ class CompiledCircuit
 
     explicit CompiledCircuit(const Circuit& circuit,
                              const CompileOptions& options = {});
+
+    /**
+     * Compile with the QAOA phase ops of the cost `levels` (see the
+     * file comment); null compiles plain gates. `levels` must cover
+     * the circuit's 2^n basis states.
+     */
+    CompiledCircuit(const Circuit& circuit, const CompileOptions& options,
+                    std::shared_ptr<const PhaseLevels> levels);
 
     int numQubits() const { return numQubits_; }
     int numParams() const { return numParams_; }
@@ -192,9 +312,10 @@ class CompiledCircuit
 
     /**
      * The checkpointable depths of the schedule: the sorted distinct
-     * first-use positions of all used parameters. A statevector
-     * snapshot taken at depth L is fully determined by the parameters
-     * with firstUse < L (see paramsUsedBefore).
+     * first-use positions of all used parameters, less those whose
+     * prefix is at most a PhaseFill. A statevector snapshot taken at
+     * depth L is fully determined by the parameters with firstUse < L
+     * (see paramsUsedBefore).
      */
     const std::vector<std::size_t>& frontierLevels() const
     {
@@ -221,11 +342,29 @@ class CompiledCircuit
     /** Blocked runs in the plan (fused multi-op passes). */
     std::size_t numBlockedGroups() const { return blockedGroups_; }
 
-    /** Fused super-kernel units in the plan. */
-    std::size_t numFusedUnits() const { return units_.size(); }
+    /** Fused super-kernel units in the plan, phase ops included. */
+    std::size_t numFusedUnits() const
+    {
+        return units_.size() + numPhaseOps_;
+    }
 
     /** Ops collapsed into super-kernels (per full replay). */
     std::size_t fusedOpCount() const { return fusedOps_; }
+
+    /** PhaseFill and PhaseTable ops in the schedule. */
+    std::size_t numPhaseOps() const { return numPhaseOps_; }
+
+    /** The levels the phase ops index (null without phase ops). */
+    const std::shared_ptr<const PhaseLevels>& phaseLevels() const
+    {
+        return levels_;
+    }
+
+    /** True when op 0 is a PhaseFill (replay writes the whole state). */
+    bool startsWithFill() const
+    {
+        return !ops_.empty() && ops_[0].op == KernelOp::PhaseFill;
+    }
 
     /**
      * Replay ops [begin, end) onto a raw amplitude array of length
@@ -243,7 +382,9 @@ class CompiledCircuit
      * suffix replay) executes the identical unit sequence and stays
      * bit-exact; a cut in the middle of a unit makes that unit fall
      * back to per-op replay for that call, which is deterministic but
-     * differs from the fused result by rounding.
+     * differs from the fused result by rounding. Phase ops are
+     * element-wise, so any cut around them is bit-exact; they need
+     * dim == 2^numQubits (else std::invalid_argument).
      */
     void runRange(cplx* amps, std::size_t dim, std::size_t begin,
                   std::size_t end, const double* params,
@@ -304,6 +445,13 @@ class CompiledCircuit
 
     void finalizeFrontier();
 
+    /** Rewrite matching RZZ runs into phase ops (see the file comment). */
+    void lowerPhaseOps();
+
+    /** One phase op's per-level phases under `params`. */
+    void resolvePhases(const CompiledOp& op, const double* params,
+                       cplx* phases) const;
+
     /** True when `op` can join a blocked run under window `k`. */
     static bool blockable(const CompiledOp& op, int k);
 
@@ -332,6 +480,7 @@ class CompiledCircuit
                     std::size_t begin, std::size_t end,
                     const double* params,
                     const kernels::KernelTable& table,
+                    const PhaseArgs& phases,
                     ReplayCounters* counters) const;
 
     int numQubits_ = 0;
@@ -352,6 +501,9 @@ class CompiledCircuit
     AlignedVector<cplx> constPayload_; ///< prebuilt unit payloads
     std::size_t paramScratchSize_ = 0; ///< per-call scratch (complexes)
     std::size_t matvecScratchSize_ = 0;
+
+    std::shared_ptr<const PhaseLevels> levels_; ///< null: no phase ops
+    std::size_t numPhaseOps_ = 0;
 };
 
 } // namespace oscar

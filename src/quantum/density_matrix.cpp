@@ -142,6 +142,9 @@ DensityMatrix::applyOp(const CompiledOp& op, double resolved_angle)
                   std::conj(diff));
         return;
       }
+      case KernelOp::PhaseFill:
+      case KernelOp::PhaseTable:
+        break; // rejected by run(): phase ops address statevectors
     }
 }
 
@@ -251,6 +254,10 @@ DensityMatrix::run(const CompiledCircuit& compiled,
         throw std::invalid_argument(
             "DensityMatrix::run: schedule must be compiled with "
             "fuse1q off (ops map 1:1 onto noisy gates)");
+    if (compiled.numPhaseOps() != 0)
+        throw std::invalid_argument(
+            "DensityMatrix::run: schedule must be compiled without "
+            "QAOA phase ops");
     for (const CompiledOp& op : compiled.ops()) {
         applyOp(op, op.resolvedAngle(params.data()));
         if (op.arity() == 2)

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <stdexcept>
 
+#include "src/backend/statevector_backend.h"
 #include "src/common/fnv1a.h"
 #include "src/cs/dct.h"
 #include "src/cs/fista.h"
@@ -117,6 +118,7 @@ configHash(double sampling_fraction, std::uint64_t seed)
     h = fnv1aAppendU64(h, seed);
     h = fnv1aAppendU64(h, kCsTransformRevision);
     h = fnv1aAppendU64(h, kCsSolverRevision);
+    h = fnv1aAppendU64(h, kStatevectorPlanRevision);
     return h;
 }
 

@@ -13,7 +13,8 @@
  *          canonical GridSpec FNV-1a hash,
  *          sampling-config FNV-1a hash        -- fraction + seed +
  *                                                kCsTransformRevision +
- *                                                kCsSolverRevision)
+ *                                                kCsSolverRevision +
+ *                                                kStatevectorPlanRevision)
  *
  * holding the sampled points, the reconstructed values, the kernel
  * stats, and the grid spec as named streams. All doubles are stored as
@@ -155,10 +156,11 @@ std::uint64_t gridHash(const GridSpec& grid);
 
 /**
  * FNV-1a hash of the sampling config, kCsTransformRevision
- * (src/cs/dct.h) and kCsSolverRevision (src/cs/fista.h),
- * StoreKey::cfgHash: a landscape reconstructed by an older transform
- * or with older solver defaults differs from a fresh reconstruct, so
- * it must miss.
+ * (src/cs/dct.h), kCsSolverRevision (src/cs/fista.h) and
+ * kStatevectorPlanRevision (src/backend/statevector_backend.h),
+ * StoreKey::cfgHash: a landscape reconstructed by an older transform,
+ * with older solver defaults or from an older replay plan differs from
+ * a fresh reconstruct, so it must miss.
  */
 std::uint64_t configHash(double sampling_fraction, std::uint64_t seed);
 

@@ -791,9 +791,12 @@ TEST(AsyncEngine, RegistryCountsEachBatchOnceIncludingCancelled)
 
 TEST(AsyncEngine, OscarResultSurfacesExecutionStats)
 {
+    // p=2: a p=1 QAOA cost replays its first cost layer as a phase
+    // fill and has no checkpoint levels, so it never looks up the
+    // prefix cache.
     const Graph g = testGraph();
-    const GridSpec grid = GridSpec::qaoaP1(16, 24);
-    StatevectorCost cost(qaoaCircuit(g, 1), maxcutHamiltonian(g));
+    const GridSpec grid = GridSpec::qaoaP2(4, 5);
+    StatevectorCost cost(qaoaCircuit(g, 2), maxcutHamiltonian(g));
 
     OscarOptions options;
     options.samplingFraction = 0.2;

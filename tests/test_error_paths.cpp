@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 
@@ -20,6 +22,7 @@
 #include "src/hamiltonian/maxcut.h"
 #include "src/landscape/metrics.h"
 #include "src/mitigation/folding.h"
+#include "src/obs/metrics.h"
 #include "src/parallel/scheduler.h"
 
 namespace {
@@ -191,6 +194,57 @@ TEST(ErrorPaths, WorkerExceptionPropagatesThroughGet)
         engine.evaluate(fine, make_points(32));
     for (std::size_t i = 0; i < values.size(); ++i)
         EXPECT_EQ(values[i], 2.0 * static_cast<double>(i));
+}
+
+TEST(ErrorPaths, NonFiniteCostValueFailsTheRequest)
+{
+    // A backend that returns NaN on part of the grid: the engine fails
+    // the gather with a typed error, so no sample reaches the solve and
+    // no landscape exists to reply with or store.
+    obs::Counter& nonfinite =
+        obs::Registry::global().counter("engine.points.nonfinite");
+    const GridSpec grid({{-1.0, 1.0, 16}, {-1.0, 1.0, 16}});
+    for (const int threads : {1, 4}) {
+        LambdaCost poisoned(
+            2,
+            [](const std::vector<double>& p) {
+                return p[0] > 0.5 ? std::nan("") : p[0] * p[1];
+            },
+            /*thread_safe=*/true);
+        OscarOptions options;
+        options.samplingFraction = 0.5;
+        options.numThreads = threads;
+        const std::uint64_t before = nonfinite.value();
+        EXPECT_THROW(Oscar::reconstruct(grid, poisoned, options),
+                     NonFiniteValueError)
+            << threads << " thread(s)";
+        EXPECT_GT(nonfinite.value(), before) << threads << " thread(s)";
+    }
+
+    // Infinities too; the error names the point, each bad point counts
+    // once, and the engine stays usable.
+    ExecutionEngine engine(2);
+    LambdaCost overflow(
+        1,
+        [](const std::vector<double>& p) {
+            return p[0] == 3.0 ? std::numeric_limits<double>::infinity()
+                               : p[0];
+        },
+        /*thread_safe=*/true);
+    std::vector<std::vector<double>> points;
+    for (int i = 0; i < 16; ++i)
+        points.push_back({static_cast<double>(i)});
+    const std::uint64_t before = nonfinite.value();
+    try {
+        engine.evaluate(overflow, points);
+        ADD_FAILURE() << "an infinite value was accepted";
+    } catch (const NonFiniteValueError& e) {
+        EXPECT_EQ(e.index(), 3u);
+        EXPECT_TRUE(std::isinf(e.value()));
+    }
+    EXPECT_EQ(nonfinite.value() - before, 1u);
+    points.erase(points.begin() + 3);
+    EXPECT_EQ(engine.evaluate(overflow, points).size(), 15u);
 }
 
 TEST(ErrorPaths, ThrowingOnCompleteCallbackFailsBatchSafely)

@@ -20,16 +20,23 @@
  *  - requesting an unavailable ISA throws, naming the available ones,
  *  - kernel ISA / blocked-pass / fusion counters surface through
  *    CostFunction::kernelStats and BatchHandle::stats,
- *  - amplitude and fused-payload storage is cache-line aligned.
+ *  - amplitude and fused-payload storage is cache-line aligned,
+ *  - the QAOA phase plan: chosen exactly for RZZ layers that match a
+ *    ZZ-only Hamiltonian of at most 256 levels, within 1e-12 of the
+ *    gate replay, bit-identical across batching, clones and engine
+ *    threads, and free of prefix-cache traffic at p=1.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <vector>
 
 #include "src/ansatz/qaoa.h"
+#include "src/ansatz/two_local.h"
 #include "src/backend/analytic_qaoa.h"
 #include "src/backend/engine.h"
 #include "src/backend/statevector_backend.h"
@@ -357,9 +364,10 @@ replayEnergies(const CompiledCircuit& compiled,
 /**
  * For every ISA: one-by-one evaluation of `circuit` against `ham`, the
  * grouped batched path (fused expectation), the cache-off path and a
- * per-point replay of StatevectorCost::kPlan agree bit for bit; every
- * value is within 1e-12 of the unfused replay; and the unfused plan
- * replays bit for bit with blocking on and off.
+ * per-point replay of the cost's own compiled schedule agree bit for
+ * bit; every value is within 1e-12 of the StatevectorCost::kPlan gate
+ * replay and of the unfused replay; and the unfused plan replays bit
+ * for bit with blocking on and off.
  */
 void
 expectReplayPathsAgree(const Circuit& circuit, const PauliSum& ham)
@@ -404,7 +412,9 @@ expectReplayPathsAgree(const Circuit& circuit, const PauliSum& ham)
         uncached.configureKernel(no_cache);
         const auto uncached_values = uncached.evaluateBatch(points);
 
-        const auto per_point = replayEnergies(plan, diag, points, *table);
+        const auto per_point =
+            replayEnergies(one_by_one.compiled(), diag, points, *table);
+        const auto plan_values = replayEnergies(plan, diag, points, *table);
         const auto unfused_values =
             replayEnergies(unfused, diag, points, *table);
         const auto unblocked_values =
@@ -415,6 +425,8 @@ expectReplayPathsAgree(const Circuit& circuit, const PauliSum& ham)
             EXPECT_EQ(reference[i], uncached_values[i])
                 << name << " point " << i;
             EXPECT_EQ(reference[i], per_point[i])
+                << name << " point " << i;
+            EXPECT_NEAR(reference[i], plan_values[i], 1e-12)
                 << name << " point " << i;
             EXPECT_NEAR(reference[i], unfused_values[i], 1e-12)
                 << name << " point " << i;
@@ -849,26 +861,259 @@ TEST(Kernels, NonDiagonalBatchedExpectationBitIdentical)
 TEST(Kernels, FusedReplayPathsBitIdenticalPerIsa)
 {
     // The one replay plan is fused: a default-constructed 12-qubit p=2
-    // cost runs super-kernels and reproduces a replay of
-    // StatevectorCost::kPlan bit for bit. With 12 qubits the block
-    // window (10) splits the state into blocks.
+    // cost runs super-kernels and reproduces a replay of its compiled
+    // schedule bit for bit. With 12 qubits the block window (10)
+    // splits the state into blocks. A Z term keeps the second cost on
+    // the gate path, whose schedule is StatevectorCost::kPlan itself.
     Rng rng(71);
     const Graph g = random3RegularGraph(12, rng);
     const Circuit circuit = qaoaCircuit(g, 2);
     const PauliSum ham = maxcutHamiltonian(g);
+    PauliSum gate_ham = ham;
+    gate_ham.add(0.25, PauliString::zString(12, {3}));
 
     StatevectorCost defaults(circuit, ham);
+    ASSERT_GT(defaults.compiled().numPhaseOps(), 0u);
     const auto points = axisMajorPoints(defaults);
     const auto values = defaults.evaluateBatch(points);
     EXPECT_GT(defaults.kernelStats().fusedSuperKernels, 0u);
     const auto reference =
-        replayEnergies(CompiledCircuit(circuit, StatevectorCost::kPlan),
-                       ham.diagonalTable(), points,
+        replayEnergies(defaults.compiled(), ham.diagonalTable(), points,
                        kernels::defaultKernelTable());
     for (std::size_t i = 0; i < points.size(); ++i)
         EXPECT_EQ(reference[i], values[i]) << "point " << i;
 
+    StatevectorCost gates(circuit, gate_ham);
+    ASSERT_EQ(gates.compiled().numPhaseOps(), 0u);
+    const auto gate_values = gates.evaluateBatch(points);
+    EXPECT_GT(gates.kernelStats().fusedSuperKernels, 0u);
+    const auto gate_reference =
+        replayEnergies(CompiledCircuit(circuit, StatevectorCost::kPlan),
+                       gate_ham.diagonalTable(), points,
+                       kernels::defaultKernelTable());
+    for (std::size_t i = 0; i < points.size(); ++i)
+        EXPECT_EQ(gate_reference[i], gate_values[i]) << "point " << i;
+
     expectReplayPathsAgree(circuit, ham);
+    expectReplayPathsAgree(circuit, gate_ham);
+}
+
+/** True when a StatevectorCost of (circuit, ham) compiles phase ops. */
+bool
+phasePlan(const Circuit& circuit, const PauliSum& ham)
+{
+    return StatevectorCost(circuit, ham).compiled().numPhaseOps() > 0;
+}
+
+TEST(Kernels, PhasePlanChosenOnlyForMatchingQaoaCosts)
+{
+    Rng rng(73);
+    const Graph g = random3RegularGraph(8, rng);
+    const PauliSum ham = maxcutHamiltonian(g);
+
+    // p=1: H layer + cost layer become one fill; no checkpoint level.
+    const StatevectorCost p1(qaoaCircuit(g, 1), ham);
+    EXPECT_TRUE(p1.compiled().startsWithFill());
+    EXPECT_EQ(p1.compiled().numPhaseOps(), 1u);
+    EXPECT_TRUE(p1.compiled().frontierLevels().empty());
+    EXPECT_EQ(p1.compiled().numOps(), 1u + 8u);
+
+    // p=2: a fill and a table; the deeper levels stay checkpoints.
+    const StatevectorCost p2(qaoaCircuit(g, 2), ham);
+    EXPECT_EQ(p2.compiled().numPhaseOps(), 2u);
+    EXPECT_EQ(p2.compiled().frontierLevels().size(), 2u);
+
+    // No RZZ layer at all.
+    EXPECT_FALSE(phasePlan(twoLocalCircuit(8, 2), ham));
+
+    // RZZ layers that do not match the Hamiltonian's ZZ terms.
+    Rng other_rng(74);
+    const Graph other = random3RegularGraph(8, other_rng);
+    EXPECT_FALSE(phasePlan(qaoaCircuit(g, 1), maxcutHamiltonian(other)));
+
+    // A non-ZZ term, diagonal or not.
+    PauliSum extra_z = ham;
+    extra_z.add(0.5, PauliString::zString(8, {2}));
+    EXPECT_FALSE(phasePlan(qaoaCircuit(g, 1), extra_z));
+    PauliSum extra_x = ham;
+    extra_x.add(0.5, "XIIIIIII");
+    EXPECT_FALSE(phasePlan(qaoaCircuit(g, 1), extra_x));
+
+    // Integer weights 1..28 on K8: 407 > 256 levels.
+    Graph weighted(8);
+    double w = 1.0;
+    for (int u = 0; u < 8; ++u) {
+        for (int v = u + 1; v < 8; ++v)
+            weighted.addEdge(u, v, w++);
+    }
+    EXPECT_FALSE(
+        phasePlan(qaoaCircuit(weighted, 1), maxcutHamiltonian(weighted)));
+    // The same graph with weights 1 and 2 has 3 * 14 + 1 = 43 levels.
+    Graph light(8);
+    int e = 0;
+    for (int u = 0; u < 8; ++u) {
+        for (int v = u + 1; v < 8; ++v)
+            light.addEdge(u, v, (e++ % 2) ? 2.0 : 1.0);
+    }
+    EXPECT_TRUE(phasePlan(qaoaCircuit(light, 1), maxcutHamiltonian(light)));
+
+    // Only the statevector cost opts in: plain compiles keep the gates.
+    EXPECT_EQ(CompiledCircuit(qaoaCircuit(g, 1), StatevectorCost::kPlan)
+                  .numPhaseOps(),
+              0u);
+}
+
+/** `count` grid points of `depth`-layer QAOA, spread over (-1.5, 1.5). */
+std::vector<std::vector<double>>
+randomQaoaPoints(int depth, std::size_t count, Rng& rng)
+{
+    std::vector<std::vector<double>> points(count);
+    for (auto& p : points) {
+        for (int j = 0; j < 2 * depth; ++j)
+            p.push_back(rng.uniform(-1.5, 1.5));
+    }
+    return points;
+}
+
+TEST(Kernels, PhasePlanMatchesGateReplay)
+{
+    struct Case
+    {
+        int qubits;
+        int depth;
+        std::size_t points;
+    };
+    for (const Case c : {Case{12, 2, 12}, Case{20, 1, 3}}) {
+        Rng rng(75 + c.qubits);
+        const Graph g = random3RegularGraph(c.qubits, rng);
+        const Circuit circuit = qaoaCircuit(g, c.depth);
+        const PauliSum ham = maxcutHamiltonian(g);
+        StatevectorCost cost(circuit, ham);
+        ASSERT_GT(cost.compiled().numPhaseOps(), 0u) << c.qubits << "q";
+        const auto points = randomQaoaPoints(c.depth, c.points, rng);
+        const auto values = cost.evaluateBatch(points);
+        const auto gates =
+            replayEnergies(CompiledCircuit(circuit, StatevectorCost::kPlan),
+                           *cost.diagonal(), points, cost.kernelTable());
+        for (std::size_t i = 0; i < points.size(); ++i)
+            EXPECT_NEAR(values[i], gates[i], 1e-12)
+                << c.qubits << "q point " << i;
+    }
+}
+
+TEST(Kernels, PhaseOpsReplayBitIdenticalBlockedAndSegmented)
+{
+    // 12 qubits: the block window (10) splits the state, so the fill
+    // and the table run per block in the plan and over the whole state
+    // unblocked. Both, and every cut of the schedule, agree bitwise.
+    Rng rng(79);
+    const Graph g = random3RegularGraph(12, rng);
+    const Circuit circuit = qaoaCircuit(g, 2);
+    const StatevectorCost cost(circuit, maxcutHamiltonian(g));
+    const CompiledCircuit& plan = cost.compiled();
+    ASSERT_EQ(plan.numPhaseOps(), 2u);
+    ASSERT_GT(plan.numBlockedGroups(), 0u);
+    // No gate super-kernel for a cut to split.
+    ASSERT_EQ(plan.numFusedUnits(), plan.numPhaseOps());
+    const CompiledCircuit unblocked(
+        circuit, CompileOptions{.blockWindow = 0, .fuseWindow = 4},
+        plan.phaseLevels());
+    ASSERT_EQ(unblocked.numPhaseOps(), 2u);
+    ASSERT_EQ(unblocked.numBlockedGroups(), 0u);
+    const std::vector<double> params = {0.31, -0.77, 1.13, -0.42};
+    const std::size_t dim = std::size_t{1} << 12;
+
+    for (const KernelTable* table : availableTables()) {
+        // Garbage in the buffer: a fill-first replay overwrites it.
+        AlignedVector<cplx> straight(dim, cplx(3.0, -1.0));
+        ReplayCounters counters;
+        plan.runRange(straight.data(), dim, 0, plan.numOps(),
+                      params.data(), *table, &counters);
+        EXPECT_EQ(counters.fusedSuperKernels, 2u);
+        AlignedVector<cplx> flat(dim);
+        unblocked.runRange(flat.data(), dim, 0, unblocked.numOps(),
+                           params.data(), *table);
+        expectAmpsIdentical(straight, flat);
+        for (std::size_t cut = 1; cut < plan.numOps(); ++cut) {
+            AlignedVector<cplx> split(dim);
+            plan.runRange(split.data(), dim, 0, cut, params.data(),
+                          *table);
+            plan.runRange(split.data(), dim, cut, plan.numOps(),
+                          params.data(), *table);
+            expectAmpsIdentical(straight, split);
+        }
+    }
+    AlignedVector<cplx> partial(dim / 2);
+    EXPECT_THROW(plan.runRange(partial.data(), dim / 2, 0, plan.numOps(),
+                               params.data()),
+                 std::invalid_argument);
+}
+
+TEST(Kernels, PhasePlanBitIdenticalAcrossBatchingClonesAndThreads)
+{
+    for (const int depth : {1, 2}) {
+        Rng rng(80 + depth);
+        const Graph g = random3RegularGraph(12, rng);
+        const Circuit circuit = qaoaCircuit(g, depth);
+        const PauliSum ham = maxcutHamiltonian(g);
+        const auto points = randomQaoaPoints(depth, 24, rng);
+
+        StatevectorCost one_by_one(circuit, ham);
+        ASSERT_GT(one_by_one.compiled().numPhaseOps(), 0u);
+        std::vector<double> reference;
+        for (const auto& p : points)
+            reference.push_back(one_by_one.evaluate(p));
+
+        StatevectorCost batched(circuit, ham);
+        const auto batch_values = batched.evaluateBatch(points);
+        const std::unique_ptr<CostFunction> clone = batched.clone();
+        const auto clone_values = clone->evaluateBatch(points);
+        EXPECT_EQ(std::memcmp(batch_values.data(), reference.data(),
+                              reference.size() * sizeof(double)),
+                  0)
+            << "p=" << depth;
+        EXPECT_EQ(std::memcmp(clone_values.data(), reference.data(),
+                              reference.size() * sizeof(double)),
+                  0)
+            << "p=" << depth;
+
+        // A fresh cost per engine, so its replicas race to build the
+        // shared level index.
+        for (int threads = 1; threads <= 4; ++threads) {
+            ExecutionEngine engine(EngineOptions{threads, 1});
+            StatevectorCost cost(circuit, ham);
+            const auto values = engine.evaluate(cost, points);
+            EXPECT_EQ(std::memcmp(values.data(), reference.data(),
+                                  reference.size() * sizeof(double)),
+                      0)
+                << "p=" << depth << ", " << threads << " thread(s)";
+        }
+    }
+}
+
+TEST(Kernels, PhasePlanP1SkipsThePrefixCache)
+{
+    Rng rng(83);
+    const Graph g = random3RegularGraph(10, rng);
+    const PauliSum ham = maxcutHamiltonian(g);
+
+    StatevectorCost p1(qaoaCircuit(g, 1), ham);
+    const auto p1_points = randomQaoaPoints(1, 16, rng);
+    p1.evaluateBatch(p1_points);
+    for (const auto& p : p1_points)
+        p1.evaluate(p);
+    const KernelStats p1_stats = p1.kernelStats();
+    EXPECT_EQ(p1_stats.cacheLookups, 0u);
+    EXPECT_EQ(p1_stats.cacheHits, 0u);
+    EXPECT_EQ(p1.prefixCache().numEntries(), 0u);
+    // One fill per evaluation, folding the H layer and the cost layer.
+    EXPECT_EQ(p1_stats.fusedSuperKernels, 2 * p1_points.size());
+    EXPECT_EQ(p1_stats.fusedOpsCollapsed,
+              2 * p1_points.size() * (10 + g.edges().size()));
+
+    StatevectorCost p2(qaoaCircuit(g, 2), ham);
+    p2.evaluateBatch(axisMajorPoints(p2));
+    EXPECT_GT(p2.kernelStats().cacheHits, 0u);
 }
 
 TEST(Kernels, ParseIsaNameAcceptsOnlyKnownNames)

@@ -32,6 +32,7 @@
 #include <unistd.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -700,6 +701,26 @@ TEST(ServeServerTest, UnavailableIsaGetsAnErrorResponse)
     EXPECT_EQ(counters.errors, 1u);
     EXPECT_EQ(counters.evaluations, 1u);
     EXPECT_EQ(counters.responses, 2u);
+}
+
+TEST(ServeServerTest, NonFiniteCostIsAnErrorAndNeverStored)
+{
+    // A NaN coefficient makes every energy NaN: the engine fails the
+    // gather, the daemon answers Error, and nothing reaches the store.
+    ServerFixture fixture;
+    ServeClient client(fixture.socket());
+    RequestMsg req = makeRequest(42);
+    req.cost.hamiltonian.add(std::nan(""), PauliString(6));
+    const ResponseMsg resp = client.call(req);
+    EXPECT_EQ(resp.status, ResponseStatus::Error);
+    EXPECT_NE(resp.error.find("nan"), std::string::npos) << resp.error;
+
+    RequestMsg fetch = req;
+    fetch.kind = RequestKind::Fetch;
+    EXPECT_EQ(client.call(fetch).status, ResponseStatus::Miss);
+    const ServeCounters counters = fixture.server->counters();
+    EXPECT_EQ(counters.errors, 1u);
+    EXPECT_EQ(counters.store.puts, 0u);
 }
 
 TEST(ServeServerTest, GracefulDrainAnswersAdmittedRequests)

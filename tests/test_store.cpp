@@ -40,6 +40,7 @@
 #include "src/common/packbits.h"
 #include "src/common/rng.h"
 #include "src/cs/dct.h"
+#include "src/cs/fista.h"
 #include "src/store/archive.h"
 #include "src/store/landscape_store.h"
 #include "tests/mutation_fuzz.h"
@@ -699,6 +700,33 @@ TEST(LandscapeStoreTest, EntryKeyedBeforeSolverRevisionIsAMiss)
                                                   entry.samplingFraction)),
             entry.sampleSeed),
         kCsTransformRevision);
+    ASSERT_NE(old_key.cfgHash, keyFor(entry).cfgHash);
+    store.put(old_key, entry);
+
+    EXPECT_FALSE(store.load(keyFor(entry)).has_value());
+    EXPECT_FALSE(store.load(old_key).has_value());
+    EXPECT_EQ(store.stats().hits, 0u);
+}
+
+TEST(LandscapeStoreTest, EntryKeyedBeforePlanRevisionIsAMiss)
+{
+    // The sampling-config hash before the statevector plan revision
+    // joined it: fraction, seed and the two CS revisions. Such an
+    // entry was sampled by the RZZ gate replay, whose values differ by
+    // rounding from the phase-op plan's, so it must never be served.
+    TempDir dir;
+    LandscapeStore store({dir.path + "/store", std::size_t{64} << 20});
+    const StoredLandscape entry = sampleEntry();
+    StoreKey old_key = keyFor(entry);
+    old_key.cfgHash = fnv1aAppendU64(
+        fnv1aAppendU64(
+            fnv1aAppendU64(
+                fnv1aAppendU64(kFnv1aOffsetBasis,
+                               std::bit_cast<std::uint64_t>(
+                                   entry.samplingFraction)),
+                entry.sampleSeed),
+            kCsTransformRevision),
+        kCsSolverRevision);
     ASSERT_NE(old_key.cfgHash, keyFor(entry).cfgHash);
     store.put(old_key, entry);
 

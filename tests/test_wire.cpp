@@ -195,9 +195,11 @@ TEST(WireTest, GoldenCostIdAndConfigHash)
     // the sampling-config hash are store keys, so changing either
     // orphans every container already on disk. The config hash was
     // re-pinned when kCsSolverRevision joined it: containers solved
-    // with the old FISTA defaults must miss. The costId was re-pinned
-    // at wire v9, when KernelOptions dropped its replay-plan fields:
-    // landscapes computed under a per-request plan must miss.
+    // with the old FISTA defaults must miss, and again when
+    // kStatevectorPlanRevision joined it: landscapes sampled by the RZZ
+    // gate replay must miss. The costId was re-pinned at wire v9, when
+    // KernelOptions dropped its replay-plan fields: landscapes computed
+    // under a per-request plan must miss.
     const Graph graph = meshGraph(2, 3);
     CostSpec spec;
     spec.circuit = qaoaCircuit(graph, 1);
@@ -206,7 +208,7 @@ TEST(WireTest, GoldenCostIdAndConfigHash)
     const std::vector<std::uint8_t> payload = encodeCostSpec(spec);
     EXPECT_EQ(spec.costId, 0x3a9470642955a825ull);
     EXPECT_EQ(payload.size(), 733u);
-    EXPECT_EQ(store::configHash(0.05, 1), 0x3a6dae9ddf472bd5ull);
+    EXPECT_EQ(store::configHash(0.05, 1), 0x9b440b9bae91ccb7ull);
     EXPECT_EQ(store::gridHash(GridSpec::qaoaP1(20, 40)),
               0xc5d2700ab1021b8bull);
 }
