@@ -1,15 +1,16 @@
 /**
  * @file
- * Execution-engine throughput (scalar vs batched vs prefix-cached vs
+ * Execution-engine throughput (per-point evaluate vs one batch vs
  * threaded) and the CS solve on the engine.
  *
  * Studies:
  *
- *  1. Sweep modes: scalar loop (cache off), one batched submission
- *     (cache off), prefix-cached batch, and the prefix-cached batch
+ *  1. Sweep modes: per-point evaluate() (the reference: every point
+ *     replayed from scratch), one batch (each point resumed from the
+ *     previous one's shared prefix, fused expectation), and the batch
  *     fanned out over k workers -- every mode verified bit-identical
- *     to the scalar reference (caching and threading change
- *     performance, never values).
+ *     to the reference (resuming and threading change performance,
+ *     never values).
  *
  *  2. Kernel layers (BENCH_kernels.json): the one fused, blocked
  *     replay plan on each available kernel ISA, on the 12-qubit p=2
@@ -124,9 +125,9 @@ struct SweepCase
 
 /**
  * Time `run(cost)` `reps` times, each on a fresh cost of `sweep` built
- * and configured outside the timed region: every rep starts with a
- * cold prefix cache (a reconfigured cost would keep its shared one)
- * and pays no circuit lowering or diagonal-table build.
+ * and configured outside the timed region: every rep starts with no
+ * resume buffers or scratch states allocated and pays no circuit
+ * lowering or diagonal-table build.
  */
 template <typename Run>
 bench::TimingStats
@@ -150,7 +151,7 @@ timeFreshCosts(const SweepCase& sweep, int reps,
  * replaying StatevectorCost's one plan on fresh costs:
  *
  *  - the acceptance sweep (axis-major 12q p=2 QAOA, one batch, prefix
- *    cache and batched expectation);
+ *    resume and batched expectation);
  *  - the p1_exec request's gather: 150 samples (3%) of the 20-qubit
  *    p=1 grid through gatherCost on a 4-thread engine, as
  *    Oscar::reconstruct runs them (rows "p1_gather_<isa>").
@@ -516,54 +517,39 @@ runSweep(int num_qubits, int depth, const GridSpec& grid)
                   std::to_string(num_points) + "-point sweep (median of " +
                   std::to_string(kReps) + ")");
 
-    KernelOptions cache_off;
-    cache_off.prefixCache = false;
-
     std::vector<Mode> modes;
 
-    // 1. Scalar reference, cache off.
+    // 1. Per-point evaluate(): every point replayed from scratch.
     std::vector<double> reference;
     {
-        StatevectorCost cost = sweep.make();
-        cost.configureKernel(cache_off);
-        const auto timing = bench::timeRepeated(kReps, [&] {
-            reference.clear();
-            reference.reserve(points.size());
-            for (const auto& p : points)
-                reference.push_back(cost.evaluate(p));
-        });
-        modes.push_back({"scalar (no cache)", timing, true});
+        const auto timing = timeFreshCosts(
+            sweep, kReps, KernelOptions{}, [&](StatevectorCost& cost) {
+                reference.clear();
+                reference.reserve(points.size());
+                for (const auto& p : points)
+                    reference.push_back(cost.evaluate(p));
+            });
+        modes.push_back({"per-point evaluate (reference)", timing, true});
     }
 
-    // 2. Batched path: one submission, cache off.
-    {
-        StatevectorCost cost = sweep.make();
-        cost.configureKernel(cache_off);
-        std::vector<double> values;
-        const auto timing = bench::timeRepeated(
-            kReps, [&] { values = cost.evaluateBatch(points); });
-        modes.push_back(
-            {"batched (no cache)", timing, identical(values, reference)});
-    }
-
-    // 3. Prefix-cached batch on a fresh cost per rep: every rep pays
-    // the cold cache like a fresh sweep would.
+    // 2. One batch on a fresh cost per rep: each point resumes from
+    // the previous one's deepest shared frontier level.
     {
         std::vector<double> values;
-        std::size_t hits = 0, lookups = 0;
+        KernelStats stats;
         const auto timing = timeFreshCosts(
             sweep, kReps, KernelOptions{}, [&](StatevectorCost& cost) {
                 values = cost.evaluateBatch(points);
-                hits = cost.prefixCache().hits();
-                lookups = cost.prefixCache().lookups();
+                stats = cost.kernelStats();
             });
         modes.push_back(
-            {"prefix-cached batch", timing, identical(values, reference)});
-        std::printf("  (cache: %zu hits / %zu lookups)\n", hits, lookups);
+            {"batch (resume)", timing, identical(values, reference)});
+        std::printf("  (resumed %zu of %zu points with a frontier level)\n",
+                    stats.cacheHits, stats.cacheLookups);
     }
 
-    // 4. Engine with growing worker pools, prefix cache on (replica
-    // clones start cold each submission).
+    // 3. Engine with growing worker pools (one contiguous chunk per
+    // replica).
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     for (unsigned threads = 2; threads <= hw && threads <= 8;
          threads *= 2) {
@@ -573,8 +559,8 @@ runSweep(int num_qubits, int depth, const GridSpec& grid)
             sweep, kReps, KernelOptions{}, [&](StatevectorCost& cost) {
                 values = engine.submit(cost, points).get();
             });
-        modes.push_back({"engine x" + std::to_string(threads) + " cached",
-                         timing, identical(values, reference)});
+        modes.push_back({"engine x" + std::to_string(threads), timing,
+                         identical(values, reference)});
     }
 
     report(modes, num_points);
@@ -590,60 +576,62 @@ runSweep(int num_qubits, int depth, const GridSpec& grid)
 namespace oscar {
 namespace {
 
-void
-BM_BatchedNoCache(benchmark::State& state)
+SweepCase
+gbenchSweep(const benchmark::State& state)
 {
-    const SweepCase sweep(static_cast<int>(state.range(0)),
-                          static_cast<int>(state.range(1)),
-                          state.range(1) == 1 ? GridSpec::qaoaP1(30, 60)
-                                              : GridSpec::qaoaP2(5, 7));
+    return SweepCase(static_cast<int>(state.range(0)),
+                     static_cast<int>(state.range(1)),
+                     state.range(1) == 1 ? GridSpec::qaoaP1(30, 60)
+                                         : GridSpec::qaoaP2(5, 7));
+}
+
+/** Per-point evaluate() reference for the bit-identity guards below. */
+std::vector<double>
+scalarReference(const SweepCase& sweep)
+{
     StatevectorCost cost = sweep.make();
-    KernelOptions cache_off;
-    cache_off.prefixCache = false;
-    cost.configureKernel(cache_off);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(cost.evaluateBatch(sweep.points));
+    std::vector<double> values;
+    for (const auto& p : sweep.points)
+        values.push_back(cost.evaluate(p));
+    return values;
+}
+
+void
+BM_PerPointEvaluate(benchmark::State& state)
+{
+    const SweepCase sweep = gbenchSweep(state);
+    StatevectorCost cost = sweep.make();
+    for (auto _ : state) {
+        for (const auto& p : sweep.points)
+            benchmark::DoNotOptimize(cost.evaluate(p));
+    }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations() *
                                   sweep.points.size()));
 }
 
-/** Cache-off batch reference for the bit-identity guards below. */
-std::vector<double>
-scalarReference(const SweepCase& sweep)
-{
-    StatevectorCost cost = sweep.make();
-    KernelOptions cache_off;
-    cache_off.prefixCache = false;
-    cost.configureKernel(cache_off);
-    return cost.evaluateBatch(sweep.points);
-}
-
 void
-BM_PrefixCachedBatch(benchmark::State& state)
+BM_BatchResume(benchmark::State& state)
 {
-    const SweepCase sweep(static_cast<int>(state.range(0)),
-                          static_cast<int>(state.range(1)),
-                          state.range(1) == 1 ? GridSpec::qaoaP1(30, 60)
-                                              : GridSpec::qaoaP2(5, 7));
+    const SweepCase sweep = gbenchSweep(state);
     const std::vector<double> reference = scalarReference(sweep);
     std::vector<double> values;
     for (auto _ : state) {
         state.PauseTiming();
-        StatevectorCost cost = sweep.make(); // cold cache per rep
+        StatevectorCost cost = sweep.make(); // no buffers yet per rep
         state.ResumeTiming();
         values = cost.evaluateBatch(sweep.points);
         benchmark::DoNotOptimize(values);
     }
     if (!identical(values, reference))
-        state.SkipWithError("prefix-cached batch diverged from scalar");
+        state.SkipWithError("resumed batch diverged from evaluate()");
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations() *
                                   sweep.points.size()));
 }
 
 void
-BM_EngineCachedSubmit(benchmark::State& state)
+BM_EngineSubmit(benchmark::State& state)
 {
     const SweepCase sweep(12, 2, GridSpec::qaoaP2(5, 7));
     const std::vector<double> reference = scalarReference(sweep);
@@ -651,7 +639,7 @@ BM_EngineCachedSubmit(benchmark::State& state)
     std::vector<double> values;
     for (auto _ : state) {
         state.PauseTiming();
-        StatevectorCost cost = sweep.make(); // cold cache per rep
+        StatevectorCost cost = sweep.make();
         state.ResumeTiming();
         values = engine.submit(cost, sweep.points).get();
         benchmark::DoNotOptimize(values);
@@ -663,15 +651,15 @@ BM_EngineCachedSubmit(benchmark::State& state)
                                   sweep.points.size()));
 }
 
-BENCHMARK(BM_BatchedNoCache)
+BENCHMARK(BM_PerPointEvaluate)
     ->Args({12, 1})
     ->Args({12, 2})
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PrefixCachedBatch)
+BENCHMARK(BM_BatchResume)
     ->Args({12, 1})
     ->Args({12, 2})
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_EngineCachedSubmit)
+BENCHMARK(BM_EngineSubmit)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);

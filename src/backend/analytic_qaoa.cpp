@@ -152,15 +152,12 @@ AnalyticQaoaCost::energyFromFactors(
 const std::vector<AnalyticQaoaCost::EdgeGammaFactors>&
 AnalyticQaoaCost::factorsFor(double gamma)
 {
-    const bool memoize = kernel_.prefixCache;
-    if (memoize)
-        ++memoLookups_; // counters only track real memo traffic
-    if (!memoize || !memoValid_ ||
-        std::bit_cast<std::uint64_t>(memoGamma_) !=
-            std::bit_cast<std::uint64_t>(gamma)) {
+    ++memoLookups_;
+    if (!memoValid_ || std::bit_cast<std::uint64_t>(memoGamma_) !=
+                           std::bit_cast<std::uint64_t>(gamma)) {
         computeGammaFactors(gamma, memo_);
         memoGamma_ = gamma;
-        memoValid_ = memoize;
+        memoValid_ = true;
     } else {
         ++memoHits_;
     }
@@ -183,13 +180,6 @@ std::unique_ptr<CostFunction>
 AnalyticQaoaCost::clone() const
 {
     return std::make_unique<AnalyticQaoaCost>(*this);
-}
-
-void
-AnalyticQaoaCost::configureKernel(const KernelOptions& options)
-{
-    kernel_ = options;
-    memoValid_ = false;
 }
 
 double

@@ -54,8 +54,6 @@ class AnalyticQaoaCost : public CostFunction
     /** Replicable: evaluation is a pure closed-form function. */
     std::unique_ptr<CostFunction> clone() const override;
 
-    void configureKernel(const KernelOptions& options) override;
-
     /**
      * The per-edge neighborhood products depend only on gamma, so
      * batches should hold gamma fixed as long as possible: gamma
@@ -64,10 +62,10 @@ class AnalyticQaoaCost : public CostFunction
     std::vector<int> batchOrderHint() const override { return {1, 0}; }
 
     /**
-     * Gamma-memo hit counters, reported in prefix-cache terms (the
-     * memo is the closed form's one-entry analogue of a checkpoint
-     * cache; it is never evicted, only replaced), plus the number of
-     * points folded into batched same-gamma energy passes.
+     * Gamma-memo hits out of evaluations, reported as prefix reuse
+     * (the memo is the closed form's analogue of resuming from the
+     * previous point), plus the number of points folded into batched
+     * same-gamma energy passes.
      */
     KernelStats
     kernelStats() const override
@@ -138,7 +136,6 @@ class AnalyticQaoaCost : public CostFunction
     /** Per-edge noise damping factor for <Z_u Z_v>. */
     std::vector<double> damping_;
 
-    KernelOptions kernel_;
     bool memoValid_ = false;
     double memoGamma_ = 0.0;
     std::vector<EdgeGammaFactors> memo_;

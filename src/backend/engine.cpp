@@ -166,15 +166,12 @@ struct EngineBatch
             registry.counter("engine.cache.hits");
         static obs::Counter& cache_lookups =
             registry.counter("engine.cache.lookups");
-        static obs::Counter& cache_evictions =
-            registry.counter("engine.cache.evictions");
         static obs::Histogram& latency =
             registry.histogram("engine.batch.latency.ns");
         completed.add(progress.pointsCompleted);
         cancelled.add(progress.pointsCancelled);
         cache_hits.add(progress.kernel.cacheHits);
         cache_lookups.add(progress.kernel.cacheLookups);
-        cache_evictions.add(progress.kernel.cacheEvictions);
         latency.observe(obs::Tracer::nowNs() - submittedNs);
         finished = true;
         cv.notify_all();

@@ -114,7 +114,7 @@ struct BatchStats
     /** Points skipped by cancel() (queries refunded). */
     std::size_t pointsCancelled = 0;
 
-    /** Kernel-layer (prefix cache) traffic attributed to this batch. */
+    /** Kernel-layer counters (prefix reuse) attributed to this batch. */
     KernelStats kernel;
 
     BatchStats&

@@ -43,28 +43,15 @@ class ExecutionEngine;
 struct EngineBatch;
 
 /**
- * Runtime settings of the kernel layer of the batched backends
- * (statevector_backend.h, analytic_qaoa.h): the kernel ISA and the
- * prefix cache. Plumbed through the Oscar pipelines via
- * OscarOptions::kernel. The replay plan (blocking and super-kernel
- * fusion) is not among them: each backend compiles its one plan at
- * construction.
+ * Runtime settings of the kernel layer of the statevector backend
+ * (statevector_backend.h): the kernel ISA, nothing else. Plumbed
+ * through the Oscar pipelines via OscarOptions::kernel. The replay plan
+ * (blocking and super-kernel fusion) is not among them: the backend
+ * compiles its one plan at construction; nor is prefix reuse, which a
+ * batch always does and which never changes values.
  */
 struct KernelOptions
 {
-    /**
-     * Reuse shared-prefix checkpoints across evaluations of nearby
-     * grid points. Bit-exact: toggling this changes performance, never
-     * values.
-     */
-    bool prefixCache = true;
-
-    /**
-     * Checkpoint memory budget in bytes, per evaluator replica (a
-     * checkpoint is one 2^n-amplitude statevector).
-     */
-    std::size_t prefixCacheBudgetBytes = std::size_t{256} << 20;
-
     /**
      * Kernel instruction set. Auto resolves once at startup via CPUID
      * (AVX2+FMA when available); force Scalar in determinism-sensitive
@@ -76,16 +63,21 @@ struct KernelOptions
 };
 
 /**
- * Kernel-layer effectiveness counters: prefix-checkpoint (or memo)
- * cache traffic of one evaluator. Aggregated per batch by the
- * ExecutionEngine (BatchHandle::stats) and per pipeline run in
- * OscarResult, so cache behaviour is observable without a debugger.
+ * Kernel-layer effectiveness counters of one evaluator. Aggregated per
+ * batch by the ExecutionEngine (BatchHandle::stats) and per pipeline
+ * run in OscarResult, so prefix reuse is observable without a
+ * debugger.
  */
 struct KernelStats
 {
+    /**
+     * Prefix reuse: for StatevectorCost, batch points resumed from the
+     * previous point's state (hits) out of batch points with a
+     * frontier level (lookups); for AnalyticQaoaCost, gamma-memo hits
+     * out of evaluations.
+     */
     std::size_t cacheHits = 0;
     std::size_t cacheLookups = 0;
-    std::size_t cacheEvictions = 0;
 
     /**
      * Widest kernel ISA that executed (Scalar for backends without a
@@ -120,7 +112,6 @@ struct KernelStats
     {
         cacheHits += other.cacheHits;
         cacheLookups += other.cacheLookups;
-        cacheEvictions += other.cacheEvictions;
         isa = std::max(isa, other.isa);
         blockedGroupRuns += other.blockedGroupRuns;
         blockedOpsApplied += other.blockedOpsApplied;
@@ -137,7 +128,6 @@ struct KernelStats
     {
         a.cacheHits -= b.cacheHits;
         a.cacheLookups -= b.cacheLookups;
-        a.cacheEvictions -= b.cacheEvictions;
         a.blockedGroupRuns -= b.blockedGroupRuns;
         a.blockedOpsApplied -= b.blockedOpsApplied;
         a.batchedDiagonalPoints -= b.batchedDiagonalPoints;
@@ -185,9 +175,9 @@ class CostFunction
     }
 
     /**
-     * Apply kernel-layer settings (kernel ISA, prefix cache on/off,
-     * checkpoint budget). Backends without a kernel layer ignore it; wrappers
-     * should forward to their inner evaluator.
+     * Apply kernel-layer settings (the kernel ISA). Backends without a
+     * kernel layer ignore it; wrappers should forward to their inner
+     * evaluator.
      */
     virtual void
     configureKernel(const KernelOptions& /*options*/)
@@ -195,8 +185,8 @@ class CostFunction
     }
 
     /**
-     * Cumulative kernel-layer cache counters since construction.
-     * Backends without a kernel cache report zeros; the engine
+     * Cumulative kernel-layer counters since construction. Backends
+     * without a kernel layer report zeros; the engine
      * publishes per-batch deltas through BatchHandle::stats().
      */
     virtual KernelStats
@@ -207,11 +197,11 @@ class CostFunction
 
     /**
      * Preferred batch ordering: parameter indices from slowest- to
-     * fastest-varying, or empty for no preference. Backends with a
-     * compiled-circuit prefix cache return their parameters ordered by
-     * first use in the schedule; samplers sort grid batches
-     * accordingly (axis-major) so nearby points share the longest
-     * possible simulation prefix.
+     * fastest-varying, or empty for no preference. Backends that
+     * resume a batch point from the previous one's circuit prefix
+     * return their parameters ordered by first use in the schedule;
+     * samplers sort grid batches accordingly (axis-major) so nearby
+     * points share the longest possible simulation prefix.
      */
     virtual std::vector<int>
     batchOrderHint() const

@@ -43,8 +43,7 @@ phaseLevelsOf(const PauliSum& hamiltonian,
 StatevectorCost::StatevectorCost(Circuit circuit, PauliSum hamiltonian)
     : circuit_(std::move(circuit)), hamiltonian_(std::move(hamiltonian)),
       state_(circuit_.numQubits()),
-      table_(&kernels::kernelTable(kernel_.isa)),
-      cache_(std::make_shared<PrefixCache>(kernel_.prefixCacheBudgetBytes))
+      table_(&kernels::kernelTable(kernel_.isa))
 {
     if (hamiltonian_.numQubits() != circuit_.numQubits())
         throw std::invalid_argument(
@@ -55,18 +54,14 @@ StatevectorCost::StatevectorCost(Circuit circuit, PauliSum hamiltonian)
     compiled_ = CompiledCircuit(
         circuit_, kPlan,
         diagonal_ ? phaseLevelsOf(hamiltonian_, diagonal_) : nullptr);
-    for (std::size_t level : compiled_.frontierLevels())
-        levelParams_.push_back(compiled_.paramsUsedBefore(level));
-    shapeCache();
 }
 
 StatevectorCost::StatevectorCost(const StatevectorCost& other)
     : CostFunction(other), circuit_(other.circuit_),
-      compiled_(other.compiled_), levelParams_(other.levelParams_),
-      hamiltonian_(other.hamiltonian_), diagonal_(other.diagonal_),
-      state_(other.circuit_.numQubits()), kernel_(other.kernel_),
-      table_(&kernels::kernelTable(other.kernel_.isa)),
-      cache_(other.cache_)
+      compiled_(other.compiled_), hamiltonian_(other.hamiltonian_),
+      diagonal_(other.diagonal_), state_(other.circuit_.numQubits()),
+      kernel_(other.kernel_),
+      table_(&kernels::kernelTable(other.kernel_.isa))
 {
 }
 
@@ -76,36 +71,19 @@ StatevectorCost::operator=(const StatevectorCost& other)
     CostFunction::operator=(other);
     circuit_ = other.circuit_;
     compiled_ = other.compiled_;
-    levelParams_ = other.levelParams_;
     hamiltonian_ = other.hamiltonian_;
     diagonal_ = other.diagonal_;
     state_ = Statevector(other.circuit_.numQubits());
     kernel_ = other.kernel_;
     table_ = &kernels::kernelTable(other.kernel_.isa);
-    cache_ = other.cache_;
+    checkpoints_.clear();
     replay_ = {};
     cacheHits_ = 0;
     cacheLookups_ = 0;
-    cacheEvictions_ = 0;
     batchedDiagonalPoints_ = 0;
     batchedPauliPoints_ = 0;
     groupScratch_.clear();
     return *this;
-}
-
-std::size_t
-StatevectorCost::maxKeyWords() const
-{
-    std::size_t words = 0;
-    for (const auto& level : levelParams_)
-        words = std::max(words, level.size());
-    return words;
-}
-
-void
-StatevectorCost::shapeCache()
-{
-    cache_->configure(state_.dim(), maxKeyWords());
 }
 
 std::unique_ptr<CostFunction>
@@ -118,12 +96,6 @@ void
 StatevectorCost::configureKernel(const KernelOptions& options)
 {
     kernel_ = options;
-    // The cache is shared with clones, so only a genuine budget change
-    // drops it (setBudget clears); reconfiguring replicas with the
-    // same options must not wipe each other's checkpoints.
-    if (cache_->budgetBytes() != options.prefixCacheBudgetBytes)
-        cache_->setBudget(options.prefixCacheBudgetBytes);
-    shapeCache();
     table_ = &kernels::kernelTable(options.isa);
 }
 
@@ -139,7 +111,6 @@ StatevectorCost::kernelStats() const
     KernelStats stats;
     stats.cacheHits = cacheHits_;
     stats.cacheLookups = cacheLookups_;
-    stats.cacheEvictions = cacheEvictions_;
     stats.isa = table_->isa;
     stats.blockedGroupRuns = replay_.blockedGroupRuns;
     stats.blockedOpsApplied = replay_.blockedOpsApplied;
@@ -150,74 +121,30 @@ StatevectorCost::kernelStats() const
     return stats;
 }
 
-const PrefixKey&
-StatevectorCost::keyFor(std::size_t level_index,
-                        const std::vector<double>& params)
-{
-    scratchKey_.depth = compiled_.frontierLevels()[level_index];
-    scratchKey_.paramBits.clear();
-    for (int j : levelParams_[level_index])
-        scratchKey_.paramBits.push_back(
-            std::bit_cast<std::uint64_t>(params[j]));
-    return scratchKey_;
-}
-
 void
 StatevectorCost::simulate(const std::vector<double>& params,
-                          AlignedVector<cplx>& amps)
+                          AlignedVector<cplx>& amps, std::size_t resume,
+                          std::size_t keep)
 {
     const std::size_t dim = state_.dim();
     const auto& levels = compiled_.frontierLevels();
     std::size_t pos = 0;
-
-    // A schedule that starts with a PhaseFill writes every amplitude
-    // itself, so |0...0> need not be written first.
-    auto reset = [&] {
-        if (compiled_.startsWithFill()) {
-            amps.resize(dim);
-            return;
-        }
+    if (resume > 0) {
+        amps = checkpoints_[resume - 1];
+        pos = levels[resume - 1];
+    } else if (compiled_.startsWithFill()) {
+        // A PhaseFill writes every amplitude itself, so |0...0> need
+        // not be written first.
+        amps.resize(dim);
+    } else {
         amps.assign(dim, cplx(0.0, 0.0));
         amps[0] = 1.0;
-    };
-
-    if (!kernel_.prefixCache || levels.empty()) {
-        reset();
-        obs::ScopedSpan span(obs::SpanCategory::Replay, "replay", 0,
-                             compiled_.numOps());
-        compiled_.runRange(amps.data(), dim, 0, compiled_.numOps(),
-                           params.data(), *table_, &replay_);
-        return;
     }
-    // Resume from the deepest cached checkpoint whose prefix
-    // parameters match this point bitwise; find() copies the
-    // checkpoint straight into `amps` (seqlock-validated, so a copy
-    // torn by a concurrent reclaim reads as a miss, never as values).
-    std::size_t start_level = static_cast<std::size_t>(-1);
-    bool resumed = false;
-    for (std::size_t l = levels.size(); l-- > 0;) {
-        ++cacheLookups_;
-        if (cache_->find(keyFor(l, params), amps)) {
-            ++cacheHits_;
-            start_level = l;
-            resumed = true;
-            break;
-        }
-    }
-    if (obs::tracingEnabled()) {
-        const std::uint64_t now = obs::Tracer::nowNs();
-        obs::Tracer::global().record(
-            obs::SpanCategory::Cache, resumed ? "hit" : "miss", now,
-            now, resumed ? start_level : levels.size(), dim);
-    }
-    if (resumed)
-        pos = levels[start_level];
-    else
-        reset();
-    // Replay the remaining frontier segments, dropping a checkpoint
-    // at each crossed level so later points (and later batches of
-    // the same sweep) can resume there.
-    for (std::size_t l = start_level + 1; l < levels.size(); ++l) {
+    // Cut the replay only at the levels worth keeping: a cut at a
+    // frontier level never splits a fused unit, so it moves no bit.
+    if (checkpoints_.size() < keep)
+        checkpoints_.resize(levels.size());
+    for (std::size_t l = resume; l < keep; ++l) {
         {
             obs::ScopedSpan span(obs::SpanCategory::Replay, "segment",
                                  pos, levels[l]);
@@ -225,19 +152,58 @@ StatevectorCost::simulate(const std::vector<double>& params,
                                params.data(), *table_, &replay_);
         }
         pos = levels[l];
-        if (cache_->insert(keyFor(l, params), amps).reclaimed)
-            ++cacheEvictions_;
+        checkpoints_[l] = amps;
     }
-    obs::ScopedSpan span(obs::SpanCategory::Replay, "tail", pos,
+    obs::ScopedSpan span(obs::SpanCategory::Replay,
+                         pos == 0 ? "replay" : "tail", pos,
                          compiled_.numOps());
     compiled_.runRange(amps.data(), dim, pos, compiled_.numOps(),
                        params.data(), *table_, &replay_);
 }
 
-double
-StatevectorCost::evaluatePoint(const std::vector<double>& params)
+std::size_t
+StatevectorCost::sharedLevels(const std::vector<double>& a,
+                              const std::vector<double>& b) const
 {
-    simulate(params, state_.amps());
+    const auto& levels = compiled_.frontierLevels();
+    return static_cast<std::size_t>(
+        std::upper_bound(levels.begin(), levels.end(),
+                         compiled_.sharedPrefixLength(a, b)) -
+        levels.begin());
+}
+
+void
+StatevectorCost::simulateInBatch(
+    std::span<const std::vector<double>> points, std::size_t i,
+    AlignedVector<cplx>& amps)
+{
+    if (compiled_.frontierLevels().empty()) {
+        simulate(points[i], amps, 0, 0);
+        return;
+    }
+    // checkpoints_[l] holds point i-1's state at every level l it
+    // shares with point i: point i-1 kept the levels it crossed, and
+    // the shallower ones were kept by an earlier point of the run
+    // that shares them and left alone since.
+    const std::size_t resume =
+        i > 0 ? sharedLevels(points[i - 1], points[i]) : 0;
+    const std::size_t keep =
+        i + 1 < points.size() ? sharedLevels(points[i], points[i + 1]) : 0;
+    ++cacheLookups_;
+    if (resume > 0)
+        ++cacheHits_;
+    if (obs::tracingEnabled()) {
+        const std::uint64_t now = obs::Tracer::nowNs();
+        obs::Tracer::global().record(obs::SpanCategory::Cache,
+                                     resume > 0 ? "hit" : "miss", now,
+                                     now, resume, state_.dim());
+    }
+    simulate(points[i], amps, resume, keep);
+}
+
+double
+StatevectorCost::stateEnergy() const
+{
     if (diagonal_)
         return table_->expectationDiagonal(
             state_.amps().data(), diagonal_->data(), state_.dim());
@@ -263,7 +229,8 @@ double
 StatevectorCost::evaluateImpl(const std::vector<double>& params,
                               std::uint64_t /*ordinal*/)
 {
-    return evaluatePoint(params);
+    simulate(params, state_.amps(), 0, 0);
+    return stateEnergy();
 }
 
 void
@@ -271,21 +238,14 @@ StatevectorCost::evaluateBatchImpl(
     std::span<const std::vector<double>> points,
     std::uint64_t /*base_ordinal*/, double* out)
 {
-    // Deterministic backend: ordinals are irrelevant, and simulation
-    // is cache-state-independent in value, so the batch is trivially
-    // bit-identical to the scalar path. Consecutive points of an
-    // axis-major batch resume from each other's checkpoints; runs of
-    // points that differ only past the deepest checkpoint level are
-    // additionally folded into one fused expectation pass — the
-    // diagonal-table kernel for diagonal Hamiltonians, the batched
-    // Pauli kernel per term otherwise (both value-neutral: the
-    // per-point accumulation is unchanged).
+    // Deterministic backend: ordinals are irrelevant, and a resumed
+    // point replays the same kernels as a fresh one, so the batch is
+    // bit-identical to evaluate(). Runs of points that differ only
+    // past the deepest frontier level are additionally folded into one
+    // fused expectation pass — the diagonal-table kernel for diagonal
+    // Hamiltonians, the batched Pauli kernel per term otherwise (both
+    // value-neutral: the per-point accumulation is unchanged).
     const std::size_t max_group = maxExpectationGroup();
-    if (max_group < 2) {
-        for (std::size_t i = 0; i < points.size(); ++i)
-            out[i] = evaluatePoint(points[i]);
-        return;
-    }
     const auto& levels = compiled_.frontierLevels();
     const std::size_t suffix_level =
         levels.empty() ? compiled_.numOps() : levels.back();
@@ -298,14 +258,15 @@ StatevectorCost::evaluateBatchImpl(
                    suffix_level)
             ++j;
         if (j - i < 2) {
-            out[i] = evaluatePoint(points[i]);
+            simulateInBatch(points, i, state_.amps());
+            out[i] = stateEnergy();
             i = j;
             continue;
         }
         if (groupScratch_.size() < j - i)
             groupScratch_.resize(j - i);
         for (std::size_t m = i; m < j; ++m) {
-            simulate(points[m], groupScratch_[m - i]);
+            simulateInBatch(points, m, groupScratch_[m - i]);
             group[m - i] = groupScratch_[m - i].data();
         }
         if (diagonal_) {

@@ -24,27 +24,33 @@
  *    become one write-only PhaseFill, later cost layers PhaseTable
  *    multiplies. Any other circuit or Hamiltonian keeps the gates;
  *  - batched expectation: consecutive batch points that share the full
- *    simulation prefix up to the deepest checkpoint level are simulated
+ *    simulation prefix up to the deepest frontier level are simulated
  *    into scratch states and folded with one fused pass over the
  *    observable (kernels::expectationDiagonalBatch for diagonal
  *    Hamiltonians, kernels::expectationPauliBatch per term otherwise).
  *
- * Batches of nearby grid points additionally share simulation work
- * through a prefix cache: the schedule's parameter frontier marks the
+ * Consecutive points of a batch additionally share simulation work by
+ * resuming from each other: the schedule's parameter frontier marks the
  * depths at which a statevector snapshot only depends on the
- * parameters bound so far, so a point whose leading parameters match a
- * cached checkpoint replays only the invalidated suffix. A level whose
- * prefix is only a PhaseFill is no checkpoint (one write pass rebuilds
- * it for less than a resume costs), so a p=1 QAOA cost never looks up
- * the cache and simulates each point from scratch.
+ * parameters bound so far. While simulating point i, the state at each
+ * frontier level that point i+1 shares is kept in a per-instance
+ * buffer (one per level), and point i+1 resumes from the deepest level
+ * it shares with point i, replaying only the invalidated suffix.
+ * Batches arrive in axis-major order (batchOrderHint), so a dense
+ * sweep resumes almost every point, and a sparse sample set copies
+ * only the states its next point reads. A level whose prefix is only
+ * a PhaseFill is no frontier level (one write pass rebuilds it for
+ * less than a resume costs), so a p=1 QAOA cost simulates each point
+ * from scratch. evaluate() always replays from scratch.
  *
- * Determinism: a checkpoint at depth L keyed by the prefix parameter
- * bits is the exact state a from-scratch run of ops [0, L) produces
- * under those values, and replaying the suffix executes the identical
- * kernel sequence. Cache state, expectation batching, batch order,
- * and thread count can change performance but never values — for a
- * fixed kernel ISA the batched path is bit-identical to the scalar
- * path, which tests/test_engine.cpp and tests/test_kernels.cpp assert.
+ * Determinism: a buffered state at depth L is the exact state a
+ * from-scratch run of ops [0, L) produces under the prefix parameters
+ * both points share bitwise, and replaying the suffix executes the
+ * identical kernel sequence. Resuming, expectation batching, batch
+ * order, and thread count can change performance but never values —
+ * for a fixed kernel ISA the batched path is bit-identical to
+ * evaluate(), which tests/test_engine.cpp and tests/test_kernels.cpp
+ * assert.
  * Different ISAs round differently, and the fused plan and the phase
  * ops round differently from an unfused gate replay of the same
  * circuit (within 1e-12 on QAOA energies); pin KernelOptions::isa, and
@@ -58,7 +64,6 @@
 #include <memory>
 
 #include "src/backend/executor.h"
-#include "src/backend/prefix_cache.h"
 #include "src/hamiltonian/pauli_sum.h"
 #include "src/quantum/circuit.h"
 #include "src/quantum/compiled_circuit.h"
@@ -97,11 +102,9 @@ class StatevectorCost : public CostFunction
     StatevectorCost(Circuit circuit, PauliSum hamiltonian);
 
     /**
-     * Copies share the checkpoint cache: the lock-free PrefixCache
-     * (prefix_cache.h) is safe under concurrent find/insert, and
-     * checkpoints are bit-exact, so engine replicas cloned from one
-     * evaluator pool their prefix work. Per-instance cache counters
-     * (kernelStats) start at zero in the copy.
+     * Copies share the immutable energy table and phase level index;
+     * the scratch states, resume buffers and counters (kernelStats)
+     * start empty in the copy.
      */
     StatevectorCost(const StatevectorCost& other);
     StatevectorCost& operator=(const StatevectorCost& other);
@@ -115,12 +118,6 @@ class StatevectorCost : public CostFunction
 
     /** Parameters ordered by first use in the compiled schedule. */
     std::vector<int> batchOrderHint() const override;
-
-    /**
-     * Checkpoint cache counters (benchmark instrumentation),
-     * cumulative over every evaluator sharing this cache.
-     */
-    const PrefixCache& prefixCache() const { return *cache_; }
 
     /**
      * The Hamiltonian's per-basis-state energy table, or null when it
@@ -139,8 +136,9 @@ class StatevectorCost : public CostFunction
     const kernels::KernelTable& kernelTable() const { return *table_; }
 
     /**
-     * Kernel-layer counters for BatchHandle::stats: prefix-cache
-     * traffic, the selected ISA, blocked-pass and super-kernel
+     * Kernel-layer counters for BatchHandle::stats: batch points
+     * resumed (cacheHits) out of batch points with a frontier level
+     * (cacheLookups), the selected ISA, blocked-pass and super-kernel
      * activity, and the number of points folded into batched
      * expectation passes.
      */
@@ -159,15 +157,31 @@ class StatevectorCost : public CostFunction
     static constexpr std::size_t kMaxExpectationGroup = 8;
 
     /**
-     * Prefix-cached replay of `params` into `amps` (reset + checkpoint
-     * resume + suffix replay). The values written are independent of
-     * cache state and of which buffer is used.
+     * Replay `params` into `amps`. With `resume` > 0 it starts from
+     * checkpoints_[resume - 1], which must hold the state at that
+     * frontier level under the same prefix parameters; otherwise from
+     * |0...0>. The state at each crossed frontier level below `keep`
+     * is stored into checkpoints_. The values written do not depend on
+     * `resume`, `keep` or which buffer is used.
      */
     void simulate(const std::vector<double>& params,
-                  AlignedVector<cplx>& amps);
+                  AlignedVector<cplx>& amps, std::size_t resume,
+                  std::size_t keep);
 
-    /** Shared scalar kernel: simulate + expectation on state_. */
-    double evaluatePoint(const std::vector<double>& params);
+    /**
+     * simulate() point i of a batch: resume from the deepest frontier
+     * level it shares with point i-1, keep the levels point i+1
+     * shares.
+     */
+    void simulateInBatch(std::span<const std::vector<double>> points,
+                         std::size_t i, AlignedVector<cplx>& amps);
+
+    /** Frontier levels that `a` and `b` share (a count, not a depth). */
+    std::size_t sharedLevels(const std::vector<double>& a,
+                             const std::vector<double>& b) const;
+
+    /** <H> in state_ (diagonal table or term by term). */
+    double stateEnergy() const;
 
     /**
      * Largest shared-prefix group folded into one fused expectation
@@ -175,43 +189,23 @@ class StatevectorCost : public CostFunction
      */
     std::size_t maxExpectationGroup() const;
 
-    /**
-     * Cache key of frontier level `level_index` under `params`,
-     * filled into the reusable scratch key (no allocation on the hot
-     * path once its capacity settles).
-     */
-    const PrefixKey& keyFor(std::size_t level_index,
-                            const std::vector<double>& params);
-
-    /** Widest prefix-parameter set across frontier levels (in words). */
-    std::size_t maxKeyWords() const;
-
-    /** Size the shared cache for this evaluator's checkpoint shape. */
-    void shapeCache();
-
     Circuit circuit_;
     CompiledCircuit compiled_;
-    /** Params used before each frontier level (precomputed). */
-    std::vector<std::vector<int>> levelParams_;
     PauliSum hamiltonian_;
     /** Energy table shared by copies; null iff H is not diagonal. */
     std::shared_ptr<const std::vector<double>> diagonal_;
     Statevector state_;
     KernelOptions kernel_;
     const kernels::KernelTable* table_;
-    /** Shared with copies/clones; never null. */
-    std::shared_ptr<PrefixCache> cache_;
-    PrefixKey scratchKey_;
+    /**
+     * The state at each frontier level, kept for the next batch point;
+     * a buffer is allocated when first written.
+     */
+    std::vector<AlignedVector<cplx>> checkpoints_;
 
     ReplayCounters replay_;
-    /**
-     * This instance's own cache traffic (the shared cache's counters
-     * aggregate every sharer, so per-replica stats deltas come from
-     * these instead).
-     */
     std::size_t cacheHits_ = 0;
     std::size_t cacheLookups_ = 0;
-    std::size_t cacheEvictions_ = 0;
     std::size_t batchedDiagonalPoints_ = 0;
     std::size_t batchedPauliPoints_ = 0;
     /** Per-point final states of a fused expectation group. */

@@ -61,10 +61,9 @@ struct OscarOptions
     int numThreads = 0;
 
     /**
-     * Compiled-circuit kernel tuning for the execution phase (prefix
-     * checkpoint cache on/off, checkpoint memory budget). Applied to
-     * the cost function (and every QPU device) at pipeline entry.
-     * Bit-exact: toggling changes performance, never values.
+     * Kernel settings for the execution phase (the kernel ISA).
+     * Applied to the cost function (and every QPU device) at pipeline
+     * entry.
      */
     KernelOptions kernel;
 
@@ -97,10 +96,10 @@ struct OscarResult
 
     /**
      * Execution-phase counters: points completed/cancelled and the
-     * kernel layer's prefix-cache hit/miss/eviction traffic, summed
-     * over every batch the pipeline submitted (all devices in the
-     * multi-QPU path). Makes cache effectiveness observable without a
-     * debugger; purely informational, never affects values.
+     * kernel layer's prefix-reuse counters, summed over every batch
+     * the pipeline submitted (all devices in the multi-QPU path).
+     * Makes prefix reuse observable without a debugger; purely
+     * informational, never affects values.
      */
     BatchStats execution;
 };

@@ -75,8 +75,8 @@ class GridSpec
      * Stable permutation of positions into `indices` that orders the
      * points axis-major under `axis_priority`: the first named axis
      * varies slowest, the last fastest; axes not named are appended
-     * (ascending) as the fastest digits. Batched backends with a
-     * shared-prefix cache publish their preferred priority as
+     * (ascending) as the fastest digits. Batched backends that reuse
+     * shared circuit prefixes publish their preferred priority as
      * CostFunction::batchOrderHint(); feeding them batches in this
      * order maximizes consecutive points' common circuit prefix.
      *

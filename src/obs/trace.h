@@ -50,7 +50,7 @@ enum class SpanCategory : std::uint8_t
 {
     Engine = 0, ///< engine batches and chunks
     Replay = 1, ///< compiled-circuit replay segments
-    Cache = 2,  ///< prefix-cache hits and misses
+    Cache = 2,  ///< batch points resumed (hit) or replayed fresh (miss)
     Wire = 4,   ///< frame encode / decode
     Store = 5,  ///< landscape-store get / put
     Serve = 6,  ///< serve job lifecycle

@@ -979,17 +979,6 @@ CompiledCircuit::finalizeFrontier()
 }
 
 std::vector<int>
-CompiledCircuit::paramsUsedBefore(std::size_t level) const
-{
-    std::vector<int> used;
-    for (int j = 0; j < numParams_; ++j) {
-        if (firstUse_[j] < level)
-            used.push_back(j);
-    }
-    return used;
-}
-
-std::vector<int>
 CompiledCircuit::parameterOrder() const
 {
     std::vector<int> order(static_cast<std::size_t>(numParams_));

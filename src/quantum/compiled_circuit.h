@@ -315,15 +315,12 @@ class CompiledCircuit
      * first-use positions of all used parameters, less those whose
      * prefix is at most a PhaseFill. A statevector snapshot taken at
      * depth L is fully determined by the parameters with firstUse < L
-     * (see paramsUsedBefore).
+     * (see sharedPrefixLength).
      */
     const std::vector<std::size_t>& frontierLevels() const
     {
         return frontier_;
     }
-
-    /** Parameter indices with firstUse < level, ascending. */
-    std::vector<int> paramsUsedBefore(std::size_t level) const;
 
     /**
      * Parameter indices ordered by first use in the schedule (unused

@@ -33,7 +33,7 @@
  * resolves to a supported tier. Within a fixed ISA every code path
  * that applies the same operation to the same bits produces
  * bit-identical results — the property the engine's determinism
- * contract and the prefix cache rest on. Different ISAs may round
+ * contract and prefix resume rest on. Different ISAs may round
  * differently (FMA contraction), so cross-ISA comparisons are
  * tolerance-based, never bitwise.
  */

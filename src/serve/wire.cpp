@@ -299,8 +299,6 @@ decodePauliSum(WireReader& r)
 void
 encodeKernelOptions(WireWriter& w, const KernelOptions& options)
 {
-    w.u8(options.prefixCache ? 1 : 0);
-    w.u64(options.prefixCacheBudgetBytes);
     w.u8(static_cast<std::uint8_t>(options.isa));
 }
 
@@ -308,8 +306,6 @@ KernelOptions
 decodeKernelOptions(WireReader& r)
 {
     KernelOptions options;
-    options.prefixCache = r.u8() != 0;
-    options.prefixCacheBudgetBytes = r.u64();
     const std::uint8_t isa = r.u8();
     if (isa > static_cast<std::uint8_t>(kernels::KernelIsa::Avx512) &&
         isa != static_cast<std::uint8_t>(kernels::KernelIsa::Auto))
@@ -323,7 +319,6 @@ encodeKernelStats(WireWriter& w, const KernelStats& stats)
 {
     w.u64(stats.cacheHits);
     w.u64(stats.cacheLookups);
-    w.u64(stats.cacheEvictions);
     w.u8(static_cast<std::uint8_t>(stats.isa));
     w.u64(stats.blockedGroupRuns);
     w.u64(stats.blockedOpsApplied);
@@ -339,7 +334,6 @@ decodeKernelStats(WireReader& r)
     KernelStats stats;
     stats.cacheHits = r.u64();
     stats.cacheLookups = r.u64();
-    stats.cacheEvictions = r.u64();
     stats.isa = static_cast<kernels::KernelIsa>(r.u8());
     stats.blockedGroupRuns = r.u64();
     stats.blockedOpsApplied = r.u64();

@@ -69,7 +69,10 @@ constexpr std::uint32_t kWireMagic = 0x4F534357u; // "OSCW"
 // v9: KernelOptions drops its three replay-plan fields (block window,
 // expectation batching, fusion window): a cost replays one fixed plan,
 // so the spec, and with it the costId, no longer names one.
-constexpr std::uint16_t kWireVersion = 9;
+// v10: KernelOptions drops the prefix-cache switch and budget (it
+// carries only the ISA) and KernelStats drops cacheEvictions: a batch
+// resumes each point from the one before it, and nothing evicts.
+constexpr std::uint16_t kWireVersion = 10;
 
 /** Fixed frame header size (magic + version + type + length). */
 constexpr std::size_t kFrameHeaderSize = 16;

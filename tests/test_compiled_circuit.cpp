@@ -9,7 +9,7 @@
  *  - the recorded parameter frontier (first-use positions, frontier
  *    levels, shared prefix lengths) is correct,
  *  - segmented replay through checkpoints is bit-identical to a
- *    straight run (the prefix-cache determinism argument),
+ *    straight run (the prefix-resume determinism argument),
  *  - super-kernel fusion: fused replay agrees with unfused replay
  *    within rounding, is bit-identical to itself across
  *    frontier-aligned segmentation (units never straddle frontier
@@ -170,13 +170,6 @@ TEST(CompiledCircuit, ParameterFrontierRecordsFirstUse)
     // Batch order: circuit-first-use order gamma0, beta0, gamma1, beta1.
     EXPECT_EQ(compiled.parameterOrder(), (std::vector<int>{2, 0, 3, 1}));
 
-    // Params used before each level.
-    EXPECT_TRUE(compiled.paramsUsedBefore(nu).empty());
-    EXPECT_EQ(compiled.paramsUsedBefore(nu + edges),
-              (std::vector<int>{2}));
-    EXPECT_EQ(compiled.paramsUsedBefore(2 * nu + edges),
-              (std::vector<int>{0, 2}));
-
     // Shared prefix between two bindings.
     const std::vector<double> p1 = {0.1, 0.2, 0.3, 0.4};
     std::vector<double> p2 = p1;
@@ -189,7 +182,7 @@ TEST(CompiledCircuit, ParameterFrontierRecordsFirstUse)
 
 TEST(CompiledCircuit, SegmentedReplayIsBitIdentical)
 {
-    // The prefix-cache core invariant: running [0, L) then [L, end)
+    // The prefix-resume core invariant: running [0, L) then [L, end)
     // from a copied checkpoint reproduces the straight run bit for
     // bit, for every frontier level L.
     Rng rng(9);

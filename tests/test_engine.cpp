@@ -390,20 +390,17 @@ axisMajorPoints(const GridSpec& grid, const CostFunction& cost)
 }
 
 /**
- * Prefix-cache parity core: `batched` (cache as configured) evaluated
- * in batches of `batch_size` and through a 4-thread engine must match
- * a cache-off scalar reference bit for bit.
+ * Prefix-resume parity core: `batched` evaluated in batches of
+ * `batch_size` and `threaded` through a 4-thread engine must match
+ * per-point evaluate() on `reference` (which always replays from
+ * scratch) bit for bit.
  */
 void
-expectPrefixCacheParity(CostFunction& reference, CostFunction& batched,
-                        CostFunction& threaded,
-                        const std::vector<std::vector<double>>& points,
-                        std::size_t batch_size)
+expectResumeParity(CostFunction& reference, CostFunction& batched,
+                   CostFunction& threaded,
+                   const std::vector<std::vector<double>>& points,
+                   std::size_t batch_size)
 {
-    KernelOptions no_cache;
-    no_cache.prefixCache = false;
-    reference.configureKernel(no_cache);
-
     std::vector<double> scalar;
     scalar.reserve(points.size());
     for (const auto& p : points)
@@ -430,10 +427,41 @@ expectPrefixCacheParity(CostFunction& reference, CostFunction& batched,
     }
 }
 
-TEST(Engine, StatevectorPrefixCacheParityAxisMajor)
+/** Fisher-Yates shuffle of `points` with a fixed seed. */
+void
+shufflePoints(std::vector<std::vector<double>>& points, std::uint64_t seed)
 {
-    // p=2 QAOA: a 4-level parameter frontier, axis-major sweep, odd
-    // batch size so batch boundaries land mid-run.
+    Rng rng(seed);
+    for (std::size_t i = points.size(); i > 1; --i)
+        std::swap(points[i - 1], points[rng.uniformInt(i)]);
+}
+
+/**
+ * Points of `cost` from digit rows: row[k] picks one of `values` for
+ * the k-th parameter in first-use order (batchOrderHint), so the rows
+ * spell out which frontier levels consecutive points share.
+ */
+std::vector<std::vector<double>>
+pointsFromDigits(const StatevectorCost& cost,
+                 const std::vector<std::vector<int>>& rows,
+                 const std::vector<double>& values)
+{
+    const std::vector<int> order = cost.batchOrderHint();
+    std::vector<std::vector<double>> points;
+    for (const auto& row : rows) {
+        std::vector<double> p(order.size());
+        for (std::size_t k = 0; k < order.size(); ++k)
+            p[static_cast<std::size_t>(order[k])] =
+                values[static_cast<std::size_t>(row[k])];
+        points.push_back(std::move(p));
+    }
+    return points;
+}
+
+TEST(Engine, StatevectorResumeParityAxisMajorAndShuffled)
+{
+    // p=2 QAOA: axis-major sweep, odd batch size so batch boundaries
+    // land mid-run, then the same points shuffled.
     Rng rng(31);
     const Graph g = random3RegularGraph(6, rng);
     const GridSpec grid = GridSpec::qaoaP2(3, 4);
@@ -441,52 +469,93 @@ TEST(Engine, StatevectorPrefixCacheParityAxisMajor)
     auto make = [&] {
         return StatevectorCost(qaoaCircuit(g, 2), maxcutHamiltonian(g));
     };
+    auto points = axisMajorPoints(grid, make());
+    {
+        StatevectorCost reference = make(), batched = make(),
+                        threaded = make();
+        expectResumeParity(reference, batched, threaded, points, 17);
+        EXPECT_GT(batched.kernelStats().cacheHits, 0u);
+        EXPECT_EQ(batched.kernelStats().cacheLookups, points.size());
+    }
+    shufflePoints(points, 7);
+    {
+        StatevectorCost reference = make(), batched = make(),
+                        threaded = make();
+        expectResumeParity(reference, batched, threaded, points, 13);
+    }
+}
+
+TEST(Engine, StatevectorResumeParityP3)
+{
+    // p=3 QAOA has four frontier levels; two values per parameter
+    // make a 64-point axis-major sweep. Batches of 5 split its runs.
+    Rng rng(35);
+    const Graph g = random3RegularGraph(6, rng);
+    auto make = [&] {
+        return StatevectorCost(qaoaCircuit(g, 3), maxcutHamiltonian(g));
+    };
+    const StatevectorCost probe = make();
+    ASSERT_EQ(probe.compiled().frontierLevels().size(), 4u);
+    auto points = axisMajorPoints(
+        GridSpec(std::vector<GridAxis>(6, GridAxis{-0.7, 0.3, 2})), probe);
+    for (std::size_t batch_size : {5u, 64u}) {
+        StatevectorCost reference = make(), batched = make(),
+                        threaded = make();
+        expectResumeParity(reference, batched, threaded, points,
+                           batch_size);
+        EXPECT_GT(batched.kernelStats().cacheHits, 0u);
+    }
+    shufflePoints(points, 8);
     StatevectorCost reference = make(), batched = make(),
                     threaded = make();
-    const auto points = axisMajorPoints(grid, batched);
-    expectPrefixCacheParity(reference, batched, threaded, points, 17);
-    EXPECT_GT(batched.prefixCache().hits(), 0u);
+    expectResumeParity(reference, batched, threaded, points, 5);
 }
 
-TEST(Engine, StatevectorPrefixCacheParityShuffledAndDisabled)
+TEST(Engine, StatevectorResumeNeedsOneBufferPerLevel)
 {
-    Rng rng(32);
+    // p=3 digit rows in first-use order (gamma0, beta0, gamma1, ...):
+    // frontier level l needs the first l + 2 digits equal. Row 2
+    // shares two levels with row 1 after row 1 shared four with row
+    // 0, so it resumes from a state row 0 kept and row 1 never
+    // touched; row 4 shares one level with row 3 after row 3 shared
+    // three with row 2. One buffer in total would hold the wrong state
+    // for both.
+    Rng rng(36);
     const Graph g = random3RegularGraph(6, rng);
-    const GridSpec grid = GridSpec::qaoaP2(3, 3);
-
     auto make = [&] {
-        return StatevectorCost(qaoaCircuit(g, 2), maxcutHamiltonian(g));
+        return StatevectorCost(qaoaCircuit(g, 3), maxcutHamiltonian(g));
     };
-
-    // Worst-case submission order: shuffled points still agree.
-    auto points = axisMajorPoints(grid, make());
-    Rng shuffle_rng(7);
-    for (std::size_t i = points.size(); i > 1; --i)
-        std::swap(points[i - 1],
-                  points[shuffle_rng.uniformInt(i)]);
-    {
+    const StatevectorCost probe = make();
+    ASSERT_EQ(probe.compiled().frontierLevels().size(), 4u);
+    const auto points = pointsFromDigits(probe,
+                                         {{0, 0, 0, 0, 0, 0},
+                                          {0, 0, 0, 0, 0, 1},
+                                          {0, 0, 0, 1, 0, 0},
+                                          {0, 0, 0, 1, 1, 0},
+                                          {0, 0, 1, 0, 0, 0},
+                                          {0, 0, 1, 0, 0, 1},
+                                          {1, 0, 0, 0, 0, 0},
+                                          {1, 0, 0, 0, 0, 0},
+                                          {0, 0, 0, 0, 0, 0}},
+                                         {0.2, -0.5});
+    for (std::size_t batch_size : {4u, 9u}) {
         StatevectorCost reference = make(), batched = make(),
                         threaded = make();
-        expectPrefixCacheParity(reference, batched, threaded, points, 13);
+        expectResumeParity(reference, batched, threaded, points,
+                           batch_size);
     }
-
-    // Cache disabled on the batched side too.
-    {
-        StatevectorCost reference = make(), batched = make(),
-                        threaded = make();
-        KernelOptions off;
-        off.prefixCache = false;
-        batched.configureKernel(off);
-        threaded.configureKernel(off);
-        expectPrefixCacheParity(reference, batched, threaded, points, 13);
-        EXPECT_EQ(batched.prefixCache().numEntries(), 0u);
-    }
+    StatevectorCost batched = make();
+    batched.evaluateBatch(points);
+    // Every row resumes but the first, the first 1-row and the last.
+    EXPECT_EQ(batched.kernelStats().cacheHits, 6u);
+    EXPECT_EQ(batched.kernelStats().cacheLookups, points.size());
 }
 
-TEST(Engine, StatevectorPrefixCacheParityNonDiagonal)
+TEST(Engine, StatevectorResumeParityTwoLocal)
 {
-    // Non-diagonal Hamiltonian: the expectation goes through the
-    // general Pauli path instead of the diagonal table.
+    // two_local: nothing compiles to phase ops, and the non-diagonal
+    // Hamiltonian goes through the general Pauli path instead of the
+    // diagonal table.
     PauliSum h(5);
     h.add(0.8, "XZIII");
     h.add(-0.6, "IYYII");
@@ -511,10 +580,16 @@ TEST(Engine, StatevectorPrefixCacheParityNonDiagonal)
             p[0] = rng.uniform(-1.0, 1.0);
         points.push_back(std::move(p));
     }
-
+    {
+        StatevectorCost reference = make(), batched = make(),
+                        threaded = make();
+        expectResumeParity(reference, batched, threaded, points, 4);
+        EXPECT_GT(batched.kernelStats().cacheHits, 0u);
+    }
+    shufflePoints(points, 9);
     StatevectorCost reference = make(), batched = make(),
                     threaded = make();
-    expectPrefixCacheParity(reference, batched, threaded, points, 4);
+    expectResumeParity(reference, batched, threaded, points, 4);
 }
 
 TEST(Engine, AnalyticQaoaPrefixParity)
@@ -524,15 +599,7 @@ TEST(Engine, AnalyticQaoaPrefixParity)
 
     AnalyticQaoaCost reference(g), batched(g), threaded(g);
     const auto points = axisMajorPoints(grid, batched);
-    expectPrefixCacheParity(reference, batched, threaded, points, 11);
-
-    // And with the gamma-factor memo disabled.
-    AnalyticQaoaCost ref2(g), batch2(g), thread2(g);
-    KernelOptions off;
-    off.prefixCache = false;
-    batch2.configureKernel(off);
-    thread2.configureKernel(off);
-    expectPrefixCacheParity(ref2, batch2, thread2, points, 11);
+    expectResumeParity(reference, batched, threaded, points, 11);
 }
 
 TEST(Engine, GridSearchPrefixOrderingMatchesScalar)
@@ -547,9 +614,6 @@ TEST(Engine, GridSearchPrefixOrderingMatchesScalar)
     const Landscape land = Landscape::gridSearch(grid, searched);
 
     StatevectorCost scalar(qaoaCircuit(g, 2), maxcutHamiltonian(g));
-    KernelOptions off;
-    off.prefixCache = false;
-    scalar.configureKernel(off);
     for (std::size_t i = 0; i < grid.numPoints(); ++i)
         EXPECT_EQ(land.value(i), scalar.evaluate(grid.pointAt(i)))
             << "grid point " << i;
@@ -694,7 +758,7 @@ TEST(AsyncEngine, OnCompleteStreamsEveryPointExactlyOnce)
         EXPECT_EQ(seen.at(i), values[i]);
 }
 
-TEST(AsyncEngine, StatsReportPrefixCacheTraffic)
+TEST(AsyncEngine, StatsReportPrefixResumes)
 {
     Rng rng(41);
     const Graph g = random3RegularGraph(6, rng);
@@ -703,7 +767,7 @@ TEST(AsyncEngine, StatsReportPrefixCacheTraffic)
     const auto points = axisMajorPoints(grid, cost);
 
     // Serial engine: the batch runs inline on the parent evaluator,
-    // whose own cache counters must match the handle's delta.
+    // whose own counters must match the handle's delta.
     BatchHandle handle = ExecutionEngine::serial().submit(cost, points);
     const BatchStats stats = handle.stats(); // pre-wait: may be zero
     (void)stats;
@@ -712,21 +776,21 @@ TEST(AsyncEngine, StatsReportPrefixCacheTraffic)
     EXPECT_EQ(done.pointsCompleted, points.size());
     EXPECT_GT(done.kernel.cacheLookups, 0u);
     EXPECT_GT(done.kernel.cacheHits, 0u);
-    EXPECT_EQ(done.kernel.cacheHits, cost.prefixCache().hits());
-    EXPECT_EQ(done.kernel.cacheLookups, cost.prefixCache().lookups());
+    EXPECT_EQ(done.kernel.cacheHits, cost.kernelStats().cacheHits);
+    EXPECT_EQ(done.kernel.cacheLookups, cost.kernelStats().cacheLookups);
+    // Every point has a frontier level, and each point that shares
+    // the first one with its predecessor resumes.
+    const auto& levels = cost.compiled().frontierLevels();
+    std::size_t sharing = 0;
+    for (std::size_t i = 1; i < points.size(); ++i)
+        sharing += cost.compiled().sharedPrefixLength(
+                       points[i - 1], points[i]) >= levels.front();
+    EXPECT_EQ(done.kernel.cacheLookups, points.size());
+    EXPECT_EQ(done.kernel.cacheHits, sharing);
 
-    // A tiny checkpoint budget forces evictions, and they are visible
-    // through the same stats path.
-    StatevectorCost tiny(qaoaCircuit(g, 2), maxcutHamiltonian(g));
-    KernelOptions small;
-    small.prefixCacheBudgetBytes = 4096;
-    tiny.configureKernel(small);
-    BatchHandle tiny_handle =
-        ExecutionEngine::serial().submit(tiny, points);
-    tiny_handle.wait();
-    EXPECT_GT(tiny_handle.stats().kernel.cacheEvictions, 0u);
-    EXPECT_EQ(tiny_handle.stats().kernel.cacheEvictions,
-              tiny.prefixCache().evictions());
+    // Per-point evaluate() replays from scratch and counts nothing.
+    cost.evaluate(points[1]);
+    EXPECT_EQ(cost.kernelStats().cacheLookups, points.size());
 }
 
 TEST(AsyncEngine, RegistryCountsEachBatchOnceIncludingCancelled)
@@ -740,8 +804,7 @@ TEST(AsyncEngine, RegistryCountsEachBatchOnceIncludingCancelled)
             registry.counter("engine.points.completed").value(),
             registry.counter("engine.points.cancelled").value(),
             registry.counter("engine.cache.hits").value(),
-            registry.counter("engine.cache.lookups").value(),
-            registry.counter("engine.cache.evictions").value()};
+            registry.counter("engine.cache.lookups").value()};
     };
     obs::Histogram& latency =
         registry.histogram("engine.batch.latency.ns");
@@ -752,13 +815,9 @@ TEST(AsyncEngine, RegistryCountsEachBatchOnceIncludingCancelled)
     const Graph g = random3RegularGraph(6, rng);
     const GridSpec grid = GridSpec::qaoaP2(3, 4);
 
-    // Completed on four threads (several chunks), with a checkpoint
-    // budget small enough to evict.
+    // Completed on four threads (several chunks, one per replica).
     StatevectorCost completed_cost(qaoaCircuit(g, 2),
                                    maxcutHamiltonian(g));
-    KernelOptions small;
-    small.prefixCacheBudgetBytes = 4096;
-    completed_cost.configureKernel(small);
     const auto points = axisMajorPoints(grid, completed_cost);
     ExecutionEngine engine(4);
     BatchHandle completed = engine.submit(completed_cost, points);
@@ -778,22 +837,20 @@ TEST(AsyncEngine, RegistryCountsEachBatchOnceIncludingCancelled)
     EXPECT_EQ(sum.pointsCompleted, points.size());
     EXPECT_EQ(sum.pointsCancelled, points.size());
     EXPECT_GT(sum.kernel.cacheHits, 0u);
-    EXPECT_GT(sum.kernel.cacheEvictions, 0u);
+    EXPECT_EQ(sum.kernel.cacheLookups, points.size());
 
     const std::vector<std::uint64_t> after = counters();
     EXPECT_EQ(after[0] - before[0], sum.pointsCompleted);
     EXPECT_EQ(after[1] - before[1], sum.pointsCancelled);
     EXPECT_EQ(after[2] - before[2], sum.kernel.cacheHits);
     EXPECT_EQ(after[3] - before[3], sum.kernel.cacheLookups);
-    EXPECT_EQ(after[4] - before[4], sum.kernel.cacheEvictions);
     EXPECT_EQ(latency.snapshot().count - batches_before, 2u);
 }
 
 TEST(AsyncEngine, OscarResultSurfacesExecutionStats)
 {
     // p=2: a p=1 QAOA cost replays its first cost layer as a phase
-    // fill and has no checkpoint levels, so it never looks up the
-    // prefix cache.
+    // fill and has no frontier levels, so it never resumes a point.
     const Graph g = testGraph();
     const GridSpec grid = GridSpec::qaoaP2(4, 5);
     StatevectorCost cost(qaoaCircuit(g, 2), maxcutHamiltonian(g));

@@ -24,7 +24,7 @@
  *  - the QAOA phase plan: chosen exactly for RZZ layers that match a
  *    ZZ-only Hamiltonian of at most 256 levels, within 1e-12 of the
  *    gate replay, bit-identical across batching, clones and engine
- *    threads, and free of prefix-cache traffic at p=1.
+ *    threads, and never resuming a point at p=1.
  */
 
 #include <gtest/gtest.h>
@@ -190,7 +190,7 @@ TEST(Kernels, ParityOnRandomizedCircuits)
 
 TEST(Kernels, BitIdenticalSegmentedReplayPerIsa)
 {
-    // The prefix-cache invariant under blocking and ISA dispatch:
+    // The prefix-resume invariant under blocking and ISA dispatch:
     // for every available table, running [0, L) then [L, end) — which
     // can split a blocked run — reproduces the straight run bit for
     // bit.
@@ -338,7 +338,7 @@ axisMajorPoints(const StatevectorCost& probe)
 /**
  * Energies of `points`, each replayed from |0...0> through `compiled`
  * on one kernel table with the per-point diagonal expectation: the
- * uncached, unbatched reference for a cost compiled with the same
+ * unresumed, unbatched reference for a cost compiled with the same
  * options.
  */
 std::vector<double>
@@ -363,7 +363,7 @@ replayEnergies(const CompiledCircuit& compiled,
 
 /**
  * For every ISA: one-by-one evaluation of `circuit` against `ham`, the
- * grouped batched path (fused expectation), the cache-off path and a
+ * grouped batched path (fused expectation, resumed points) and a
  * per-point replay of the cost's own compiled schedule agree bit for
  * bit; every value is within 1e-12 of the StatevectorCost::kPlan gate
  * replay and of the unfused replay; and the unfused plan replays bit
@@ -406,12 +406,6 @@ expectReplayPathsAgree(const Circuit& circuit, const PauliSum& ham)
         EXPECT_GT(stats.fusedOpsCollapsed, stats.fusedSuperKernels)
             << name;
 
-        KernelOptions no_cache = options;
-        no_cache.prefixCache = false;
-        StatevectorCost uncached(circuit, ham);
-        uncached.configureKernel(no_cache);
-        const auto uncached_values = uncached.evaluateBatch(points);
-
         const auto per_point =
             replayEnergies(one_by_one.compiled(), diag, points, *table);
         const auto plan_values = replayEnergies(plan, diag, points, *table);
@@ -422,8 +416,6 @@ expectReplayPathsAgree(const Circuit& circuit, const PauliSum& ham)
 
         for (std::size_t i = 0; i < points.size(); ++i) {
             EXPECT_EQ(reference[i], grouped[i]) << name << " point " << i;
-            EXPECT_EQ(reference[i], uncached_values[i])
-                << name << " point " << i;
             EXPECT_EQ(reference[i], per_point[i])
                 << name << " point " << i;
             EXPECT_NEAR(reference[i], plan_values[i], 1e-12)
@@ -1091,7 +1083,7 @@ TEST(Kernels, PhasePlanBitIdenticalAcrossBatchingClonesAndThreads)
     }
 }
 
-TEST(Kernels, PhasePlanP1SkipsThePrefixCache)
+TEST(Kernels, PhasePlanP1NeverResumes)
 {
     Rng rng(83);
     const Graph g = random3RegularGraph(10, rng);
@@ -1105,7 +1097,6 @@ TEST(Kernels, PhasePlanP1SkipsThePrefixCache)
     const KernelStats p1_stats = p1.kernelStats();
     EXPECT_EQ(p1_stats.cacheLookups, 0u);
     EXPECT_EQ(p1_stats.cacheHits, 0u);
-    EXPECT_EQ(p1.prefixCache().numEntries(), 0u);
     // One fill per evaluation, folding the H layer and the cost layer.
     EXPECT_EQ(p1_stats.fusedSuperKernels, 2 * p1_points.size());
     EXPECT_EQ(p1_stats.fusedOpsCollapsed,

@@ -89,8 +89,6 @@ KernelOptions
 randomKernelOptions(Rng& rng)
 {
     KernelOptions options;
-    options.prefixCache = rng.uniform() < 0.5;
-    options.prefixCacheBudgetBytes = rng.uniformInt(1u << 28);
     const kernels::KernelIsa isas[] = {kernels::KernelIsa::Scalar,
                                        kernels::KernelIsa::Avx2,
                                        kernels::KernelIsa::Avx512};
@@ -104,7 +102,6 @@ randomKernelStats(Rng& rng)
     KernelStats stats;
     stats.cacheHits = rng.uniformInt(1000);
     stats.cacheLookups = stats.cacheHits + rng.uniformInt(1000);
-    stats.cacheEvictions = rng.uniformInt(100);
     const kernels::KernelIsa isas[] = {kernels::KernelIsa::Scalar,
                                        kernels::KernelIsa::Avx2,
                                        kernels::KernelIsa::Avx512};
@@ -164,9 +161,6 @@ TEST(WireTest, CostSpecRoundTripRandomized)
         EXPECT_EQ(back.costId, spec.costId);
         expectCircuitsEqual(back.circuit, spec.circuit);
         expectPauliSumsEqual(back.hamiltonian, spec.hamiltonian);
-        EXPECT_EQ(back.kernel.prefixCache, spec.kernel.prefixCache);
-        EXPECT_EQ(back.kernel.prefixCacheBudgetBytes,
-                  spec.kernel.prefixCacheBudgetBytes);
         EXPECT_EQ(back.kernel.isa, spec.kernel.isa);
     }
 }
@@ -199,15 +193,16 @@ TEST(WireTest, GoldenCostIdAndConfigHash)
     // kStatevectorPlanRevision joined it: landscapes sampled by the RZZ
     // gate replay must miss. The costId was re-pinned at wire v9, when
     // KernelOptions dropped its replay-plan fields: landscapes computed
-    // under a per-request plan must miss.
+    // under a per-request plan must miss; and again at v10, when it
+    // dropped the prefix-cache switch and budget.
     const Graph graph = meshGraph(2, 3);
     CostSpec spec;
     spec.circuit = qaoaCircuit(graph, 1);
     spec.hamiltonian = maxcutHamiltonian(graph);
     spec.kernel.isa = kernels::KernelIsa::Scalar;
     const std::vector<std::uint8_t> payload = encodeCostSpec(spec);
-    EXPECT_EQ(spec.costId, 0x3a9470642955a825ull);
-    EXPECT_EQ(payload.size(), 733u);
+    EXPECT_EQ(spec.costId, 0x411319b36be04e64ull);
+    EXPECT_EQ(payload.size(), 724u);
     EXPECT_EQ(store::configHash(0.05, 1), 0x9b440b9bae91ccb7ull);
     EXPECT_EQ(store::gridHash(GridSpec::qaoaP1(20, 40)),
               0xc5d2700ab1021b8bull);
@@ -226,7 +221,6 @@ TEST(WireTest, KernelStatsRoundTripRandomized)
         r.expectEnd();
         EXPECT_EQ(back.cacheHits, stats.cacheHits);
         EXPECT_EQ(back.cacheLookups, stats.cacheLookups);
-        EXPECT_EQ(back.cacheEvictions, stats.cacheEvictions);
         EXPECT_EQ(back.isa, stats.isa);
         EXPECT_EQ(back.blockedGroupRuns, stats.blockedGroupRuns);
         EXPECT_EQ(back.blockedOpsApplied, stats.blockedOpsApplied);
