@@ -14,8 +14,9 @@
  *
  *  2. Kernel layers (BENCH_kernels.json): the one fused, blocked
  *     replay plan on each available kernel ISA, on the 12-qubit p=2
- *     sweep and on the p1_exec request's gather (150 samples of the
- *     20-qubit p=1 grid on 4 threads).
+ *     sweep of a MaxCut and of an SK instance and on the p1_exec
+ *     request's gather (150 samples of the 20-qubit p=1 grid on 4
+ *     threads).
  *
  *  3. Observability (BENCH_obs.json): the same sweep with tracing off
  *     and on (metrics always record) -- the traced row reports its
@@ -31,10 +32,9 @@
  * OSCAR_BENCH_ONLY=<substring> selects a subset of studies (the CI
  * observability leg runs only "obs").
  *
- * Built against Google Benchmark when available (OSCAR_HAVE_GBENCH);
- * otherwise falls back to the repeated-run-median wall-clock tables
- * of bench_common.h. Thread speedups require cores: on a 1-core host
- * the engine can only match the serial path.
+ * Timings are repeated-run medians on fresh costs (bench_common.h).
+ * Thread speedups require cores: on a 1-core host the engine can only
+ * match the serial path.
  */
 
 #include <bit>
@@ -55,13 +55,10 @@
 #include "src/cs/fista.h"
 #include "src/cs/reconstructor.h"
 #include "src/hamiltonian/maxcut.h"
+#include "src/hamiltonian/sk_model.h"
 #include "src/landscape/sampler.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-
-#ifdef OSCAR_HAVE_GBENCH
-#include <benchmark/benchmark.h>
-#endif
 
 namespace oscar {
 namespace {
@@ -86,18 +83,23 @@ identical(const std::vector<double>& a, const std::vector<double>& b)
     return true;
 }
 
-/** Shared sweep workload: graph, cost factory, axis-major points. */
+/**
+ * Shared sweep workload: a QAOA instance (a random 3-regular MaxCut
+ * graph, or an SK instance with Gaussian couplings when `sk`), its
+ * cost factory, and the grid's points in axis-major order.
+ */
 struct SweepCase
 {
     Graph graph;
     int depth;
+    bool sk;
     std::vector<std::vector<double>> points;
 
-    SweepCase(int num_qubits, int depth_, const GridSpec& grid)
-        : graph(makeGraph(num_qubits)), depth(depth_)
+    SweepCase(int num_qubits, int depth_, const GridSpec& grid,
+              bool sk_ = false)
+        : graph(makeGraph(num_qubits, sk_)), depth(depth_), sk(sk_)
     {
-        const StatevectorCost probe(qaoaCircuit(graph, depth),
-                                    maxcutHamiltonian(graph));
+        const StatevectorCost probe = make();
         std::vector<std::size_t> indices(grid.numPoints());
         for (std::size_t i = 0; i < indices.size(); ++i)
             indices[i] = i;
@@ -112,14 +114,16 @@ struct SweepCase
     make() const
     {
         return StatevectorCost(qaoaCircuit(graph, depth),
-                               maxcutHamiltonian(graph));
+                               sk ? skHamiltonian(graph)
+                                  : maxcutHamiltonian(graph));
     }
 
     static Graph
-    makeGraph(int num_qubits)
+    makeGraph(int num_qubits, bool sk)
     {
         Rng rng(7);
-        return random3RegularGraph(num_qubits, rng);
+        return sk ? skInstance(num_qubits, rng)
+                  : random3RegularGraph(num_qubits, rng);
     }
 };
 
@@ -147,11 +151,15 @@ timeFreshCosts(const SweepCase& sweep, int reps,
 
 /**
  * Kernel-layer study: one row per kernel ISA available on this
- * host/build (scalar / AVX2 / AVX-512) for each of two workloads, each
- * replaying StatevectorCost's one plan on fresh costs:
+ * host/build (scalar / AVX2 / AVX-512) for each of three workloads,
+ * each replaying StatevectorCost's one plan on fresh costs:
  *
- *  - the acceptance sweep (axis-major 12q p=2 QAOA, one batch, prefix
- *    resume and batched expectation);
+ *  - the acceptance sweep (axis-major 12q p=2 MaxCut QAOA, one batch,
+ *    prefix resume and batched expectation), whose cost layers replay
+ *    as phase ops;
+ *  - the same sweep on a 12q SK instance (rows "sk_<isa>"), whose
+ *    Gaussian couplings share no unit, so its cost layers replay as
+ *    per-block diagonal tables;
  *  - the p1_exec request's gather: 150 samples (3%) of the 20-qubit
  *    p=1 grid through gatherCost on a 4-thread engine, as
  *    Oscar::reconstruct runs them (rows "p1_gather_<isa>").
@@ -233,15 +241,23 @@ runKernelStudy()
         }
     };
 
+    // One batch over a sweep's points.
+    auto batch = [](const SweepCase& sweep) {
+        return [&sweep](StatevectorCost& cost, KernelStats& stats) {
+            std::vector<double> values = cost.evaluateBatch(sweep.points);
+            stats = cost.kernelStats();
+            return values;
+        };
+    };
     const SweepCase sweep(12, 2, GridSpec::qaoaP2(5, 7));
     study("kernel layers: p=2 QAOA, 12 qubits, axis-major " +
               std::to_string(sweep.points.size()) + "-point sweep",
-          "", sweep, sweep.points.size(), 7,
-          [&](StatevectorCost& cost, KernelStats& stats) {
-              std::vector<double> values = cost.evaluateBatch(sweep.points);
-              stats = cost.kernelStats();
-              return values;
-          });
+          "", sweep, sweep.points.size(), 7, batch(sweep));
+    const SweepCase sk(12, 2, GridSpec::qaoaP2(5, 7), true);
+    study("kernel layers: p=2 QAOA on an SK instance, 12 qubits, "
+          "axis-major " +
+              std::to_string(sk.points.size()) + "-point sweep",
+          "sk_", sk, sk.points.size(), 7, batch(sk));
 
     const GridSpec p1_grid = GridSpec::qaoaP1();
     const SweepCase p1(20, 1, p1_grid);
@@ -474,8 +490,6 @@ runCsStudy()
     json.write("BENCH_cs.json");
 }
 
-#ifndef OSCAR_HAVE_GBENCH
-
 constexpr int kReps = 3;
 
 struct Mode
@@ -566,133 +580,8 @@ runSweep(int num_qubits, int depth, const GridSpec& grid)
     report(modes, num_points);
 }
 
-#endif // !OSCAR_HAVE_GBENCH
-
 } // namespace
 } // namespace oscar
-
-#ifdef OSCAR_HAVE_GBENCH
-
-namespace oscar {
-namespace {
-
-SweepCase
-gbenchSweep(const benchmark::State& state)
-{
-    return SweepCase(static_cast<int>(state.range(0)),
-                     static_cast<int>(state.range(1)),
-                     state.range(1) == 1 ? GridSpec::qaoaP1(30, 60)
-                                         : GridSpec::qaoaP2(5, 7));
-}
-
-/** Per-point evaluate() reference for the bit-identity guards below. */
-std::vector<double>
-scalarReference(const SweepCase& sweep)
-{
-    StatevectorCost cost = sweep.make();
-    std::vector<double> values;
-    for (const auto& p : sweep.points)
-        values.push_back(cost.evaluate(p));
-    return values;
-}
-
-void
-BM_PerPointEvaluate(benchmark::State& state)
-{
-    const SweepCase sweep = gbenchSweep(state);
-    StatevectorCost cost = sweep.make();
-    for (auto _ : state) {
-        for (const auto& p : sweep.points)
-            benchmark::DoNotOptimize(cost.evaluate(p));
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() *
-                                  sweep.points.size()));
-}
-
-void
-BM_BatchResume(benchmark::State& state)
-{
-    const SweepCase sweep = gbenchSweep(state);
-    const std::vector<double> reference = scalarReference(sweep);
-    std::vector<double> values;
-    for (auto _ : state) {
-        state.PauseTiming();
-        StatevectorCost cost = sweep.make(); // no buffers yet per rep
-        state.ResumeTiming();
-        values = cost.evaluateBatch(sweep.points);
-        benchmark::DoNotOptimize(values);
-    }
-    if (!identical(values, reference))
-        state.SkipWithError("resumed batch diverged from evaluate()");
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() *
-                                  sweep.points.size()));
-}
-
-void
-BM_EngineSubmit(benchmark::State& state)
-{
-    const SweepCase sweep(12, 2, GridSpec::qaoaP2(5, 7));
-    const std::vector<double> reference = scalarReference(sweep);
-    ExecutionEngine engine(static_cast<int>(state.range(0)));
-    std::vector<double> values;
-    for (auto _ : state) {
-        state.PauseTiming();
-        StatevectorCost cost = sweep.make();
-        state.ResumeTiming();
-        values = engine.submit(cost, sweep.points).get();
-        benchmark::DoNotOptimize(values);
-    }
-    if (!identical(values, reference))
-        state.SkipWithError("threaded submission diverged from scalar");
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() *
-                                  sweep.points.size()));
-}
-
-BENCHMARK(BM_PerPointEvaluate)
-    ->Args({12, 1})
-    ->Args({12, 2})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BatchResume)
-    ->Args({12, 1})
-    ->Args({12, 2})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_EngineSubmit)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-} // namespace
-} // namespace oscar
-
-int
-main(int argc, char** argv)
-{
-    ::benchmark::Initialize(&argc, argv);
-    if (::benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    // The kernel-layer, observability and CS studies run in both modes
-    // and write BENCH_kernels.json / BENCH_obs.json / BENCH_cs.json for
-    // the cross-PR perf trajectory; they run first so the reports exist
-    // regardless of --benchmark_filter. OSCAR_BENCH_ONLY=<substring>
-    // narrows to matching studies (the observability CI leg runs only
-    // "obs").
-    if (oscar::benchEnabled("kernels"))
-        oscar::runKernelStudy();
-    if (oscar::benchEnabled("obs"))
-        oscar::runObsStudy();
-    if (oscar::benchEnabled("cs"))
-        oscar::runCsStudy();
-    if (std::getenv("OSCAR_BENCH_ONLY"))
-        return 0;
-    ::benchmark::RunSpecifiedBenchmarks();
-    ::benchmark::Shutdown();
-    return 0;
-}
-
-#else // !OSCAR_HAVE_GBENCH
 
 int
 main()
@@ -714,7 +603,7 @@ main()
         oscar::runSweep(16, 1, oscar::GridSpec::qaoaP1(15, 30));
     }
 
-    // Kernel-layer breakdown on the acceptance sweep; also writes
+    // Kernel-layer breakdown per ISA on three workloads; writes
     // BENCH_kernels.json.
     if (oscar::benchEnabled("kernels"))
         oscar::runKernelStudy();
@@ -729,5 +618,3 @@ main()
         oscar::runCsStudy();
     return 0;
 }
-
-#endif // OSCAR_HAVE_GBENCH

@@ -293,13 +293,11 @@ ExecutionEngine::ExecutionEngine()
 }
 
 ExecutionEngine::ExecutionEngine(int num_threads)
-    : ExecutionEngine(EngineOptions{num_threads, 4})
+    : ExecutionEngine(EngineOptions{num_threads})
 {
 }
 
 ExecutionEngine::ExecutionEngine(const EngineOptions& options)
-    : minPointsPerThread_(std::max<std::size_t>(1,
-                                                options.minPointsPerThread))
 {
     // Resolve OSCAR_TRACE / OSCAR_TRACE_BUFFER_KB once, fail-fast (a
     // malformed toggle throws here, not on the first recorded span).
@@ -348,13 +346,9 @@ std::vector<ExecutionEngine::Chunk>
 ExecutionEngine::planChunks(std::size_t count) const
 {
     const std::size_t threads = workers_.size() + 1;
-    if (threads <= 1 || count < 2 * minPointsPerThread_)
+    if (threads <= 1 || count < 2 * kMinPointsPerThread)
         return {};
-    const std::size_t max_chunks =
-        std::max<std::size_t>(1, count / minPointsPerThread_);
-    const std::size_t n = std::min(threads, max_chunks);
-    if (n <= 1)
-        return {};
+    const std::size_t n = std::min(threads, count / kMinPointsPerThread);
     std::vector<Chunk> chunks;
     chunks.reserve(n);
     const std::size_t base = count / n;

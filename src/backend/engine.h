@@ -88,14 +88,15 @@ struct EngineOptions
 {
     /** Worker threads; 0 = hardware concurrency, 1 = serial. */
     int numThreads = 0;
-
-    /**
-     * Below this many points per would-be worker the batch runs
-     * inline on the waiting thread (thread hand-off costs more than
-     * it saves).
-     */
-    std::size_t minPointsPerThread = 4;
 };
+
+/**
+ * Fewest points per chunk: a batch or map is cut into at most
+ * count / kMinPointsPerThread chunks, and one with fewer than two
+ * chunks' worth runs inline on the waiting thread (thread hand-off
+ * costs more than it saves).
+ */
+inline constexpr std::size_t kMinPointsPerThread = 4;
 
 /**
  * Progress / effectiveness counters of one submitted batch. When the
@@ -323,7 +324,6 @@ class ExecutionEngine
     // -- worker pool -------------------------------------------------
     void workerLoop();
 
-    std::size_t minPointsPerThread_;
     std::vector<std::thread> workers_;
 
     std::mutex mutex_; ///< guards queue_ and stop_

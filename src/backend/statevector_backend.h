@@ -13,9 +13,10 @@
  *    KernelOptions::isa;
  *  - cache blocking: the plan streams runs of compatible ops over
  *    L1-sized amplitude blocks;
- *  - super-kernel fusion: the plan collapses eligible op runs of each
- *    blocked run into dense matvec / diagonal-table super-kernels
- *    replayed once per block;
+ *  - super-kernel fusion: the plan folds runs of diagonal ops in each
+ *    blocked run into one diagonal table applied once per block, and
+ *    replays parameterized RX/RY through the rotation kernels, two
+ *    at a time where adjacent;
  *  - QAOA phase ops: when the Hamiltonian is diagonal, made only of
  *    ZZ terms and a constant sharing one coefficient unit, with at
  *    most 256 levels, each matching RZZ layer compiles to a phase op
@@ -76,9 +77,10 @@ namespace oscar {
  * when the plan changes, so the landscape store folds it into its key
  * next to the CS revisions, and landscapes from an older plan miss.
  * Revision 1 (before the key held it) replayed every QAOA cost layer
- * as RZZ gates; 2 replays matching layers as phase ops.
+ * as RZZ gates; 2 replays matching layers as phase ops; 3 drops the
+ * dense matvec units, which formed on SK and UCCSD circuits.
  */
-inline constexpr std::uint64_t kStatevectorPlanRevision = 2;
+inline constexpr std::uint64_t kStatevectorPlanRevision = 3;
 
 /**
  * Exact expectation <psi(theta)|H|psi(theta)> where |psi(theta)> is
@@ -90,14 +92,14 @@ class StatevectorCost : public CostFunction
   public:
     /**
      * The one replay plan: cache blocking over kDefaultBlockWindow
-     * qubits with super-kernel fusion over 4. On QAOA circuits windows
-     * 4, 5 and 6 collapse the same ops and time alike (window 3
-     * collapses one op fewer); 4 keeps each dense unit at most 16x16.
-     * The constructor compiles it with the Hamiltonian's phase levels,
-     * so matching QAOA cost layers replay as phase ops (compiled()).
+     * qubits with super-kernel fusion on. The constructor compiles it
+     * with the Hamiltonian's phase levels, so matching QAOA cost
+     * layers replay as phase ops (compiled()); other diagonal runs
+     * (SK cost layers, whose Gaussian couplings share no unit, and
+     * two-local CZ entanglers) fold into per-block diagonal tables.
      */
     static constexpr CompileOptions kPlan{
-        .blockWindow = kDefaultBlockWindow, .fuseWindow = 4};
+        .blockWindow = kDefaultBlockWindow, .fuse = true};
 
     StatevectorCost(Circuit circuit, PauliSum hamiltonian);
 

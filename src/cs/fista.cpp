@@ -88,15 +88,17 @@ fistaSolve(const Dct2d& dct, const std::vector<std::size_t>& sample_index,
     // Row blocks and blocks of FFT lane pairs (even lane boundaries
     // keep the FFT's two-lane vectors full). The engine cuts a map
     // into one chunk per thread only when each chunk gets at least
-    // EngineOptions::minPointsPerThread (4) blocks, hence 4 per
-    // thread. Inline, each region is one block: on the small grids that
-    // run inline, 16 lane blocks cost 1.5-3x one full-width FFT pass.
+    // kMinPointsPerThread blocks, hence that many per thread. Inline,
+    // each region is one block: on the small grids that run inline,
+    // 16 lane blocks cost 1.5-3x one full-width FFT pass.
     if (engine && (engine->numThreads() < 2 || n < kFistaParallelPoints))
         engine = nullptr;
     const std::size_t lanes = op.lanes();
     const std::size_t pairs = (lanes + 1) / 2;
     const std::size_t want =
-        engine ? 4 * static_cast<std::size_t>(engine->numThreads()) : 1;
+        engine ? kMinPointsPerThread *
+                     static_cast<std::size_t>(engine->numThreads())
+               : 1;
     const std::size_t row_blocks = std::min(want, nr);
     const std::size_t lane_blocks = std::min(want, pairs);
     std::vector<std::vector<double>> fft_work(lane_blocks);

@@ -121,10 +121,15 @@ applyEnv()
 /**
  * One 64-byte slot: a seqlock word plus the span payload. The owning
  * thread is the only writer; it bumps seq to odd, stores the payload
- * with relaxed atomic words, and bumps seq to even (both bumps
- * release). A collector acquires seq, copies the payload relaxed,
- * and re-checks seq: any change or odd value discards the copy, so a
- * torn read can be *detected* but never *returned*.
+ * words, and bumps seq to even, every store a release. A collector
+ * acquires seq, copies the payload with acquire loads, and re-checks
+ * seq: any change or odd value discards the copy, so a torn read can
+ * be *detected* but never *returned*. The payload's release stores
+ * and acquire loads carry the ordering: if the collector reads any
+ * payload word from a newer write, the re-check sees that write's odd
+ * seq. Relaxed payload stores could move ahead of the odd seq on ARM
+ * or POWER. On x86 both orders are plain moves, and there is no
+ * fence, which ThreadSanitizer cannot model.
  */
 struct alignas(64) Slot
 {
@@ -201,15 +206,15 @@ Tracer::record(SpanCategory cat, const char* name, std::uint64_t t0_ns,
 
     const std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
     slot.seq.store(seq + 1, std::memory_order_release); // odd: writing
-    slot.t0.store(t0_ns, std::memory_order_relaxed);
+    slot.t0.store(t0_ns, std::memory_order_release);
     slot.dur.store(t1_ns >= t0_ns ? t1_ns - t0_ns : 0,
-                   std::memory_order_relaxed);
+                   std::memory_order_release);
     slot.meta.store(static_cast<std::uint64_t>(cat),
-                    std::memory_order_relaxed);
-    slot.name0.store(name_words[0], std::memory_order_relaxed);
-    slot.name1.store(name_words[1], std::memory_order_relaxed);
-    slot.arg0.store(arg0, std::memory_order_relaxed);
-    slot.arg1.store(arg1, std::memory_order_relaxed);
+                    std::memory_order_release);
+    slot.name0.store(name_words[0], std::memory_order_release);
+    slot.name1.store(name_words[1], std::memory_order_release);
+    slot.arg0.store(arg0, std::memory_order_release);
+    slot.arg1.store(arg1, std::memory_order_release);
     slot.seq.store(seq + 2, std::memory_order_release); // even: stable
     buffer.head.store(index + 1, std::memory_order_release);
 }
@@ -225,15 +230,14 @@ readSlot(const Slot& slot, std::uint32_t tid, SpanRecord* out)
     if (seq_before & 1)
         return false;
     SpanRecord rec;
-    rec.t0Ns = slot.t0.load(std::memory_order_relaxed);
-    rec.durNs = slot.dur.load(std::memory_order_relaxed);
-    const std::uint64_t meta = slot.meta.load(std::memory_order_relaxed);
+    rec.t0Ns = slot.t0.load(std::memory_order_acquire);
+    rec.durNs = slot.dur.load(std::memory_order_acquire);
+    const std::uint64_t meta = slot.meta.load(std::memory_order_acquire);
     std::uint64_t name_words[2];
-    name_words[0] = slot.name0.load(std::memory_order_relaxed);
-    name_words[1] = slot.name1.load(std::memory_order_relaxed);
-    rec.arg0 = slot.arg0.load(std::memory_order_relaxed);
-    rec.arg1 = slot.arg1.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
+    name_words[0] = slot.name0.load(std::memory_order_acquire);
+    name_words[1] = slot.name1.load(std::memory_order_acquire);
+    rec.arg0 = slot.arg0.load(std::memory_order_acquire);
+    rec.arg1 = slot.arg1.load(std::memory_order_acquire);
     if (slot.seq.load(std::memory_order_relaxed) != seq_before)
         return false; // torn: the writer lapped us mid-copy
     rec.category = static_cast<SpanCategory>(meta & 0xFF);

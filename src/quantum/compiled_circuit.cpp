@@ -324,7 +324,7 @@ runOp(const CompiledOp& op, cplx* amps, std::size_t dim,
         t.cx(amps, dim, op.q0, op.q1);
         break;
       case KernelOp::CZ:
-        t.cz(amps, dim, op.q0, op.q1);
+        t.negateMasked(amps, dim, kernels::czMask(op.q0, op.q1));
         break;
       case KernelOp::Swap:
         t.swapQubits(amps, dim, op.q0, op.q1);
@@ -454,9 +454,7 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit,
     blockBits_ = options.blockWindow <= 0
                      ? 0
                      : std::min(options.blockWindow, numQubits_);
-    fuseBits_ = options.fuseWindow <= 0
-                    ? 0
-                    : std::min(options.fuseWindow, numQubits_);
+    fuse_ = options.fuse;
     buildPlan();
 }
 
@@ -488,7 +486,7 @@ CompiledCircuit::blockable(const CompiledOp& op, int k)
 
 namespace {
 
-/** True for the diagonal op kinds a DiagTable unit may contain. */
+/** True for the diagonal op kinds a fused unit may contain. */
 inline bool
 isDiagonalOp(const CompiledOp& op)
 {
@@ -506,29 +504,6 @@ diagFoldable(const CompiledOp& op, int k)
     if (op.q0 >= k)
         return false;
     return op.arity() == 1 || op.q1 < k;
-}
-
-/** True when every qubit the op touches sits below `f` (dense-fusable). */
-inline bool
-denseFusable(const CompiledOp& op, int f)
-{
-    if (op.isPhaseOp() || op.q0 >= f)
-        return false;
-    return op.arity() == 1 || op.q1 < f;
-}
-
-/**
- * Per-amplitude replay cost of one op in quarter-complex-multiplies,
- * against which a dense matvec costs 4 << fbits. Conservative: the
- * generic 2x2 matrix is the expensive case, the rotation lowering
- * halves it, and diagonal/permutation ops are cheap.
- */
-inline unsigned
-denseWeight(const CompiledOp& op)
-{
-    if (op.op == KernelOp::Matrix1q)
-        return rotLowerable(op) ? 8u : 16u;
-    return 4u;
 }
 
 } // namespace
@@ -565,47 +540,35 @@ CompiledCircuit::buildPlan()
         i = e;
     }
 
-    if (fuseBits_ <= 0)
+    if (!fuse_)
         return;
     for (PlanSegment& seg : plan_) {
         if (seg.blocked)
             formUnits(seg);
     }
 
-    // Lay out payload storage: constant payloads pack into
+    // Lay out payload storage: constant tables pack into
     // constPayload_ once, parameterized ones get disjoint offsets in
     // the per-call scratch. Offsets round up to 8 complexes so every
-    // payload starts on a 128-byte boundary inside the 64-byte-aligned
+    // table starts on a 128-byte boundary inside the 64-byte-aligned
     // backing store.
     constexpr std::size_t kPayloadAlign = 8;
+    const std::size_t tdim = std::size_t{1} << blockBits_;
     std::size_t constSize = 0;
     std::size_t paramSize = 0;
     for (FusedUnit& u : units_) {
-        const std::size_t psize =
-            u.kind == FuseKind::DiagTable
-                ? std::size_t{1} << blockBits_
-                : std::size_t{1} << (2 * u.fbits);
         std::size_t& acc = u.constant ? constSize : paramSize;
         acc = (acc + kPayloadAlign - 1) & ~(kPayloadAlign - 1);
         u.payloadOffset = static_cast<std::uint32_t>(acc);
-        acc += psize;
-        if (u.kind == FuseKind::Dense) {
-            matvecScratchSize_ = std::max(
-                matvecScratchSize_, std::size_t{1} << u.fbits);
-        }
+        acc += tdim;
         fusedOps_ += u.foldCount;
     }
     paramScratchSize_ = paramSize;
     constPayload_.assign(constSize, cplx(0.0, 0.0));
     for (const FusedUnit& u : units_) {
-        if (!u.constant)
-            continue;
-        cplx* payload = constPayload_.data() + u.payloadOffset;
-        if (u.kind == FuseKind::DiagTable)
+        if (u.constant)
             buildDiagTable(u, nullptr, kernels::scalarKernelTable(),
-                           payload);
-        else
-            buildDenseMatrix(u, nullptr, payload);
+                           constPayload_.data() + u.payloadOffset);
     }
 }
 
@@ -614,7 +577,6 @@ CompiledCircuit::formUnits(PlanSegment& seg)
 {
     seg.unitBegin = static_cast<std::uint32_t>(units_.size());
     const int k = blockBits_;
-    const int fcap = std::min({fuseBits_, blockBits_, 6});
     // Units never straddle a frontier level: checkpoint resume and
     // batched suffix replay cut the schedule exactly there, and a unit
     // crossing a cut would replay differently fused vs split.
@@ -644,66 +606,12 @@ CompiledCircuit::formUnits(PlanSegment& seg)
                 // complexes per replay (through the active ISA's
                 // kernels, so it is cheap); >= 4 blocks amortize it.
                 // Constant tables are free.
-                if (fold >= 2 && (constant || numQubits_ - k >= 2)) {
+                if (fold >= 2 && (constant || numQubits_ - k >= 2))
                     units_.push_back({static_cast<std::uint32_t>(i),
                                       static_cast<std::uint32_t>(j),
-                                      FuseKind::DiagTable,
-                                      static_cast<std::uint8_t>(k),
                                       constant, 0, fold});
-                    i = j;
-                    continue;
-                }
-                i = j;
-                continue;
             }
-            // Dense run: >= 2 consecutive ops confined to the low fcap
-            // qubits. Collapse the longest prefix whose summed per-op
-            // weight beats the matvec cost of 4 quarter-multiplies per
-            // amplitude per matrix dimension.
-            std::size_t d = i;
-            while (d < hi && denseFusable(ops_[d], fcap))
-                ++d;
-            bool fused = false;
-            if (fcap > 0 && d - i >= 2) {
-                std::vector<unsigned> wsum(d - i + 1, 0);
-                std::vector<int> maxq(d - i + 1, 0);
-                int q = 0;
-                for (std::size_t m = i; m < d; ++m) {
-                    const CompiledOp& op = ops_[m];
-                    q = std::max(q, int(op.q0));
-                    if (op.arity() == 2)
-                        q = std::max(q, int(op.q1));
-                    maxq[m - i + 1] = q;
-                    wsum[m - i + 1] = wsum[m - i] + denseWeight(op);
-                }
-                for (std::size_t n = d - i; n >= 2; --n) {
-                    const int fbits = maxq[n] + 1;
-                    bool constant = true;
-                    for (std::size_t m = i; m < i + n; ++m)
-                        constant = constant && ops_[m].paramIndex < 0;
-                    // Constant matrices are prebuilt, so fusing pays
-                    // as soon as the matvec beats the folded ops.
-                    // Parameterized ones are rebuilt every replay;
-                    // demand a 4x margin so small runs (e.g. a pair
-                    // of rotations, already served by the paired rot
-                    // kernels) are not slowed down by the rebuild.
-                    const unsigned need =
-                        constant ? (4u << fbits) : (16u << fbits);
-                    if (need > wsum[n])
-                        continue;
-                    units_.push_back(
-                        {static_cast<std::uint32_t>(i),
-                         static_cast<std::uint32_t>(i + n),
-                         FuseKind::Dense,
-                         static_cast<std::uint8_t>(fbits), constant, 0,
-                         static_cast<std::uint32_t>(n)});
-                    i += n;
-                    fused = true;
-                    break;
-                }
-            }
-            if (!fused)
-                ++i;
+            i = std::max(j, i + 1);
         }
         lo = hi;
     }
@@ -734,31 +642,12 @@ CompiledCircuit::buildDiagTable(const FusedUnit& unit,
             t.diag1q(table, tdim, op.q0, r.p0, r.p1);
             break;
           case KernelOp::CZ:
-            t.cz(table, tdim, op.q0, op.q1);
+            t.negateMasked(table, tdim, kernels::czMask(op.q0, op.q1));
             break;
           default: // PhaseZZ (the only other diagonal kind)
             t.phaseZZ(table, tdim, op.q0, op.q1, r.p0, r.p1);
             break;
         }
-    }
-}
-
-void
-CompiledCircuit::buildDenseMatrix(const FusedUnit& unit,
-                                  const double* params,
-                                  cplx* matrix) const
-{
-    // Column c of the fused matrix is the op run applied to basis
-    // state |c>, via the scalar reference kernels (ISA-independent,
-    // as above). Column-major: matrix[c * fdim + r].
-    const std::size_t fdim = std::size_t{1} << unit.fbits;
-    std::fill(matrix, matrix + fdim * fdim, cplx(0.0, 0.0));
-    for (std::size_t c = 0; c < fdim; ++c)
-        matrix[c * fdim + c] = cplx(1.0, 0.0);
-    const kernels::KernelTable& t = kernels::scalarKernelTable();
-    for (std::size_t m = unit.begin; m < unit.end; ++m) {
-        for (std::size_t c = 0; c < fdim; ++c)
-            runOp(ops_[m], matrix + c * fdim, fdim, params, t, false, {});
     }
 }
 
@@ -1013,11 +902,11 @@ CompiledCircuit::runBlocked(cplx* amps, std::size_t dim,
 {
     const int k = blockBits_;
     const std::size_t bs = std::size_t{1} << k;
-    const bool rotLower = fuseBits_ > 0;
+    const bool rotLower = fuse_;
 
-    // Super-kernel units wholly inside [begin, end); a unit cut by the
-    // range (possible only for non-frontier-aligned cuts) falls back
-    // to per-op replay below.
+    // Fused units wholly inside [begin, end); a unit cut by the range
+    // (possible only for non-frontier-aligned cuts) falls back to
+    // per-op replay below.
     struct ActiveUnit
     {
         const FusedUnit* unit;
@@ -1050,7 +939,7 @@ CompiledCircuit::runBlocked(cplx* amps, std::size_t dim,
         return;
     }
 
-    // Parameterized unit payloads rebuild into call-local aligned
+    // Parameterized unit tables rebuild into call-local aligned
     // scratch (disjoint offsets laid out at plan time); constant ones
     // were prebuilt into constPayload_.
     AlignedVector<cplx> scratch;
@@ -1066,22 +955,12 @@ CompiledCircuit::runBlocked(cplx* amps, std::size_t dim,
             continue;
         }
         cplx* payload = scratch.data() + u.payloadOffset;
-        if (u.kind == FuseKind::DiagTable)
-            buildDiagTable(u, params, table, payload);
-        else
-            buildDenseMatrix(u, params, payload);
+        buildDiagTable(u, params, table, payload);
         a.payload = payload;
     }
-    AlignedVector<cplx> mvScratch;
-    for (const ActiveUnit& a : active) {
-        if (a.unit->kind == FuseKind::Dense) {
-            mvScratch.resize(matvecScratchSize_);
-            break;
-        }
-    }
 
-    // Ops outside units (and diagonal context ops inside DiagTable
-    // units) still replay per block through their resolved payloads.
+    // Ops outside units (and diagonal context ops inside units) still
+    // replay per block through their resolved payloads.
     std::vector<ResolvedPayload> resolved(end - begin);
     for (std::size_t m = begin; m < end; ++m)
         resolved[m - begin] =
@@ -1094,17 +973,11 @@ CompiledCircuit::runBlocked(cplx* amps, std::size_t dim,
         while (i < end) {
             if (ai < active.size() && active[ai].unit->begin == i) {
                 const FusedUnit& u = *active[ai].unit;
-                if (u.kind == FuseKind::DiagTable) {
-                    table.applyDiagTable(blk, bs, active[ai].payload);
-                    for (std::size_t m = u.begin; m < u.end; ++m) {
-                        if (!diagFoldable(ops_[m], k))
-                            applyToBlock(table, blk, bs, base,
-                                         resolved[m - begin], k);
-                    }
-                } else {
-                    table.matvecDense(blk, bs, u.fbits,
-                                      active[ai].payload,
-                                      mvScratch.data());
+                table.applyDiagTable(blk, bs, active[ai].payload);
+                for (std::size_t m = u.begin; m < u.end; ++m) {
+                    if (!diagFoldable(ops_[m], k))
+                        applyToBlock(table, blk, bs, base,
+                                     resolved[m - begin], k);
                 }
                 i = u.end;
                 ++ai;
@@ -1139,7 +1012,7 @@ CompiledCircuit::runRange(cplx* amps, std::size_t dim, std::size_t begin,
     // dim != 2^numQubits, if any, degrade to the plain loop).
     const bool use_plan = blockBits_ > 0 && !plan_.empty() &&
                           (std::size_t{1} << blockBits_) <= dim;
-    const bool rotLower = fuseBits_ > 0;
+    const bool rotLower = fuse_;
 
     // Resolve the phase tables of the phase ops in range; each counts
     // as one super-kernel collapsing the gates it replaced.

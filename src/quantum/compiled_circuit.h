@@ -100,32 +100,28 @@ struct CompileOptions
     int blockWindow = kDefaultBlockWindow;
 
     /**
-     * Super-kernel fusion window in qubits (0 disables). When > 0,
-     * the compile pass collapses eligible op runs inside blocked
-     * segments into fused super-kernels and lowers parameterized
-     * RX/RY payloads onto the specialized rotation kernels:
+     * Super-kernel fusion. When on, the compile pass makes two
+     * rewrites:
      *
-     *  - runs of >= 2 consecutive diagonal ops whose qubits all sit
-     *    below the block window fold into one per-block diagonal
-     *    table (kernels::applyDiagTable), with ops touching higher
-     *    qubits kept as per-block context;
-     *  - runs of >= 2 consecutive ops confined to the low
-     *    min(fuseWindow, blockWindow, 6) qubits collapse into one
-     *    dense 2^f x 2^f column-major matrix replayed as a single
-     *    GEMM-like matvec per block (kernels::matvecDense).
+     *  - runs of >= 2 consecutive diagonal ops inside a blocked
+     *    segment, at least 2 of them with every qubit below the block
+     *    window, fold into one per-block diagonal table
+     *    (kernels::applyDiagTable); diagonal ops touching higher
+     *    qubits stay as per-block context;
+     *  - parameterized RX/RY lower onto the rotation kernels, and
+     *    adjacent same-axis pairs on distinct qubits replay through
+     *    rotX2/rotY2.
      *
-     * Both rewrites are compile-time decisions (recorded in the plan,
-     * never dependent on runtime state) and carry profitability gates
-     * so fusion never pessimizes. Unlike blocking, fusion reorders
-     * and reassociates arithmetic: replay is bit-identical across
-     * batching, checkpoint resume, and frontier-aligned segmentation
-     * for a fixed (ISA, fusion plan), but fused and unfused replays
-     * of the same circuit agree only to rounding. StatevectorCost
-     * compiles its one fused plan (StatevectorCost::kPlan); the
-     * default here stays unfused for the density path and for
-     * reference replays.
+     * Both are compile-time decisions (recorded in the plan, never
+     * dependent on runtime state). Unlike blocking, fusion changes
+     * the arithmetic: replay is bit-identical across batching,
+     * checkpoint resume, and frontier-aligned segmentation for a
+     * fixed (ISA, plan), but fused and unfused replays of the same
+     * circuit agree only to rounding. StatevectorCost compiles its
+     * one fused plan (StatevectorCost::kPlan); the default here
+     * stays unfused for the density path and for reference replays.
      */
-    int fuseWindow = 0;
+    bool fuse = false;
 };
 
 /**
@@ -414,17 +410,11 @@ class CompiledCircuit
         std::uint32_t unitEnd = 0;
     };
 
-    enum class FuseKind : std::uint8_t
-    {
-        DiagTable, ///< per-block diagonal table over blockWindow qubits
-        Dense,     ///< dense 2^fbits x 2^fbits matvec per sub-block
-    };
-
     /**
-     * One compile-time super-kernel: ops [begin, end) of a blocked
-     * segment collapse into a single payload (diagonal table or dense
-     * column-major matrix). Constant payloads are prebuilt into
-     * constPayload_ at plan time; parameterized payloads rebuild per
+     * One compile-time super-kernel: the diagonal ops [begin, end) of
+     * a blocked segment collapse into one per-block diagonal table of
+     * 2^blockBits_ complexes. Constant tables are prebuilt into
+     * constPayload_ at plan time; parameterized tables rebuild per
      * replay call into 64-byte-aligned scratch at the same offset.
      * Units never straddle frontier levels, so frontier-aligned
      * segmentation (checkpointing) replays the identical sequence.
@@ -433,11 +423,9 @@ class CompiledCircuit
     {
         std::uint32_t begin;
         std::uint32_t end;
-        FuseKind kind;
-        std::uint8_t fbits;          ///< payload dimension = 2^fbits
-        bool constant;               ///< payload prebuilt at plan time
+        bool constant;               ///< table prebuilt at plan time
         std::uint32_t payloadOffset; ///< into constPayload_ or scratch
-        std::uint32_t foldCount;     ///< ops collapsed into the payload
+        std::uint32_t foldCount;     ///< ops collapsed into the table
     };
 
     void finalizeFrontier();
@@ -452,7 +440,7 @@ class CompiledCircuit
     /** True when `op` can join a blocked run under window `k`. */
     static bool blockable(const CompiledOp& op, int k);
 
-    /** Build plan_ + units_ from blockBits_ / fuseBits_ (once). */
+    /** Build plan_ + units_ from blockBits_ / fuse_ (once). */
     void buildPlan();
 
     /** Form the fused units of one blocked segment. */
@@ -467,10 +455,6 @@ class CompiledCircuit
     void buildDiagTable(const FusedUnit& unit, const double* params,
                         const kernels::KernelTable& t,
                         cplx* table) const;
-
-    /** Build a unit's dense matrix (scalar math, ISA-independent). */
-    void buildDenseMatrix(const FusedUnit& unit, const double* params,
-                          cplx* matrix) const;
 
     /** Execute ops [begin, end) of a blocked run block-by-block. */
     void runBlocked(cplx* amps, std::size_t dim, const PlanSegment& seg,
@@ -492,12 +476,11 @@ class CompiledCircuit
     std::size_t blockedGroups_ = 0;
     std::vector<PlanSegment> plan_;
 
-    int fuseBits_ = 0; ///< effective fusion window, 0 = fusion off
+    bool fuse_ = false; ///< CompileOptions::fuse
     std::size_t fusedOps_ = 0;
     std::vector<FusedUnit> units_;
-    AlignedVector<cplx> constPayload_; ///< prebuilt unit payloads
+    AlignedVector<cplx> constPayload_; ///< prebuilt unit tables
     std::size_t paramScratchSize_ = 0; ///< per-call scratch (complexes)
-    std::size_t matvecScratchSize_ = 0;
 
     std::shared_ptr<const PhaseLevels> levels_; ///< null: no phase ops
     std::size_t numPhaseOps_ = 0;

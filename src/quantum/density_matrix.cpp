@@ -72,8 +72,10 @@ DensityMatrix::applyGate(const Gate& gate)
         t.cx(d, dim, gate.qubits[0] + n, gate.qubits[1] + n);
         return;
       case GateKind::CZ:
-        t.cz(d, dim, gate.qubits[0], gate.qubits[1]);
-        t.cz(d, dim, gate.qubits[0] + n, gate.qubits[1] + n);
+        t.negateMasked(d, dim,
+                       kernels::czMask(gate.qubits[0], gate.qubits[1]));
+        t.negateMasked(
+            d, dim, kernels::czMask(gate.qubits[0] + n, gate.qubits[1] + n));
         return;
       case GateKind::SWAP:
         t.swapQubits(d, dim, gate.qubits[0], gate.qubits[1]);
@@ -124,8 +126,8 @@ DensityMatrix::applyOp(const CompiledOp& op, double resolved_angle)
         t.cx(d, dim, op.q0 + n, op.q1 + n);
         return;
       case KernelOp::CZ:
-        t.cz(d, dim, op.q0, op.q1);
-        t.cz(d, dim, op.q0 + n, op.q1 + n);
+        t.negateMasked(d, dim, kernels::czMask(op.q0, op.q1));
+        t.negateMasked(d, dim, kernels::czMask(op.q0 + n, op.q1 + n));
         return;
       case KernelOp::Swap:
         t.swapQubits(d, dim, op.q0, op.q1);

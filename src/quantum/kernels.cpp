@@ -55,16 +55,6 @@ cx(cplx* amps, std::size_t dim, int control, int target)
 }
 
 void
-cz(cplx* amps, std::size_t dim, int a, int b)
-{
-    const std::size_t mask = (std::size_t{1} << a) | (std::size_t{1} << b);
-    for (std::size_t i = 0; i < dim; ++i) {
-        if ((i & mask) == mask)
-            amps[i] = -amps[i];
-    }
-}
-
-void
 swapQubits(cplx* amps, std::size_t dim, int a, int b)
 {
     const std::size_t amask = std::size_t{1} << a;
@@ -176,28 +166,6 @@ applyDiagTable(cplx* amps, std::size_t dim, const cplx* table)
 {
     for (std::size_t i = 0; i < dim; ++i)
         amps[i] *= table[i];
-}
-
-void
-matvecDense(cplx* amps, std::size_t dim, int fbits, const cplx* matrix,
-            cplx* scratch)
-{
-    const std::size_t fdim = std::size_t{1} << fbits;
-    for (std::size_t base = 0; base < dim; base += fdim) {
-        cplx* blk = amps + base;
-        // Column-major accumulation in ascending column order: out
-        // starts at column 0 scaled by in[0], then folds the rest.
-        for (std::size_t r = 0; r < fdim; ++r)
-            scratch[r] = matrix[r] * blk[0];
-        for (std::size_t col = 1; col < fdim; ++col) {
-            const cplx in = blk[col];
-            const cplx* m = matrix + col * fdim;
-            for (std::size_t r = 0; r < fdim; ++r)
-                scratch[r] += m[r] * in;
-        }
-        for (std::size_t r = 0; r < fdim; ++r)
-            blk[r] = scratch[r];
-    }
 }
 
 double
@@ -339,7 +307,6 @@ scalarKernelTable()
         t.matrix1q = &matrix1q;
         t.diag1q = &diag1q;
         t.cx = &cx;
-        t.cz = &cz;
         t.swapQubits = &swapQubits;
         t.phaseZZ = &phaseZZ;
         t.scale = &scale;
@@ -350,7 +317,6 @@ scalarKernelTable()
         t.rotX2 = &rotX2;
         t.rotY2 = &rotY2;
         t.applyDiagTable = &applyDiagTable;
-        t.matvecDense = &matvecDense;
         t.expectationDiagonalBatch = &expectationDiagonalBatch;
         t.expectationPauli = &expectationPauli;
         t.expectationPauliBatch = &expectationPauliBatch;

@@ -67,9 +67,6 @@ void diag1q(cplx* amps, std::size_t dim, int qubit, cplx phase0,
 /** Controlled-X with control/target bit positions. */
 void cx(cplx* amps, std::size_t dim, int control, int target);
 
-/** Controlled-Z (symmetric). */
-void cz(cplx* amps, std::size_t dim, int a, int b);
-
 /** Swap two qubits. */
 void swapQubits(cplx* amps, std::size_t dim, int a, int b);
 
@@ -90,12 +87,19 @@ void scale(cplx* amps, std::size_t dim, cplx factor);
 
 /**
  * Negate amplitudes whose index has every bit of `mask` set (mask = 0
- * negates everything). `cz(a, b)` is negateMasked with both bit masks;
+ * negates everything). CZ(a, b) is negateMasked with both bit masks;
  * the blocked replay uses partial masks when some CZ qubits resolve
  * against the block's base index. Negation is exact, so this is
  * bit-identical across every ISA and blocking layout.
  */
 void negateMasked(cplx* amps, std::size_t dim, std::size_t mask);
+
+/** The negateMasked mask of CZ(a, b). */
+inline std::size_t
+czMask(int a, int b)
+{
+    return (std::size_t{1} << a) | (std::size_t{1} << b);
+}
 
 /**
  * Apply X on `target` (unconditional bit flip). The blocked replay
@@ -144,18 +148,6 @@ void rotY2(cplx* amps, std::size_t dim, int qa, int qb, double ca,
  * (common/aligned.h) so the wide ISAs load it efficiently.
  */
 void applyDiagTable(cplx* amps, std::size_t dim, const cplx* table);
-
-/**
- * Fused dense super-kernel: apply one 2^fbits x 2^fbits matrix to
- * every aligned 2^fbits-amplitude sub-block of `amps` — the GEMM-like
- * replay of a whole op run collapsed at compile time. `matrix` is
- * column-major (matrix[c * 2^fbits + r]); out[r] accumulates columns
- * in ascending c for a fixed, ISA-deterministic order. `scratch`
- * holds 2^fbits amplitudes (the sub-block is read and written in
- * place). Both should be 64-byte aligned.
- */
-void matvecDense(cplx* amps, std::size_t dim, int fbits,
-                 const cplx* matrix, cplx* scratch);
 
 /**
  * Expectation of a diagonal observable: sum_i |amps[i]|^2 * diag[i],
@@ -249,7 +241,6 @@ struct KernelTable
                      const std::array<cplx, 4>&) = nullptr;
     void (*diag1q)(cplx*, std::size_t, int, cplx, cplx) = nullptr;
     void (*cx)(cplx*, std::size_t, int, int) = nullptr;
-    void (*cz)(cplx*, std::size_t, int, int) = nullptr;
     void (*swapQubits)(cplx*, std::size_t, int, int) = nullptr;
     void (*phaseZZ)(cplx*, std::size_t, int, int, cplx, cplx) = nullptr;
     void (*scale)(cplx*, std::size_t, cplx) = nullptr;
@@ -262,8 +253,6 @@ struct KernelTable
     void (*rotY2)(cplx*, std::size_t, int, int, double, double, double,
                   double) = nullptr;
     void (*applyDiagTable)(cplx*, std::size_t, const cplx*) = nullptr;
-    void (*matvecDense)(cplx*, std::size_t, int, const cplx*,
-                        cplx*) = nullptr;
     void (*expectationDiagonalBatch)(const cplx* const*, std::size_t,
                                      const double*, std::size_t,
                                      double*) = nullptr;

@@ -18,7 +18,7 @@
  * for a fixed ISA" contract.
  *
  * Pure permutation / sign-flip kernels (cx, swap, negateMasked,
- * flipBit, cz) reuse the scalar implementations: they move values
+ * flipBit) reuse the scalar implementations: they move values
  * without rounding, so vectorizing them cannot change results and
  * gains little — the hot QAOA path is matrix1q / diag1q / phaseZZ /
  * expectationDiagonal.
@@ -333,31 +333,6 @@ applyDiagTableAvx2(cplx* amps, std::size_t dim, const cplx* table)
 }
 
 void
-matvecDenseAvx2(cplx* amps, std::size_t dim, int fbits,
-                const cplx* matrix, cplx* scratch)
-{
-    const std::size_t fdim = std::size_t{1} << fbits;
-    for (std::size_t base = 0; base < dim; base += fdim) {
-        cplx* blk = amps + base;
-        // Ascending-column accumulation, two output rows per vector;
-        // matches the scalar kernel's summation order (per-lane) so
-        // the result is a pure function of (matrix, block) per ISA.
-        const __m256d in0 = bcast(blk[0]);
-        for (std::size_t r = 0; r < fdim; r += 2)
-            st(scratch + r, cmul(ld(matrix + r), in0));
-        for (std::size_t col = 1; col < fdim; ++col) {
-            const __m256d in = bcast(blk[col]);
-            const cplx* m = matrix + col * fdim;
-            for (std::size_t r = 0; r < fdim; r += 2)
-                st(scratch + r,
-                   _mm256_add_pd(ld(scratch + r), cmul(ld(m + r), in)));
-        }
-        for (std::size_t r = 0; r < fdim; r += 2)
-            st(blk + r, ld(scratch + r));
-    }
-}
-
-void
 diag1qAvx2(cplx* amps, std::size_t dim, int qubit, cplx phase0,
            cplx phase1)
 {
@@ -565,7 +540,6 @@ avx2KernelTableOrNull()
         t.matrix1q = &matrix1qAvx2;
         t.diag1q = &diag1qAvx2;
         t.cx = &cx;
-        t.cz = &cz;
         t.swapQubits = &swapQubits;
         t.phaseZZ = &phaseZZAvx2;
         t.scale = &scaleAvx2;
@@ -576,7 +550,6 @@ avx2KernelTableOrNull()
         t.rotX2 = &rotX2Avx2;
         t.rotY2 = &rotY2Avx2;
         t.applyDiagTable = &applyDiagTableAvx2;
-        t.matvecDense = &matvecDenseAvx2;
         t.expectationDiagonalBatch = &expectationDiagonalBatchAvx2;
         t.expectationPauli = &expectationPauliAvx2;
         t.expectationPauliBatch = &expectationPauliBatchAvx2;

@@ -17,13 +17,13 @@
  * pure function of its arguments, preserving the engine's
  * "bit-identical for a fixed (ISA, fusion plan)" contract.
  *
- * Tail policy: state dimensions are powers of two, so the only shapes
- * below the 4-complex vector width are dim == 2 (and fdim == 2 for
- * the dense super-kernel). Those run through masked loads and stores
- * (_mm512_maskz_loadu_pd / _mm512_mask_storeu_pd with an 8-bit double
- * mask) rather than the scalar remainder loops the AVX2 tier uses —
- * zeroed inactive lanes flow through the same arithmetic and the
- * masked store discards them.
+ * Tail policy: state dimensions are powers of two, so the only shape
+ * below the 4-complex vector width is dim == 2. It runs through
+ * masked loads and stores (_mm512_maskz_loadu_pd /
+ * _mm512_mask_storeu_pd with an 8-bit double mask) rather than the
+ * scalar remainder loops the AVX2 tier uses — zeroed inactive lanes
+ * flow through the same arithmetic and the masked store discards
+ * them.
  *
  * swapQubits stays on the scalar implementation: it is an exact
  * permutation (no rounding, so reuse cannot change results) and does
@@ -486,13 +486,6 @@ negateMaskedAvx512(cplx* amps, std::size_t dim, std::size_t mask)
     }
 }
 
-void
-czAvx512(cplx* amps, std::size_t dim, int a, int b)
-{
-    negateMaskedAvx512(amps, dim,
-                       (std::size_t{1} << a) | (std::size_t{1} << b));
-}
-
 /**
  * Per-complex control pattern inside a 4-complex vector for a control
  * qubit below 2, spread to a double mask. Index by control qubit.
@@ -578,41 +571,6 @@ applyDiagTableAvx512(cplx* amps, std::size_t dim, const cplx* table)
     }
     for (std::size_t i = 0; i < dim; i += 4)
         st8(amps + i, cmul8(ld8(amps + i), ld8(table + i)));
-}
-
-void
-matvecDenseAvx512(cplx* amps, std::size_t dim, int fbits,
-                  const cplx* matrix, cplx* scratch)
-{
-    const std::size_t fdim = std::size_t{1} << fbits;
-    if (fdim < 4) {
-        // fdim == 2: the whole 2x2 block fits one masked vector.
-        for (std::size_t base = 0; base < dim; base += 2) {
-            cplx* blk = amps + base;
-            const __m512d acc0 = cmul8(ldm(matrix, 0x0F), bcast8(blk[0]));
-            const __m512d acc =
-                _mm512_add_pd(acc0, cmul8(ldm(matrix + fdim, 0x0F),
-                                          bcast8(blk[1])));
-            stm(blk, 0x0F, acc);
-        }
-        return;
-    }
-    for (std::size_t base = 0; base < dim; base += fdim) {
-        cplx* blk = amps + base;
-        const __m512d in0 = bcast8(blk[0]);
-        for (std::size_t r = 0; r < fdim; r += 4)
-            st8(scratch + r, cmul8(ld8(matrix + r), in0));
-        for (std::size_t col = 1; col < fdim; ++col) {
-            const __m512d in = bcast8(blk[col]);
-            const cplx* m = matrix + col * fdim;
-            for (std::size_t r = 0; r < fdim; r += 4)
-                st8(scratch + r,
-                    _mm512_add_pd(ld8(scratch + r),
-                                  cmul8(ld8(m + r), in)));
-        }
-        for (std::size_t r = 0; r < fdim; r += 4)
-            st8(blk + r, ld8(scratch + r));
-    }
 }
 
 /** Even/odd double lanes across two vectors, for |amp|^2 gathering
@@ -814,7 +772,6 @@ avx512KernelTableOrNull()
         t.matrix1q = &matrix1qAvx512;
         t.diag1q = &diag1qAvx512;
         t.cx = &cxAvx512;
-        t.cz = &czAvx512;
         t.swapQubits = &swapQubits;
         t.phaseZZ = &phaseZZAvx512;
         t.scale = &scaleAvx512;
@@ -825,7 +782,6 @@ avx512KernelTableOrNull()
         t.rotX2 = &rotX2Avx512;
         t.rotY2 = &rotY2Avx512;
         t.applyDiagTable = &applyDiagTableAvx512;
-        t.matvecDense = &matvecDenseAvx512;
         t.expectationDiagonalBatch = &expectationDiagonalBatchAvx512;
         t.expectationPauli = &expectationPauliAvx512;
         t.expectationPauliBatch = &expectationPauliBatchAvx512;

@@ -46,7 +46,8 @@ Statevector::applyGate(const Gate& gate)
         t.cx(amps, dim, gate.qubits[0], gate.qubits[1]);
         return;
       case GateKind::CZ:
-        t.cz(amps, dim, gate.qubits[0], gate.qubits[1]);
+        t.negateMasked(amps, dim,
+                       kernels::czMask(gate.qubits[0], gate.qubits[1]));
         return;
       case GateKind::SWAP:
         t.swapQubits(amps, dim, gate.qubits[0], gate.qubits[1]);

@@ -11,15 +11,17 @@
  *  - segmented replay through checkpoints is bit-identical to a
  *    straight run (the prefix-resume determinism argument),
  *  - super-kernel fusion: fused replay agrees with unfused replay
- *    within rounding, is bit-identical to itself across
- *    frontier-aligned segmentation (units never straddle frontier
- *    levels), and degrades deterministically on mid-unit cuts,
+ *    within rounding (MaxCut and SK QAOA, two-local, UCCSD), is
+ *    bit-identical to itself across frontier-aligned segmentation
+ *    (units never straddle frontier levels), and degrades
+ *    deterministically on mid-unit cuts,
  *  - the density-matrix bound path matches the legacy bind() path.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "src/ansatz/qaoa.h"
 #include "src/ansatz/two_local.h"
@@ -210,19 +212,26 @@ TEST(CompiledCircuit, SegmentedReplayIsBitIdentical)
 
 TEST(CompiledCircuit, FusedReplayMatchesUnfusedWithinTolerance)
 {
-    // Fusion collapses op runs into dense / diagonal-table
-    // super-kernels; the collapsed arithmetic is reassociated, so
-    // fused and unfused replays agree to rounding, not bitwise.
+    // Fusion folds diagonal runs into per-block tables and replays
+    // parameterized RX/RY through the rotation kernels; both change
+    // the arithmetic, so fused and unfused replays agree to rounding,
+    // not bitwise. UCCSD has no diagonal run to fold.
     Rng rng(13);
     const Graph g = random3RegularGraph(8, rng);
-    for (const Circuit& circuit :
-         {qaoaCircuit(g, 2), twoLocalCircuit(6, 3)}) {
+    const Graph sk = skInstance(8, rng);
+    const std::pair<Circuit, bool> cases[] = {
+        {qaoaCircuit(g, 2), true},
+        {qaoaCircuit(sk, 2), true},
+        {twoLocalCircuit(6, 3), true},
+        {uccsdCircuit(4), false},
+    };
+    for (const auto& [circuit, folds] : cases) {
         const auto params = rampParams(circuit.numParams());
         CompiledCircuit plain(circuit,
                               CompileOptions{.blockWindow = 5});
         CompiledCircuit fused(
-            circuit, CompileOptions{.blockWindow = 5, .fuseWindow = 5});
-        ASSERT_GT(fused.numFusedUnits(), 0u);
+            circuit, CompileOptions{.blockWindow = 5, .fuse = true});
+        EXPECT_EQ(fused.numFusedUnits() > 0, folds);
         ASSERT_GE(fused.fusedOpCount(), 2 * fused.numFusedUnits());
         EXPECT_EQ(plain.numFusedUnits(), 0u);
 
@@ -243,7 +252,7 @@ TEST(CompiledCircuit, FusedSegmentedReplayIsBitIdentical)
     const Graph g = random3RegularGraph(8, rng);
     const Circuit circuit = qaoaCircuit(g, 2);
     CompiledCircuit fused(
-        circuit, CompileOptions{.blockWindow = 4, .fuseWindow = 4});
+        circuit, CompileOptions{.blockWindow = 4, .fuse = true});
     ASSERT_GT(fused.numFusedUnits(), 0u);
     const auto params = rampParams(circuit.numParams());
 
@@ -272,15 +281,18 @@ TEST(CompiledCircuit, MidUnitCutFallsBackDeterministically)
     const int n = 6;
     Circuit circuit(n, 1);
     for (int q = 0; q < n; ++q)
-        circuit.append(Gate::h(q)); // one constant dense unit
+        circuit.append(Gate::h(q));
+    // One constant diagonal-table unit: three RZZ fold into the table,
+    // the two touching qubits above the window stay per-block context.
     for (int q = 0; q + 1 < n; ++q)
         circuit.append(Gate::rzz(q, q + 1, 0.3 + 0.1 * q));
     circuit.append(Gate::rxParam(0, 0));
     const std::vector<double> params = {0.77};
 
     CompiledCircuit fused(
-        circuit, CompileOptions{.blockWindow = 4, .fuseWindow = 4});
-    ASSERT_GT(fused.numFusedUnits(), 0u);
+        circuit, CompileOptions{.blockWindow = 4, .fuse = true});
+    ASSERT_EQ(fused.numFusedUnits(), 1u);
+    ASSERT_EQ(fused.fusedOpCount(), 3u);
 
     Statevector straight(n);
     fused.run(straight, params);
@@ -308,9 +320,10 @@ TEST(CompiledCircuit, MidUnitCutFallsBackDeterministically)
 
 TEST(CompiledCircuit, FuseWindowCountsAndCounters)
 {
-    // Window bookkeeping: a fusion window builds super-kernel units,
-    // window 0 builds none, and ReplayCounters records one super-kernel
-    // execution per active unit per replay with the collapsed op count.
+    // Fusion bookkeeping: fusion on builds the RZZ run's diagonal-table
+    // unit, fusion off builds none, and ReplayCounters records one
+    // super-kernel execution per active unit per replay with the
+    // collapsed op count.
     const int n = 6;
     Circuit circuit(n, 0);
     for (int q = 0; q < n; ++q)
@@ -324,8 +337,9 @@ TEST(CompiledCircuit, FuseWindowCountsAndCounters)
     EXPECT_EQ(unfused.fusedOpCount(), 0u);
 
     const CompiledCircuit compiled(
-        circuit, CompileOptions{.blockWindow = 4, .fuseWindow = 4});
-    ASSERT_GT(compiled.numFusedUnits(), 0u);
+        circuit, CompileOptions{.blockWindow = 4, .fuse = true});
+    ASSERT_EQ(compiled.numFusedUnits(), 1u);
+    ASSERT_EQ(compiled.fusedOpCount(), 3u);
 
     Statevector sv(n);
     ReplayCounters counters;

@@ -252,10 +252,25 @@ smoothSamples(std::vector<std::size_t>& indices, std::vector<double>& values)
         values.push_back(std::cos(0.3 * (i / 20)) * std::sin(0.2 * (i % 20)));
 }
 
+/** Run `fn`; it must throw std::invalid_argument whose text is `what`. */
+template <typename Fn>
+void
+expectInvalidArgument(Fn&& fn, const std::string& what)
+{
+    try {
+        fn();
+        ADD_FAILURE() << "no exception, expected: " << what;
+    } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()), what);
+    }
+}
+
 TEST(BadInput, NonFiniteSampleIsRejected)
 {
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
+    CsOptions omp;
+    omp.solver = CsSolver::Omp;
     for (double bad : {nan, inf, -inf}) {
         std::vector<std::size_t> indices;
         std::vector<double> values;
@@ -264,11 +279,26 @@ TEST(BadInput, NonFiniteSampleIsRejected)
         EXPECT_THROW(reconstructLandscape({20, 20}, indices, values),
                      std::invalid_argument)
             << bad;
-        CsOptions omp;
-        omp.solver = CsSolver::Omp;
         EXPECT_THROW(reconstructLandscape({20, 20}, indices, values, omp),
                      std::invalid_argument)
             << bad;
+
+        // Dataset replay: an in-memory landscape reaches the solver
+        // without passing through a cost function.
+        const GridSpec grid({{-1.0, 1.0, 20}, {0.0, 2.0, 20}});
+        NdArray points(grid.shape());
+        for (std::size_t i = 0; i < points.size(); ++i)
+            points[i] = i % 2 ? bad : std::cos(0.1 * static_cast<double>(i));
+        const Landscape truth(grid, std::move(points));
+        OscarOptions options;
+        options.samplingFraction = 0.15;
+        expectInvalidArgument(
+            [&] { Oscar::reconstructFromLandscape(truth, options); },
+            "fistaSolve: non-finite sample value");
+        options.cs = omp;
+        expectInvalidArgument(
+            [&] { Oscar::reconstructFromLandscape(truth, options); },
+            "ompSolve: non-finite sample value");
     }
 }
 

@@ -13,8 +13,8 @@
  *  - the batched diagonal expectation is bit-identical to per-point
  *    evaluation for every ISA, in the statevector backend and the
  *    analytic QAOA closed form,
- *  - the super-kernel primitives (rotX/rotY, diagonal table, dense
- *    matvec) and the batched Pauli contraction agree across tables,
+ *  - the super-kernel primitives (rotX/rotY, diagonal table) and the
+ *    batched Pauli contraction agree across tables,
  *    with the batched Pauli kernel bit-identical to the single-state
  *    kernel per state,
  *  - requesting an unavailable ISA throws, naming the available ones,
@@ -377,7 +377,6 @@ expectReplayPathsAgree(const Circuit& circuit, const PauliSum& ham)
     const CompiledCircuit unfused(circuit, CompileOptions{});
     const CompiledCircuit unblocked(circuit,
                                     CompileOptions{.blockWindow = 0});
-    ASSERT_GT(plan.numFusedUnits(), 0u);
     ASSERT_EQ(unfused.numFusedUnits(), 0u);
     ASSERT_GT(unfused.numBlockedGroups(), 0u);
     ASSERT_EQ(unblocked.numBlockedGroups(), 0u);
@@ -687,10 +686,10 @@ TEST(Kernels, DiagonalPauliStringExpectationIsBitExactAcrossIsas)
 
 TEST(Kernels, SuperKernelPrimitivesAgreeAcrossTables)
 {
-    // rotX/rotY, the fused diagonal table, and the dense matvec match
-    // the scalar reference on every table, including dims at and below
-    // the AVX-512 vector width (2 and 4 amplitudes — the masked-tail
-    // paths) and payload dims smaller than one vector.
+    // rotX/rotY and the fused diagonal table match the scalar
+    // reference on every table, including dims at and below the
+    // AVX-512 vector width (2 and 4 amplitudes — the masked-tail
+    // paths).
     const KernelTable& scalar = kernels::scalarKernelTable();
     Rng rng(57);
     const double c = std::cos(0.41), sn = std::sin(0.41);
@@ -719,21 +718,6 @@ TEST(Kernels, SuperKernelPrimitivesAgreeAcrossTables)
                 scalar.applyDiagTable(a.data(), dim, diag.data());
                 table->applyDiagTable(b.data(), dim, diag.data());
                 expectAmpsNear(a, b, 1e-14);
-            }
-            for (int fbits = 1; fbits <= std::min(n, 3); ++fbits) {
-                const std::size_t fdim = std::size_t{1} << fbits;
-                AlignedVector<cplx> m(fdim * fdim);
-                for (cplx& e : m)
-                    e = cplx(rng.uniform(-1.0, 1.0),
-                             rng.uniform(-1.0, 1.0));
-                AlignedVector<cplx> a = randomAmps(dim, rng);
-                AlignedVector<cplx> b = a;
-                AlignedVector<cplx> scratch(fdim);
-                scalar.matvecDense(a.data(), dim, fbits, m.data(),
-                                   scratch.data());
-                table->matvecDense(b.data(), dim, fbits, m.data(),
-                                   scratch.data());
-                expectAmpsNear(a, b, 1e-13);
             }
         }
     }
@@ -1008,7 +992,7 @@ TEST(Kernels, PhaseOpsReplayBitIdenticalBlockedAndSegmented)
     // No gate super-kernel for a cut to split.
     ASSERT_EQ(plan.numFusedUnits(), plan.numPhaseOps());
     const CompiledCircuit unblocked(
-        circuit, CompileOptions{.blockWindow = 0, .fuseWindow = 4},
+        circuit, CompileOptions{.blockWindow = 0, .fuse = true},
         plan.phaseLevels());
     ASSERT_EQ(unblocked.numPhaseOps(), 2u);
     ASSERT_EQ(unblocked.numBlockedGroups(), 0u);
@@ -1072,7 +1056,7 @@ TEST(Kernels, PhasePlanBitIdenticalAcrossBatchingClonesAndThreads)
         // A fresh cost per engine, so its replicas race to build the
         // shared level index.
         for (int threads = 1; threads <= 4; ++threads) {
-            ExecutionEngine engine(EngineOptions{threads, 1});
+            ExecutionEngine engine(threads);
             StatevectorCost cost(circuit, ham);
             const auto values = engine.evaluate(cost, points);
             EXPECT_EQ(std::memcmp(values.data(), reference.data(),

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "src/landscape/io.h"
 
@@ -94,6 +95,29 @@ TEST(LandscapeIo, RejectsMalformedInput)
             "oscar-landscape 1\naxes 1\naxis 0 1 2\nvalues 2\n1\n");
         EXPECT_THROW(loadLandscape(bad), std::runtime_error);
     }
+    // Non-finite numbers never load: a replayed dataset enters the
+    // pipeline without passing through a cost function's check.
+    const auto expectMalformed = [](const std::string& text,
+                                    const std::string& what) {
+        std::stringstream bad(text);
+        try {
+            loadLandscape(bad);
+            ADD_FAILURE() << "loaded: " << text;
+        } catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "loadLandscape: malformed input: " + what)
+                << text;
+        }
+    };
+    for (const char* value : {"nan", "-nan", "inf", "-inf", "1e999"}) {
+        expectMalformed("oscar-landscape 1\naxes 1\naxis 0 1 2\n"
+                        "values 2\n1\n" +
+                            std::string(value) + "\n",
+                        "value entry");
+    }
+    expectMalformed("oscar-landscape 1\naxes 1\naxis 0 1e999 2\n"
+                    "values 2\n1\n2\n",
+                    "axis line");
 }
 
 TEST(LandscapeIo, MissingFileThrows)
