@@ -1,9 +1,10 @@
 /**
  * @file
  * Section 4 headline reproduction: OSCAR's speedup over full grid
- * search for complete landscape generation, measured with
- * google-benchmark on the state-vector backend (where circuit
- * execution, not reconstruction, dominates -- as on a QPU).
+ * search for complete landscape generation, timed on the state-vector
+ * backend (where circuit execution, not reconstruction, dominates --
+ * as on a QPU). Each case is one row: the median and quartiles of
+ * kReps repeated runs (bench_common.h's timeRepeated).
  *
  * Two accountings are reported:
  *  - wall-clock: grid search vs (sampling + CS reconstruction),
@@ -11,9 +12,8 @@
  *    paper's "2x-20x (up to 100x)" figure and is hardware-agnostic.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_common.h"
 #include "src/ansatz/qaoa.h"
@@ -26,6 +26,8 @@
 namespace {
 
 using namespace oscar;
+
+constexpr int kReps = 5;
 
 struct Workload
 {
@@ -51,61 +53,63 @@ benchGrid()
     return grid;
 }
 
+/** One row: timing in ms, circuit runs and query speedup. */
 void
-BM_FullGridSearch(benchmark::State& state)
+printRow(const std::string& name, const bench::TimingStats& t,
+         double circuit_runs, double query_speedup)
 {
-    const auto workload = Workload::make(static_cast<int>(state.range(0)));
-    for (auto _ : state) {
-        StatevectorCost cost(workload.circuit, workload.ham);
-        auto landscape =
-            Landscape::gridSearch(benchGrid(), cost, &bench::engine());
-        benchmark::DoNotOptimize(landscape);
-    }
-    state.counters["circuit_runs"] =
-        static_cast<double>(benchGrid().numPoints());
+    bench::row(name,
+               {1e3 * t.median, 1e3 * t.p25, 1e3 * t.p75, circuit_runs,
+                query_speedup},
+               " %10.2f");
 }
-
-void
-BM_OscarReconstruction(benchmark::State& state)
-{
-    const auto workload = Workload::make(static_cast<int>(state.range(0)));
-    const double fraction = static_cast<double>(state.range(1)) / 100.0;
-    for (auto _ : state) {
-        StatevectorCost cost(workload.circuit, workload.ham);
-        OscarOptions options;
-        options.samplingFraction = fraction;
-        auto result = Oscar::reconstruct(benchGrid(), cost, options,
-                                         &bench::engine());
-        benchmark::DoNotOptimize(result);
-    }
-    state.counters["circuit_runs"] = static_cast<double>(
-        fraction * static_cast<double>(benchGrid().numPoints()));
-    state.counters["query_speedup"] = 1.0 / fraction;
-}
-
-BENCHMARK(BM_FullGridSearch)->Arg(12)->Arg(14)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_OscarReconstruction)
-    ->Args({12, 5})
-    ->Args({12, 10})
-    ->Args({14, 5})
-    ->Args({14, 10})
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 
 int
-main(int argc, char** argv)
+main()
 {
     std::printf("Speedup bench: grid search vs OSCAR "
                 "(30x60 grid, statevector backend)\n");
-    std::printf("paper reference: 2x-20x query speedup, up to 100x\n\n");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    std::printf("paper reference: 2x-20x query speedup, up to 100x\n");
+
+    bench::header("wall clock (median of " + std::to_string(kReps) +
+                  " runs)");
+    bench::columns("case", {"median_ms", "p25_ms", "p75_ms", "circuits",
+                            "q_speedup"});
+    const double points = static_cast<double>(benchGrid().numPoints());
+    for (int qubits : {12, 14}) {
+        const Workload workload = Workload::make(qubits);
+        const bench::TimingStats t = bench::timeRepeated(kReps, [&] {
+            StatevectorCost cost(workload.circuit, workload.ham);
+            const Landscape landscape =
+                Landscape::gridSearch(benchGrid(), cost, &bench::engine());
+            (void)landscape;
+        });
+        printRow("grid search " + std::to_string(qubits) + "q", t, points,
+                 1.0);
+    }
+    for (int qubits : {12, 14}) {
+        const Workload workload = Workload::make(qubits);
+        for (int percent : {5, 10}) {
+            OscarOptions options;
+            options.samplingFraction = percent / 100.0;
+            const bench::TimingStats t = bench::timeRepeated(kReps, [&] {
+                StatevectorCost cost(workload.circuit, workload.ham);
+                const auto result = Oscar::reconstruct(
+                    benchGrid(), cost, options, &bench::engine());
+                (void)result;
+            });
+            printRow("oscar " + std::to_string(qubits) + "q " +
+                         std::to_string(percent) + "%",
+                     t, options.samplingFraction * points,
+                     1.0 / options.samplingFraction);
+        }
+    }
 
     // Accuracy footnote so speedups are known to be at iso-quality.
-    using namespace oscar;
-    const auto workload = Workload::make(14);
+    std::printf("\n");
+    const Workload workload = Workload::make(14);
     StatevectorCost cost(workload.circuit, workload.ham);
     const Landscape truth = Landscape::gridSearch(benchGrid(), cost);
     for (double fraction : {0.05, 0.10}) {

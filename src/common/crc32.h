@@ -1,14 +1,13 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3 polynomial, reflected), shared by the OSCW wire
- * framing (src/serve/wire.cpp) and the on-disk landscape archive
- * (src/store/archive.cpp).
+ * framing (src/serve/wire.cpp) and the landscape store's containers
+ * (src/store/landscape_store.cpp).
  *
- * One implementation on purpose: a frame CRC computed here and an
- * archive stream CRC computed here are directly comparable, and the
- * check vector ("123456789" -> 0xCBF43926, asserted in
- * tests/test_wire.cpp) pins both users to the standard polynomial at
- * once.
+ * One implementation on purpose: a frame CRC computed here and a
+ * container CRC computed here are directly comparable, and the check
+ * vector ("123456789" -> 0xCBF43926, asserted in tests/test_wire.cpp)
+ * pins both users to the standard polynomial at once.
  */
 
 #ifndef OSCAR_COMMON_CRC32_H
@@ -53,7 +52,8 @@ crc32(std::span<const std::uint8_t> data)
 
 /**
  * CRC-32 of two spans as if concatenated (the wire framing checks
- * header + raw payload in one pass without copying them together).
+ * header + raw payload, and a store container its key fields + body,
+ * in one pass without copying them together).
  */
 inline std::uint32_t
 crc32(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b)

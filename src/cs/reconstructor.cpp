@@ -21,18 +21,6 @@ csFoldedShape(const std::vector<std::size_t>& shape)
 }
 
 NdArray
-reconstructLandscape2d(const std::vector<std::size_t>& shape,
-                       const std::vector<std::size_t>& sample_index,
-                       const std::vector<double>& sample_value,
-                       const CsOptions& options)
-{
-    if (shape.size() != 2)
-        throw std::invalid_argument("reconstructLandscape2d: need rank 2");
-    return csSolveFolded(shape, sample_index, sample_value, options)
-        .values;
-}
-
-NdArray
 reconstructLandscape(const std::vector<std::size_t>& shape,
                      const std::vector<std::size_t>& sample_index,
                      const std::vector<double>& sample_value,

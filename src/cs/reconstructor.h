@@ -38,18 +38,6 @@ struct CsOptions
 };
 
 /**
- * Reconstruct a full 2-D landscape from samples.
- *
- * @param shape        grid shape {rows, cols}
- * @param sample_index flat row-major indices of measured points
- * @param sample_value measured values
- */
-NdArray reconstructLandscape2d(const std::vector<std::size_t>& shape,
-                               const std::vector<std::size_t>& sample_index,
-                               const std::vector<double>& sample_value,
-                               const CsOptions& options = {});
-
-/**
  * Reconstruct a grid of arbitrary even rank 2k by reshaping to
  * (prod of first k extents) x (prod of last k extents). Rank-2 grids
  * pass through unchanged. The returned array has the original shape.

@@ -117,56 +117,6 @@ decodeRequest(std::span<const std::uint8_t> payload)
     return msg;
 }
 
-void
-encodeStoredLandscape(wire::WireWriter& w,
-                      const store::StoredLandscape& entry)
-{
-    store::encodeGridSpec(w, entry.grid);
-    w.f64(entry.samplingFraction);
-    w.u64(entry.sampleSeed);
-    w.u64(entry.queriesUsed);
-    w.f64(entry.querySpeedup);
-    wire::encodeKernelStats(w, entry.kernel);
-    w.u64(entry.sampleIndices.size());
-    for (std::uint64_t idx : entry.sampleIndices)
-        w.u64(idx);
-    for (double v : entry.sampleValues)
-        w.f64(v);
-    w.u64(entry.reconstructed.size());
-    for (double v : entry.reconstructed)
-        w.f64(v);
-}
-
-store::StoredLandscape
-decodeStoredLandscape(wire::WireReader& r)
-{
-    store::StoredLandscape entry;
-    entry.grid = store::decodeGridSpec(r);
-    entry.samplingFraction = r.f64();
-    entry.sampleSeed = r.u64();
-    entry.queriesUsed = r.u64();
-    entry.querySpeedup = r.f64();
-    entry.kernel = wire::decodeKernelStats(r);
-    const std::uint64_t samples = r.u64();
-    if (samples > r.remaining() / 16)
-        throw WireError("sample count runs past payload end");
-    entry.sampleIndices.resize(samples);
-    for (std::uint64_t& idx : entry.sampleIndices)
-        idx = r.u64();
-    entry.sampleValues.resize(samples);
-    for (double& v : entry.sampleValues)
-        v = r.f64();
-    const std::uint64_t points = r.u64();
-    if (points > r.remaining() / 8)
-        throw WireError("point count runs past payload end");
-    if (points != entry.grid.numPoints())
-        throw WireError("reconstruction size does not match the grid");
-    entry.reconstructed.resize(points);
-    for (double& v : entry.reconstructed)
-        v = r.f64();
-    return entry;
-}
-
 std::vector<std::uint8_t>
 encodeResponse(const ResponseMsg& msg)
 {
@@ -176,7 +126,7 @@ encodeResponse(const ResponseMsg& msg)
     switch (msg.status) {
       case ResponseStatus::Ok:
         w.u8(static_cast<std::uint8_t>(msg.servedFrom));
-        encodeStoredLandscape(w, msg.landscape);
+        store::encodeStoredLandscape(w, msg.landscape);
         break;
       case ResponseStatus::Miss:
         break;
@@ -206,7 +156,7 @@ decodeResponse(std::span<const std::uint8_t> payload)
         if (from > static_cast<std::uint8_t>(ServedFrom::Store))
             throw WireError("unknown served-from marker");
         msg.servedFrom = static_cast<ServedFrom>(from);
-        msg.landscape = decodeStoredLandscape(r);
+        msg.landscape = store::decodeStoredLandscape(r);
         break;
       }
       case ResponseStatus::Miss:

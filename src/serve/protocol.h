@@ -135,11 +135,6 @@ ResponseMsg decodeResponse(std::span<const std::uint8_t> payload);
 std::vector<std::uint8_t> encodeProgress(const ProgressMsg& msg);
 ProgressMsg decodeProgress(std::span<const std::uint8_t> payload);
 
-/** Stored-landscape body shared by Ok responses (and tests). */
-void encodeStoredLandscape(wire::WireWriter& w,
-                           const store::StoredLandscape& entry);
-store::StoredLandscape decodeStoredLandscape(wire::WireReader& r);
-
 /**
  * The store key a request addresses. Requires cost.costId to be
  * stamped (encodeRequest, or an explicit encodeCostSpec).

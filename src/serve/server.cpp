@@ -16,7 +16,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/quantum/kernels.h"
-#include "src/store/archive.h"
 
 namespace oscar {
 namespace serve {
@@ -575,11 +574,10 @@ ServeServer::execute(const std::shared_ptr<Job>& job)
         if (store_) {
             try {
                 store_->put(job->key, entry);
-            } catch (const store::ArchiveError& e) {
+            } catch (const store::StoreError& e) {
                 // A full or read-only disk must not fail the request:
                 // the computed answer is still correct.
-                std::fprintf(stderr, "oscar-serve: store: %s\n",
-                             e.what());
+                std::fprintf(stderr, "oscar-serve: %s\n", e.what());
             }
         }
         msg.status = ResponseStatus::Ok;

@@ -1,7 +1,11 @@
 #include "src/store/landscape_store.h"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -10,11 +14,11 @@
 #include <stdexcept>
 
 #include "src/backend/statevector_backend.h"
+#include "src/common/crc32.h"
 #include "src/common/fnv1a.h"
 #include "src/cs/dct.h"
 #include "src/cs/fista.h"
 #include "src/obs/trace.h"
-#include "src/store/archive.h"
 
 namespace fs = std::filesystem;
 
@@ -26,57 +30,21 @@ namespace {
 using wire::WireReader;
 using wire::WireWriter;
 
-/** Stream names inside a container. */
-constexpr const char* kStreamMeta = "meta";
-constexpr const char* kStreamGrid = "grid";
-constexpr const char* kStreamSampleIdx = "samples.idx";
-constexpr const char* kStreamSampleVal = "samples.val";
-constexpr const char* kStreamRecon = "recon";
-constexpr const char* kStreamKernelStats = "kstats";
-
 /** Container file suffix (gc and totalBytes only touch these). */
 constexpr const char* kContainerSuffix = ".oscar";
 
-std::vector<std::uint8_t>
-encodeDoubles(const std::vector<double>& values)
-{
-    WireWriter w;
-    for (double v : values)
-        w.f64(v);
-    return w.take();
-}
+/** Header layout: magic u32, version u16, three u64 key fields, CRC. */
+constexpr std::size_t kKeyOffset = 4 + 2;
+constexpr std::size_t kKeyBytes = 3 * 8;
+constexpr std::size_t kCrcOffset = kKeyOffset + kKeyBytes;
+constexpr std::size_t kHeaderBytes = kCrcOffset + 4;
 
-std::vector<double>
-decodeDoubles(const std::vector<std::uint8_t>& bytes)
+/** CRC-32 of a container's key fields and body. */
+std::uint32_t
+containerCrc(std::span<const std::uint8_t> bytes)
 {
-    if (bytes.size() % 8 != 0)
-        throw ArchiveError("double stream size not a multiple of 8");
-    WireReader r(bytes);
-    std::vector<double> out(bytes.size() / 8);
-    for (double& v : out)
-        v = r.f64();
-    return out;
-}
-
-std::vector<std::uint8_t>
-encodeU64s(const std::vector<std::uint64_t>& values)
-{
-    WireWriter w;
-    for (std::uint64_t v : values)
-        w.u64(v);
-    return w.take();
-}
-
-std::vector<std::uint64_t>
-decodeU64s(const std::vector<std::uint8_t>& bytes)
-{
-    if (bytes.size() % 8 != 0)
-        throw ArchiveError("u64 stream size not a multiple of 8");
-    WireReader r(bytes);
-    std::vector<std::uint64_t> out(bytes.size() / 8);
-    for (std::uint64_t& v : out)
-        v = r.u64();
-    return out;
+    return crc32(bytes.subspan(kKeyOffset, kKeyBytes),
+                 bytes.subspan(kHeaderBytes));
 }
 
 /** True when no sample or reconstructed value is NaN or +-inf. */
@@ -90,14 +58,58 @@ allFinite(const StoredLandscape& entry)
                        entry.reconstructed.end(), finite);
 }
 
-/** The named stream, or throw (caught by load() as a corrupt miss). */
-const std::vector<std::uint8_t>&
-need(const Archive& archive, const char* name)
+std::vector<std::uint8_t>
+readFile(const std::string& path)
 {
-    const std::vector<std::uint8_t>* s = archive.find(name);
-    if (!s)
-        throw ArchiveError(std::string("missing stream: ") + name);
-    return *s;
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        throw StoreError("cannot open " + path + ": " +
+                         std::strerror(errno));
+    struct stat st;
+    std::vector<std::uint8_t> bytes;
+    bool ok = ::fstat(::fileno(f), &st) == 0;
+    if (ok) {
+        bytes.resize(static_cast<std::size_t>(st.st_size));
+        ok = std::fread(bytes.data(), 1, bytes.size(), f) == bytes.size();
+    }
+    std::fclose(f);
+    if (!ok)
+        throw StoreError("cannot read " + path);
+    return bytes;
+}
+
+/**
+ * Publish `bytes` at `path` atomically: write `path + ".tmp.<pid>"`,
+ * fsync, rename over `path`. Readers only ever observe complete
+ * containers, and a crash mid-write leaves the previous version (or
+ * nothing) in place.
+ */
+void
+writeAtomically(const std::string& path,
+                const std::vector<std::uint8_t>& bytes)
+{
+    const std::string tmp =
+        path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+    std::FILE* f = std::fopen(tmp.c_str(), "wb");
+    if (!f)
+        throw StoreError("cannot create " + tmp + ": " +
+                         std::strerror(errno));
+    const bool wrote =
+        std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+    // Flush through to disk before publishing: rename() makes the
+    // container visible, and a visible container must be complete.
+    const bool flushed =
+        wrote && std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
+    std::fclose(f);
+    if (!flushed) {
+        std::remove(tmp.c_str());
+        throw StoreError("cannot write " + tmp);
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::remove(tmp.c_str());
+        throw StoreError("cannot publish " + path + ": " +
+                         std::strerror(errno));
+    }
 }
 
 } // namespace
@@ -166,6 +178,114 @@ decodeGridSpec(wire::WireReader& r)
     }
 }
 
+void
+encodeStoredLandscape(WireWriter& w, const StoredLandscape& entry)
+{
+    encodeGridSpec(w, entry.grid);
+    w.f64(entry.samplingFraction);
+    w.u64(entry.sampleSeed);
+    w.u64(entry.queriesUsed);
+    w.f64(entry.querySpeedup);
+    wire::encodeKernelStats(w, entry.kernel);
+    w.u64(entry.sampleIndices.size());
+    for (std::uint64_t idx : entry.sampleIndices)
+        w.u64(idx);
+    for (double v : entry.sampleValues)
+        w.f64(v);
+    w.u64(entry.reconstructed.size());
+    for (double v : entry.reconstructed)
+        w.f64(v);
+}
+
+StoredLandscape
+decodeStoredLandscape(WireReader& r)
+{
+    StoredLandscape entry;
+    entry.grid = decodeGridSpec(r);
+    entry.samplingFraction = r.f64();
+    entry.sampleSeed = r.u64();
+    entry.queriesUsed = r.u64();
+    entry.querySpeedup = r.f64();
+    entry.kernel = wire::decodeKernelStats(r);
+    const std::uint64_t samples = r.u64();
+    if (samples > r.remaining() / 16)
+        throw wire::WireError("sample count runs past payload end");
+    entry.sampleIndices.resize(samples);
+    for (std::uint64_t& idx : entry.sampleIndices)
+        idx = r.u64();
+    entry.sampleValues.resize(samples);
+    for (double& v : entry.sampleValues)
+        v = r.f64();
+    const std::uint64_t points = r.u64();
+    if (points > r.remaining() / 8)
+        throw wire::WireError("point count runs past payload end");
+    if (points != entry.grid.numPoints())
+        throw wire::WireError("reconstruction size does not match the grid");
+    entry.reconstructed.resize(points);
+    for (double& v : entry.reconstructed)
+        v = r.f64();
+    return entry;
+}
+
+std::vector<std::uint8_t>
+encodeContainer(const StoreKey& key, const StoredLandscape& entry)
+{
+    WireWriter w;
+    w.u32(kContainerMagic);
+    w.u16(kContainerVersion);
+    w.u64(key.costId);
+    w.u64(key.gridHash);
+    w.u64(key.cfgHash);
+    w.u32(0); // CRC, filled in once the body is written
+    encodeStoredLandscape(w, entry);
+    std::vector<std::uint8_t> bytes = w.take();
+    const std::uint32_t crc = containerCrc(bytes);
+    for (std::size_t i = 0; i < 4; ++i)
+        bytes[kCrcOffset + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+    return bytes;
+}
+
+StoredLandscape
+decodeContainer(std::span<const std::uint8_t> bytes, const StoreKey& key)
+{
+    try {
+        WireReader r(bytes);
+        if (r.u32() != kContainerMagic)
+            throw StoreError("bad container magic");
+        const std::uint16_t version = r.u16();
+        if (version != kContainerVersion)
+            throw StoreError("unsupported container version " +
+                             std::to_string(version));
+        StoreKey stored;
+        stored.costId = r.u64();
+        stored.gridHash = r.u64();
+        stored.cfgHash = r.u64();
+        // The container must actually BE the entry its name claims: a
+        // renamed or cross-linked file serving under the wrong key
+        // would be a wrong value, the one failure mode worse than any
+        // crash.
+        if (stored != key)
+            throw StoreError("container does not match its key");
+        if (r.u32() != containerCrc(bytes))
+            throw StoreError("container CRC mismatch");
+        StoredLandscape entry = decodeStoredLandscape(r);
+        r.expectEnd();
+        if (gridHash(entry.grid) != key.gridHash ||
+            configHash(entry.samplingFraction, entry.sampleSeed) !=
+                key.cfgHash)
+            throw StoreError("container body does not match its key");
+        // put() never writes a non-finite value, so one here means the
+        // container was not written by put().
+        if (!allFinite(entry))
+            throw StoreError("container holds a non-finite value");
+        return entry;
+    } catch (const wire::WireError& e) {
+        // Bounds overruns inside the reader mean a truncated or
+        // mis-sized container.
+        throw StoreError(e.what());
+    }
+}
+
 LandscapeStore::LandscapeStore(StoreOptions options)
     : options_(std::move(options))
 {
@@ -203,58 +323,14 @@ LandscapeStore::load(const StoreKey& key)
         return std::nullopt;
     }
     try {
-        const Archive archive = readArchive(path);
-
-        StoredLandscape entry;
-        {
-            WireReader r(need(archive, kStreamMeta));
-            entry.samplingFraction = r.f64();
-            entry.sampleSeed = r.u64();
-            entry.queriesUsed = r.u64();
-            entry.querySpeedup = r.f64();
-            r.expectEnd();
-        }
-        {
-            WireReader r(need(archive, kStreamGrid));
-            entry.grid = decodeGridSpec(r);
-            r.expectEnd();
-        }
-        {
-            WireReader r(need(archive, kStreamKernelStats));
-            entry.kernel = wire::decodeKernelStats(r);
-            r.expectEnd();
-        }
-        entry.sampleIndices = decodeU64s(need(archive, kStreamSampleIdx));
-        entry.sampleValues = decodeDoubles(need(archive, kStreamSampleVal));
-        entry.reconstructed = decodeDoubles(need(archive, kStreamRecon));
-
-        // The container must actually BE the entry its name claims:
-        // a renamed or cross-linked file serving under the wrong key
-        // would be a wrong value, the one failure mode worse than any
-        // crash.
-        if (gridHash(entry.grid) != key.gridHash ||
-            configHash(entry.samplingFraction, entry.sampleSeed) !=
-                key.cfgHash ||
-            entry.reconstructed.size() != entry.grid.numPoints() ||
-            entry.sampleValues.size() != entry.sampleIndices.size())
-            throw ArchiveError("container does not match its key");
-        // put() never writes a non-finite value, so one here means the
-        // container was not written by put().
-        if (!allFinite(entry))
-            throw ArchiveError("container holds a non-finite value");
-
+        StoredLandscape entry = decodeContainer(readFile(path), key);
         // LRU recency: a hit makes this container the newest.
         fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
         stats_.hits++;
         return entry;
-    } catch (const ArchiveError&) {
+    } catch (const StoreError&) {
         // Damaged container: unlink so the rewrite starts clean, and
         // report a miss -- the caller recomputes.
-        fs::remove(path, ec);
-        stats_.misses++;
-        stats_.corruptMisses++;
-        return std::nullopt;
-    } catch (const wire::WireError&) {
         fs::remove(path, ec);
         stats_.misses++;
         stats_.corruptMisses++;
@@ -270,31 +346,10 @@ LandscapeStore::put(const StoreKey& key, const StoredLandscape& entry)
             "LandscapeStore::put: non-finite sample or reconstructed value");
     obs::ScopedSpan span(obs::SpanCategory::Store, "put", key.costId,
                          entry.reconstructed.size());
-    ArchiveWriter writer;
-    {
-        WireWriter w;
-        w.f64(entry.samplingFraction);
-        w.u64(entry.sampleSeed);
-        w.u64(entry.queriesUsed);
-        w.f64(entry.querySpeedup);
-        writer.add(kStreamMeta, w.take());
-    }
-    {
-        WireWriter w;
-        encodeGridSpec(w, entry.grid);
-        writer.add(kStreamGrid, w.take());
-    }
-    {
-        WireWriter w;
-        wire::encodeKernelStats(w, entry.kernel);
-        writer.add(kStreamKernelStats, w.take());
-    }
-    writer.add(kStreamSampleIdx, encodeU64s(entry.sampleIndices));
-    writer.add(kStreamSampleVal, encodeDoubles(entry.sampleValues));
-    writer.add(kStreamRecon, encodeDoubles(entry.reconstructed));
+    const std::vector<std::uint8_t> bytes = encodeContainer(key, entry);
 
     std::lock_guard<std::mutex> lock(mutex_);
-    writer.write(containerPath(key));
+    writeAtomically(containerPath(key), bytes);
     stats_.puts++;
     gcLocked();
 }

@@ -6,8 +6,7 @@
  * spec, sampling config) per fixed kernel ISA and CS transform and
  * solver revisions -- so a finished reconstruction can be memoized on
  * disk and served again bit-identically, without touching the
- * execution pool. The store keeps one archive container
- * (src/store/archive.h) per key:
+ * execution pool. The store keeps one container file per key:
  *
  *   key = (CostSpec FNV-1a content hash      -- src/serve/wire.h,
  *          canonical GridSpec FNV-1a hash,
@@ -16,18 +15,23 @@
  *                                                kCsSolverRevision +
  *                                                kStatevectorPlanRevision)
  *
- * holding the sampled points, the reconstructed values, the kernel
- * stats, and the grid spec as named streams. All doubles are stored as
- * raw IEEE-754 bit patterns, so a warm hit returns exactly the bytes a
- * fresh computation would produce.
+ * A container is, all integers little-endian and uncompressed:
+ *
+ *   [magic u32 "OSCA"][version u16][costId u64][gridHash u64]
+ *   [cfgHash u64][crc32 u32][body]
+ *
+ * where the body is encodeStoredLandscape() -- the very bytes an Ok
+ * serve response carries -- and the CRC-32 covers the three key fields
+ * and the body. All doubles are raw IEEE-754 bit patterns, so a warm
+ * hit returns exactly the bytes a fresh computation would produce.
  *
  * Robustness contract: a container that is truncated, bit-flipped,
- * version-stale, or mid-write (temp file) NEVER crashes the caller or
- * yields a wrong value -- load() reports a miss (corrupt containers
- * are additionally unlinked so the rewrite is clean), and the caller
- * recomputes and rewrites. Non-finite landscapes are never stored or
- * served: put() refuses a NaN or +-inf value, and load() treats a
- * container holding one as corrupt.
+ * version-stale, filed under another key, or mid-write (temp file)
+ * NEVER crashes the caller or yields a wrong value -- load() reports
+ * a miss (corrupt containers are additionally unlinked so the rewrite
+ * is clean), and the caller recomputes and rewrites. Non-finite
+ * landscapes are never stored or served: put() refuses a NaN or +-inf
+ * value, and load() treats a container holding one as corrupt.
  *
  * The store is bounded by an LRU byte budget: load() touches the
  * container's mtime, and gc() (run after every put) deletes
@@ -41,6 +45,8 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -51,6 +57,25 @@
 namespace oscar {
 namespace store {
 
+/** Malformed, mis-keyed or unwritable container. */
+class StoreError : public std::runtime_error
+{
+  public:
+    explicit StoreError(const std::string& what)
+        : std::runtime_error("store: " + what)
+    {
+    }
+};
+
+constexpr std::uint32_t kContainerMagic = 0x4143534Fu; // "OSCA"
+
+/**
+ * Container format version. load() rejects any other value, so a
+ * container written in another format (version 2 was a six-stream
+ * archive) is a corrupt miss instead of being misparsed.
+ */
+constexpr std::uint16_t kContainerVersion = 3;
+
 /** Content address of one stored reconstruction. */
 struct StoreKey
 {
@@ -58,9 +83,11 @@ struct StoreKey
     std::uint64_t gridHash = 0; ///< canonical GridSpec hash
     std::uint64_t cfgHash = 0;  ///< configHash(): sampling config
                                 ///< and CS transform/solver revisions
+
+    bool operator==(const StoreKey&) const = default;
 };
 
-/** One memoized reconstruction (the container's stream contents). */
+/** One memoized reconstruction (a container's body). */
 struct StoredLandscape
 {
     GridSpec grid;
@@ -97,7 +124,7 @@ struct StoreOptions
     std::size_t budgetBytes = std::size_t{1024} << 20;
 };
 
-/** Content-addressed on-disk archive of finished reconstructions. */
+/** Content-addressed on-disk store of finished reconstructions. */
 class LandscapeStore
 {
   public:
@@ -123,7 +150,7 @@ class LandscapeStore
      * the byte budget via gc().
      * @throws std::invalid_argument when a sample or reconstructed
      *         value is NaN or +-inf (nothing is written)
-     * @throws ArchiveError when the container cannot be written
+     * @throws StoreError when the container cannot be written
      */
     void put(const StoreKey& key, const StoredLandscape& entry);
 
@@ -172,6 +199,32 @@ void encodeGridSpec(wire::WireWriter& w, const GridSpec& grid);
  * @throws wire::WireError on out-of-range axes
  */
 GridSpec decodeGridSpec(wire::WireReader& r);
+
+/**
+ * The stored-landscape body: a container's body and an Ok serve
+ * response's landscape (src/serve/protocol.h), byte for byte.
+ */
+void encodeStoredLandscape(wire::WireWriter& w, const StoredLandscape& entry);
+
+/**
+ * Inverse of encodeStoredLandscape.
+ * @throws wire::WireError on a malformed body
+ */
+StoredLandscape decodeStoredLandscape(wire::WireReader& r);
+
+/** Serialize the container of `entry` under `key` (see file comment). */
+std::vector<std::uint8_t> encodeContainer(const StoreKey& key,
+                                          const StoredLandscape& entry);
+
+/**
+ * Decode a container and check that it is `key`'s entry: magic,
+ * version, the header key, the CRC, a body that ends with the
+ * container, grid and config hashes that match the key, and only
+ * finite values.
+ * @throws StoreError on any failed check
+ */
+StoredLandscape decodeContainer(std::span<const std::uint8_t> bytes,
+                                const StoreKey& key);
 
 /**
  * Resolve a store directory: a non-empty `configured` wins, else the

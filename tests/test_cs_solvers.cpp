@@ -221,7 +221,7 @@ TEST(Reconstructor, OmpSolverOption)
     options.solver = CsSolver::Omp;
     options.omp.maxAtoms = 10;
     const NdArray recon =
-        reconstructLandscape2d({nr, nc}, indices, values, options);
+        reconstructLandscape({nr, nc}, indices, values, options);
     double err = 0.0, norm = 0.0;
     for (std::size_t i = 0; i < signal.size(); ++i) {
         err += (recon[i] - signal[i]) * (recon[i] - signal[i]);

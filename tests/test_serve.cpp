@@ -241,6 +241,26 @@ TEST(ServeProtocolTest, RequestRoundTripResolvesContentAddress)
     encodeRequest(other_seed);
     EXPECT_NE(storeKeyFor(other_seed).cfgHash, a.cfgHash);
     EXPECT_EQ(storeKeyFor(other_seed).costId, a.costId);
+
+    // Auto hashes as the ISA it resolves to, so stores filled by builds
+    // that resolve to different ISAs never share a key: an Auto request
+    // and the same request naming the resolved ISA are one entry, and
+    // an explicit Scalar request is another unless Scalar is what Auto
+    // resolved to here.
+    const kernels::KernelIsa resolved =
+        kernels::kernelTable(kernels::KernelIsa::Auto).isa;
+    RequestMsg auto_isa = makeRequest(42);
+    ASSERT_EQ(auto_isa.cost.kernel.isa, kernels::KernelIsa::Auto);
+    encodeRequest(auto_isa);
+    RequestMsg explicit_isa = makeRequest(42);
+    explicit_isa.cost.kernel.isa = resolved;
+    encodeRequest(explicit_isa);
+    EXPECT_EQ(storeKeyFor(auto_isa).costId, storeKeyFor(explicit_isa).costId);
+    RequestMsg scalar = makeRequest(42);
+    scalar.cost.kernel.isa = kernels::KernelIsa::Scalar;
+    encodeRequest(scalar);
+    EXPECT_EQ(storeKeyFor(scalar).costId == storeKeyFor(auto_isa).costId,
+              resolved == kernels::KernelIsa::Scalar);
 }
 
 TEST(ServeProtocolTest, MalformedRequestsAreRejected)

@@ -2,20 +2,18 @@
  * @file
  * Persistent landscape store tests:
  *
- *  - PackBits codec round trips (empty, runs, literals, run-length
- *    boundaries) and rejection of every malformed encoding;
- *  - archive containers: multi-stream round trips in memory and on
- *    disk, smallest-codec selection, atomic publication;
+ *  - the container layout: the header documented in landscape_store.h
+ *    followed by the Ok serve response's landscape body, byte for byte;
  *  - the robustness contract: a container that is truncated at ANY
- *    length, bit-flipped at ANY byte, version-stale, or half-written
- *    loads as a clean miss -- never a crash, never a wrong value;
+ *    length, bit-flipped at ANY byte, version-stale, filed under
+ *    another key, or half-written loads as a clean miss -- never a
+ *    crash, never a wrong value;
  *  - LandscapeStore put/load bit-identity (doubles compared as
- *    IEEE-754 bit patterns, including NaN and -0.0), key validation
- *    of a renamed container, LRU eviction under the byte budget, and
- *    the stats counters;
+ *    IEEE-754 bit patterns, including subnormals and -0.0), LRU
+ *    eviction under the byte budget, and the stats counters;
  *  - seeded mutation fuzzing (tests/mutation_fuzz.h) of a stored
- *    container: every mutant is rejected or decodes to a container
- *    that was written, and load() serves only the stored entry;
+ *    container: every mutant is rejected or decodes to the entry that
+ *    was written under its key, and load() serves only that entry;
  *  - strict OSCAR_STORE_DIR / OSCAR_STORE_BUDGET_MB parsing in the
  *    strict-resolver style: malformed settings throw and list
  *    the valid form instead of silently disabling persistence.
@@ -25,7 +23,7 @@
 
 #include <stdlib.h>
 
-#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdio>
 #include <filesystem>
@@ -33,15 +31,14 @@
 #include <limits>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
+#include "src/common/crc32.h"
 #include "src/common/fnv1a.h"
-#include "src/common/packbits.h"
 #include "src/common/rng.h"
 #include "src/cs/dct.h"
 #include "src/cs/fista.h"
-#include "src/store/archive.h"
+#include "src/serve/protocol.h"
 #include "src/store/landscape_store.h"
 #include "tests/mutation_fuzz.h"
 
@@ -98,16 +95,6 @@ struct ScopedEnv
     bool hadOld = false;
     std::string oldValue;
 };
-
-std::vector<std::uint8_t>
-randomBytes(std::size_t n, std::uint64_t seed)
-{
-    Rng rng(seed);
-    std::vector<std::uint8_t> bytes(n);
-    for (std::uint8_t& b : bytes)
-        b = static_cast<std::uint8_t>(rng.uniformInt(256));
-    return bytes;
-}
 
 void
 writeFile(const std::string& path, const std::vector<std::uint8_t>& bytes)
@@ -197,191 +184,49 @@ expectEntriesEqual(const StoredLandscape& got, const StoredLandscape& want)
               std::bit_cast<std::uint64_t>(want.querySpeedup));
 }
 
-// ---------------------------------------------------------------------
-// PackBits codec
-// ---------------------------------------------------------------------
+/** Container header bytes: magic, version, three key fields, CRC. */
+constexpr std::size_t kHeaderBytes = 4 + 2 + 3 * 8 + 4;
 
-TEST(PackBitsTest, RoundTripsRepresentativeInputs)
+/**
+ * A container assembled by hand from the layout documented in
+ * landscape_store.h, independently of encodeContainer().
+ */
+std::vector<std::uint8_t>
+layoutContainer(const StoreKey& key, const StoredLandscape& entry)
 {
-    const std::vector<std::vector<std::uint8_t>> cases = {
-        {},                                    // empty
-        {42},                                  // single byte
-        {1, 2, 3, 4, 5},                       // all literals
-        std::vector<std::uint8_t>(3, 7),       // minimal run
-        std::vector<std::uint8_t>(128, 9),     // one max-length run
-        std::vector<std::uint8_t>(129, 9),     // run + remainder
-        std::vector<std::uint8_t>(1000, 0),    // long run
-        randomBytes(1000, 3),                  // incompressible
-    };
-    for (const auto& raw : cases) {
-        const std::vector<std::uint8_t> packed = packBits(raw);
-        EXPECT_EQ(unpackBits(packed, raw.size()), raw)
-            << "input size " << raw.size();
-    }
+    wire::WireWriter key_fields;
+    key_fields.u64(key.costId);
+    key_fields.u64(key.gridHash);
+    key_fields.u64(key.cfgHash);
+    wire::WireWriter body;
+    encodeStoredLandscape(body, entry);
+
+    wire::WireWriter w;
+    w.u32(0x4143534Fu); // "OSCA"
+    w.u16(3);
+    for (std::uint8_t b : key_fields.bytes())
+        w.u8(b);
+    w.u32(::oscar::crc32(key_fields.bytes(), body.bytes()));
+    for (std::uint8_t b : body.bytes())
+        w.u8(b);
+    return w.take();
 }
 
-TEST(PackBitsTest, CompressesRuns)
+/** The body's sample-count and point-count fields in a container. */
+std::array<fuzz::LengthField, 2>
+bodyCountFields(const StoredLandscape& entry)
 {
-    const std::vector<std::uint8_t> raw(4096, 0xAB);
-    const std::vector<std::uint8_t> packed = packBits(raw);
-    EXPECT_LT(packed.size(), raw.size() / 16);
-}
-
-TEST(PackBitsTest, RejectsMalformedEncodings)
-{
-    // The reserved control byte 128 is never produced and never
-    // accepted.
-    EXPECT_THROW(unpackBits(std::vector<std::uint8_t>{128, 1}, 1),
-                 ArchiveError);
-    // Literal control promising more bytes than follow.
-    EXPECT_THROW(unpackBits(std::vector<std::uint8_t>{4, 1, 2}, 5),
-                 ArchiveError);
-    // Repeat control with no value byte.
-    EXPECT_THROW(unpackBits(std::vector<std::uint8_t>{255}, 2),
-                 ArchiveError);
-    // Decoded size must match exactly -- short and long.
-    const std::vector<std::uint8_t> packed =
-        packBits(std::vector<std::uint8_t>(10, 5));
-    EXPECT_THROW(unpackBits(packed, 9), ArchiveError);
-    EXPECT_THROW(unpackBits(packed, 11), ArchiveError);
-}
-
-TEST(PackBitsTest, StoreCodecIsTheSharedCodec)
-{
-    // The store delegates to src/common/packbits.h. The encodings
-    // must be byte-for-byte identical -- a divergence would silently
-    // change the on-disk format.
-    const std::vector<std::vector<std::uint8_t>> cases = {
-        {},
-        {42},
-        std::vector<std::uint8_t>(64, 7),
-        randomBytes(512, 9),
-        [] {
-            std::vector<std::uint8_t> mixed(256, 0);
-            for (std::size_t i = 64; i < 128; ++i)
-                mixed[i] = static_cast<std::uint8_t>(i);
-            return mixed;
-        }(),
-    };
-    for (const auto& raw : cases) {
-        const std::vector<std::uint8_t> via_store = packBits(raw);
-        const std::vector<std::uint8_t> via_common =
-            ::oscar::packbits::pack(raw);
-        EXPECT_EQ(via_store, via_common) << "input size " << raw.size();
-        EXPECT_EQ(unpackBits(via_common, raw.size()), raw);
-        EXPECT_EQ(::oscar::packbits::unpack(via_store, raw.size()), raw);
-    }
-    // StreamCodec values ARE the shared codec values (on-disk bytes
-    // and on-wire codec bytes agree by construction).
-    static_assert(std::is_same_v<StreamCodec, ::oscar::packbits::Codec>);
-    // pickSmallest never expands, and its choice decodes back exactly.
-    const std::vector<std::uint8_t> zeros(1024, 0);
-    const ::oscar::packbits::Encoded enc =
-        ::oscar::packbits::pickSmallest(zeros);
-    ASSERT_NE(enc.codec, ::oscar::packbits::Codec::Raw);
-    EXPECT_LT(enc.bytes.size(), zeros.size());
-    EXPECT_EQ(::oscar::packbits::decode(
-                  static_cast<std::uint8_t>(enc.codec), enc.bytes,
-                  zeros.size()),
-              zeros);
-}
-
-// ---------------------------------------------------------------------
-// Archive container
-// ---------------------------------------------------------------------
-
-TEST(ArchiveTest, MultiStreamRoundTrip)
-{
-    ArchiveWriter writer;
-    const std::vector<std::uint8_t> a = randomBytes(300, 1);
-    const std::vector<std::uint8_t> b(2000, 0); // compressible
-    const std::vector<std::uint8_t> empty;
-    writer.add("alpha", a);
-    writer.add("beta", b);
-    writer.add("empty", empty);
-
-    const std::vector<std::uint8_t> bytes = writer.serialize();
-    const Archive archive = decodeArchive(bytes);
-    ASSERT_EQ(archive.streams.size(), 3u);
-    EXPECT_EQ(archive.streams[0].name, "alpha");
-    ASSERT_NE(archive.find("alpha"), nullptr);
-    EXPECT_EQ(*archive.find("alpha"), a);
-    ASSERT_NE(archive.find("beta"), nullptr);
-    EXPECT_EQ(*archive.find("beta"), b);
-    ASSERT_NE(archive.find("empty"), nullptr);
-    EXPECT_TRUE(archive.find("empty")->empty());
-    EXPECT_EQ(archive.find("missing"), nullptr);
-
-    // The compressible stream must actually have been compressed: the
-    // whole container is far smaller than its raw payload.
-    EXPECT_LT(bytes.size(), a.size() + b.size());
-}
-
-TEST(ArchiveTest, FileRoundTripIsAtomic)
-{
-    TempDir dir;
-    const std::string path = dir.path + "/container.oscar";
-
-    ArchiveWriter writer;
-    writer.add("data", randomBytes(100, 2));
-    writer.write(path);
-
-    // The temp file was renamed away; only the container remains.
-    std::size_t entries = 0;
-    for ([[maybe_unused]] const auto& e : fs::directory_iterator(dir.path))
-        entries++;
-    EXPECT_EQ(entries, 1u);
-
-    const Archive archive = readArchive(path);
-    ASSERT_EQ(archive.streams.size(), 1u);
-    EXPECT_EQ(archive.streams[0].bytes, randomBytes(100, 2));
-}
-
-TEST(ArchiveTest, EveryTruncationIsRejected)
-{
-    ArchiveWriter writer;
-    writer.add("data", randomBytes(64, 4));
-    const std::vector<std::uint8_t> bytes = writer.serialize();
-
-    for (std::size_t len = 0; len < bytes.size(); ++len) {
-        EXPECT_THROW(decodeArchive({bytes.data(), len}), ArchiveError)
-            << "prefix " << len;
-    }
-    // Trailing garbage after the footer is also a defect.
-    std::vector<std::uint8_t> extra = bytes;
-    extra.push_back(0);
-    EXPECT_THROW(decodeArchive(extra), ArchiveError);
-}
-
-TEST(ArchiveTest, StaleVersionIsRejected)
-{
-    ArchiveWriter writer;
-    writer.add("data", randomBytes(16, 6));
-    std::vector<std::uint8_t> bytes = writer.serialize();
-    bytes[4] = kArchiveVersion + 1; // version u16 LE at offset 4
-    EXPECT_THROW(decodeArchive(bytes), ArchiveError);
-    bytes[4] = 0;
-    EXPECT_THROW(decodeArchive(bytes), ArchiveError);
-}
-
-TEST(ArchiveTest, DamagedStreamNameIsRejected)
-{
-    // The stream CRC covers the name: a flipped name byte must not
-    // decode as a stream of another name.
-    ArchiveWriter writer;
-    writer.add("data", randomBytes(16, 7));
-    std::vector<std::uint8_t> bytes = writer.serialize();
-    ASSERT_NO_THROW(decodeArchive(bytes));
-    // Superblock (8 bytes), then the name's u32 length and its bytes.
-    ASSERT_EQ(bytes[12], 'd');
-    bytes[12] = 'D';
-    EXPECT_THROW(decodeArchive(bytes), ArchiveError);
-}
-
-TEST(ArchiveTest, MissingFileIsRejected)
-{
-    TempDir dir;
-    EXPECT_THROW(readArchive(dir.path + "/absent.oscar"), ArchiveError);
+    wire::WireWriter w;
+    encodeGridSpec(w, entry.grid);
+    w.f64(entry.samplingFraction);
+    w.u64(entry.sampleSeed);
+    w.u64(entry.queriesUsed);
+    w.f64(entry.querySpeedup);
+    wire::encodeKernelStats(w, entry.kernel);
+    const std::size_t samples_at = kHeaderBytes + w.bytes().size();
+    const std::size_t points_at =
+        samples_at + 8 + 16 * entry.sampleIndices.size();
+    return {{{samples_at, 8}, {points_at, 8}}};
 }
 
 // ---------------------------------------------------------------------
@@ -409,6 +254,31 @@ TEST(LandscapeStoreTest, PutThenLoadIsBitIdentical)
     EXPECT_EQ(stats.corruptMisses, 0u);
     EXPECT_EQ(stats.puts, 1u);
     EXPECT_GT(store.totalBytes(), 0u);
+}
+
+TEST(LandscapeStoreTest, ContainerIsTheHeaderAndTheResponseBody)
+{
+    TempDir dir;
+    LandscapeStore store({dir.path + "/store", std::size_t{64} << 20});
+    const StoredLandscape entry = sampleEntry();
+    const StoreKey key = keyFor(entry);
+    store.put(key, entry);
+    const std::vector<std::uint8_t> container =
+        readFile(store.containerPath(key));
+    EXPECT_EQ(container, layoutContainer(key, entry));
+    EXPECT_EQ(container, encodeContainer(key, entry));
+
+    // The body is the landscape of an Ok serve response, byte for
+    // byte: status u8, tag u64 and served-from u8 precede it there.
+    serve::ResponseMsg ok;
+    ok.status = serve::ResponseStatus::Ok;
+    ok.landscape = entry;
+    const std::vector<std::uint8_t> response = serve::encodeResponse(ok);
+    ASSERT_GE(response.size(), 10u);
+    EXPECT_EQ(std::vector<std::uint8_t>(container.begin() + kHeaderBytes,
+                                        container.end()),
+              std::vector<std::uint8_t>(response.begin() + 10,
+                                        response.end()));
 }
 
 TEST(LandscapeStoreTest, DistinctKeysAreIndependent)
@@ -477,26 +347,12 @@ TEST(LandscapeStoreTest, EveryTruncationLoadsAsCleanMiss)
     }
 }
 
-/** True when two decoded containers hold the same named streams in
- * the same order. */
-bool
-sameStreams(const Archive& a, const Archive& b)
-{
-    if (a.streams.size() != b.streams.size())
-        return false;
-    for (std::size_t i = 0; i < a.streams.size(); ++i)
-        if (a.streams[i].name != b.streams[i].name ||
-            a.streams[i].bytes != b.streams[i].bytes)
-            return false;
-    return true;
-}
-
 TEST(StoreFuzzTest, ContainerMutantsAreRejectedOrDecodeToAStoredEntry)
 {
     // Seeded flips, truncations, splices (from a second container) and
-    // length-field edits of a real stored container: decodeArchive
-    // either throws ArchiveError or returns exactly the streams (names
-    // and bytes) of one of the two containers that were written.
+    // length-field edits of a real stored container: decodeContainer
+    // either throws StoreError or returns exactly the entry that was
+    // written under the key it is asked for.
     constexpr int kMutantsPerSeed = 512;
     TempDir dir;
     LandscapeStore store({dir.path + "/store", std::size_t{64} << 20});
@@ -508,23 +364,21 @@ TEST(StoreFuzzTest, ContainerMutantsAreRejectedOrDecodeToAStoredEntry)
         readFile(store.containerPath(keyFor(entry)));
     const std::vector<std::uint8_t> donor =
         readFile(store.containerPath(keyFor(other)));
-    const Archive good_archive = decodeArchive(good);
-    const Archive donor_archive = decodeArchive(donor);
-    const fuzz::LengthField stream_count[] = {{6, 2}};
+    const auto counts = bodyCountFields(entry);
 
     std::size_t rejected = 0;
     for (const std::uint64_t seed : fuzz::kSeeds) {
         Rng rng(seed);
         for (int it = 0; it < kMutantsPerSeed; ++it) {
             const std::vector<std::uint8_t> mutant =
-                fuzz::mutate(rng, good, donor, stream_count);
-            try {
-                const Archive archive = decodeArchive(mutant);
-                EXPECT_TRUE(sameStreams(archive, good_archive) ||
-                            sameStreams(archive, donor_archive))
-                    << "seed " << seed << " mutant " << it;
-            } catch (const ArchiveError&) {
-                ++rejected;
+                fuzz::mutate(rng, good, donor, counts);
+            for (const StoredLandscape* want : {&entry, &other}) {
+                try {
+                    expectEntriesEqual(
+                        decodeContainer(mutant, keyFor(*want)), *want);
+                } catch (const StoreError&) {
+                    ++rejected;
+                }
             }
         }
     }
@@ -547,11 +401,12 @@ TEST(StoreFuzzTest, LoadOfAMutantIsAMissOrTheStoredEntry)
     const std::vector<std::uint8_t> good = readFile(path);
     const std::vector<std::uint8_t> donor =
         readFile(store.containerPath(keyFor(other)));
+    const auto counts = bodyCountFields(entry);
 
     for (const std::uint64_t seed : fuzz::kSeeds) {
         Rng rng(seed);
         for (int it = 0; it < kMutantsPerSeed; ++it) {
-            writeFile(path, fuzz::mutate(rng, good, donor));
+            writeFile(path, fuzz::mutate(rng, good, donor, counts));
             std::optional<StoredLandscape> loaded;
             ASSERT_NO_THROW(loaded = store.load(key))
                 << "seed " << seed << " mutant " << it;
@@ -571,9 +426,7 @@ TEST(LandscapeStoreTest, HalfWrittenTempFileIsIgnored)
     // A crash mid-write leaves `<container>.tmp.<pid>` behind; the
     // final path never existed, so the key is a plain miss and the
     // stray temp file must not disturb put/load/gc.
-    ArchiveWriter writer;
-    writer.add("partial", randomBytes(50, 8));
-    std::vector<std::uint8_t> half = writer.serialize();
+    std::vector<std::uint8_t> half = encodeContainer(key, entry);
     half.resize(half.size() / 2);
     writeFile(store.containerPath(key) + ".tmp.9999", half);
 
@@ -588,19 +441,46 @@ TEST(LandscapeStoreTest, RenamedContainerFailsKeyValidation)
     TempDir dir;
     LandscapeStore store({dir.path + "/store", std::size_t{64} << 20});
     const StoredLandscape entry = sampleEntry();
-    const StoreKey key = keyFor(entry);
-    store.put(key, entry);
 
     // Move the (internally consistent) container to a key addressing a
-    // different sampling config: the content no longer matches the
-    // address, so serving it would violate the determinism contract.
-    StoreKey wrong = key;
-    wrong.cfgHash = configHash(entry.samplingFraction, entry.sampleSeed + 1);
-    fs::rename(store.containerPath(key), store.containerPath(wrong));
+    // different sampling config, then to one addressing a different
+    // cost: the content no longer matches the address, so serving it
+    // would hand one cost's landscape to another.
+    const StoreKey key = keyFor(entry, 111);
+    StoreKey other_config = key;
+    other_config.cfgHash =
+        configHash(entry.samplingFraction, entry.sampleSeed + 1);
+    const StoreKey other_cost = keyFor(entry, 222);
 
-    EXPECT_FALSE(store.load(wrong).has_value());
-    EXPECT_EQ(store.stats().corruptMisses, 1u);
-    EXPECT_FALSE(fs::exists(store.containerPath(wrong)));
+    std::uint64_t corrupt = 0;
+    for (const StoreKey& wrong : {other_config, other_cost}) {
+        store.put(key, entry);
+        fs::rename(store.containerPath(key), store.containerPath(wrong));
+        EXPECT_FALSE(store.load(wrong).has_value());
+        EXPECT_EQ(store.stats().corruptMisses, ++corrupt);
+        EXPECT_FALSE(fs::exists(store.containerPath(wrong)));
+    }
+    EXPECT_EQ(store.stats().hits, 0u);
+}
+
+TEST(LandscapeStoreTest, StaleVersionLoadsAsCorruptMiss)
+{
+    // A container of another format version -- version 2 was the
+    // six-stream archive -- is dropped like a damaged one.
+    TempDir dir;
+    LandscapeStore store({dir.path + "/store", std::size_t{64} << 20});
+    const StoredLandscape entry = sampleEntry();
+    const StoreKey key = keyFor(entry);
+    const std::string path = store.containerPath(key);
+    std::uint64_t corrupt = 0;
+    for (int version : {2, 4}) {
+        std::vector<std::uint8_t> bytes = layoutContainer(key, entry);
+        bytes[4] = static_cast<std::uint8_t>(version); // u16 LE at 4
+        writeFile(path, bytes);
+        EXPECT_FALSE(store.load(key).has_value()) << version;
+        EXPECT_EQ(store.stats().corruptMisses, ++corrupt);
+        EXPECT_FALSE(fs::exists(path));
+    }
 }
 
 TEST(LandscapeStoreTest, PutRefusesNonFiniteValues)
@@ -625,37 +505,25 @@ TEST(LandscapeStoreTest, PutRefusesNonFiniteValues)
 
 TEST(LandscapeStoreTest, NonFiniteContainerLoadsAsCorruptMiss)
 {
-    // A well-formed container (valid CRCs, matching key) that holds a
+    // A well-formed container (valid CRC, matching key) that holds a
     // NaN or +-inf was not written by put(); load() must drop it like
     // a damaged one instead of serving it.
     TempDir dir;
     LandscapeStore store({dir.path + "/store", std::size_t{64} << 20});
-    const StoredLandscape entry = sampleEntry();
-    const StoreKey key = keyFor(entry);
+    const StoreKey key = keyFor(sampleEntry());
     const std::string path = store.containerPath(key);
     std::uint64_t corrupt = 0;
-    for (const char* stream : {"samples.val", "recon"}) {
+    for (bool in_samples : {true, false}) {
         for (double bad : {std::numeric_limits<double>::quiet_NaN(),
                            -std::numeric_limits<double>::infinity()}) {
-            store.put(key, entry);
-            const Archive good = readArchive(path);
-            ArchiveWriter writer;
-            for (const ArchiveStream& s : good.streams) {
-                std::vector<std::uint8_t> bytes = s.bytes;
-                if (s.name == stream) {
-                    wire::WireWriter w;
-                    w.f64(bad);
-                    std::copy(w.bytes().begin(), w.bytes().end(),
-                              bytes.begin());
-                }
-                writer.add(s.name, std::move(bytes));
-            }
-            writer.write(path);
+            StoredLandscape entry = sampleEntry();
+            (in_samples ? entry.sampleValues : entry.reconstructed)[0] = bad;
+            writeFile(path, layoutContainer(key, entry));
 
             std::optional<StoredLandscape> loaded;
-            ASSERT_NO_THROW(loaded = store.load(key)) << stream;
-            EXPECT_FALSE(loaded.has_value()) << stream << " " << bad;
-            EXPECT_FALSE(fs::exists(path)) << stream << " " << bad;
+            ASSERT_NO_THROW(loaded = store.load(key)) << bad;
+            EXPECT_FALSE(loaded.has_value()) << in_samples << " " << bad;
+            EXPECT_FALSE(fs::exists(path)) << in_samples << " " << bad;
             EXPECT_EQ(store.stats().corruptMisses, ++corrupt);
         }
     }

@@ -493,7 +493,8 @@ TEST(WireTest, PayloadDecodersRejectTruncationAndTrailingBytes)
 TEST(WireTest, Crc32KnownVector)
 {
     // CRC-32("123456789") is the classic check value 0xCBF43926; the
-    // framing and the landscape archive share this implementation.
+    // framing and the landscape store's containers share this
+    // implementation.
     const char* s = "123456789";
     EXPECT_EQ(::oscar::crc32({reinterpret_cast<const std::uint8_t*>(s), 9}),
               0xCBF43926u);
