@@ -156,17 +156,18 @@ timeFreshCosts(const SweepCase& sweep, int reps,
  *
  *  - the acceptance sweep (axis-major 12q p=2 MaxCut QAOA, one batch,
  *    prefix resume and batched expectation), whose cost layers replay
- *    as phase ops;
+ *    as phase ops on the 11-qubit half state;
  *  - the same sweep on a 12q SK instance (rows "sk_<isa>"), whose
  *    Gaussian couplings share no unit, so its cost layers replay as
- *    per-block diagonal tables;
+ *    per-block diagonal tables on the full state;
  *  - the p1_exec request's gather: 150 samples (3%) of the 20-qubit
  *    p=1 grid through gatherCost on a 4-thread engine, as
  *    Oscar::reconstruct runs them (rows "p1_gather_<isa>").
  *
  * `match` checks every row against its workload's scalar row: bitwise
  * for scalar itself, within rounding (1e-12 relative, the 20-qubit
- * energies reach |E| ~ 30) for the wider ISAs.
+ * energies reach |E| ~ 30) for the wider ISAs. `state_amps` is the
+ * amplitudes one replay covers: 2^(n-1) on the half state.
  * Writes BENCH_kernels.json (median and quartiles per row) so the perf
  * trajectory is tracked across changes.
  */
@@ -197,6 +198,8 @@ runKernelStudy()
                                "speedup", "match"});
         std::vector<double> reference;
         double base_median = 0.0;
+        const double state_amps =
+            static_cast<double>(sweep.make().compiled().stateDim());
         for (const IsaCase& isa : isa_cases) {
             if (!isa.available) {
                 std::printf("  (skipping %s: unavailable on this "
@@ -237,7 +240,8 @@ runKernelStudy()
                       {"fused_super_kernels",
                        static_cast<double>(stats.fusedSuperKernels)},
                       {"cache_lookups",
-                       static_cast<double>(stats.cacheLookups)}});
+                       static_cast<double>(stats.cacheLookups)},
+                      {"state_amps", state_amps}});
         }
     };
 

@@ -42,25 +42,28 @@ phaseLevelsOf(const PauliSum& hamiltonian,
 
 StatevectorCost::StatevectorCost(Circuit circuit, PauliSum hamiltonian)
     : circuit_(std::move(circuit)), hamiltonian_(std::move(hamiltonian)),
-      state_(circuit_.numQubits()),
       table_(&kernels::kernelTable(kernel_.isa))
 {
     if (hamiltonian_.numQubits() != circuit_.numQubits())
         throw std::invalid_argument(
             "StatevectorCost: circuit/Hamiltonian qubit mismatch");
-    if (hamiltonian_.isDiagonal())
-        diagonal_ = std::make_shared<const std::vector<double>>(
-            hamiltonian_.diagonalTable());
-    compiled_ = CompiledCircuit(
-        circuit_, kPlan,
-        diagonal_ ? phaseLevelsOf(hamiltonian_, diagonal_) : nullptr);
+    if (!hamiltonian_.isDiagonal()) {
+        compiled_ = CompiledCircuit(circuit_, kPlan);
+        return;
+    }
+    // The table is filled once the plan is known: a half-state plan
+    // reads only its first 2^(n-1) entries. Nothing reads it before.
+    auto table = std::make_shared<std::vector<double>>();
+    compiled_ = CompiledCircuit(circuit_, kPlan,
+                                phaseLevelsOf(hamiltonian_, table));
+    *table = hamiltonian_.diagonalTable(compiled_.stateDim());
+    diagonal_ = std::move(table);
 }
 
 StatevectorCost::StatevectorCost(const StatevectorCost& other)
     : CostFunction(other), circuit_(other.circuit_),
       compiled_(other.compiled_), hamiltonian_(other.hamiltonian_),
-      diagonal_(other.diagonal_), state_(other.circuit_.numQubits()),
-      kernel_(other.kernel_),
+      diagonal_(other.diagonal_), kernel_(other.kernel_),
       table_(&kernels::kernelTable(other.kernel_.isa))
 {
 }
@@ -73,7 +76,7 @@ StatevectorCost::operator=(const StatevectorCost& other)
     compiled_ = other.compiled_;
     hamiltonian_ = other.hamiltonian_;
     diagonal_ = other.diagonal_;
-    state_ = Statevector(other.circuit_.numQubits());
+    state_.clear();
     kernel_ = other.kernel_;
     table_ = &kernels::kernelTable(other.kernel_.isa);
     checkpoints_.clear();
@@ -126,7 +129,7 @@ StatevectorCost::simulate(const std::vector<double>& params,
                           AlignedVector<cplx>& amps, std::size_t resume,
                           std::size_t keep)
 {
-    const std::size_t dim = state_.dim();
+    const std::size_t dim = compiled_.stateDim();
     const auto& levels = compiled_.frontierLevels();
     std::size_t pos = 0;
     if (resume > 0) {
@@ -196,7 +199,7 @@ StatevectorCost::simulateInBatch(
         const std::uint64_t now = obs::Tracer::nowNs();
         obs::Tracer::global().record(obs::SpanCategory::Cache,
                                      resume > 0 ? "hit" : "miss", now,
-                                     now, resume, state_.dim());
+                                     now, resume, compiled_.stateDim());
     }
     simulate(points[i], amps, resume, keep);
 }
@@ -204,12 +207,16 @@ StatevectorCost::simulateInBatch(
 double
 StatevectorCost::stateEnergy() const
 {
+    const cplx* amps = state_.data();
     if (diagonal_)
-        return table_->expectationDiagonal(
-            state_.amps().data(), diagonal_->data(), state_.dim());
+        return table_->expectationDiagonal(amps, diagonal_->data(),
+                                           state_.size());
     // Non-diagonal Hamiltonians contract term by term through the
     // same pinned kernel table as the simulation itself.
-    return hamiltonian_.expectation(state_, *table_);
+    double energy;
+    hamiltonian_.expectationBatch(&amps, 1, state_.size(), *table_,
+                                  &energy);
+    return energy;
 }
 
 std::size_t
@@ -219,7 +226,7 @@ StatevectorCost::maxExpectationGroup() const
     // footprint at 64 MiB per replica on top of the hard fan-in limit
     // of the fused kernel pass.
     constexpr std::size_t kScratchBudget = std::size_t{64} << 20;
-    const std::size_t per_state = state_.dim() * sizeof(cplx);
+    const std::size_t per_state = compiled_.stateDim() * sizeof(cplx);
     return std::min(kMaxExpectationGroup,
                     std::max<std::size_t>(std::size_t{1},
                                           kScratchBudget / per_state));
@@ -229,7 +236,7 @@ double
 StatevectorCost::evaluateImpl(const std::vector<double>& params,
                               std::uint64_t /*ordinal*/)
 {
-    simulate(params, state_.amps(), 0, 0);
+    simulate(params, state_, 0, 0);
     return stateEnergy();
 }
 
@@ -258,7 +265,7 @@ StatevectorCost::evaluateBatchImpl(
                    suffix_level)
             ++j;
         if (j - i < 2) {
-            simulateInBatch(points, i, state_.amps());
+            simulateInBatch(points, i, state_);
             out[i] = stateEnergy();
             i = j;
             continue;
@@ -271,10 +278,11 @@ StatevectorCost::evaluateBatchImpl(
         }
         if (diagonal_) {
             table_->expectationDiagonalBatch(
-                group, j - i, diagonal_->data(), state_.dim(), out + i);
+                group, j - i, diagonal_->data(), compiled_.stateDim(),
+                out + i);
             batchedDiagonalPoints_ += j - i;
         } else {
-            hamiltonian_.expectationBatch(group, j - i, state_.dim(),
+            hamiltonian_.expectationBatch(group, j - i, compiled_.stateDim(),
                                           *table_, out + i);
             batchedPauliPoints_ += j - i;
         }

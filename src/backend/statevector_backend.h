@@ -24,6 +24,13 @@
  *    compiled_circuit.h): the Hadamard layer plus the first cost layer
  *    become one write-only PhaseFill, later cost layers PhaseTable
  *    multiplies. Any other circuit or Hamiltonian keeps the gates;
+ *  - half state: when such a schedule also commutes with X^n (a fill,
+ *    phase ops, ZZ phases and RX mixers, as in MaxCut QAOA), the plan
+ *    replays only the 2^(n-1) amplitudes whose top qubit is 0
+ *    (CompiledCircuit::halfState), and the state, every resume buffer,
+ *    every group scratch, the energy table and the level index all
+ *    hold 2^(n-1) entries. SK (no phase ops), a Z field term,
+ *    two-local and UCCSD circuits keep the full state;
  *  - batched expectation: consecutive batch points that share the full
  *    simulation prefix up to the deepest frontier level are simulated
  *    into scratch states and folded with one fused pass over the
@@ -52,11 +59,11 @@
  * for a fixed kernel ISA the batched path is bit-identical to
  * evaluate(), which tests/test_engine.cpp and tests/test_kernels.cpp
  * assert.
- * Different ISAs round differently, and the fused plan and the phase
- * ops round differently from an unfused gate replay of the same
- * circuit (within 1e-12 on QAOA energies); pin KernelOptions::isa, and
- * replay compiled() as the reference, when comparing bitwise against
- * values computed outside this class.
+ * Different ISAs round differently, and the fused plan, the phase ops
+ * and the half state round differently from an unfused gate replay of
+ * the same circuit (within 1e-12 on QAOA energies); pin
+ * KernelOptions::isa, and replay compiled() as the reference, when
+ * comparing bitwise against values computed outside this class.
  */
 
 #ifndef OSCAR_BACKEND_STATEVECTOR_BACKEND_H
@@ -78,9 +85,10 @@ namespace oscar {
  * next to the CS revisions, and landscapes from an older plan miss.
  * Revision 1 (before the key held it) replayed every QAOA cost layer
  * as RZZ gates; 2 replays matching layers as phase ops; 3 drops the
- * dense matvec units, which formed on SK and UCCSD circuits.
+ * dense matvec units, which formed on SK and UCCSD circuits; 4
+ * replays spin-flip-symmetric schedules on the half state.
  */
-inline constexpr std::uint64_t kStatevectorPlanRevision = 3;
+inline constexpr std::uint64_t kStatevectorPlanRevision = 4;
 
 /**
  * Exact expectation <psi(theta)|H|psi(theta)> where |psi(theta)> is
@@ -123,14 +131,17 @@ class StatevectorCost : public CostFunction
 
     /**
      * The Hamiltonian's per-basis-state energy table, or null when it
-     * is not diagonal. Built once at construction; copies and clones
-     * read the same immutable table.
+     * is not diagonal: its first compiled().stateDim() entries, so
+     * only the top-qubit-0 half under a half-state plan. Built once at
+     * construction; copies and clones read the same immutable table.
      */
     const std::vector<double>* diagonal() const { return diagonal_.get(); }
 
     /**
      * The compiled schedule this cost replays: kPlan, with the QAOA
-     * phase ops when the Hamiltonian's levels allow them.
+     * phase ops when the Hamiltonian's levels allow them, on the half
+     * state when the schedule commutes with X^n. A reference replay
+     * sizes its state from compiled().stateDim().
      */
     const CompiledCircuit& compiled() const { return compiled_; }
 
@@ -196,7 +207,8 @@ class StatevectorCost : public CostFunction
     PauliSum hamiltonian_;
     /** Energy table shared by copies; null iff H is not diagonal. */
     std::shared_ptr<const std::vector<double>> diagonal_;
-    Statevector state_;
+    /** evaluate()'s state (stateDim() amplitudes once written). */
+    AlignedVector<cplx> state_;
     KernelOptions kernel_;
     const kernels::KernelTable* table_;
     /**

@@ -99,8 +99,19 @@ PauliSum::expectation(const DensityMatrix& rho) const
 std::vector<double>
 PauliSum::diagonalTable() const
 {
+    return diagonalTable(std::size_t{1} << numQubits_);
+}
+
+std::vector<double>
+PauliSum::diagonalTable(std::size_t states) const
+{
     if (!isDiagonal())
         throw std::logic_error("PauliSum::diagonalTable: not diagonal");
+    if (!std::has_single_bit(states) ||
+        states > std::size_t{1} << numQubits_)
+        throw std::invalid_argument(
+            "PauliSum::diagonalTable: states must be a power of two in "
+            "[1, 2^n]");
     // Split z = hi * 2^L + lo. Term k's value at z is
     //   coeff_k * (-1)^parity(lo & sign_lo) * (-1)^parity(hi & sign_hi),
     // so each term needs one signed low-block table, added to every
@@ -108,9 +119,10 @@ PauliSum::diagonalTable() const
     // terms in order into a zeroed block reproduces the per-entry sum
     // 0.0 + c_0 * e_0(z) + c_1 * e_1(z) + ... bit for bit: negation is
     // exact, and a - b is a + (-b) in IEEE arithmetic.
-    const int low_bits = std::min(numQubits_, kDiagonalLowBits);
+    const int low_bits =
+        std::min(std::countr_zero(states), kDiagonalLowBits);
     const std::size_t block = std::size_t{1} << low_bits;
-    const std::size_t dim = std::size_t{1} << numQubits_;
+    const std::size_t dim = states;
     const std::size_t num_terms = terms_.size();
 
     std::vector<double> low(num_terms * block);

@@ -94,6 +94,13 @@ class PauliSum
     std::vector<double> diagonalTable() const;
 
     /**
+     * The first `states` entries of diagonalTable(), bitwise equal to
+     * them, at `states` / 2^n of the cost. `states` must be a power of
+     * two in [1, 2^n] (else std::invalid_argument).
+     */
+    std::vector<double> diagonalTable(std::size_t states) const;
+
+    /**
      * Minimum eigenvalue of a diagonal observable (brute force over
      * basis states). Requires isDiagonal().
      */

@@ -257,6 +257,8 @@ applyToBlock(const kernels::KernelTable& t, cplx* blk, std::size_t bs,
       case KernelOp::PhaseTable:
         mulLevels(blk, bs, r.levels + base, r.phases);
         break;
+      case KernelOp::PairMask:
+        break; // never blockable
     }
 }
 
@@ -346,6 +348,14 @@ runOp(const CompiledOp& op, cplx* amps, std::size_t dim,
         mulLevels(amps, dim, phase.index,
                   phase.tables + op.phaseSlot * phase.stride);
         break;
+      case KernelOp::PairMask: {
+        const std::array<cplx, 4> m =
+            op.paramIndex < 0
+                ? op.matrix
+                : gateMatrix1q(op.kind, op.resolvedAngle(params));
+        kernels::pairMask(amps, dim, m[0], m[1]);
+        break;
+      }
     }
 }
 
@@ -448,12 +458,14 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit,
         }
     }
 
-    if (levels_)
+    if (levels_) {
         lowerPhaseOps();
+        lowerHalfState();
+    }
     finalizeFrontier();
     blockBits_ = options.blockWindow <= 0
                      ? 0
-                     : std::min(options.blockWindow, numQubits_);
+                     : std::min(options.blockWindow, stateQubits());
     fuse_ = options.fuse;
     buildPlan();
 }
@@ -480,6 +492,9 @@ CompiledCircuit::blockable(const CompiledOp& op, int k)
         // Element-wise over the basis index: a block reads its slice
         // of the level index.
         return true;
+      case KernelOp::PairMask:
+        // Pairs x with its reversed partner across the whole state.
+        return false;
     }
     return false;
 }
@@ -606,7 +621,7 @@ CompiledCircuit::formUnits(PlanSegment& seg)
                 // complexes per replay (through the active ISA's
                 // kernels, so it is cheap); >= 4 blocks amortize it.
                 // Constant tables are free.
-                if (fold >= 2 && (constant || numQubits_ - k >= 2))
+                if (fold >= 2 && (constant || stateQubits() - k >= 2))
                     units_.push_back({static_cast<std::uint32_t>(i),
                                       static_cast<std::uint32_t>(j),
                                       constant, 0, fold});
@@ -732,10 +747,6 @@ PhaseLevels::index() const
 void
 CompiledCircuit::lowerPhaseOps()
 {
-    if (levels_->size() != std::size_t{1} << numQubits_) {
-        levels_.reset();
-        return;
-    }
     const std::vector<PhaseLevels::Term>& terms = levels_->terms();
     const std::array<cplx, 4> hadamard = gateMatrix1q(GateKind::H, 0.0);
 
@@ -815,20 +826,57 @@ CompiledCircuit::lowerPhaseOps()
 }
 
 void
+CompiledCircuit::lowerHalfState()
+{
+    // The fill starts from |+...+>; every later op must commute with
+    // X^n. The cost's levels allow only ZZ terms and a constant.
+    const auto commutesWithX = [](const CompiledOp& op) {
+        switch (op.op) {
+          case KernelOp::PhaseTable:
+          case KernelOp::PhaseZZ:
+            return true;
+          case KernelOp::Matrix1q:
+            return op.paramIndex >= 0 ? op.kind == GateKind::RX
+                                      : op.matrix[0] == op.matrix[3] &&
+                                            op.matrix[1] == op.matrix[2];
+          default:
+            return false;
+        }
+    };
+    if (!startsWithFill() ||
+        !std::all_of(ops_.begin() + 1, ops_.end(), commutesWithX))
+        return;
+    half_ = true;
+    const int top = numQubits_ - 1;
+    for (CompiledOp& op : ops_) {
+        if (op.op == KernelOp::Matrix1q && op.q0 == top) {
+            op.op = KernelOp::PairMask;
+        } else if (op.op == KernelOp::PhaseZZ &&
+                   (op.q0 == top || op.q1 == top)) {
+            // The top bit is 0 on the half state: ZZ(a, top) acts as
+            // Z_a, with the same agree/differ phases.
+            op.op = KernelOp::Diag1q;
+            op.q0 = op.q0 == top ? op.q1 : op.q0;
+            op.q1 = -1;
+        }
+    }
+}
+
+void
 CompiledCircuit::resolvePhases(const CompiledOp& op, const double* params,
                                cplx* phases) const
 {
     // The run applies exp(-i a sum_e m_e Z_a Z_b / 2), a the resolved
     // angle (factor * unit * gamma), and sum_e m_e Z_a Z_b = 2 level -
     // K, so level l takes exp(-i a (l - K/2)). A fill also carries the
-    // 1/sqrt(N) amplitude of |+...+>.
+    // 1/sqrt(N) amplitude of |+...+>, N = stateDim(): the half state
+    // has unit norm on its own.
     const int num_levels = levels_->numLevels();
     const double half_k = 0.5 * (num_levels - 1);
     const double a = op.resolvedAngle(params);
     const double scale =
         op.op == KernelOp::PhaseFill
-            ? 1.0 / std::sqrt(static_cast<double>(std::size_t{1}
-                                                  << numQubits_))
+            ? 1.0 / std::sqrt(static_cast<double>(stateDim()))
             : 1.0;
     for (int l = 0; l < num_levels; ++l) {
         const double x = -a * (l - half_k);
@@ -1019,9 +1067,10 @@ CompiledCircuit::runRange(cplx* amps, std::size_t dim, std::size_t begin,
     PhaseArgs phases;
     std::vector<cplx> tables;
     if (numPhaseOps_ > 0) {
-        if (dim != std::size_t{1} << numQubits_)
+        if (dim != stateDim() || dim != levels_->size())
             throw std::invalid_argument(
-                "CompiledCircuit::runRange: phase ops need the full state");
+                "CompiledCircuit::runRange: dim must be stateDim() and "
+                "the phase levels' size");
         phases.stride = static_cast<std::size_t>(levels_->numLevels());
         for (std::size_t m = begin; m < end; ++m) {
             const CompiledOp& op = ops_[m];

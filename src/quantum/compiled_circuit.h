@@ -49,6 +49,32 @@
  * checkpoint level: rebuilding it is one write pass, cheaper than a
  * checkpoint resume's read plus write, so p=1 QAOA schedules have no
  * checkpoint levels at all.
+ *
+ * Half state. |+...+>, a cost made only of ZZ terms and a constant,
+ * and the X mixer all commute with X^n, so amp[z] = amp[z ^ 1...1]
+ * at every step of such a schedule (the Z2 symmetry of Shaydulin et
+ * al., "Classical symmetries and the Quantum Approximate Optimization
+ * Algorithm", QIP 20, 359, 2021), and the amplitudes whose top qubit
+ * n-1 is 0 carry the whole state. The compiler decides this once: op
+ * 0 is a PhaseFill and every later op is a PhaseTable, a PhaseZZ, or
+ * a 1-qubit op that commutes with X (a parameterized RX, or a constant
+ * matrix with m00 = m11 and m01 = m10). Then halfState() is true and
+ * the schedule replays onto stateDim() = 2^(n-1) amplitudes x, whose
+ * index is the full state's:
+ *
+ *  - the fill scales by 1/sqrt(2^(n-1)), so the half state has unit
+ *    norm and <C> = sum_x |h[x]|^2 C(x) needs no factor of 2;
+ *  - phase ops read the first half of the level index, and ops on
+ *    qubits below n-1 run through the usual kernels;
+ *  - a 1-qubit op on qubit n-1 becomes a PairMask pass
+ *    (kernels::pairMask), which pairs x with x ^ (2^(n-1) - 1);
+ *  - a PhaseZZ on (a, n-1) becomes a Diag1q on a (the top bit is 0);
+ *  - the plan is built for n-1 qubits, so the block window clamps to
+ *    n-1 and the PairMask is never blocked or paired.
+ *
+ * MaxCut QAOA qualifies. two_local, UCCSD, a cost with a Z field term,
+ * SK (whose Gaussian couplings share no unit, so it has no phase ops)
+ * and every plain compile keep the full state.
  */
 
 #ifndef OSCAR_QUANTUM_COMPILED_CIRCUIT_H
@@ -174,7 +200,7 @@ class PhaseLevels
     /** K + 1. */
     int numLevels() const { return numLevels_; }
 
-    /** Basis states covered (2^n). */
+    /** Basis states covered: the table's length. */
     std::size_t size() const { return table_->size(); }
 
     /** level(z) for every basis state; built on the first call. */
@@ -203,6 +229,7 @@ enum class KernelOp : std::uint8_t
     PhaseZZ,    ///< diagonal ZZ phases (RZZ)
     PhaseFill,  ///< amps[z] = phase[level[z]] / sqrt(N) (write-only)
     PhaseTable, ///< amps[z] *= phase[level[z]]
+    PairMask,   ///< half state: a 1-qubit op on the top qubit
 };
 
 /** One op of the compiled schedule. */
@@ -232,8 +259,10 @@ struct CompiledOp
     /** Qubits the op acts on (2 for CX/CZ/Swap/PhaseZZ). */
     int arity() const
     {
-        return (op == KernelOp::Matrix1q || op == KernelOp::Diag1q) ? 1
-                                                                    : 2;
+        return (op == KernelOp::Matrix1q || op == KernelOp::Diag1q ||
+                op == KernelOp::PairMask)
+                   ? 1
+                   : 2;
     }
 
     /** PhaseFill or PhaseTable (acts on every qubit, q0 = q1 = -1). */
@@ -282,8 +311,9 @@ class CompiledCircuit
 
     /**
      * Compile with the QAOA phase ops of the cost `levels` (see the
-     * file comment); null compiles plain gates. `levels` must cover
-     * the circuit's 2^n basis states.
+     * file comment); null compiles plain gates. By the first replay,
+     * `levels` must cover the stateDim() basis states the schedule
+     * replays onto (compiling reads only their terms).
      */
     CompiledCircuit(const Circuit& circuit, const CompileOptions& options,
                     std::shared_ptr<const PhaseLevels> levels);
@@ -353,6 +383,18 @@ class CompiledCircuit
         return levels_;
     }
 
+    /**
+     * True when the schedule replays onto the half state (see the file
+     * comment): decided at compile time, never for a plain compile.
+     */
+    bool halfState() const { return half_; }
+
+    /** Amplitudes a replay covers: 2^(n-1) with halfState(), else 2^n. */
+    std::size_t stateDim() const
+    {
+        return std::size_t{1} << stateQubits();
+    }
+
     /** True when op 0 is a PhaseFill (replay writes the whole state). */
     bool startsWithFill() const
     {
@@ -376,8 +418,9 @@ class CompiledCircuit
      * bit-exact; a cut in the middle of a unit makes that unit fall
      * back to per-op replay for that call, which is deterministic but
      * differs from the fused result by rounding. Phase ops are
-     * element-wise, so any cut around them is bit-exact; they need
-     * dim == 2^numQubits (else std::invalid_argument).
+     * element-wise, so any cut around them is bit-exact; a schedule
+     * with phase ops needs dim == stateDim() == the levels' size
+     * (else std::invalid_argument).
      */
     void runRange(cplx* amps, std::size_t dim, std::size_t begin,
                   std::size_t end, const double* params,
@@ -429,6 +472,15 @@ class CompiledCircuit
     };
 
     void finalizeFrontier();
+
+    /** Qubits the replayed state spans (n - 1 with halfState()). */
+    int stateQubits() const { return numQubits_ - (half_ ? 1 : 0); }
+
+    /**
+     * Switch to the half state when the schedule commutes with X^n
+     * (see the file comment), rewriting the ops on the top qubit.
+     */
+    void lowerHalfState();
 
     /** Rewrite matching RZZ runs into phase ops (see the file comment). */
     void lowerPhaseOps();
@@ -484,6 +536,7 @@ class CompiledCircuit
 
     std::shared_ptr<const PhaseLevels> levels_; ///< null: no phase ops
     std::size_t numPhaseOps_ = 0;
+    bool half_ = false; ///< halfState()
 };
 
 } // namespace oscar

@@ -146,6 +146,7 @@ DensityMatrix::applyOp(const CompiledOp& op, double resolved_angle)
       }
       case KernelOp::PhaseFill:
       case KernelOp::PhaseTable:
+      case KernelOp::PairMask:
         break; // rejected by run(): phase ops address statevectors
     }
 }

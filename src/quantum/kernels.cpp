@@ -244,6 +244,41 @@ expectationPauliBatch(const cplx* const* states, std::size_t count,
         out[st] = (phase * acc[st]).real();
 }
 
+void
+pairMask(cplx* amps, std::size_t dim, cplx m00, cplx m01)
+{
+    const std::size_t mask = dim - 1;
+    if (m00.imag() == 0.0 && m01.real() == 0.0) {
+        // RX = [[c, -i s], [-i s, c]]: as in rotX, half the multiplies
+        // of the general loop below, which rounds the same here (its
+        // extra products are by zero).
+        const double c = m00.real();
+        const double s = -m01.imag();
+        for (std::size_t x = 0; x < dim / 2; ++x) {
+            const cplx a = amps[x];
+            const cplx b = amps[x ^ mask];
+            amps[x] = cplx(c * a.real() + s * b.imag(),
+                           c * a.imag() - s * b.real());
+            amps[x ^ mask] = cplx(c * b.real() + s * a.imag(),
+                                  c * b.imag() - s * a.real());
+        }
+        return;
+    }
+    for (std::size_t x = 0; x < dim / 2; ++x) {
+        const cplx a = amps[x];
+        const cplx b = amps[x ^ mask];
+        amps[x] = cplx((m00.real() * a.real() - m00.imag() * a.imag()) +
+                           (m01.real() * b.real() - m01.imag() * b.imag()),
+                       (m00.real() * a.imag() + m00.imag() * a.real()) +
+                           (m01.real() * b.imag() + m01.imag() * b.real()));
+        amps[x ^ mask] =
+            cplx((m00.real() * b.real() - m00.imag() * b.imag()) +
+                     (m01.real() * a.real() - m01.imag() * a.imag()),
+                 (m00.real() * b.imag() + m00.imag() * b.real()) +
+                     (m01.real() * a.imag() + m01.imag() * a.real()));
+    }
+}
+
 // ---------------------------------------------------------------------
 // ISA dispatch
 // ---------------------------------------------------------------------

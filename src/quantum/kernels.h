@@ -199,6 +199,21 @@ void expectationPauliBatch(const cplx* const* states, std::size_t count,
                            double* out);
 
 // ---------------------------------------------------------------------
+// Table-free kernels: one plain scalar implementation serves every
+// ISA, so they round the same whichever KernelTable a replay uses.
+// ---------------------------------------------------------------------
+
+/**
+ * Pair-mask pass: for every pair (x, y = x ^ (dim - 1)),
+ * amps'[x] = m00 amps[x] + m01 amps[y] and amps'[y] = m00 amps[y] +
+ * m01 amps[x]. On the half state of an X^n-symmetric state
+ * (compiled_circuit.h) this applies the 1-qubit gate
+ * [[m00, m01], [m01, m00]] to the dropped top qubit; RX(theta) is
+ * m00 = cos(theta/2), m01 = -i sin(theta/2). dim >= 2.
+ */
+void pairMask(cplx* amps, std::size_t dim, cplx m00, cplx m01);
+
+// ---------------------------------------------------------------------
 // ISA dispatch
 // ---------------------------------------------------------------------
 

@@ -511,6 +511,45 @@ TEST(Engine, StatevectorResumeParityP3)
     expectResumeParity(reference, batched, threaded, points, 5);
 }
 
+TEST(Engine, StatevectorResumeParityHalfState)
+{
+    // 12q p=2 MaxCut replays an 11-qubit half state that the block
+    // window splits; the resume buffers and the group scratch hold
+    // 2^11 amplitudes. evaluate(), batches, a clone and 1-4 threads
+    // agree bit for bit.
+    Rng rng(37);
+    const Graph g = random3RegularGraph(12, rng);
+    auto make = [&] {
+        return StatevectorCost(qaoaCircuit(g, 2), maxcutHamiltonian(g));
+    };
+    const StatevectorCost probe = make();
+    ASSERT_TRUE(probe.compiled().halfState());
+    ASSERT_EQ(probe.compiled().stateDim(), std::size_t{1} << 11);
+    const auto points = axisMajorPoints(GridSpec::qaoaP2(3, 3), probe);
+
+    StatevectorCost reference = make(), batched = make(),
+                    threaded = make();
+    expectResumeParity(reference, batched, threaded, points, 7);
+    EXPECT_GT(batched.kernelStats().cacheHits, 0u);
+    EXPECT_GT(batched.kernelStats().batchedDiagonalPoints, 0u);
+
+    std::vector<double> scalar;
+    for (const auto& p : points)
+        scalar.push_back(reference.evaluate(p));
+    const std::unique_ptr<CostFunction> clone = batched.clone();
+    const auto cloned = clone->evaluateBatch(points);
+    for (int threads = 1; threads <= 4; ++threads) {
+        ExecutionEngine engine(threads);
+        StatevectorCost cost = make();
+        const auto pooled = engine.evaluate(cost, points);
+        for (std::size_t i = 0; i < points.size(); ++i)
+            EXPECT_EQ(scalar[i], pooled[i])
+                << threads << " thread(s), point " << i;
+    }
+    for (std::size_t i = 0; i < points.size(); ++i)
+        EXPECT_EQ(scalar[i], cloned[i]) << "clone, point " << i;
+}
+
 TEST(Engine, StatevectorResumeNeedsOneBufferPerLevel)
 {
     // p=3 digit rows in first-use order (gamma0, beta0, gamma1, ...):

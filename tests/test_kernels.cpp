@@ -43,6 +43,7 @@
 #include "src/common/rng.h"
 #include "src/graph/generators.h"
 #include "src/hamiltonian/maxcut.h"
+#include "src/hamiltonian/sk_model.h"
 #include "src/landscape/grid.h"
 #include "src/quantum/compiled_circuit.h"
 #include "src/quantum/kernels.h"
@@ -339,7 +340,8 @@ axisMajorPoints(const StatevectorCost& probe)
  * Energies of `points`, each replayed from |0...0> through `compiled`
  * on one kernel table with the per-point diagonal expectation: the
  * unresumed, unbatched reference for a cost compiled with the same
- * options.
+ * options. The state has compiled.stateDim() amplitudes, so a
+ * half-state schedule reads only the first half of a full `diag`.
  */
 std::vector<double>
 replayEnergies(const CompiledCircuit& compiled,
@@ -347,7 +349,8 @@ replayEnergies(const CompiledCircuit& compiled,
                const std::vector<std::vector<double>>& points,
                const KernelTable& table)
 {
-    const std::size_t dim = diag.size();
+    const std::size_t dim = compiled.stateDim();
+    EXPECT_GE(diag.size(), dim);
     AlignedVector<cplx> amps(dim);
     std::vector<double> energies;
     for (const auto& p : points) {
@@ -951,6 +954,147 @@ randomQaoaPoints(int depth, std::size_t count, Rng& rng)
     return points;
 }
 
+TEST(Kernels, HalfStateChosenOnlyForSpinFlipSymmetricSchedules)
+{
+    Rng rng(87);
+    const Graph g = random3RegularGraph(8, rng);
+    const PauliSum ham = maxcutHamiltonian(g);
+    for (int depth = 1; depth <= 3; ++depth) {
+        const StatevectorCost cost(qaoaCircuit(g, depth), ham);
+        EXPECT_TRUE(cost.compiled().halfState()) << "p=" << depth;
+        EXPECT_EQ(cost.compiled().stateDim(), std::size_t{1} << 7);
+        EXPECT_EQ(cost.diagonal()->size(), std::size_t{1} << 7);
+    }
+
+    auto half = [](const Circuit& circuit, const PauliSum& h) {
+        return StatevectorCost(circuit, h).compiled().halfState();
+    };
+    // No phase ops: RY/CZ layers, a Z field, SK's Gaussian couplings,
+    // and every plain compile.
+    EXPECT_FALSE(half(twoLocalCircuit(8, 2), ham));
+    PauliSum field = ham;
+    field.add(0.5, PauliString::zString(8, {2}));
+    EXPECT_FALSE(half(qaoaCircuit(g, 1), field));
+    const Graph sk = skInstance(8, rng);
+    const StatevectorCost sk_cost(qaoaCircuit(sk, 1), skHamiltonian(sk));
+    EXPECT_FALSE(sk_cost.compiled().halfState());
+    EXPECT_EQ(sk_cost.diagonal()->size(), std::size_t{1} << 8);
+    EXPECT_FALSE(
+        CompiledCircuit(qaoaCircuit(g, 1), StatevectorCost::kPlan)
+            .halfState());
+
+    // Phase ops, but a later op that does not commute with X^n.
+    for (const Gate& extra : {Gate::z(3), Gate::h(1), Gate::ry(2, 0.3)}) {
+        Circuit circuit = qaoaCircuit(g, 1);
+        circuit.append(extra);
+        const StatevectorCost cost(circuit, ham);
+        EXPECT_GT(cost.compiled().numPhaseOps(), 0u);
+        EXPECT_FALSE(cost.compiled().halfState());
+        EXPECT_EQ(cost.diagonal()->size(), std::size_t{1} << 8);
+    }
+}
+
+TEST(Kernels, HalfStateMatchesFullReplayOnSmallGraphs)
+{
+    // Graphs at or below the block window, where the top-qubit pass
+    // must still run outside every block, and a 12q schedule with
+    // constant X-symmetric gates and ZZ phases on the top qubit
+    // appended. Its constant RZZ sits alone between two top-qubit
+    // passes, so it replays outside every block too.
+    Graph edge(2);
+    edge.addEdge(0, 1);
+    Graph triangle(3);
+    triangle.addEdge(0, 1);
+    triangle.addEdge(1, 2);
+    triangle.addEdge(0, 2);
+    Rng rng(89);
+    Graph six = random3RegularGraph(6, rng);
+    Graph twelve = random3RegularGraph(12, rng);
+    Circuit extras = qaoaCircuit(twelve, 2);
+    extras.append(Gate::rx(11, 0.37));
+    extras.append(Gate::rzz(0, 11, 0.41));
+    extras.append(Gate::rx(11, -0.2));
+    extras.append(Gate::x(2));
+    extras.append(Gate::x(11));
+    extras.append(Gate::rzzParam(1, 11, 1, 0.5));
+
+    struct Case
+    {
+        const Graph* graph;
+        Circuit circuit;
+    };
+    std::vector<Case> cases;
+    for (const Graph* graph : {&edge, &triangle, &six}) {
+        for (int depth = 1; depth <= 2; ++depth)
+            cases.push_back({graph, qaoaCircuit(*graph, depth)});
+    }
+    cases.push_back({&six, qaoaCircuit(six, 3)});
+    cases.push_back({&twelve, extras});
+
+    for (const Case& c : cases) {
+        const int n = c.graph->numVertices();
+        const PauliSum ham = maxcutHamiltonian(*c.graph);
+        StatevectorCost cost(c.circuit, ham);
+        ASSERT_TRUE(cost.compiled().halfState()) << n << "q";
+        ASSERT_EQ(cost.compiled().stateDim(), std::size_t{1} << (n - 1));
+        const auto points =
+            randomQaoaPoints(c.circuit.numParams() / 2, 8, rng);
+        const auto batch = cost.evaluateBatch(points);
+        const auto full =
+            replayEnergies(CompiledCircuit(c.circuit, StatevectorCost::kPlan),
+                           ham.diagonalTable(), points, cost.kernelTable());
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            EXPECT_EQ(cost.evaluate(points[i]), batch[i])
+                << n << "q point " << i;
+            EXPECT_NEAR(batch[i], full[i], 1e-12) << n << "q point " << i;
+        }
+    }
+}
+
+TEST(Kernels, PairMaskIsATopQubitGateAndInvertsAtMinusTheta)
+{
+    // A random half state h and its spin-flip-symmetric 9-qubit state.
+    constexpr int n = 9;
+    const std::size_t dim = std::size_t{1} << n;
+    const std::size_t half = dim / 2;
+    Rng rng(93);
+    AlignedVector<cplx> h(half);
+    for (cplx& a : h)
+        a = cplx(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+    auto symmetric = [&] {
+        AlignedVector<cplx> full(dim);
+        for (std::size_t z = 0; z < dim; ++z)
+            full[z] = h[z < half ? z : z ^ (dim - 1)];
+        return full;
+    };
+    AlignedVector<cplx> full = symmetric();
+
+    const double theta = 0.73;
+    const double c = std::cos(theta / 2);
+    const double s = std::sin(theta / 2);
+    AlignedVector<cplx> moved = h;
+    kernels::pairMask(moved.data(), half, cplx(c, 0.0), cplx(0.0, -s));
+    kernels::rotX(full.data(), dim, n - 1, c, s);
+    for (std::size_t x = 0; x < half; ++x) {
+        EXPECT_LE(std::abs(moved[x] - full[x]), 1e-15) << x;
+        EXPECT_LE(std::abs(full[x ^ (dim - 1)] - full[x]), 1e-15) << x;
+    }
+
+    kernels::pairMask(moved.data(), half, cplx(c, 0.0), cplx(0.0, s));
+    for (std::size_t x = 0; x < half; ++x)
+        EXPECT_LE(std::abs(moved[x] - h[x]), 1e-15) << x;
+
+    // The general loop: any [[m00, m01], [m01, m00]] on the top qubit.
+    const cplx m00(0.6, 0.3);
+    const cplx m01(-0.2, 0.7);
+    moved = h;
+    full = symmetric();
+    kernels::pairMask(moved.data(), half, m00, m01);
+    kernels::matrix1q(full.data(), dim, n - 1, {m00, m01, m01, m00});
+    for (std::size_t x = 0; x < half; ++x)
+        EXPECT_LE(std::abs(moved[x] - full[x]), 1e-15) << x;
+}
+
 TEST(Kernels, PhasePlanMatchesGateReplay)
 {
     struct Case
@@ -970,7 +1114,7 @@ TEST(Kernels, PhasePlanMatchesGateReplay)
         const auto values = cost.evaluateBatch(points);
         const auto gates =
             replayEnergies(CompiledCircuit(circuit, StatevectorCost::kPlan),
-                           *cost.diagonal(), points, cost.kernelTable());
+                           ham.diagonalTable(), points, cost.kernelTable());
         for (std::size_t i = 0; i < points.size(); ++i)
             EXPECT_NEAR(values[i], gates[i], 1e-12)
                 << c.qubits << "q point " << i;
@@ -979,9 +1123,10 @@ TEST(Kernels, PhasePlanMatchesGateReplay)
 
 TEST(Kernels, PhaseOpsReplayBitIdenticalBlockedAndSegmented)
 {
-    // 12 qubits: the block window (10) splits the state, so the fill
-    // and the table run per block in the plan and over the whole state
-    // unblocked. Both, and every cut of the schedule, agree bitwise.
+    // 12 qubits, an 11-qubit half state: the block window (10) splits
+    // it, so the fill and the table run per block in the plan and over
+    // the whole state unblocked. Both, and every cut of the schedule,
+    // agree bitwise.
     Rng rng(79);
     const Graph g = random3RegularGraph(12, rng);
     const Circuit circuit = qaoaCircuit(g, 2);
@@ -996,8 +1141,11 @@ TEST(Kernels, PhaseOpsReplayBitIdenticalBlockedAndSegmented)
         plan.phaseLevels());
     ASSERT_EQ(unblocked.numPhaseOps(), 2u);
     ASSERT_EQ(unblocked.numBlockedGroups(), 0u);
+    ASSERT_TRUE(plan.halfState());
+    ASSERT_TRUE(unblocked.halfState());
     const std::vector<double> params = {0.31, -0.77, 1.13, -0.42};
-    const std::size_t dim = std::size_t{1} << 12;
+    const std::size_t dim = plan.stateDim();
+    ASSERT_EQ(dim, std::size_t{1} << 11);
 
     for (const KernelTable* table : availableTables()) {
         // Garbage in the buffer: a fill-first replay overwrites it.
@@ -1019,8 +1167,9 @@ TEST(Kernels, PhaseOpsReplayBitIdenticalBlockedAndSegmented)
             expectAmpsIdentical(straight, split);
         }
     }
-    AlignedVector<cplx> partial(dim / 2);
-    EXPECT_THROW(plan.runRange(partial.data(), dim / 2, 0, plan.numOps(),
+    // The levels cover the half, so a full state is refused.
+    AlignedVector<cplx> full(2 * dim);
+    EXPECT_THROW(plan.runRange(full.data(), 2 * dim, 0, plan.numOps(),
                                params.data()),
                  std::invalid_argument);
 }
@@ -1036,6 +1185,7 @@ TEST(Kernels, PhasePlanBitIdenticalAcrossBatchingClonesAndThreads)
 
         StatevectorCost one_by_one(circuit, ham);
         ASSERT_GT(one_by_one.compiled().numPhaseOps(), 0u);
+        ASSERT_TRUE(one_by_one.compiled().halfState());
         std::vector<double> reference;
         for (const auto& p : points)
             reference.push_back(one_by_one.evaluate(p));

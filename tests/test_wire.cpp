@@ -191,8 +191,10 @@ TEST(WireTest, GoldenCostIdAndConfigHash)
     // re-pinned when kCsSolverRevision joined it: containers solved
     // with the old FISTA defaults must miss, and again when
     // kStatevectorPlanRevision joined it: landscapes sampled by the RZZ
-    // gate replay must miss, and when that revision went to 3: SK and
-    // UCCSD landscapes replayed through dense matvec units must miss.
+    // gate replay must miss, when that revision went to 3: SK and
+    // UCCSD landscapes replayed through dense matvec units must miss,
+    // and when it went to 4: MaxCut QAOA landscapes replayed on the
+    // full state must miss.
     // The costId was re-pinned at wire v9, when
     // KernelOptions dropped its replay-plan fields: landscapes computed
     // under a per-request plan must miss; and again at v10, when it
@@ -205,7 +207,7 @@ TEST(WireTest, GoldenCostIdAndConfigHash)
     const std::vector<std::uint8_t> payload = encodeCostSpec(spec);
     EXPECT_EQ(spec.costId, 0x411319b36be04e64ull);
     EXPECT_EQ(payload.size(), 724u);
-    EXPECT_EQ(store::configHash(0.05, 1), 0x7c494492a3a28296ull);
+    EXPECT_EQ(store::configHash(0.05, 1), 0xe16361656cf60ff1ull);
     EXPECT_EQ(store::gridHash(GridSpec::qaoaP1(20, 40)),
               0xc5d2700ab1021b8bull);
 }
