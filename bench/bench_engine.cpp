@@ -128,24 +128,32 @@ struct SweepCase
 };
 
 /**
- * Time `run(cost)` `reps` times, each on a fresh cost of `sweep` built
- * and configured outside the timed region: every rep starts with no
- * resume buffers or scratch states allocated and pays no circuit
- * lowering or diagonal-table build.
+ * Time `run(cost)` once on a fresh cost of `sweep` built and
+ * configured outside the timed region: the run starts with no resume
+ * buffers or scratch states allocated and pays no circuit lowering or
+ * diagonal-table build.
  */
+template <typename Run>
+double
+timeFreshCost(const SweepCase& sweep, const KernelOptions& options,
+              Run&& run)
+{
+    StatevectorCost cost = sweep.make();
+    cost.configureKernel(options);
+    const auto start = std::chrono::steady_clock::now();
+    run(cost);
+    return bench::secondsSince(start);
+}
+
+/** timeFreshCost `reps` times, back to back. */
 template <typename Run>
 bench::TimingStats
 timeFreshCosts(const SweepCase& sweep, int reps,
                const KernelOptions& options, Run&& run)
 {
     std::vector<double> seconds;
-    for (int r = 0; r < reps; ++r) {
-        StatevectorCost cost = sweep.make();
-        cost.configureKernel(options);
-        const auto start = std::chrono::steady_clock::now();
-        run(cost);
-        seconds.push_back(bench::secondsSince(start));
-    }
+    for (int r = 0; r < reps; ++r)
+        seconds.push_back(timeFreshCost(sweep, options, run));
     return bench::timingStats(std::move(seconds));
 }
 
@@ -167,7 +175,10 @@ timeFreshCosts(const SweepCase& sweep, int reps,
  * `match` checks every row against its workload's scalar row: bitwise
  * for scalar itself, within rounding (1e-12 relative, the 20-qubit
  * energies reach |E| ~ 30) for the wider ISAs. `state_amps` is the
- * amplitudes one replay covers: 2^(n-1) on the half state.
+ * amplitudes one replay covers: 2^(n-1) on the half state. The ISAs
+ * take turns within each rep, so every avx512 row also reports its
+ * alternating pairs against avx2 (`pairs_faster_than_avx2`,
+ * `pair_ratio_vs_avx2_p50`).
  * Writes BENCH_kernels.json (median and quartiles per row) so the perf
  * trajectory is tracked across changes.
  */
@@ -190,42 +201,52 @@ runKernelStudy()
 
     // One workload's rows: `run(cost, stats)` evaluates a fresh cost,
     // returning its values and filling the kernel stats of the run.
+    // Each rep times every available ISA once, forward on even reps
+    // and backward on odd ones, so neighbouring tiers form pairs
+    // whose order alternates and host drift cannot favour either.
     auto study = [&](const std::string& title, const std::string& prefix,
                      const SweepCase& sweep, std::size_t num_points,
                      int reps, const auto& run) {
         bench::header(title + " (median of " + std::to_string(reps) + ")");
         bench::columns("isa", {"pts/s", "median_s", "p25_s", "p75_s",
                                "speedup", "match"});
-        std::vector<double> reference;
-        double base_median = 0.0;
-        const double state_amps =
-            static_cast<double>(sweep.make().compiled().stateDim());
+        std::vector<const IsaCase*> isas;
         for (const IsaCase& isa : isa_cases) {
-            if (!isa.available) {
+            if (isa.available)
+                isas.push_back(&isa);
+            else
                 std::printf("  (skipping %s: unavailable on this "
                             "host/build)\n",
                             isa.name);
-                continue;
+        }
+        const std::size_t n = isas.size();
+        std::vector<std::vector<double>> seconds(n), values(n);
+        std::vector<KernelStats> stats(n);
+        for (int r = 0; r < reps; ++r) {
+            for (std::size_t k = 0; k < n; ++k) {
+                const std::size_t i = r % 2 == 0 ? k : n - 1 - k;
+                KernelOptions options;
+                options.isa = isas[i]->isa;
+                seconds[i].push_back(timeFreshCost(
+                    sweep, options, [&](StatevectorCost& cost) {
+                        values[i] = run(cost, stats[i]);
+                    }));
             }
-            KernelOptions options;
-            options.isa = isa.isa;
-            std::vector<double> values;
-            KernelStats stats;
-            const auto timing = timeFreshCosts(
-                sweep, reps, options, [&](StatevectorCost& cost) {
-                    values = run(cost, stats);
-                });
-            if (reference.empty()) {
-                reference = values;
-                base_median = timing.median;
-            }
-            bool match = values.size() == reference.size();
-            for (std::size_t i = 0; match && i < values.size(); ++i) {
+        }
+        const double state_amps =
+            static_cast<double>(sweep.make().compiled().stateDim());
+        const std::vector<double>& reference = values[0];
+        const double base_median = bench::timingStats(seconds[0]).median;
+        for (std::size_t i = 0; i < n; ++i) {
+            const IsaCase& isa = *isas[i];
+            const bench::TimingStats timing = bench::timingStats(seconds[i]);
+            bool match = values[i].size() == reference.size();
+            for (std::size_t j = 0; match && j < values[i].size(); ++j) {
                 match = isa.isa == kernels::KernelIsa::Scalar
-                            ? values[i] == reference[i]
-                            : std::abs(values[i] - reference[i]) <=
+                            ? values[i][j] == reference[j]
+                            : std::abs(values[i][j] - reference[j]) <=
                                   1e-12 * std::max(1.0,
-                                                   std::abs(reference[i]));
+                                                   std::abs(reference[j]));
             }
             const double speedup = base_median / timing.median;
             const std::string name = prefix + isa.name;
@@ -234,14 +255,33 @@ runKernelStudy()
                         timing.median, timing.p25, timing.p75, speedup,
                         match ? 1.0 : 0.0},
                        " %10.4g");
-            json.add(name, timing, num_points,
-                     {{"speedup_vs_scalar", speedup},
-                      {"match", match ? 1.0 : 0.0},
-                      {"fused_super_kernels",
-                       static_cast<double>(stats.fusedSuperKernels)},
-                      {"cache_lookups",
-                       static_cast<double>(stats.cacheLookups)},
-                      {"state_amps", state_amps}});
+            std::vector<std::pair<std::string, double>> extra = {
+                {"speedup_vs_scalar", speedup},
+                {"match", match ? 1.0 : 0.0},
+                {"fused_super_kernels",
+                 static_cast<double>(stats[i].fusedSuperKernels)},
+                {"cache_lookups", static_cast<double>(stats[i].cacheLookups)},
+                {"state_amps", state_amps}};
+            // The AVX-512 row against its AVX2 neighbour, pair by pair.
+            if (isa.isa == kernels::KernelIsa::Avx512 && i > 0 &&
+                isas[i - 1]->isa == kernels::KernelIsa::Avx2) {
+                std::vector<double> ratios;
+                int faster = 0;
+                for (int r = 0; r < reps; ++r) {
+                    ratios.push_back(seconds[i][r] / seconds[i - 1][r]);
+                    faster += seconds[i][r] < seconds[i - 1][r];
+                }
+                const double ratio_p50 =
+                    bench::timingStats(std::move(ratios)).median;
+                std::printf("  (%s vs %s over %d alternating pairs: "
+                            "faster in %d, median time ratio %.3f)\n",
+                            name.c_str(), (prefix + "avx2").c_str(), reps,
+                            faster, ratio_p50);
+                extra.push_back({"pairs_vs_avx2", reps});
+                extra.push_back({"pairs_faster_than_avx2", faster});
+                extra.push_back({"pair_ratio_vs_avx2_p50", ratio_p50});
+            }
+            json.add(name, timing, num_points, extra);
         }
     };
 

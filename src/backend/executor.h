@@ -54,7 +54,8 @@ struct KernelOptions
 {
     /**
      * Kernel instruction set. Auto resolves once at startup via CPUID
-     * (AVX2+FMA when available); force Scalar in determinism-sensitive
+     * to the widest tier the CPU runs (AVX-512, then AVX2+FMA, then
+     * scalar); force Scalar in determinism-sensitive
      * comparisons against reference values computed with the portable
      * kernels. Results are bit-identical across batching/threading for
      * any fixed ISA, but differ between ISAs by rounding.

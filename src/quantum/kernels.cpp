@@ -286,14 +286,14 @@ pairMask(cplx* amps, std::size_t dim, cplx m00, cplx m01)
 namespace detail {
 
 /**
- * Defined in kernels_avx2.cpp: the AVX2+FMA table when the build
- * enables it (OSCAR_HAVE_AVX2), nullptr otherwise.
+ * Defined in kernels_avx2.cpp: the AVX2+FMA table, or nullptr when
+ * the compiler lacks -mavx2/-mfma.
  */
 const KernelTable* avx2KernelTableOrNull();
 
 /**
- * Defined in kernels_avx512.cpp: the AVX-512 table when the build
- * enables it (OSCAR_HAVE_AVX512), nullptr otherwise.
+ * Defined in kernels_avx512.cpp: the AVX-512 table, or nullptr when
+ * the compiler lacks -mavx512f/-mavx512dq.
  */
 const KernelTable* avx512KernelTableOrNull();
 

@@ -16,21 +16,22 @@
  *
  *  - the *scalar* table is the portable reference implementation (the
  *    free functions below, compiled for the baseline target),
- *  - the *AVX2* table (kernels_avx2.cpp, compiled with -mavx2 -mfma
- *    when OSCAR_ENABLE_AVX2 is on) vectorizes the complex arithmetic
- *    four doubles at a time, and
+ *  - the *AVX2* table (kernels_avx2.cpp, compiled with -mavx2 -mfma)
+ *    vectorizes the complex arithmetic four doubles at a time, and
  *  - the *AVX-512* table (kernels_avx512.cpp, compiled with -mavx512f
- *    -mavx512dq when OSCAR_ENABLE_AVX512 is on) widens to eight
- *    doubles and uses masked loads/stores for arrays below the vector
- *    width instead of scalar remainder loops.
+ *    -mavx512dq) widens to eight doubles and uses masked loads/stores
+ *    for arrays below the vector width instead of scalar remainder
+ *    loops.
  *
- * The table is selected once at startup via CPUID (defaultKernelTable)
- * and can be forced per evaluator through KernelOptions::isa or
- * process-wide with the OSCAR_KERNEL_ISA environment variable
- * ("scalar" / "avx2" / "avx512"). Explicitly requesting a tier the
- * build or CPU lacks throws (kernelTable below) — a pinned ISA must
- * fail loudly, never silently degrade — while "auto" only ever
- * resolves to a supported tier. Within a fixed ISA every code path
+ * Every build compiles all three tables (a compiler without a tier's
+ * flags stubs that tier out). CPUID alone picks one, once, at startup
+ * (defaultKernelTable: the widest tier the CPU runs), and a tier can be
+ * pinned per evaluator through KernelOptions::isa or process-wide with
+ * the OSCAR_KERNEL_ISA environment variable ("scalar" / "avx2" /
+ * "avx512"). Explicitly requesting a tier the build or CPU lacks
+ * throws (kernelTable below) — a pinned ISA must fail loudly, never
+ * silently degrade — while "auto" only ever resolves to a supported
+ * tier. Within a fixed ISA every code path
  * that applies the same operation to the same bits produces
  * bit-identical results — the property the engine's determinism
  * contract and prefix resume rest on. Different ISAs may round
@@ -293,14 +294,14 @@ struct KernelTable
 const KernelTable& scalarKernelTable();
 
 /**
- * True when the AVX2 table exists (built with OSCAR_ENABLE_AVX2) and
- * this CPU reports AVX2 + FMA.
+ * True when the AVX2 table exists (the compiler took -mavx2 -mfma)
+ * and this CPU reports AVX2 + FMA.
  */
 bool avx2Available();
 
 /**
- * True when the AVX-512 table exists (built with OSCAR_ENABLE_AVX512)
- * and this CPU reports AVX-512 F + DQ.
+ * True when the AVX-512 table exists (the compiler took -mavx512f
+ * -mavx512dq) and this CPU reports AVX-512 F + DQ.
  */
 bool avx512Available();
 

@@ -2,13 +2,13 @@
  * @file
  * AVX2 + FMA kernel specializations.
  *
- * This translation unit is compiled with -mavx2 -mfma (see the
- * set_source_files_properties call in CMakeLists.txt) and must never
- * be entered on a CPU without those features: dispatch goes through
+ * Every build compiles this translation unit with -mavx2 -mfma (see
+ * oscar_simd_tu in CMakeLists.txt), and it must never be entered on a
+ * CPU without those features: dispatch goes through
  * kernels::kernelTable, which checks CPUID before handing out this
- * table. When the build disables AVX2 (OSCAR_ENABLE_AVX2=OFF, e.g.
- * the -march=x86-64 CI leg), the file compiles to a stub that reports
- * "no table" and everything runs on the scalar reference.
+ * table. Only a compiler without the flags builds the file as a stub
+ * that reports "no table", and everything then runs on the scalar
+ * reference.
  *
  * Layout reminder: a __m256d holds two complex<double> amplitudes as
  * [re0, im0, re1, im1]. The complex product is fused with
@@ -26,7 +26,7 @@
 
 #include "src/quantum/kernels.h"
 
-#ifdef OSCAR_HAVE_AVX2
+#if defined(__AVX2__) && defined(__FMA__)
 
 #include <immintrin.h>
 
@@ -562,7 +562,7 @@ avx2KernelTableOrNull()
 } // namespace kernels
 } // namespace oscar
 
-#else // !OSCAR_HAVE_AVX2
+#else // no AVX2 + FMA flags
 
 namespace oscar {
 namespace kernels {
@@ -578,4 +578,4 @@ avx2KernelTableOrNull()
 } // namespace kernels
 } // namespace oscar
 
-#endif // OSCAR_HAVE_AVX2
+#endif // __AVX2__ && __FMA__

@@ -2,13 +2,12 @@
  * @file
  * AVX-512 kernel specializations (F + DQ).
  *
- * This translation unit is compiled with -mavx512f -mavx512dq (see
- * CMakeLists.txt) and must never be entered on a CPU without both
- * feature bits: dispatch goes through kernels::kernelTable, which
- * checks CPUID before handing out this table. When the build disables
- * the tier (OSCAR_ENABLE_AVX512=OFF, the default for portability, or
- * a compiler without the flags), the file compiles to a stub that
- * reports "no table" and dispatch tops out at AVX2.
+ * Every build compiles this translation unit with -mavx512f
+ * -mavx512dq (see CMakeLists.txt), and it must never be entered on a
+ * CPU without both feature bits: dispatch goes through
+ * kernels::kernelTable, which checks CPUID before handing out this
+ * table. Only a compiler without the flags builds the file as a stub
+ * that reports "no table", and dispatch then tops out at AVX2.
  *
  * Layout reminder: a __m512d holds four complex<double> amplitudes as
  * [re0 im0 re1 im1 re2 im2 re3 im3]. The complex product fuses with
@@ -32,7 +31,7 @@
 
 #include "src/quantum/kernels.h"
 
-#ifdef OSCAR_HAVE_AVX512
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
 
 #include <immintrin.h>
 
@@ -66,11 +65,52 @@ stm(cplx* p, __mmask8 k, __m512d v)
     _mm512_mask_storeu_pd(reinterpret_cast<double*>(p), k, v);
 }
 
+/*
+ * GCC 12 builds the unmasked forms of permute, movedup, permutexvar,
+ * extractf64x4 (and castpd512_pd256, which goes through it) and
+ * broadcast_f64x4 on their masked builtins with an undefined merge
+ * source, which -Wmaybe-uninitialized reports once they inline. The
+ * helpers below call the masked forms with an all-ones mask and the
+ * source passed explicitly: the compiler emits the same unmasked
+ * instruction, and no operand is left undefined.
+ */
+
+/** vpermilpd: per-128-bit-lane double select by Imm. */
+template <int Imm>
+inline __m512d
+permil8(__m512d a)
+{
+    return _mm512_mask_permute_pd(a, 0xFF, a, Imm);
+}
+
+/** vmovddup: each even (real) lane copied into its odd neighbour. */
+inline __m512d
+dupRe8(__m512d b)
+{
+    return _mm512_mask_movedup_pd(b, 0xFF, b);
+}
+
+/** vpermpd: full cross-lane double permute by idx. */
+inline __m512d
+permx8(__m512i idx, __m512d v)
+{
+    return _mm512_mask_permutexvar_pd(v, 0xFF, idx, v);
+}
+
+/** vextractf64x4: the low (Half 0) or high (Half 1) 256 bits of v. */
+template <int Half>
+inline __m256d
+half8(__m512d v)
+{
+    return _mm512_mask_extractf64x4_pd(_mm256_setzero_pd(), 0xF, v, Half);
+}
+
 /** One complex constant in all four lanes. */
 inline __m512d
 bcast8(cplx c)
 {
-    return _mm512_broadcast_f64x4(
+    return _mm512_mask_broadcast_f64x4(
+        _mm512_setzero_pd(), 0xFF,
         _mm256_setr_pd(c.real(), c.imag(), c.real(), c.imag()));
 }
 
@@ -94,22 +134,26 @@ alt8(cplx a, cplx b)
 inline __m512d
 cmul8(__m512d a, __m512d b)
 {
-    const __m512d br = _mm512_movedup_pd(b);
-    const __m512d bi = _mm512_permute_pd(b, 0xFF);
-    const __m512d as = _mm512_permute_pd(a, 0x55);
+    const __m512d br = dupRe8(b);
+    const __m512d bi = permil8<0xFF>(b);
+    const __m512d as = permil8<0x55>(a);
     return _mm512_fmaddsub_pd(a, br, _mm512_mul_pd(as, bi));
+}
+
+/** Fixed-order fold of eight doubles to two: halves, then quarters. */
+inline __m128d
+fold8(__m512d v)
+{
+    const __m256d s4 = _mm256_add_pd(half8<0>(v), half8<1>(v));
+    return _mm_add_pd(_mm256_castpd256_pd128(s4),
+                      _mm256_extractf128_pd(s4, 1));
 }
 
 /** Fixed-order horizontal sum: halves first, then the AVX2 order. */
 inline double
 hsum8(__m512d v)
 {
-    const __m256d lo = _mm512_castpd512_pd256(v);
-    const __m256d hi = _mm512_extractf64x4_pd(v, 1);
-    const __m256d s4 = _mm256_add_pd(lo, hi);
-    const __m128d l2 = _mm256_castpd256_pd128(s4);
-    const __m128d h2 = _mm256_extractf128_pd(s4, 1);
-    const __m128d s2 = _mm_add_pd(l2, h2);
+    const __m128d s2 = fold8(v);
     return _mm_cvtsd_f64(s2) + _mm_cvtsd_f64(_mm_unpackhi_pd(s2, s2));
 }
 
@@ -117,12 +161,7 @@ hsum8(__m512d v)
 inline cplx
 chsum8(__m512d v)
 {
-    const __m256d lo = _mm512_castpd512_pd256(v);
-    const __m256d hi = _mm512_extractf64x4_pd(v, 1);
-    const __m256d s4 = _mm256_add_pd(lo, hi);
-    const __m128d l2 = _mm256_castpd256_pd128(s4);
-    const __m128d h2 = _mm256_extractf128_pd(s4, 1);
-    const __m128d s2 = _mm_add_pd(l2, h2);
+    const __m128d s2 = fold8(v);
     return cplx(_mm_cvtsd_f64(s2),
                 _mm_cvtsd_f64(_mm_unpackhi_pd(s2, s2)));
 }
@@ -191,16 +230,16 @@ matrix1qAvx512(cplx* amps, std::size_t dim, int qubit,
     if (dim < 4) {
         // dim == 2: one pair through the masked tail path.
         const __m512d v = ldm(amps, 0x0F);
-        const __m512d a0 = _mm512_permutexvar_pd(ilo, v);
-        const __m512d a1 = _mm512_permutexvar_pd(ihi, v);
+        const __m512d a0 = permx8(ilo, v);
+        const __m512d a1 = permx8(ihi, v);
         stm(amps, 0x0F,
             _mm512_add_pd(cmul8(a0, mA), cmul8(a1, mB)));
         return;
     }
     for (std::size_t i = 0; i < dim; i += 4) {
         const __m512d v = ld8(amps + i);
-        const __m512d a0 = _mm512_permutexvar_pd(ilo, v);
-        const __m512d a1 = _mm512_permutexvar_pd(ihi, v);
+        const __m512d a0 = permx8(ilo, v);
+        const __m512d a1 = permx8(ihi, v);
         st8(amps + i, _mm512_add_pd(cmul8(a0, mA), cmul8(a1, mB)));
     }
 }
@@ -247,8 +286,8 @@ rotXAvx512(cplx* amps, std::size_t dim, int qubit, double c, double s)
                 cplx* p1 = p0 + stride;
                 const __m512d a0 = ld8(p0);
                 const __m512d a1 = ld8(p1);
-                const __m512d r1 = _mm512_permute_pd(a1, 0x55);
-                const __m512d r0 = _mm512_permute_pd(a0, 0x55);
+                const __m512d r1 = permil8<0x55>(a1);
+                const __m512d r0 = permil8<0x55>(a0);
                 st8(p0, _mm512_fmadd_pd(cv, a0, _mm512_mul_pd(sx, r1)));
                 st8(p1, _mm512_fmadd_pd(cv, a1, _mm512_mul_pd(sx, r0)));
             }
@@ -260,14 +299,14 @@ rotXAvx512(cplx* amps, std::size_t dim, int qubit, double c, double s)
     const __m512i rot = stride == 1 ? swapC1Rot() : swapC2Rot();
     if (dim < 4) {
         const __m512d v = ldm(amps, 0x0F);
-        const __m512d pr = _mm512_permutexvar_pd(rot, v);
+        const __m512d pr = permx8(rot, v);
         stm(amps, 0x0F,
             _mm512_fmadd_pd(cv, v, _mm512_mul_pd(sx, pr)));
         return;
     }
     for (std::size_t i = 0; i < dim; i += 4) {
         const __m512d v = ld8(amps + i);
-        const __m512d pr = _mm512_permutexvar_pd(rot, v);
+        const __m512d pr = permx8(rot, v);
         st8(amps + i, _mm512_fmadd_pd(cv, v, _mm512_mul_pd(sx, pr)));
     }
 }
@@ -301,14 +340,14 @@ rotYAvx512(cplx* amps, std::size_t dim, int qubit, double c, double s)
             : _mm512_setr_pd(-s, -s, -s, -s, s, s, s, s);
     if (dim < 4) {
         const __m512d v = ldm(amps, 0x0F);
-        const __m512d pr = _mm512_permutexvar_pd(swp, v);
+        const __m512d pr = permx8(swp, v);
         stm(amps, 0x0F,
             _mm512_fmadd_pd(sp, pr, _mm512_mul_pd(cv, v)));
         return;
     }
     for (std::size_t i = 0; i < dim; i += 4) {
         const __m512d v = ld8(amps + i);
-        const __m512d pr = _mm512_permutexvar_pd(swp, v);
+        const __m512d pr = permx8(swp, v);
         st8(amps + i, _mm512_fmadd_pd(sp, pr, _mm512_mul_pd(cv, v)));
     }
 }
@@ -348,32 +387,24 @@ rotX2Avx512(cplx* amps, std::size_t dim, int qa, int qb, double ca,
                               ab = ld8(pb), aab = ld8(pab);
                 const __m512d n00 = _mm512_fmadd_pd(
                     cva, a00,
-                    _mm512_mul_pd(sxa, _mm512_permute_pd(aa, 0x55)));
+                    _mm512_mul_pd(sxa, permil8<0x55>(aa)));
                 const __m512d na = _mm512_fmadd_pd(
                     cva, aa,
-                    _mm512_mul_pd(sxa, _mm512_permute_pd(a00, 0x55)));
+                    _mm512_mul_pd(sxa, permil8<0x55>(a00)));
                 const __m512d nb = _mm512_fmadd_pd(
                     cva, ab,
-                    _mm512_mul_pd(sxa, _mm512_permute_pd(aab, 0x55)));
+                    _mm512_mul_pd(sxa, permil8<0x55>(aab)));
                 const __m512d nab = _mm512_fmadd_pd(
                     cva, aab,
-                    _mm512_mul_pd(sxa, _mm512_permute_pd(ab, 0x55)));
+                    _mm512_mul_pd(sxa, permil8<0x55>(ab)));
                 st8(p00, _mm512_fmadd_pd(
-                             cvb, n00,
-                             _mm512_mul_pd(
-                                 sxb, _mm512_permute_pd(nb, 0x55))));
+                    cvb, n00, _mm512_mul_pd(sxb, permil8<0x55>(nb))));
                 st8(pb, _mm512_fmadd_pd(
-                            cvb, nb,
-                            _mm512_mul_pd(
-                                sxb, _mm512_permute_pd(n00, 0x55))));
+                    cvb, nb, _mm512_mul_pd(sxb, permil8<0x55>(n00))));
                 st8(pa, _mm512_fmadd_pd(
-                            cvb, na,
-                            _mm512_mul_pd(
-                                sxb, _mm512_permute_pd(nab, 0x55))));
+                    cvb, na, _mm512_mul_pd(sxb, permil8<0x55>(nab))));
                 st8(pab, _mm512_fmadd_pd(
-                             cvb, nab,
-                             _mm512_mul_pd(
-                                 sxb, _mm512_permute_pd(na, 0x55))));
+                    cvb, nab, _mm512_mul_pd(sxb, permil8<0x55>(na))));
             }
 }
 
@@ -532,7 +563,7 @@ cxAvx512(cplx* amps, std::size_t dim, int control, int target)
         if (!ctrl_low && !(i & cmask))
             continue;
         const __m512d v = ld8(amps + i);
-        stm(amps + i, km, _mm512_permutexvar_pd(swp, v));
+        stm(amps + i, km, permx8(swp, v));
     }
 }
 
@@ -555,11 +586,11 @@ flipBitAvx512(cplx* amps, std::size_t dim, int target)
     const __m512i swp = target == 0 ? swapC1() : swapC2();
     if (dim < 4) {
         stm(amps, 0x0F,
-            _mm512_permutexvar_pd(swp, ldm(amps, 0x0F)));
+            permx8(swp, ldm(amps, 0x0F)));
         return;
     }
     for (std::size_t i = 0; i < dim; i += 4)
-        st8(amps + i, _mm512_permutexvar_pd(swp, ld8(amps + i)));
+        st8(amps + i, permx8(swp, ld8(amps + i)));
 }
 
 void
@@ -703,7 +734,7 @@ pauliStep(const PauliCtx& ctx, const cplx* amps, std::size_t i,
                                      ctx.conj_mask);
     const std::size_t jb = (i ^ ctx.flip) & ~std::size_t{3};
     const __m512d vjg = ldm(amps + jb, lanes);
-    const __m512d vj = _mm512_permutexvar_pd(ctx.perm, vjg);
+    const __m512d vj = permx8(ctx.perm, vjg);
     return _mm512_add_pd(acc,
                          _mm512_mul_pd(cmul8(vi, vj), sv));
 }
@@ -794,7 +825,7 @@ avx512KernelTableOrNull()
 } // namespace kernels
 } // namespace oscar
 
-#else // !OSCAR_HAVE_AVX512
+#else // no AVX-512 F + DQ flags
 
 namespace oscar {
 namespace kernels {
@@ -810,4 +841,4 @@ avx512KernelTableOrNull()
 } // namespace kernels
 } // namespace oscar
 
-#endif // OSCAR_HAVE_AVX512
+#endif // __AVX512F__ && __AVX512DQ__

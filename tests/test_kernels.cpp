@@ -18,6 +18,8 @@
  *    with the batched Pauli kernel bit-identical to the single-state
  *    kernel per state,
  *  - requesting an unavailable ISA throws, naming the available ones,
+ *    and Auto picks the widest tier the CPU runs unless
+ *    OSCAR_KERNEL_ISA pins one,
  *  - kernel ISA / blocked-pass / fusion counters surface through
  *    CostFunction::kernelStats and BatchHandle::stats,
  *  - amplitude and fused-payload storage is cache-line aligned,
@@ -31,6 +33,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -1291,6 +1294,31 @@ TEST(Kernels, UnavailableIsaRequestThrows)
             EXPECT_NE(what.find("scalar"), std::string::npos);
         }
     }
+}
+
+TEST(Kernels, AutoPicksTheWidestTierUnlessPinned)
+{
+    // Every x86-64 build compiles every tier, so the CPU alone decides
+    // which tables are available.
+#if defined(__x86_64__) && defined(__GNUC__)
+    EXPECT_EQ(kernels::avx2Available(),
+              __builtin_cpu_supports("avx2") &&
+                  __builtin_cpu_supports("fma"));
+    EXPECT_EQ(kernels::avx512Available(),
+              __builtin_cpu_supports("avx512f") &&
+                  __builtin_cpu_supports("avx512dq"));
+#endif
+    // With no pin (or "auto") the default is the widest available
+    // tier; with a pin it is the pinned tier. The suite runs under
+    // both, so this reads the process's own setting.
+    const char* env = std::getenv("OSCAR_KERNEL_ISA");
+    KernelIsa expected = env ? kernels::parseIsaName(env) : KernelIsa::Auto;
+    if (expected == KernelIsa::Auto)
+        expected = kernels::avx512Available() ? KernelIsa::Avx512
+                   : kernels::avx2Available() ? KernelIsa::Avx2
+                                              : KernelIsa::Scalar;
+    EXPECT_EQ(kernels::defaultKernelTable().isa, expected);
+    EXPECT_EQ(kernels::kernelTable(KernelIsa::Auto).isa, expected);
 }
 
 TEST(Kernels, AmplitudeStorageIsCacheLineAligned)
