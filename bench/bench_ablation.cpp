@@ -1,6 +1,7 @@
 /**
  * @file
- * Ablation bench for OSCAR's design choices (DESIGN.md "Ablations"):
+ * Ablation bench for OSCAR's design choices (README.md
+ * "Substitutions", Ablations):
  *
  *  1. Solver: FISTA (convex relaxation) vs. OMP (greedy).
  *  2. Lambda continuation: on (geometric decay) vs. off (fixed final

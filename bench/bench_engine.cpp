@@ -30,7 +30,9 @@
  *     its solve ran and its NRMSE against the truth.
  *
  * OSCAR_BENCH_ONLY=<substring> selects a subset of studies (the CI
- * observability leg runs only "obs").
+ * observability leg runs only "obs"; the Release test leg runs
+ * "sweeps" and "kernels"). The exit status is non-zero when any
+ * `identical` or `match` check fails.
  *
  * Timings are repeated-run medians on fresh costs (bench_common.h).
  * Thread speedups require cores: on a 1-core host the engine can only
@@ -69,6 +71,17 @@ benchEnabled(const char* name)
 {
     const char* only = std::getenv("OSCAR_BENCH_ONLY");
     return !only || std::strstr(name, only) != nullptr;
+}
+
+/** Failed `identical`/`match` checks; main() exits non-zero on any. */
+int failedChecks = 0;
+
+/** Record one check's outcome and pass it through. */
+bool
+check(bool ok)
+{
+    failedChecks += ok ? 0 : 1;
+    return ok;
 }
 
 bool
@@ -233,8 +246,11 @@ runKernelStudy()
                     }));
             }
         }
+        const StatevectorCost probe = sweep.make();
         const double state_amps =
-            static_cast<double>(sweep.make().compiled().stateDim());
+            static_cast<double>(probe.compiled().stateDim());
+        const double fused_units =
+            static_cast<double>(probe.compiled().numFusedUnits());
         const std::vector<double>& reference = values[0];
         const double base_median = bench::timingStats(seconds[0]).median;
         for (std::size_t i = 0; i < n; ++i) {
@@ -248,6 +264,7 @@ runKernelStudy()
                                   1e-12 * std::max(1.0,
                                                    std::abs(reference[j]));
             }
+            check(match);
             const double speedup = base_median / timing.median;
             const std::string name = prefix + isa.name;
             bench::row(name,
@@ -258,8 +275,7 @@ runKernelStudy()
             std::vector<std::pair<std::string, double>> extra = {
                 {"speedup_vs_scalar", speedup},
                 {"match", match ? 1.0 : 0.0},
-                {"fused_super_kernels",
-                 static_cast<double>(stats[i].fusedSuperKernels)},
+                {"fused_units", fused_units},
                 {"cache_lookups", static_cast<double>(stats[i].cacheLookups)},
                 {"state_amps", state_amps}};
             // The AVX-512 row against its AVX2 neighbour, pair by pair.
@@ -387,7 +403,7 @@ runObsStudy()
     const double p95_ms = delta.quantile(0.95) / 1e6;
     const double p99_ms = delta.quantile(0.99) / 1e6;
     const double overhead = traced.median / untraced.median;
-    const bool match = identical(values, reference);
+    const bool match = check(identical(values, reference));
     bench::row("traced",
                {static_cast<double>(num_points) / traced.median,
                 traced.median, p50_ms, p95_ms, p99_ms, overhead},
@@ -505,6 +521,7 @@ runCsStudy()
         const double serial_median = bench::timingStats(seconds[0]).median;
         for (std::size_t m = 0; m < engines.size(); ++m) {
             const int threads = thread_counts[m];
+            check(same[m]);
             const bench::TimingStats timing =
                 bench::timingStats(seconds[m]);
             const double ms_per_iter =
@@ -550,6 +567,7 @@ report(const std::vector<Mode>& modes, std::size_t num_points)
                    {"pts/s", "median_s", "min_s", "speedup", "identical"});
     const double base = modes.front().timing.median;
     for (const Mode& m : modes) {
+        check(m.identical);
         bench::row(m.name,
                    {static_cast<double>(num_points) / m.timing.median,
                     m.timing.median, m.timing.min, base / m.timing.median,
@@ -660,5 +678,11 @@ main()
     // The CS solve with and without the engine; writes BENCH_cs.json.
     if (oscar::benchEnabled("cs"))
         oscar::runCsStudy();
+
+    if (oscar::failedChecks > 0) {
+        std::printf("FAILED: %d identical/match check(s)\n",
+                    oscar::failedChecks);
+        return 1;
+    }
     return 0;
 }

@@ -5,13 +5,13 @@
  * model problems, at the paper's 41% sampling fraction.
  *
  * The Google dataset is substituted by syntheticHardwareLandscape()
- * (DESIGN.md #2): 50 x 50 grids, fidelity damping, correlated drift,
- * and white noise. The paper's point is qualitative -- reconstructions
- * are "perceptually identical" even when NRMSE ~ 0.2 because the
- * residual is the white-noise floor. We report NRMSE plus the
- * correlation between truth and reconstruction, and the NRMSE of the
- * reconstruction against the *clean* (pre-white-noise) landscape,
- * which shows CS actually denoises.
+ * (README.md "Substitutions", #2): 50 x 50 grids, fidelity damping,
+ * correlated drift, and white noise. The paper's point is
+ * qualitative -- reconstructions are "perceptually identical" even
+ * when NRMSE ~ 0.2 because the residual is the white-noise floor. We
+ * report NRMSE plus the correlation between truth and reconstruction,
+ * and the NRMSE of the reconstruction against the *clean*
+ * (pre-white-noise) landscape, which shows CS actually denoises.
  */
 
 #include <cstdio>

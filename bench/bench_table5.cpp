@@ -3,12 +3,12 @@
  * Table 5 reproduction: reconstruction errors for mixtures of samples
  * from different device pairs, with and without NCM.
  *
- * Device substitutions (DESIGN.md #1): "ibm perth" and "ibm lagos" are
- * simulated QPUs with hardware-grade depolarizing plus readout-style
- * extra contraction; "noisy sim-i/ii" and "ideal sim" match the
- * paper's simulator rows. QPU-1 is the target whose landscape we want
- * to match; the mixture ratio column "20-80" means 20% of samples from
- * QPU-1 and 80% from QPU-2.
+ * Device substitutions (README.md "Substitutions", #1): "ibm perth"
+ * and "ibm lagos" are simulated QPUs with hardware-grade depolarizing
+ * plus readout-style extra contraction; "noisy sim-i/ii" and "ideal
+ * sim" match the paper's simulator rows. QPU-1 is the target whose
+ * landscape we want to match; the mixture ratio column "20-80" means
+ * 20% of samples from QPU-1 and 80% from QPU-2.
  *
  * Expected shape (per paper): +NCM beats plain OSCAR in every cell;
  * error grows as the QPU-1 share shrinks; pairing a hardware-grade

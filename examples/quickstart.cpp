@@ -23,7 +23,7 @@ main()
 
     // Every circuit execution goes through the batched engine; one
     // pool for the whole run, sized to the machine.
-    ExecutionEngine engine(EngineOptions{/*numThreads=*/0});
+    ExecutionEngine engine(/*num_threads=*/0);
 
     // Ground truth: full 50 x 100 grid search (5,000 circuit runs).
     const GridSpec grid = GridSpec::qaoaP1();

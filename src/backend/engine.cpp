@@ -287,17 +287,7 @@ ExecutionEngine::resolveThreads(int requested)
     return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-ExecutionEngine::ExecutionEngine()
-    : ExecutionEngine(EngineOptions{})
-{
-}
-
 ExecutionEngine::ExecutionEngine(int num_threads)
-    : ExecutionEngine(EngineOptions{num_threads})
-{
-}
-
-ExecutionEngine::ExecutionEngine(const EngineOptions& options)
 {
     // Resolve OSCAR_TRACE / OSCAR_TRACE_BUFFER_KB once, fail-fast (a
     // malformed toggle throws here, not on the first recorded span).
@@ -307,7 +297,7 @@ ExecutionEngine::ExecutionEngine(const EngineOptions& options)
     // with joinable workers would terminate. The submitting thread
     // participates in every wait, so spawn one fewer worker than the
     // requested parallelism.
-    const int threads = resolveThreads(options.numThreads);
+    const int threads = resolveThreads(num_threads);
     for (int t = 1; t < threads; ++t)
         workers_.emplace_back([this] { workerLoop(); });
 }

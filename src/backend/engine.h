@@ -75,22 +75,6 @@ class NonFiniteValueError : public std::runtime_error
 struct EngineBatch; // shared state of one submitted batch (engine.cpp)
 
 /**
- * ExecutionEngine configuration.
- *
- * Thread-count convention (shared with OscarOptions::numThreads):
- * 0 = hardware concurrency, 1 = serial, k > 1 = exactly k threads
- * (the submitting thread counts as one and participates in waits).
- * The default everywhere is 0 -- use what the hardware offers; ask for
- * 1 explicitly when serial execution is wanted. Results are
- * bit-identical for every value by the determinism contract above.
- */
-struct EngineOptions
-{
-    /** Worker threads; 0 = hardware concurrency, 1 = serial. */
-    int numThreads = 0;
-};
-
-/**
  * Fewest points per chunk: a batch or map is cut into at most
  * count / kMinPointsPerThread chunks, and one with fewer than two
  * chunks' worth runs inline on the waiting thread (thread hand-off
@@ -223,13 +207,16 @@ class BatchHandle
 class ExecutionEngine
 {
   public:
-    /** Engine with the default options (hardware concurrency). */
-    ExecutionEngine();
-
-    explicit ExecutionEngine(const EngineOptions& options);
-
-    /** Convenience: engine with `num_threads` workers (0 = hardware). */
-    explicit ExecutionEngine(int num_threads);
+    /**
+     * Engine with `num_threads` threads. Thread-count convention
+     * (shared with OscarOptions::numThreads): 0 = hardware
+     * concurrency, 1 = serial, k > 1 = exactly k threads (the
+     * submitting thread counts as one and participates in waits).
+     * The default everywhere is 0 -- use what the hardware offers; ask
+     * for 1 explicitly when serial execution is wanted. Results are
+     * bit-identical for every value by the determinism contract above.
+     */
+    explicit ExecutionEngine(int num_threads = 0);
 
     /**
      * Cancels still-queued batches (refunding their queries), lets

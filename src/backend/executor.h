@@ -67,7 +67,9 @@ struct KernelOptions
  * Kernel-layer effectiveness counters of one evaluator. Aggregated per
  * batch by the ExecutionEngine (BatchHandle::stats) and per pipeline
  * run in OscarResult, so prefix reuse is observable without a
- * debugger.
+ * debugger. Only what is decided at run time is counted here; what a
+ * replay plan executes (blocked runs, fused units) is fixed when it is
+ * compiled and read from the plan (StatevectorCost::compiled()).
  */
 struct KernelStats
 {
@@ -87,23 +89,11 @@ struct KernelStats
      */
     kernels::KernelIsa isa = kernels::KernelIsa::Scalar;
 
-    /** Cache-blocked replay passes (one per fused op run executed). */
-    std::size_t blockedGroupRuns = 0;
-
-    /** Ops that executed inside a blocked pass. */
-    std::size_t blockedOpsApplied = 0;
-
     /**
      * Points whose diagonal (or closed-form) expectation came from a
      * fused batched pass.
      */
     std::size_t batchedDiagonalPoints = 0;
-
-    /** Fused super-kernel applications (one per unit per block run). */
-    std::size_t fusedSuperKernels = 0;
-
-    /** Ops whose individual replay was collapsed into a super-kernel. */
-    std::size_t fusedOpsCollapsed = 0;
 
     /** Points whose non-diagonal (Pauli) expectation was batched. */
     std::size_t batchedPauliPoints = 0;
@@ -114,11 +104,7 @@ struct KernelStats
         cacheHits += other.cacheHits;
         cacheLookups += other.cacheLookups;
         isa = std::max(isa, other.isa);
-        blockedGroupRuns += other.blockedGroupRuns;
-        blockedOpsApplied += other.blockedOpsApplied;
         batchedDiagonalPoints += other.batchedDiagonalPoints;
-        fusedSuperKernels += other.fusedSuperKernels;
-        fusedOpsCollapsed += other.fusedOpsCollapsed;
         batchedPauliPoints += other.batchedPauliPoints;
         return *this;
     }
@@ -129,11 +115,7 @@ struct KernelStats
     {
         a.cacheHits -= b.cacheHits;
         a.cacheLookups -= b.cacheLookups;
-        a.blockedGroupRuns -= b.blockedGroupRuns;
-        a.blockedOpsApplied -= b.blockedOpsApplied;
         a.batchedDiagonalPoints -= b.batchedDiagonalPoints;
-        a.fusedSuperKernels -= b.fusedSuperKernels;
-        a.fusedOpsCollapsed -= b.fusedOpsCollapsed;
         a.batchedPauliPoints -= b.batchedPauliPoints;
         return a;
     }

@@ -7,7 +7,7 @@
  * 2021]: 50 x 50 grids for MaxCut on hardware-grid (mesh) graphs,
  * MaxCut on 3-regular graphs, and the SK model. That dataset is not
  * redistributable, so this module generates the closest synthetic
- * equivalent (DESIGN.md substitution #2): the ideal closed-form QAOA
+ * equivalent (README.md "Substitutions", #2): the ideal closed-form QAOA
  * landscape, contracted by a fidelity damping factor, plus a smooth
  * spatially-correlated drift field (calibration drift across the
  * parameter sweep) plus white noise (finite-shot estimation error).

@@ -80,7 +80,6 @@ StatevectorCost::operator=(const StatevectorCost& other)
     kernel_ = other.kernel_;
     table_ = &kernels::kernelTable(other.kernel_.isa);
     checkpoints_.clear();
-    replay_ = {};
     cacheHits_ = 0;
     cacheLookups_ = 0;
     batchedDiagonalPoints_ = 0;
@@ -115,11 +114,7 @@ StatevectorCost::kernelStats() const
     stats.cacheHits = cacheHits_;
     stats.cacheLookups = cacheLookups_;
     stats.isa = table_->isa;
-    stats.blockedGroupRuns = replay_.blockedGroupRuns;
-    stats.blockedOpsApplied = replay_.blockedOpsApplied;
     stats.batchedDiagonalPoints = batchedDiagonalPoints_;
-    stats.fusedSuperKernels = replay_.fusedSuperKernels;
-    stats.fusedOpsCollapsed = replay_.fusedOpsCollapsed;
     stats.batchedPauliPoints = batchedPauliPoints_;
     return stats;
 }
@@ -152,7 +147,7 @@ StatevectorCost::simulate(const std::vector<double>& params,
             obs::ScopedSpan span(obs::SpanCategory::Replay, "segment",
                                  pos, levels[l]);
             compiled_.runRange(amps.data(), dim, pos, levels[l],
-                               params.data(), *table_, &replay_);
+                               params.data(), *table_);
         }
         pos = levels[l];
         checkpoints_[l] = amps;
@@ -161,7 +156,7 @@ StatevectorCost::simulate(const std::vector<double>& params,
                          pos == 0 ? "replay" : "tail", pos,
                          compiled_.numOps());
     compiled_.runRange(amps.data(), dim, pos, compiled_.numOps(),
-                       params.data(), *table_, &replay_);
+                       params.data(), *table_);
 }
 
 std::size_t

@@ -217,7 +217,6 @@ class StatevectorCost : public CostFunction
      */
     std::vector<AlignedVector<cplx>> checkpoints_;
 
-    ReplayCounters replay_;
     std::size_t cacheHits_ = 0;
     std::size_t cacheLookups_ = 0;
     std::size_t batchedDiagonalPoints_ = 0;

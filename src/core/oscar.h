@@ -52,7 +52,7 @@ struct OscarOptions
 
     /**
      * Worker threads for the execution phase. Same convention and
-     * same default as EngineOptions::numThreads: 0 = hardware
+     * same default as ExecutionEngine(int): 0 = hardware
      * concurrency, 1 = serial (the shared serial engine; no threads
      * spawned). Results are bit-identical for any value: sample
      * selection is untouched and evaluation streams are keyed by

@@ -6,8 +6,9 @@
  * the dictionary atom most correlated with the residual, re-solves the
  * least squares problem restricted to the selected atoms, and repeats.
  * The library ships both solvers so the ablation bench can compare
- * them (DESIGN.md "Ablations"); FISTA is the default because the
- * paper's landscapes are compressible rather than exactly sparse.
+ * them (README.md "Substitutions", Ablations); FISTA is the default
+ * because the paper's landscapes are compressible rather than exactly
+ * sparse.
  */
 
 #ifndef OSCAR_CS_OMP_H

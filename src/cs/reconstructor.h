@@ -4,10 +4,10 @@
  *
  * This is the "Landscape Reconstruction" phase of the OSCAR workflow
  * (paper Fig. 3): given measured values at a subset of grid points,
- * recover the full grid. Grids of any rank are supported through the
- * paper's concatenation trick (Section 4.2.4): a rank-2k grid is
- * reshaped to 2-D by merging the first k and last k axes before the
- * 2-D DCT solve.
+ * recover the full grid. Grids of any even rank are supported
+ * through the paper's concatenation trick (Section 4.2.4): a rank-2k
+ * grid is reshaped to 2-D by merging the first k and last k axes
+ * before the 2-D DCT solve. An odd rank throws std::invalid_argument.
  */
 
 #ifndef OSCAR_CS_RECONSTRUCTOR_H

@@ -15,7 +15,7 @@
  * weaker XX/YY exchange terms, coefficient magnitudes matching
  * published 4-qubit LiH reductions). Landscape-reconstruction behaviour
  * depends only on this structure, not on chemical accuracy; see
- * DESIGN.md substitution #4.
+ * README.md "Substitutions", #4.
  */
 
 #ifndef OSCAR_HAMILTONIAN_MOLECULES_H

@@ -9,8 +9,8 @@
  * model through the current simplex, step to the model minimizer on
  * the trust-region boundary, accept on improvement, shrink otherwise.
  * Like COBYLA, it converges in tens of queries on smooth 2-D QAOA
- * landscapes (cf. Table 6's ~40 queries). See DESIGN.md substitution
- * #5.
+ * landscapes (cf. Table 6's ~40 queries). See README.md
+ * "Substitutions", #5.
  */
 
 #ifndef OSCAR_OPTIMIZE_COBYLA_H

@@ -7,8 +7,8 @@
  * Perth/Lagos, simulated QPU pairs): what the parallel-reconstruction
  * and NCM experiments require is several devices that (a) evaluate the
  * same circuit, (b) have systematically different noise, and (c) take
- * wall-clock time with queuing and tail latency. See DESIGN.md
- * substitution #1.
+ * wall-clock time with queuing and tail latency. See README.md
+ * "Substitutions", #1.
  */
 
 #ifndef OSCAR_PARALLEL_QPU_H

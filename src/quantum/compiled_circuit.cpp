@@ -113,7 +113,7 @@ struct PhaseArgs
     const std::uint8_t* index = nullptr;
 };
 
-/** Parameter-resolved payload of one op inside a blocked run. */
+/** Parameter-resolved payload of one replayed op. */
 struct ResolvedPayload
 {
     const CompiledOp* op;
@@ -147,6 +147,7 @@ resolvePayload(const CompiledOp& op, const double* params,
     r.op = &op;
     switch (op.op) {
       case KernelOp::Matrix1q:
+      case KernelOp::PairMask:
         if (rotLower && rotLowerable(op)) {
             // RX = [[c, -i s], [-i s, c]], RY = [[c, -s], [s, c]] with
             // c = cos(a/2), s = sin(a/2): both run ~2x faster through
@@ -183,12 +184,14 @@ resolvePayload(const CompiledOp& op, const double* params,
 }
 
 /**
- * Apply one resolved op to the 2^k-amplitude block at amps[base].
+ * Apply one resolved op to the 2^k-amplitude block at amps[base]: the
+ * one op dispatch of a replay. Blocked passes call it per block;
+ * unblocked segments call it on one block spanning the whole state.
  * Qubits below k act inside the block (the kernel runs on the block
- * exactly as it would on the full array); higher qubits are diagonal
+ * exactly as it would on the whole state); higher qubits are diagonal
  * by the blockable() contract and resolve against the block's base
  * index. Per amplitude this performs the identical operation the
- * unblocked kernel would, so blocking is value-neutral per ISA.
+ * whole-state call would, so blocking is value-neutral per ISA.
  */
 void
 applyToBlock(const kernels::KernelTable& t, cplx* blk, std::size_t bs,
@@ -258,7 +261,10 @@ applyToBlock(const kernels::KernelTable& t, cplx* blk, std::size_t bs,
         mulLevels(blk, bs, r.levels + base, r.phases);
         break;
       case KernelOp::PairMask:
-        break; // never blockable
+        // Never blockable: its pairs (x, x ^ (bs - 1)) span the
+        // block, so only the whole-state pass reaches it.
+        kernels::pairMask(blk, bs, r.matrix[0], r.matrix[1]);
+        break;
     }
 }
 
@@ -290,103 +296,32 @@ applyRunToBlock(const kernels::KernelTable& t, cplx* blk,
     }
 }
 
-/** Execute one op over the full array through the kernel table. */
-void
-runOp(const CompiledOp& op, cplx* amps, std::size_t dim,
-      const double* params, const kernels::KernelTable& t,
-      bool rotLower, const PhaseArgs& phase)
-{
-    switch (op.op) {
-      case KernelOp::Matrix1q:
-        if (rotLower && rotLowerable(op)) {
-            const double a = op.resolvedAngle(params);
-            const double c = std::cos(a / 2);
-            const double s = std::sin(a / 2);
-            if (op.kind == GateKind::RX)
-                t.rotX(amps, dim, op.q0, c, s);
-            else
-                t.rotY(amps, dim, op.q0, c, s);
-        } else if (op.paramIndex < 0) {
-            t.matrix1q(amps, dim, op.q0, op.matrix);
-        } else {
-            t.matrix1q(amps, dim, op.q0,
-                       gateMatrix1q(op.kind, op.resolvedAngle(params)));
-        }
-        break;
-      case KernelOp::Diag1q:
-        if (op.paramIndex < 0) {
-            t.diag1q(amps, dim, op.q0, op.phase0, op.phase1);
-        } else {
-            cplx p0, p1;
-            rotationPhases(op.resolvedAngle(params), p0, p1);
-            t.diag1q(amps, dim, op.q0, p0, p1);
-        }
-        break;
-      case KernelOp::CX:
-        t.cx(amps, dim, op.q0, op.q1);
-        break;
-      case KernelOp::CZ:
-        t.negateMasked(amps, dim, kernels::czMask(op.q0, op.q1));
-        break;
-      case KernelOp::Swap:
-        t.swapQubits(amps, dim, op.q0, op.q1);
-        break;
-      case KernelOp::PhaseZZ:
-        if (op.paramIndex < 0) {
-            t.phaseZZ(amps, dim, op.q0, op.q1, op.phase0, op.phase1);
-        } else {
-            cplx same, diff;
-            rotationPhases(op.resolvedAngle(params), same, diff);
-            t.phaseZZ(amps, dim, op.q0, op.q1, same, diff);
-        }
-        break;
-      case KernelOp::PhaseFill:
-        fillLevels(amps, dim, phase.index,
-                   phase.tables + op.phaseSlot * phase.stride);
-        break;
-      case KernelOp::PhaseTable:
-        mulLevels(amps, dim, phase.index,
-                  phase.tables + op.phaseSlot * phase.stride);
-        break;
-      case KernelOp::PairMask: {
-        const std::array<cplx, 4> m =
-            op.paramIndex < 0
-                ? op.matrix
-                : gateMatrix1q(op.kind, op.resolvedAngle(params));
-        kernels::pairMask(amps, dim, m[0], m[1]);
-        break;
-      }
-    }
-}
-
 /**
- * Execute ops [lo, hi) over the full array, pair-fusing adjacent
- * lowered rotations exactly like applyRunToBlock does per block.
- * Bit-identical to the one-op-at-a-time loop by the rotX2/rotY2
- * contract, so range boundaries never affect the result.
+ * Replay ops [lo, hi) of an unblocked plan segment as the plain
+ * blocked pass over one block that spans the whole state (k = log2
+ * dim, base = 0). Each op, or each rotation pair, resolves into a
+ * two-entry window and streams the state once; pairs form greedily,
+ * so a pair inside [lo, hi) is never split.
  */
 void
-runOps(const std::vector<CompiledOp>& ops, std::size_t lo, std::size_t hi,
-       cplx* amps, std::size_t dim, const double* params,
-       const kernels::KernelTable& t, bool rotLower,
-       const PhaseArgs& phase)
+applyToState(const std::vector<CompiledOp>& ops, std::size_t lo,
+             std::size_t hi, cplx* amps, std::size_t dim,
+             const double* params, const kernels::KernelTable& t,
+             bool rotLower, const PhaseArgs& phases)
 {
-    std::size_t k = lo;
-    while (k < hi) {
-        if (rotLower && k + 1 < hi && rotLowerable(ops[k]) &&
-            rotLowerable(ops[k + 1]) && ops[k].kind == ops[k + 1].kind &&
-            ops[k].q0 != ops[k + 1].q0) {
-            const double aa = ops[k].resolvedAngle(params);
-            const double ab = ops[k + 1].resolvedAngle(params);
-            const auto pair =
-                ops[k].kind == GateKind::RX ? t.rotX2 : t.rotY2;
-            pair(amps, dim, ops[k].q0, ops[k + 1].q0, std::cos(aa / 2),
-                 std::sin(aa / 2), std::cos(ab / 2), std::sin(ab / 2));
-            k += 2;
-            continue;
-        }
-        runOp(ops[k], amps, dim, params, t, rotLower, phase);
-        ++k;
+    const int k = static_cast<int>(std::bit_width(dim)) - 1;
+    ResolvedPayload r[2];
+    for (std::size_t m = lo; m < hi;) {
+        // A pair: lowered rotations of one axis on distinct qubits.
+        const bool pair = rotLower && m + 1 < hi && rotLowerable(ops[m]) &&
+                          rotLowerable(ops[m + 1]) &&
+                          ops[m].kind == ops[m + 1].kind &&
+                          ops[m].q0 != ops[m + 1].q0;
+        const std::size_t n = pair ? 2 : 1;
+        for (std::size_t j = 0; j < n; ++j)
+            r[j] = resolvePayload(ops[m + j], params, rotLower, &phases);
+        applyRunToBlock(t, amps, dim, 0, r, n, k);
+        m += n;
     }
 }
 
@@ -526,8 +461,12 @@ diagFoldable(const CompiledOp& op, int k)
 void
 CompiledCircuit::buildPlan()
 {
-    if (blockBits_ <= 0 || ops_.empty()) {
+    if (ops_.empty())
+        return;
+    if (blockBits_ <= 0) {
+        // Blocking off: one unblocked segment replays the schedule.
         blockBits_ = 0;
+        plan_.push_back({0, static_cast<std::uint32_t>(ops_.size()), false});
         return;
     }
     const int k = blockBits_;
@@ -945,8 +884,7 @@ CompiledCircuit::runBlocked(cplx* amps, std::size_t dim,
                             const PlanSegment& seg, std::size_t begin,
                             std::size_t end, const double* params,
                             const kernels::KernelTable& table,
-                            const PhaseArgs& phases,
-                            ReplayCounters* counters) const
+                            const PhaseArgs& phases) const
 {
     const int k = blockBits_;
     const std::size_t bs = std::size_t{1} << k;
@@ -1041,36 +979,25 @@ CompiledCircuit::runBlocked(cplx* amps, std::size_t dim,
             i = stop;
         }
     }
-    if (counters) {
-        counters->fusedSuperKernels += active.size();
-        for (const ActiveUnit& a : active)
-            counters->fusedOpsCollapsed += a.unit->foldCount;
-    }
 }
 
 void
 CompiledCircuit::runRange(cplx* amps, std::size_t dim, std::size_t begin,
                           std::size_t end, const double* params,
-                          const kernels::KernelTable& table,
-                          ReplayCounters* counters) const
+                          const kernels::KernelTable& table) const
 {
+    // The plan's blocks and the phase levels cover stateDim().
+    if (dim != stateDim() || (levels_ && dim != levels_->size()))
+        throw std::invalid_argument(
+            "CompiledCircuit::runRange: dim must be stateDim() and the "
+            "phase levels' size");
     if (begin >= end)
         return;
-    // Blocking requires the block to divide the array (callers with
-    // dim != 2^numQubits, if any, degrade to the plain loop).
-    const bool use_plan = blockBits_ > 0 && !plan_.empty() &&
-                          (std::size_t{1} << blockBits_) <= dim;
-    const bool rotLower = fuse_;
 
-    // Resolve the phase tables of the phase ops in range; each counts
-    // as one super-kernel collapsing the gates it replaced.
+    // Resolve the phase tables of the phase ops in range.
     PhaseArgs phases;
     std::vector<cplx> tables;
     if (numPhaseOps_ > 0) {
-        if (dim != stateDim() || dim != levels_->size())
-            throw std::invalid_argument(
-                "CompiledCircuit::runRange: dim must be stateDim() and "
-                "the phase levels' size");
         phases.stride = static_cast<std::size_t>(levels_->numLevels());
         for (std::size_t m = begin; m < end; ++m) {
             const CompiledOp& op = ops_[m];
@@ -1082,19 +1009,10 @@ CompiledCircuit::runRange(cplx* amps, std::size_t dim, std::size_t begin,
             }
             resolvePhases(op, params,
                           tables.data() + op.phaseSlot * phases.stride);
-            if (counters) {
-                ++counters->fusedSuperKernels;
-                counters->fusedOpsCollapsed += op.folded;
-            }
         }
         phases.tables = tables.data();
     }
 
-    if (!use_plan) {
-        runOps(ops_, begin, end, amps, dim, params, table, rotLower,
-               phases);
-        return;
-    }
     for (const PlanSegment& seg : plan_) {
         if (seg.end <= begin)
             continue;
@@ -1102,17 +1020,11 @@ CompiledCircuit::runRange(cplx* amps, std::size_t dim, std::size_t begin,
             break;
         const std::size_t lo = std::max<std::size_t>(seg.begin, begin);
         const std::size_t hi = std::min<std::size_t>(seg.end, end);
-        if (seg.blocked && hi - lo >= 2) {
-            runBlocked(amps, dim, seg, lo, hi, params, table, phases,
-                       counters);
-            if (counters) {
-                ++counters->blockedGroupRuns;
-                counters->blockedOpsApplied += hi - lo;
-            }
-        } else {
-            runOps(ops_, lo, hi, amps, dim, params, table, rotLower,
-                   phases);
-        }
+        if (seg.blocked && hi - lo >= 2)
+            runBlocked(amps, dim, seg, lo, hi, params, table, phases);
+        else
+            applyToState(ops_, lo, hi, amps, dim, params, table, fuse_,
+                         phases);
     }
 }
 

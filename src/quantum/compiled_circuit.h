@@ -3,7 +3,8 @@
  * Compiled-circuit kernel schedule.
  *
  * A CompiledCircuit lowers a Circuit once into a flat list of kernel
- * operations that can be replayed against raw amplitude arrays without
+ * operations that can be replayed against raw arrays of stateDim()
+ * amplitudes (2^n, or 2^(n-1) on the half state below) without
  * per-gate virtual dispatch or per-gate `Gate` copies:
  *
  *  - adjacent constant 1-qubit gates on the same qubit are fused into
@@ -26,7 +27,11 @@
  *
  * The replay plan (cache blocking and super-kernel fusion) is built
  * once from CompileOptions and never changes afterwards, so one
- * compiled circuit always replays one plan.
+ * compiled circuit always replays one plan, and the plan's counts
+ * (numBlockedGroups, numFusedUnits, fusedOpCount) say what a full
+ * replay executes. An unblocked segment replays as the blocked pass
+ * over one block that spans the whole state, so every op dispatches
+ * through one switch.
  *
  * QAOA phase ops. Given the PhaseLevels of a diagonal cost (the
  * statevector backend passes them; every other caller compiles plain
@@ -278,28 +283,6 @@ struct CompiledOp
     }
 };
 
-/**
- * Counters of one or more replay calls (blocked-pass activity).
- * Aggregated by the backends into CostFunction::kernelStats.
- */
-struct ReplayCounters
-{
-    /** Blocked whole-run executions (one per fused pass). */
-    std::size_t blockedGroupRuns = 0;
-
-    /** Ops that executed inside a blocked pass. */
-    std::size_t blockedOpsApplied = 0;
-
-    /**
-     * Fused super-kernel executions (one per unit or phase op per
-     * replay).
-     */
-    std::size_t fusedSuperKernels = 0;
-
-    /** Ops whose individual replay a super-kernel collapsed. */
-    std::size_t fusedOpsCollapsed = 0;
-};
-
 /** A Circuit lowered to a flat kernel schedule. */
 class CompiledCircuit
 {
@@ -403,29 +386,31 @@ class CompiledCircuit
 
     /**
      * Replay ops [begin, end) onto a raw amplitude array of length
-     * `dim` (2^numQubits for a statevector). `params` may be null for
-     * a parameter-free schedule. Thread-safe and const: parameterized
+     * `dim` == stateDim(): 2^numQubits, or 2^(numQubits - 1) under
+     * halfState(). `params` may be null for a
+     * parameter-free schedule. Thread-safe and const: parameterized
      * payloads are resolved into locals.
      *
      * Kernels dispatch through `table` (the process default when
-     * omitted); `counters`, when given, accumulates blocked-pass
-     * activity. For any fixed table, the values written are
-     * independent of the blocking plan and — with fusion off — of how
-     * [begin, end) is segmented across calls. With fusion on, fused
-     * units never straddle frontier levels, so any segmentation whose
-     * cut points are frontier levels (checkpoint resume, batched
-     * suffix replay) executes the identical unit sequence and stays
-     * bit-exact; a cut in the middle of a unit makes that unit fall
-     * back to per-op replay for that call, which is deterministic but
-     * differs from the fused result by rounding. Phase ops are
-     * element-wise, so any cut around them is bit-exact; a schedule
-     * with phase ops needs dim == stateDim() == the levels' size
-     * (else std::invalid_argument).
+     * omitted). Every op dispatches through one per-block switch:
+     * blocked plan segments apply it block by block, the others on
+     * one block spanning the whole state. For any fixed table, the
+     * values written are independent of the blocking plan and — with
+     * fusion off — of how [begin, end) is segmented across calls.
+     * With fusion on, fused units never straddle frontier levels, so
+     * any segmentation whose cut points are frontier levels
+     * (checkpoint resume, batched suffix replay) executes the
+     * identical unit sequence and stays bit-exact; a cut in the
+     * middle of a unit makes that unit fall back to per-op replay for
+     * that call, which is deterministic but differs from the fused
+     * result by rounding. Phase ops are
+     * element-wise, so any cut around them is bit-exact. A dim other
+     * than stateDim(), or phase levels that cover another size,
+     * throws std::invalid_argument.
      */
     void runRange(cplx* amps, std::size_t dim, std::size_t begin,
                   std::size_t end, const double* params,
-                  const kernels::KernelTable& table,
-                  ReplayCounters* counters = nullptr) const;
+                  const kernels::KernelTable& table) const;
 
     /** runRange through the process-default kernel table. */
     void runRange(cplx* amps, std::size_t dim, std::size_t begin,
@@ -440,9 +425,10 @@ class CompiledCircuit
   private:
     /**
      * One entry of the blocking plan: a contiguous op range replayed
-     * either op-by-op (blocked = false) or block-by-block as a fused
-     * pass (blocked = true; every op in the range is block-local or
-     * diagonal above the window).
+     * either op by op over the whole state (blocked = false; a
+     * blockWindow = 0 compile is one such segment) or block by block
+     * as a fused pass (blocked = true; every op in the range is
+     * block-local or diagonal above the window).
      */
     struct PlanSegment
     {
@@ -513,8 +499,7 @@ class CompiledCircuit
                     std::size_t begin, std::size_t end,
                     const double* params,
                     const kernels::KernelTable& table,
-                    const PhaseArgs& phases,
-                    ReplayCounters* counters) const;
+                    const PhaseArgs& phases) const;
 
     int numQubits_ = 0;
     int numParams_ = 0;

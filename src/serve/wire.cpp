@@ -320,11 +320,7 @@ encodeKernelStats(WireWriter& w, const KernelStats& stats)
     w.u64(stats.cacheHits);
     w.u64(stats.cacheLookups);
     w.u8(static_cast<std::uint8_t>(stats.isa));
-    w.u64(stats.blockedGroupRuns);
-    w.u64(stats.blockedOpsApplied);
     w.u64(stats.batchedDiagonalPoints);
-    w.u64(stats.fusedSuperKernels);
-    w.u64(stats.fusedOpsCollapsed);
     w.u64(stats.batchedPauliPoints);
 }
 
@@ -334,12 +330,12 @@ decodeKernelStats(WireReader& r)
     KernelStats stats;
     stats.cacheHits = r.u64();
     stats.cacheLookups = r.u64();
-    stats.isa = static_cast<kernels::KernelIsa>(r.u8());
-    stats.blockedGroupRuns = r.u64();
-    stats.blockedOpsApplied = r.u64();
+    // The ISA that executed: never Auto, which is only a request.
+    const std::uint8_t isa = r.u8();
+    if (isa > static_cast<std::uint8_t>(kernels::KernelIsa::Avx512))
+        throw WireError("unknown kernel ISA in kernel stats");
+    stats.isa = static_cast<kernels::KernelIsa>(isa);
     stats.batchedDiagonalPoints = r.u64();
-    stats.fusedSuperKernels = r.u64();
-    stats.fusedOpsCollapsed = r.u64();
     stats.batchedPauliPoints = r.u64();
     return stats;
 }

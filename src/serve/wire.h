@@ -72,7 +72,10 @@ constexpr std::uint32_t kWireMagic = 0x4F534357u; // "OSCW"
 // v10: KernelOptions drops the prefix-cache switch and budget (it
 // carries only the ISA) and KernelStats drops cacheEvictions: a batch
 // resumes each point from the one before it, and nothing evicts.
-constexpr std::uint16_t kWireVersion = 10;
+// v11: KernelStats drops blockedGroupRuns, blockedOpsApplied,
+// fusedSuperKernels and fusedOpsCollapsed (the replay plan fixes them
+// at compile time), and its ISA byte must name scalar, avx2 or avx512.
+constexpr std::uint16_t kWireVersion = 11;
 
 /** Fixed frame header size (magic + version + type + length). */
 constexpr std::size_t kFrameHeaderSize = 16;

@@ -210,16 +210,20 @@ decodeStoredLandscape(WireReader& r)
     const std::uint64_t samples = r.u64();
     if (samples > r.remaining() / 16)
         throw wire::WireError("sample count runs past payload end");
+    const std::uint64_t grid_points = entry.grid.numPoints();
     entry.sampleIndices.resize(samples);
-    for (std::uint64_t& idx : entry.sampleIndices)
+    for (std::uint64_t& idx : entry.sampleIndices) {
         idx = r.u64();
+        if (idx >= grid_points)
+            throw wire::WireError("sample index is off the grid");
+    }
     entry.sampleValues.resize(samples);
     for (double& v : entry.sampleValues)
         v = r.f64();
     const std::uint64_t points = r.u64();
     if (points > r.remaining() / 8)
         throw wire::WireError("point count runs past payload end");
-    if (points != entry.grid.numPoints())
+    if (points != grid_points)
         throw wire::WireError("reconstruction size does not match the grid");
     entry.reconstructed.resize(points);
     for (double& v : entry.reconstructed)

@@ -72,9 +72,10 @@ constexpr std::uint32_t kContainerMagic = 0x4143534Fu; // "OSCA"
 /**
  * Container format version. load() rejects any other value, so a
  * container written in another format (version 2 was a six-stream
- * archive) is a corrupt miss instead of being misparsed.
+ * archive; version 3 carried four more KernelStats counters) is a
+ * corrupt miss instead of being misparsed.
  */
-constexpr std::uint16_t kContainerVersion = 3;
+constexpr std::uint16_t kContainerVersion = 4;
 
 /** Content address of one stored reconstruction. */
 struct StoreKey
@@ -208,7 +209,8 @@ void encodeStoredLandscape(wire::WireWriter& w, const StoredLandscape& entry);
 
 /**
  * Inverse of encodeStoredLandscape.
- * @throws wire::WireError on a malformed body
+ * @throws wire::WireError on a malformed body, an unknown kernel ISA
+ *         or a sample index off the grid
  */
 StoredLandscape decodeStoredLandscape(wire::WireReader& r);
 

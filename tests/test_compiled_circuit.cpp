@@ -318,12 +318,10 @@ TEST(CompiledCircuit, MidUnitCutFallsBackDeterministically)
     }
 }
 
-TEST(CompiledCircuit, FuseWindowCountsAndCounters)
+TEST(CompiledCircuit, FuseWindowUnitCounts)
 {
     // Fusion bookkeeping: fusion on builds the RZZ run's diagonal-table
-    // unit, fusion off builds none, and ReplayCounters records one
-    // super-kernel execution per active unit per replay with the
-    // collapsed op count.
+    // unit with its collapsed op count, fusion off builds none.
     const int n = 6;
     Circuit circuit(n, 0);
     for (int q = 0; q < n; ++q)
@@ -338,16 +336,8 @@ TEST(CompiledCircuit, FuseWindowCountsAndCounters)
 
     const CompiledCircuit compiled(
         circuit, CompileOptions{.blockWindow = 4, .fuse = true});
-    ASSERT_EQ(compiled.numFusedUnits(), 1u);
-    ASSERT_EQ(compiled.fusedOpCount(), 3u);
-
-    Statevector sv(n);
-    ReplayCounters counters;
-    compiled.runRange(sv.amps().data(), sv.dim(), 0, compiled.numOps(),
-                      nullptr, kernels::defaultKernelTable(),
-                      &counters);
-    EXPECT_EQ(counters.fusedSuperKernels, compiled.numFusedUnits());
-    EXPECT_EQ(counters.fusedOpsCollapsed, compiled.fusedOpCount());
+    EXPECT_EQ(compiled.numFusedUnits(), 1u);
+    EXPECT_EQ(compiled.fusedOpCount(), 3u);
 }
 
 TEST(CompiledCircuit, StatevectorBoundRunUsesCompiledSchedule)

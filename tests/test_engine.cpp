@@ -945,8 +945,7 @@ TEST(AsyncEngine, NelderMeadSpeculativeMatchesPlainOnDeterministicCost)
 TEST(AsyncEngine, ThreadCountDefaultsAreAligned)
 {
     // One convention everywhere: 0 = hardware concurrency, 1 =
-    // serial; both option structs default to 0.
-    EXPECT_EQ(EngineOptions{}.numThreads, 0);
+    // serial; the engine and OscarOptions both default to 0.
     EXPECT_EQ(OscarOptions{}.numThreads, 0);
 
     const int hardware = ExecutionEngine::resolveThreads(0);
@@ -954,7 +953,7 @@ TEST(AsyncEngine, ThreadCountDefaultsAreAligned)
     EXPECT_EQ(ExecutionEngine::resolveThreads(3), 3);
     EXPECT_EQ(ExecutionEngine::resolveThreads(1), 1);
 
-    EXPECT_EQ(ExecutionEngine(EngineOptions{}).numThreads(), hardware);
+    EXPECT_EQ(ExecutionEngine(0).numThreads(), hardware);
     EXPECT_EQ(ExecutionEngine().numThreads(), hardware);
     EXPECT_EQ(ExecutionEngine::serial().numThreads(), 1);
 }

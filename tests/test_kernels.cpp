@@ -262,14 +262,18 @@ TEST(Kernels, BlockedVsUnblockedBitIdentical)
     for (const KernelTable* table : availableTables()) {
         AlignedVector<cplx> a(dim, cplx(0, 0)), b(dim, cplx(0, 0));
         a[0] = b[0] = 1.0;
-        ReplayCounters counters;
         blocked.runRange(a.data(), dim, 0, blocked.numOps(),
-                         params.data(), *table, &counters);
+                         params.data(), *table);
         plain.runRange(b.data(), dim, 0, plain.numOps(), params.data(),
                        *table);
-        EXPECT_GT(counters.blockedGroupRuns, 0u);
-        EXPECT_GT(counters.blockedOpsApplied, 0u);
         expectAmpsIdentical(a, b);
+    }
+    // Neither plan replays onto an array of another size.
+    for (const CompiledCircuit* plan : {&blocked, &plain}) {
+        AlignedVector<cplx> half(dim / 2);
+        EXPECT_THROW(plan->runRange(half.data(), dim / 2, 0,
+                                    plan->numOps(), params.data()),
+                     std::invalid_argument);
     }
 }
 
@@ -386,6 +390,13 @@ expectReplayPathsAgree(const Circuit& circuit, const PauliSum& ham)
     ASSERT_EQ(unfused.numFusedUnits(), 0u);
     ASSERT_GT(unfused.numBlockedGroups(), 0u);
     ASSERT_EQ(unblocked.numBlockedGroups(), 0u);
+    {
+        const StatevectorCost cost(circuit, ham);
+        const CompiledCircuit& own = cost.compiled();
+        EXPECT_GT(own.numBlockedGroups(), 0u);
+        EXPECT_GT(own.numFusedUnits(), 0u);
+        EXPECT_GT(own.fusedOpCount(), own.numFusedUnits());
+    }
 
     for (const KernelTable* table : availableTables()) {
         const KernelIsa isa = table->isa;
@@ -406,10 +417,6 @@ expectReplayPathsAgree(const Circuit& circuit, const PauliSum& ham)
         const KernelStats stats = batched.kernelStats();
         EXPECT_EQ(stats.isa, isa);
         EXPECT_GT(stats.batchedDiagonalPoints, 0u) << name;
-        EXPECT_GT(stats.blockedGroupRuns, 0u) << name;
-        EXPECT_GT(stats.fusedSuperKernels, 0u) << name;
-        EXPECT_GT(stats.fusedOpsCollapsed, stats.fusedSuperKernels)
-            << name;
 
         const auto per_point =
             replayEnergies(one_by_one.compiled(), diag, points, *table);
@@ -502,9 +509,8 @@ TEST(Kernels, StatsSurfaceThroughBatchHandle)
     handle.get();
     const BatchStats stats = handle.stats();
     EXPECT_EQ(stats.kernel.isa, cost.kernelTable().isa);
-    EXPECT_GT(stats.kernel.blockedGroupRuns, 0u);
-    EXPECT_GT(stats.kernel.blockedOpsApplied,
-              stats.kernel.blockedGroupRuns);
+    EXPECT_GT(stats.kernel.cacheLookups, 0u);
+    EXPECT_GT(stats.kernel.batchedDiagonalPoints, 0u);
 }
 
 TEST(Kernels, ForcedScalarIgnoresHostIsa)
@@ -858,7 +864,7 @@ TEST(Kernels, FusedReplayPathsBitIdenticalPerIsa)
     ASSERT_GT(defaults.compiled().numPhaseOps(), 0u);
     const auto points = axisMajorPoints(defaults);
     const auto values = defaults.evaluateBatch(points);
-    EXPECT_GT(defaults.kernelStats().fusedSuperKernels, 0u);
+    EXPECT_GT(defaults.compiled().numFusedUnits(), 0u);
     const auto reference =
         replayEnergies(defaults.compiled(), ham.diagonalTable(), points,
                        kernels::defaultKernelTable());
@@ -868,7 +874,7 @@ TEST(Kernels, FusedReplayPathsBitIdenticalPerIsa)
     StatevectorCost gates(circuit, gate_ham);
     ASSERT_EQ(gates.compiled().numPhaseOps(), 0u);
     const auto gate_values = gates.evaluateBatch(points);
-    EXPECT_GT(gates.kernelStats().fusedSuperKernels, 0u);
+    EXPECT_GT(gates.compiled().numFusedUnits(), 0u);
     const auto gate_reference =
         replayEnergies(CompiledCircuit(circuit, StatevectorCost::kPlan),
                        gate_ham.diagonalTable(), points,
@@ -1153,10 +1159,8 @@ TEST(Kernels, PhaseOpsReplayBitIdenticalBlockedAndSegmented)
     for (const KernelTable* table : availableTables()) {
         // Garbage in the buffer: a fill-first replay overwrites it.
         AlignedVector<cplx> straight(dim, cplx(3.0, -1.0));
-        ReplayCounters counters;
         plan.runRange(straight.data(), dim, 0, plan.numOps(),
-                      params.data(), *table, &counters);
-        EXPECT_EQ(counters.fusedSuperKernels, 2u);
+                      params.data(), *table);
         AlignedVector<cplx> flat(dim);
         unblocked.runRange(flat.data(), dim, 0, unblocked.numOps(),
                            params.data(), *table);
@@ -1234,10 +1238,9 @@ TEST(Kernels, PhasePlanP1NeverResumes)
     const KernelStats p1_stats = p1.kernelStats();
     EXPECT_EQ(p1_stats.cacheLookups, 0u);
     EXPECT_EQ(p1_stats.cacheHits, 0u);
-    // One fill per evaluation, folding the H layer and the cost layer.
-    EXPECT_EQ(p1_stats.fusedSuperKernels, 2 * p1_points.size());
-    EXPECT_EQ(p1_stats.fusedOpsCollapsed,
-              2 * p1_points.size() * (10 + g.edges().size()));
+    // One fill, folding the H layer and the cost layer.
+    EXPECT_EQ(p1.compiled().numFusedUnits(), 1u);
+    EXPECT_EQ(p1.compiled().fusedOpCount(), 10 + g.edges().size());
 
     StatevectorCost p2(qaoaCircuit(g, 2), ham);
     p2.evaluateBatch(axisMajorPoints(p2));

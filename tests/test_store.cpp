@@ -203,7 +203,7 @@ layoutContainer(const StoreKey& key, const StoredLandscape& entry)
 
     wire::WireWriter w;
     w.u32(0x4143534Fu); // "OSCA"
-    w.u16(3);
+    w.u16(4);
     for (std::uint8_t b : key_fields.bytes())
         w.u8(b);
     w.u32(::oscar::crc32(key_fields.bytes(), body.bytes()));
@@ -466,14 +466,15 @@ TEST(LandscapeStoreTest, RenamedContainerFailsKeyValidation)
 TEST(LandscapeStoreTest, StaleVersionLoadsAsCorruptMiss)
 {
     // A container of another format version -- version 2 was the
-    // six-stream archive -- is dropped like a damaged one.
+    // six-stream archive, version 3 the wider kernel stats -- is
+    // dropped like a damaged one.
     TempDir dir;
     LandscapeStore store({dir.path + "/store", std::size_t{64} << 20});
     const StoredLandscape entry = sampleEntry();
     const StoreKey key = keyFor(entry);
     const std::string path = store.containerPath(key);
     std::uint64_t corrupt = 0;
-    for (int version : {2, 4}) {
+    for (int version : {2, 3, 5}) {
         std::vector<std::uint8_t> bytes = layoutContainer(key, entry);
         bytes[4] = static_cast<std::uint8_t>(version); // u16 LE at 4
         writeFile(path, bytes);
@@ -527,6 +528,26 @@ TEST(LandscapeStoreTest, NonFiniteContainerLoadsAsCorruptMiss)
             EXPECT_EQ(store.stats().corruptMisses, ++corrupt);
         }
     }
+    EXPECT_EQ(store.stats().hits, 0u);
+}
+
+TEST(LandscapeStoreTest, OffGridSampleIndexLoadsAsCorruptMiss)
+{
+    // A well-formed container (valid CRC, matching key) whose sample
+    // index is off the grid was not written by put(); load() drops it.
+    TempDir dir;
+    LandscapeStore store({dir.path + "/store", std::size_t{64} << 20});
+    StoredLandscape entry = sampleEntry();
+    const StoreKey key = keyFor(entry);
+    const std::string path = store.containerPath(key);
+    entry.sampleIndices[0] = entry.grid.numPoints();
+    writeFile(path, layoutContainer(key, entry));
+
+    std::optional<StoredLandscape> loaded;
+    ASSERT_NO_THROW(loaded = store.load(key));
+    EXPECT_FALSE(loaded.has_value());
+    EXPECT_FALSE(fs::exists(path));
+    EXPECT_EQ(store.stats().corruptMisses, 1u);
     EXPECT_EQ(store.stats().hits, 0u);
 }
 

@@ -106,11 +106,7 @@ randomKernelStats(Rng& rng)
                                        kernels::KernelIsa::Avx2,
                                        kernels::KernelIsa::Avx512};
     stats.isa = isas[rng.uniformInt(3)];
-    stats.blockedGroupRuns = rng.uniformInt(500);
-    stats.blockedOpsApplied = rng.uniformInt(5000);
     stats.batchedDiagonalPoints = rng.uniformInt(500);
-    stats.fusedSuperKernels = rng.uniformInt(500);
-    stats.fusedOpsCollapsed = rng.uniformInt(5000);
     stats.batchedPauliPoints = rng.uniformInt(500);
     return stats;
 }
@@ -226,12 +222,24 @@ TEST(WireTest, KernelStatsRoundTripRandomized)
         EXPECT_EQ(back.cacheHits, stats.cacheHits);
         EXPECT_EQ(back.cacheLookups, stats.cacheLookups);
         EXPECT_EQ(back.isa, stats.isa);
-        EXPECT_EQ(back.blockedGroupRuns, stats.blockedGroupRuns);
-        EXPECT_EQ(back.blockedOpsApplied, stats.blockedOpsApplied);
         EXPECT_EQ(back.batchedDiagonalPoints, stats.batchedDiagonalPoints);
-        EXPECT_EQ(back.fusedSuperKernels, stats.fusedSuperKernels);
-        EXPECT_EQ(back.fusedOpsCollapsed, stats.fusedOpsCollapsed);
         EXPECT_EQ(back.batchedPauliPoints, stats.batchedPauliPoints);
+    }
+}
+
+TEST(WireTest, KernelStatsRejectUnknownIsa)
+{
+    // The ISA that executed is scalar, avx2 or avx512; Auto (255) is
+    // only a request, and any other byte names no tier.
+    WireWriter w;
+    encodeKernelStats(w, KernelStats{});
+    const std::vector<std::uint8_t> bytes = w.take();
+    constexpr std::size_t kIsaOffset = 16; // after cacheHits, cacheLookups
+    for (const std::uint8_t isa : {3, 255}) {
+        std::vector<std::uint8_t> body = bytes;
+        body[kIsaOffset] = isa;
+        WireReader r(body);
+        EXPECT_THROW(decodeKernelStats(r), WireError) << int(isa);
     }
 }
 
