@@ -1,11 +1,12 @@
 /**
  * @file
  * Serving-path benchmark: requests/s against an in-process oscar-serve
- * daemon at N concurrent clients, swept over store hit rates.
+ * daemon at N concurrent clients, at the two ends of the store hit rate.
  *
  *   hit-rate 0.0   every request is a fresh computation (pool-bound)
- *   hit-rate 0.5   alternating store hits and fresh computations
  *   hit-rate 1.0   every request answered from the persistent store
+ *
+ * A mixed hit rate is the end-to-end benchmark's serve_mix workload.
  *
  * plus a dedupe round: all clients submit the SAME fresh request
  * concurrently, and the daemon's counters show one pool evaluation
@@ -54,15 +55,12 @@ makeRequest(std::uint64_t seed)
     return msg;
 }
 
-/** One client's request stream for a hit-rate case. */
+/** One client's request stream: all store hits or all fresh. */
 void
-clientRun(const std::string& socket, double hit_rate)
+clientRun(const std::string& socket, bool warm)
 {
     serve::ServeClient client(socket);
     for (int i = 0; i < kRequestsPerClient; ++i) {
-        const bool warm =
-            hit_rate >= 1.0 ||
-            (hit_rate > 0.0 && i % 2 == 0); // 0.5: alternate warm/cold
         const std::uint64_t seed =
             warm ? kWarmSeed : g_coldSeed.fetch_add(1);
         const serve::ResponseMsg response =
@@ -76,14 +74,12 @@ clientRun(const std::string& socket, double hit_rate)
 }
 
 double
-runCase(const std::string& socket, double hit_rate)
+runCase(const std::string& socket, bool warm)
 {
     const auto start = std::chrono::steady_clock::now();
     std::vector<std::thread> clients;
     for (int c = 0; c < kClients; ++c)
-        clients.emplace_back([&socket, hit_rate] {
-            clientRun(socket, hit_rate);
-        });
+        clients.emplace_back([&socket, warm] { clientRun(socket, warm); });
     for (std::thread& t : clients)
         t.join();
     return bench::secondsSince(start);
@@ -128,13 +124,11 @@ main()
     const std::size_t total = kClients * kRequestsPerClient;
     double cold_rps = 0.0;
     double warm_rps = 0.0;
-    for (const double hit_rate : {0.0, 0.5, 1.0}) {
-        const double seconds = runCase(socket, hit_rate);
+    for (const bool warm : {false, true}) {
+        const double seconds = runCase(socket, warm);
         const double rps = static_cast<double>(total) / seconds;
-        if (hit_rate == 0.0)
-            cold_rps = rps;
-        if (hit_rate == 1.0)
-            warm_rps = rps;
+        (warm ? warm_rps : cold_rps) = rps;
+        const double hit_rate = warm ? 1.0 : 0.0;
         char name[64];
         std::snprintf(name, sizeof(name), "hit_rate_%.1f", hit_rate);
         bench::row(name, {seconds, rps});

@@ -4,7 +4,7 @@
  *
  * Models gate-level depolarizing noise exactly (channel after every
  * gate) plus optional readout errors for diagonal Hamiltonians. This
- * backend is the ground truth the trajectory and analytic backends are
+ * backend is the ground truth the analytic damping backend is
  * validated against; practical up to ~10 qubits.
  */
 

@@ -3,10 +3,10 @@
  * Deterministic random number generation for the OSCAR library.
  *
  * All stochastic components in the library (graph generation, parameter
- * sampling, shot noise, trajectory noise, latency models) draw from an
- * explicitly seeded Rng so that every experiment is reproducible bit for
- * bit across runs. The core generator is xoshiro256++, seeded through
- * splitmix64 so that nearby integer seeds produce unrelated streams.
+ * sampling, shot noise, latency models) draw from an explicitly seeded
+ * Rng so that every experiment is reproducible bit for bit across runs.
+ * The core generator is xoshiro256++, seeded through splitmix64 so that
+ * nearby integer seeds produce unrelated streams.
  */
 
 #ifndef OSCAR_COMMON_RNG_H

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 #include <utility>
@@ -24,11 +25,18 @@ GridSpec::GridSpec(std::vector<GridAxis> axes)
 {
     if (axes_.empty())
         throw std::invalid_argument("GridSpec: no axes");
+    std::size_t points = 1;
     for (const GridAxis& a : axes_) {
         if (a.count == 0)
             throw std::invalid_argument("GridSpec: empty axis");
+        if (!std::isfinite(a.lo) || !std::isfinite(a.hi))
+            throw std::invalid_argument("GridSpec: non-finite axis bound");
         if (a.hi < a.lo)
             throw std::invalid_argument("GridSpec: inverted axis");
+        if (points > std::numeric_limits<std::size_t>::max() / a.count)
+            throw std::invalid_argument(
+                "GridSpec: point count overflows size_t");
+        points *= a.count;
     }
 }
 
@@ -160,8 +168,12 @@ GridSpec::nearestIndex(const std::vector<double>& params) const
     std::size_t flat = 0;
     for (std::size_t d = 0; d < axes_.size(); ++d) {
         const GridAxis& a = axes_[d];
+        if (!std::isfinite(params[d]))
+            throw std::invalid_argument(
+                "GridSpec::nearestIndex: non-finite coordinate");
+        // A zero-width axis has one value at every coordinate; take 0.
         std::size_t best = 0;
-        if (a.count > 1) {
+        if (a.count > 1 && a.hi > a.lo) {
             const double step =
                 (a.hi - a.lo) / static_cast<double>(a.count - 1);
             const double raw = std::round((params[d] - a.lo) / step);

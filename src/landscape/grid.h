@@ -34,6 +34,10 @@ class GridSpec
   public:
     GridSpec() = default;
 
+    /**
+     * @throws std::invalid_argument on no axes, an empty, inverted or
+     *         non-finite axis, or a point count that overflows size_t
+     */
     explicit GridSpec(std::vector<GridAxis> axes);
 
     /** Standard QAOA depth-1 grid of the paper's Table 1. */
@@ -64,7 +68,11 @@ class GridSpec
 
     /**
      * Flat index of the grid point nearest to an arbitrary parameter
-     * vector (clamped to the grid).
+     * vector (clamped to the grid). A zero-width axis (lo == hi)
+     * resolves to coordinate 0.
+     *
+     * @throws std::invalid_argument on a rank mismatch or a non-finite
+     *         coordinate
      */
     std::size_t nearestIndex(const std::vector<double>& params) const;
 

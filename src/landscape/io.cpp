@@ -66,7 +66,15 @@ loadLandscape(std::istream& in)
             malformed("axis line");
         axes.push_back(axis);
     }
-    const GridSpec grid(std::move(axes));
+    // GridSpec rejects an inverted axis or an overflowing point count
+    // with its own exception type; in a file that is malformed input.
+    const GridSpec grid = [&] {
+        try {
+            return GridSpec(std::move(axes));
+        } catch (const std::invalid_argument& e) {
+            malformed(e.what());
+        }
+    }();
 
     std::size_t count = 0;
     if (!(in >> key >> count) || key != "values")

@@ -1,7 +1,7 @@
 #include "src/mitigation/readout.h"
 
 #include <cassert>
-#include <stdexcept>
+#include <utility>
 
 namespace oscar {
 
@@ -54,22 +54,6 @@ applyReadoutToDistribution(std::vector<double> probs, int num_qubits,
     // p' = T p per qubit.
     return applyKronecker2(std::move(probs), num_qubits,
                            1.0 - e01, e10, e01, 1.0 - e10);
-}
-
-std::vector<double>
-invertReadout(std::vector<double> probs, int num_qubits, double e01,
-              double e10)
-{
-    const double det = 1.0 - e01 - e10;
-    if (det <= 0.0)
-        throw std::invalid_argument("invertReadout: confusion not invertible");
-    // Inverse of [[1-e01, e10], [e01, 1-e10]] / det.
-    const double m00 = (1.0 - e10) / det;
-    const double m01 = -e10 / det;
-    const double m10 = -e01 / det;
-    const double m11 = (1.0 - e01) / det;
-    return applyKronecker2(std::move(probs), num_qubits, m00, m01, m10,
-                           m11);
 }
 
 } // namespace oscar

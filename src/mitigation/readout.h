@@ -1,6 +1,6 @@
 /**
  * @file
- * Readout (measurement) error model and inversion-based mitigation.
+ * Readout (measurement) error model.
  *
  * Readout errors are classical bit flips applied to measurement
  * outcomes: a qubit in state 0 reads 1 with probability e01 and a
@@ -10,10 +10,6 @@
  *     C~(z) = sum_z' P(read z' | prepared z) C(z'),
  * a tensor product of per-qubit 2x2 stochastic maps, applied here with
  * an in-place butterfly in O(n 2^n).
- *
- * Qubit Readout Mitigation (QRM, paper Section 2.3) inverts the same
- * per-qubit confusion matrices, which is exact when the calibrated
- * error rates match the device.
  */
 
 #ifndef OSCAR_MITIGATION_READOUT_H
@@ -38,14 +34,6 @@ std::vector<double> applyReadoutToDiagonal(std::vector<double> table,
 std::vector<double> applyReadoutToDistribution(std::vector<double> probs,
                                                int num_qubits, double e01,
                                                double e10);
-
-/**
- * Readout mitigation by per-qubit confusion-matrix inversion: the
- * inverse map applied to a measured distribution. Calibration rates
- * must be the (estimated) physical error rates.
- */
-std::vector<double> invertReadout(std::vector<double> probs,
-                                  int num_qubits, double e01, double e10);
 
 } // namespace oscar
 

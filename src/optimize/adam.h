@@ -50,8 +50,8 @@ class Adam : public Optimizer
 
 /**
  * Central finite-difference gradient estimate (2 * dim evaluations).
- * Shared by Adam and GradientDescent. The 2 * dim probe points are
- * submitted as one batch to `engine` (serial when null).
+ * The 2 * dim probe points are submitted as one batch to `engine`
+ * (serial when null).
  */
 std::vector<double> finiteDifferenceGradient(CostFunction& cost,
                                              const std::vector<double>& at,

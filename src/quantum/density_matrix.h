@@ -13,9 +13,8 @@
  *   D_p(rho) = (1 - 4p/3) rho + (4p/3) (I/2 (x) Tr_q rho)      [1-qubit]
  *   D_p(rho) = (1 - 16p/15) rho + (16p/15) (I/4 (x) Tr_qq rho) [2-qubit]
  *
- * This backend is the correctness oracle for the trajectory backend and
- * the analytic light-cone damping model; it is practical up to ~10
- * qubits on one core.
+ * This backend is the correctness oracle for the analytic light-cone
+ * damping model; it is practical up to ~10 qubits on one core.
  */
 
 #ifndef OSCAR_QUANTUM_DENSITY_MATRIX_H

@@ -1,6 +1,5 @@
 #include "src/quantum/statevector.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -16,13 +15,6 @@ Statevector::Statevector(int num_qubits)
     if (num_qubits < 1 || num_qubits > 28)
         throw std::invalid_argument("Statevector: unsupported qubit count");
     amps_.assign(std::size_t{1} << num_qubits, cplx(0.0, 0.0));
-    amps_[0] = 1.0;
-}
-
-void
-Statevector::reset()
-{
-    std::fill(amps_.begin(), amps_.end(), cplx(0.0, 0.0));
     amps_[0] = 1.0;
 }
 
@@ -116,26 +108,6 @@ Statevector::expectationDiagonal(const std::vector<double>& diag) const
     assert(diag.size() == amps_.size());
     return kernels::defaultKernelTable().expectationDiagonal(
         amps_.data(), diag.data(), amps_.size());
-}
-
-std::vector<std::uint64_t>
-Statevector::sample(std::size_t shots, Rng& rng) const
-{
-    // Inverse-CDF sampling over the cumulative distribution.
-    std::vector<double> cdf(amps_.size());
-    double acc = 0.0;
-    for (std::size_t i = 0; i < amps_.size(); ++i) {
-        acc += std::norm(amps_[i]);
-        cdf[i] = acc;
-    }
-    std::vector<std::uint64_t> out;
-    out.reserve(shots);
-    for (std::size_t s = 0; s < shots; ++s) {
-        const double u = rng.uniform() * acc;
-        const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-        out.push_back(static_cast<std::uint64_t>(it - cdf.begin()));
-    }
-    return out;
 }
 
 cplx

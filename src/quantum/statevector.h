@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/common/aligned.h"
-#include "src/common/rng.h"
 #include "src/quantum/circuit.h"
 #include "src/quantum/pauli.h"
 
@@ -42,9 +41,6 @@ class Statevector
     /** Amplitude storage; data() is 64-byte aligned for SIMD loads. */
     AlignedVector<cplx>& amps() { return amps_; }
     const AlignedVector<cplx>& amps() const { return amps_; }
-
-    /** Reset to |0...0>. */
-    void reset();
 
     /** Apply a single gate (angle must already be resolved). */
     void applyGate(const Gate& gate);
@@ -85,9 +81,6 @@ class Statevector
      * value table of length dim().
      */
     double expectationDiagonal(const std::vector<double>& diag) const;
-
-    /** Draw `shots` basis-state samples from the output distribution. */
-    std::vector<std::uint64_t> sample(std::size_t shots, Rng& rng) const;
 
     /** <this|other>. */
     cplx innerProduct(const Statevector& other) const;

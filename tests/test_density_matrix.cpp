@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the density-matrix simulator and its agreement with the
- * state-vector (pure) and trajectory (noisy) backends.
+ * state-vector backend.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 
 #include "src/backend/density_backend.h"
 #include "src/backend/statevector_backend.h"
-#include "src/backend/trajectory_backend.h"
 #include "src/common/rng.h"
 #include "src/graph/generators.h"
 #include "src/hamiltonian/maxcut.h"
@@ -147,42 +146,6 @@ TEST(DensityBackend, MatchesStatevectorBackendWhenIdeal)
                         1e-10);
         }
     }
-}
-
-TEST(TrajectoryBackend, ConvergesToDensityMatrix)
-{
-    // Trajectory averaging must converge to the exact channel.
-    Rng rng(11);
-    const Graph g = random3RegularGraph(4, rng);
-    Circuit c(4, 0);
-    for (int q = 0; q < 4; ++q)
-        c.append(Gate::h(q));
-    for (const Edge& e : g.edges())
-        c.append(Gate::rzz(e.u, e.v, -0.9));
-    for (int q = 0; q < 4; ++q)
-        c.append(Gate::rx(q, 0.6));
-    const PauliSum h = maxcutHamiltonian(g);
-    const NoiseModel noise = NoiseModel::depolarizing(0.02, 0.05);
-
-    DensityCost exact(c, h, noise);
-    TrajectoryCost mc(c, h, noise, 4000, 123);
-    const std::vector<double> no_params{};
-    const double e_exact = exact.evaluate(no_params);
-    const double e_mc = mc.evaluate(no_params);
-    // 4000 trajectories: statistical error well under 0.05 for this
-    // bounded observable.
-    EXPECT_NEAR(e_mc, e_exact, 0.05);
-}
-
-TEST(TrajectoryBackend, IdealReducesToStatevector)
-{
-    Circuit c(2, 0);
-    c.append(Gate::h(0));
-    c.append(Gate::cx(0, 1));
-    PauliSum h(2);
-    h.add(1.0, "ZZ");
-    TrajectoryCost mc(c, h, NoiseModel::idealModel(), 3, 1);
-    EXPECT_NEAR(mc.evaluate({}), 1.0, 1e-12);
 }
 
 TEST(DensityBackend, ReadoutErrorShiftsExpectation)

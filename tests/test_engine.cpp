@@ -29,9 +29,7 @@
 #include "src/backend/engine.h"
 #include "src/backend/global_damping.h"
 #include "src/backend/hardware_dataset.h"
-#include "src/backend/sampled_backend.h"
 #include "src/backend/statevector_backend.h"
-#include "src/backend/trajectory_backend.h"
 #include "src/core/oscar.h"
 #include "src/graph/generators.h"
 #include "src/hamiltonian/maxcut.h"
@@ -66,6 +64,15 @@ testPoints(std::size_t n)
     for (std::size_t i = 0; i < n; ++i)
         points.push_back({rng.uniform(-0.8, 0.8), rng.uniform(-1.6, 1.6)});
     return points;
+}
+
+/** A stochastic cost: shot noise keyed by ordinal over a statevector. */
+ShotNoiseCost
+shotNoiseStatevector(const Graph& g, std::size_t shots, std::uint64_t seed)
+{
+    return ShotNoiseCost(std::make_shared<StatevectorCost>(
+                             qaoaCircuit(g, 1), maxcutHamiltonian(g)),
+                         shots, 1.0, seed);
 }
 
 /**
@@ -123,31 +130,6 @@ TEST(Engine, DensityParity)
     DensityCost a(qaoaCircuit(g, 1), maxcutHamiltonian(g), noise);
     DensityCost b(qaoaCircuit(g, 1), maxcutHamiltonian(g), noise);
     DensityCost c(qaoaCircuit(g, 1), maxcutHamiltonian(g), noise);
-    expectScalarBatchThreadedParity(a, b, c);
-}
-
-TEST(Engine, SampledParity)
-{
-    const Graph g = testGraph();
-    NoiseModel noise;
-    noise.readout01 = 0.02;
-    noise.readout10 = 0.01;
-    SampledCost a(qaoaCircuit(g, 1), maxcutHamiltonian(g), 256, noise, 7);
-    SampledCost b(qaoaCircuit(g, 1), maxcutHamiltonian(g), 256, noise, 7);
-    SampledCost c(qaoaCircuit(g, 1), maxcutHamiltonian(g), 256, noise, 7);
-    expectScalarBatchThreadedParity(a, b, c);
-}
-
-TEST(Engine, TrajectoryParity)
-{
-    Rng rng(22);
-    const Graph g = random3RegularGraph(6, rng);
-    NoiseModel noise;
-    noise.p1 = 0.004;
-    noise.p2 = 0.02;
-    TrajectoryCost a(qaoaCircuit(g, 1), maxcutHamiltonian(g), noise, 12, 9);
-    TrajectoryCost b(qaoaCircuit(g, 1), maxcutHamiltonian(g), noise, 12, 9);
-    TrajectoryCost c(qaoaCircuit(g, 1), maxcutHamiltonian(g), noise, 12, 9);
     expectScalarBatchThreadedParity(a, b, c);
 }
 
@@ -316,10 +298,8 @@ TEST(Engine, ReconstructBitIdenticalAcrossThreadCounts)
     // Stochastic backend: ordinal-keyed streams keep N-thread runs
     // bit-identical too.
     {
-        SampledCost a(qaoaCircuit(g, 1), maxcutHamiltonian(g), 128,
-                      NoiseModel{}, 3);
-        SampledCost b(qaoaCircuit(g, 1), maxcutHamiltonian(g), 128,
-                      NoiseModel{}, 3);
+        ShotNoiseCost a = shotNoiseStatevector(g, 128, 3);
+        ShotNoiseCost b = shotNoiseStatevector(g, 128, 3);
         const OscarResult serial =
             Oscar::reconstruct(grid, a, serial_options);
         const OscarResult pooled =
@@ -338,9 +318,8 @@ TEST(Engine, ParallelSamplingBitIdenticalAcrossThreadCounts)
         for (int d = 0; d < 2; ++d) {
             QpuDevice dev;
             dev.name = "qpu" + std::to_string(d);
-            dev.cost = std::make_shared<SampledCost>(
-                qaoaCircuit(g, 1), maxcutHamiltonian(g), 64, NoiseModel{},
-                100 + d);
+            dev.cost = std::make_shared<ShotNoiseCost>(
+                shotNoiseStatevector(g, 64, 100 + d));
             dev.latency = LatencyModel{};
             devices.push_back(std::move(dev));
         }
@@ -710,10 +689,8 @@ TEST(Engine, OptimizerWithEngineMatchesSerial)
 TEST(AsyncEngine, SubmitGetMatchesEvaluate)
 {
     const Graph g = testGraph();
-    SampledCost a(qaoaCircuit(g, 1), maxcutHamiltonian(g), 128,
-                  NoiseModel{}, 5);
-    SampledCost b(qaoaCircuit(g, 1), maxcutHamiltonian(g), 128,
-                  NoiseModel{}, 5);
+    ShotNoiseCost a = shotNoiseStatevector(g, 128, 5);
+    ShotNoiseCost b = shotNoiseStatevector(g, 128, 5);
     const auto points = testPoints(24);
 
     const std::vector<double> reference = a.evaluateBatch(points);
@@ -741,10 +718,8 @@ TEST(AsyncEngine, OverlappingBatchesAnyCompletionOrder)
     // so the concatenated results equal the serial stream regardless
     // of completion or collection order.
     const Graph g = testGraph();
-    SampledCost serial(qaoaCircuit(g, 1), maxcutHamiltonian(g), 128,
-                       NoiseModel{}, 17);
-    SampledCost async(qaoaCircuit(g, 1), maxcutHamiltonian(g), 128,
-                      NoiseModel{}, 17);
+    ShotNoiseCost serial = shotNoiseStatevector(g, 128, 17);
+    ShotNoiseCost async = shotNoiseStatevector(g, 128, 17);
 
     const auto all = testPoints(60);
     const std::vector<std::vector<double>> batches[3] = {

@@ -15,7 +15,6 @@
 
 #include "src/ansatz/qaoa.h"
 #include "src/ansatz/two_local.h"
-#include "src/backend/sampled_backend.h"
 #include "src/backend/statevector_backend.h"
 #include "src/core/oscar.h"
 #include "src/graph/generators.h"
@@ -124,9 +123,6 @@ TEST(ErrorPaths, BackendsRejectMismatchedHamiltonian)
     const Graph g6 = random3RegularGraph(6, rng);
     EXPECT_THROW(StatevectorCost(qaoaCircuit(g4, 1),
                                  maxcutHamiltonian(g6)),
-                 std::invalid_argument);
-    EXPECT_THROW(SampledCost(qaoaCircuit(g4, 1), maxcutHamiltonian(g6),
-                             10, NoiseModel::idealModel(), 1),
                  std::invalid_argument);
 }
 

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <set>
+#include <stdexcept>
 
 #include "src/landscape/grid.h"
 #include "src/landscape/landscape.h"
@@ -77,6 +79,18 @@ TEST(GridSpec, NearestIndexClamps)
     const GridSpec grid({{0.0, 1.0, 3}, {0.0, 1.0, 3}});
     EXPECT_EQ(grid.nearestIndex({-5.0, -5.0}), 0u);
     EXPECT_EQ(grid.nearestIndex({5.0, 5.0}), 8u);
+
+    // A zero-width axis resolves to coordinate 0, wherever the query.
+    const GridSpec flat({{0.5, 0.5, 3}, {0.0, 1.0, 3}});
+    EXPECT_EQ(flat.nearestIndex({0.5, 1.0}), 2u);
+    EXPECT_EQ(flat.nearestIndex({7.0, 0.0}), 0u);
+
+    // A non-finite coordinate has no nearest point.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(grid.nearestIndex({nan, 0.5}), std::invalid_argument);
+    EXPECT_THROW(grid.nearestIndex({0.5, inf}), std::invalid_argument);
+    EXPECT_THROW(grid.nearestIndex({-inf, 0.5}), std::invalid_argument);
 }
 
 TEST(Landscape, GridSearchEvaluatesEveryPoint)

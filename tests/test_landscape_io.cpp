@@ -118,6 +118,11 @@ TEST(LandscapeIo, RejectsMalformedInput)
     expectMalformed("oscar-landscape 1\naxes 1\naxis 0 1e999 2\n"
                     "values 2\n1\n2\n",
                     "axis line");
+    // Two axes of 2^32 points: the count would wrap size_t to 0 and
+    // match "values 0", so the grid itself must refuse it.
+    expectMalformed("oscar-landscape 1\naxes 2\naxis 0 1 4294967296\n"
+                    "axis 0 1 4294967296\nvalues 0\n",
+                    "GridSpec: point count overflows size_t");
 }
 
 TEST(LandscapeIo, MissingFileThrows)

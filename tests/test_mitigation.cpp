@@ -221,15 +221,6 @@ TEST(Readout, SingleQubitFlipProbability)
     EXPECT_NEAR(q[1], 0.07, 1e-12);
 }
 
-TEST(Readout, InversionUndoesConfusion)
-{
-    std::vector<double> p{0.4, 0.3, 0.2, 0.1};
-    const auto noisy = applyReadoutToDistribution(p, 2, 0.08, 0.12);
-    const auto recovered = invertReadout(noisy, 2, 0.08, 0.12);
-    for (std::size_t i = 0; i < 4; ++i)
-        EXPECT_NEAR(recovered[i], p[i], 1e-10);
-}
-
 TEST(Readout, DiagonalTransformMatchesDistributionTransform)
 {
     // E_noisy computed from the smeared observable must equal the one
@@ -246,12 +237,6 @@ TEST(Readout, DiagonalTransformMatchesDistributionTransform)
         e_dist += smeared_p[z] * table[z];
     }
     EXPECT_NEAR(e_table, e_dist, 1e-12);
-}
-
-TEST(Readout, InvertThrowsOnDegenerateConfusion)
-{
-    EXPECT_THROW(invertReadout({0.5, 0.5}, 1, 0.5, 0.5),
-                 std::invalid_argument);
 }
 
 } // namespace

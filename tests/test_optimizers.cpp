@@ -11,9 +11,7 @@
 
 #include "src/optimize/adam.h"
 #include "src/optimize/cobyla.h"
-#include "src/optimize/gradient_descent.h"
 #include "src/optimize/nelder_mead.h"
-#include "src/optimize/spsa.h"
 
 namespace oscar {
 namespace {
@@ -35,16 +33,6 @@ makeOptimizer(const std::string& name)
         AdamOptions o;
         o.maxIterations = 400;
         return std::make_unique<Adam>(o);
-    }
-    if (name == "gd") {
-        GradientDescentOptions o;
-        o.maxIterations = 600;
-        return std::make_unique<GradientDescent>(o);
-    }
-    if (name == "spsa") {
-        SpsaOptions o;
-        o.maxIterations = 1200;
-        return std::make_unique<Spsa>(o);
     }
     if (name == "nelder-mead")
         return std::make_unique<NelderMead>();
@@ -86,8 +74,8 @@ TEST_P(OptimizerConvergence, CountsQueries)
 }
 
 INSTANTIATE_TEST_SUITE_P(All, OptimizerConvergence,
-                         ::testing::Values("adam", "gd", "spsa",
-                                           "nelder-mead", "cobyla"));
+                         ::testing::Values("adam", "nelder-mead",
+                                           "cobyla"));
 
 TEST(Adam, ConvergesOnCosineValley)
 {
@@ -136,23 +124,6 @@ TEST(NelderMead, HandlesRosenbrock)
     const auto result = nm.minimize(cost, {-0.5, 0.5});
     EXPECT_NEAR(result.bestParams[0], 1.0, 0.05);
     EXPECT_NEAR(result.bestParams[1], 1.0, 0.1);
-}
-
-TEST(Spsa, ToleratesNoisyObjective)
-{
-    // SPSA is built for stochastic objectives.
-    Rng noise_rng(17);
-    LambdaCost cost(2, [&noise_rng](const std::vector<double>& p) {
-        return p[0] * p[0] + p[1] * p[1] +
-               noise_rng.normal(0.0, 0.01);
-    });
-    SpsaOptions o;
-    o.maxIterations = 2000;
-    Spsa spsa(o);
-    const auto result = spsa.minimize(cost, {0.8, -0.9});
-    EXPECT_LT(result.bestParams[0] * result.bestParams[0] +
-                  result.bestParams[1] * result.bestParams[1],
-              0.05);
 }
 
 TEST(ParamDistance, Euclidean)

@@ -178,19 +178,6 @@ TEST(Statevector, ProbabilitiesSumToOne)
     EXPECT_NEAR(total, 1.0, kTol);
 }
 
-TEST(Statevector, SampleMatchesDistribution)
-{
-    Statevector sv(1);
-    sv.applyGate(Gate::ry(0, 2.0 * std::acos(std::sqrt(0.7))));
-    // P(0) should be 0.7.
-    Rng rng(5);
-    const auto shots = sv.sample(20000, rng);
-    std::size_t zeros = 0;
-    for (auto s : shots)
-        zeros += (s == 0);
-    EXPECT_NEAR(static_cast<double>(zeros) / shots.size(), 0.7, 0.02);
-}
-
 /** Norm preservation across random circuits (property test). */
 class StatevectorNormProperty : public ::testing::TestWithParam<int>
 {

@@ -717,6 +717,16 @@ TEST(LandscapeStoreTest, GridSpecRoundTripsAndHashesCanonically)
     std::vector<std::uint8_t> inverted_bytes = inverted.take();
     wire::WireReader inverted_reader(inverted_bytes);
     EXPECT_THROW(decodeGridSpec(inverted_reader), wire::WireError);
+
+    // And a NaN bound, which no ordering comparison catches.
+    wire::WireWriter nan_lo;
+    nan_lo.u32(1);
+    nan_lo.f64(std::numeric_limits<double>::quiet_NaN());
+    nan_lo.f64(1.0);
+    nan_lo.u64(4);
+    std::vector<std::uint8_t> nan_bytes = nan_lo.take();
+    wire::WireReader nan_reader(nan_bytes);
+    EXPECT_THROW(decodeGridSpec(nan_reader), wire::WireError);
 }
 
 // ---------------------------------------------------------------------
